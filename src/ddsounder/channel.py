@@ -366,11 +366,11 @@ def apply_channel(
 ) -> SampledSignal:
     """Synthesize the RX record of a drive-by capture.
 
-    Per snapshot block, every path of every TX contributes a delayed
-    (Dirichlet-interpolated), carrier-phase-rotated copy of that TX's
-    periodic waveform; the delay varies linearly inside a block at the rate
-    implied by the path Doppler.  A CFO rotation and counter-seeded complex
-    white noise are applied on top.
+    Per snapshot block, every path of every TX contributes a delayed,
+    carrier-phase-rotated copy of that TX's periodic waveform, evaluated as
+    the period's tone sum at the fractional delay; the delay varies linearly
+    inside a block at the rate implied by the path Doppler.  A CFO rotation
+    and counter-seeded complex white noise are applied on top.
 
     Parameters
     ----------

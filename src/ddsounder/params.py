@@ -334,6 +334,34 @@ def validate_config(cfg: SounderConfig) -> ValidationReport:
         "tone_spacing/tx_tone_offset must be an integer >= tx_count",
     )
 
+    add(
+        "noise_slot_free",
+        ratio,
+        cfg.tx_count,
+        ratio_ok and round(ratio) > cfg.tx_count,
+        "tone_spacing/tx_tone_offset must exceed tx_count to leave a noise slot",
+    )
+
+    samples = cfg.sample_rate * cfg.sequence_period
+    add(
+        "samples_per_period_integer",
+        samples,
+        round(samples),
+        round(samples) >= 1 and abs(samples - round(samples)) <= 1e-6,
+        "sequence period must span an integer number of samples",
+    )
+
+    # highest tone of the highest comb; TX i is shifted up by i offsets
+    tone_max = (cfg.tone_count - 1) / 2 * cfg.tone_spacing
+    tone_max += (cfg.tx_count - 1) * cfg.tx_tone_offset
+    add(
+        "tones_within_nyquist",
+        2 * tone_max,
+        cfg.sample_rate,
+        2 * tone_max < cfg.sample_rate,
+        "2 max|tone frequency| over every TX comb vs sample rate",
+    )
+
     q_exact = int(cfg.recording_time / cfg.snapshot_time * (1 + _REL_TOL))
     add(
         "snapshot_count",
@@ -351,6 +379,6 @@ def validate_config(cfg: SounderConfig) -> ValidationReport:
         "sequence_period_s": period,
         "snapshot_time_s": snapshot,
         "snapshot_count_from_times": float(q_exact),
-        "samples_per_period": cfg.sample_rate * cfg.sequence_period,
+        "samples_per_period": samples,
     }
     return report

@@ -15,7 +15,7 @@ from ddsounder import io as ddio
 from ddsounder.channel import default_scenario
 from ddsounder.cli import main
 from ddsounder.manifest import RunManifest
-from ddsounder.params import derive_config
+from ddsounder.params import derive_config, validate_config
 from ddsounder.waveform import SampledSignal
 
 
@@ -70,6 +70,24 @@ class TestPlan:
         ddio.save_sounder_config(path, cfg)
         assert main(["plan", "--config", path]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "design,check",
+        [
+            ({"sample_rate": 6.25e5}, "samples_per_period_integer"),  # 52.5 samples
+            ({"sample_rate": 5e5}, "tones_within_nyquist"),  # 476 kHz tone
+            ({"grid_ratio": 2, "sample_rate": 1.5e6}, "noise_slot_free"),
+        ],
+    )
+    def test_design_that_breaks_later_stages_fails(self, tmp_path, capsys, design, check):
+        cfg = derive_config(**{"bandwidth": 1e6, "averaging_count": 2, **design})
+        report = validate_config(cfg)
+        assert not next(c for c in report.checks if c.name == check).passed
+        path = str(tmp_path / "bad.ini")
+        ddio.save_sounder_config(path, cfg)
+        assert main(["plan", "--config", path]) == 1
+        (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith(check)]
+        assert " FAIL" in line
 
     def test_malformed_config_is_validation_error(self, tmp_path):
         path = str(tmp_path / "broken.ini")

@@ -1,14 +1,14 @@
 """Synthesis kernel tests: periodic interpolation and path superposition.
 
-The numpy fallback is the reference implementation; when the compiled
-extension is importable the two backends must agree to round-off.
+The reference is an independent direct evaluation of a band-limited periodic
+signal at fractional sample positions; the kernel's trigonometric polynomial
+must reproduce it, and every sample, to round-off.
 """
 
 import numpy as np
 import pytest
 
 from ddsounder import _kernels
-from ddsounder._kernels import fallback
 
 
 def _bandlimited_period(rng, length, max_mode):
@@ -34,15 +34,16 @@ class TestInterpolatePeriodic:
         samples, evaluate = _bandlimited_period(rng, length, max_mode)
         u = rng.uniform(0, length, 300)
         np.testing.assert_allclose(
-            fallback.interpolate_periodic(samples, u), evaluate(u), atol=1e-9
+            _kernels.interpolate_periodic(samples, u), evaluate(u), atol=1e-9
         )
 
-    def test_on_sample_points_are_identity(self):
+    @pytest.mark.parametrize("length", [105, 8])
+    def test_on_sample_points_are_identity(self, length):
         rng = np.random.default_rng(6)
-        samples = rng.standard_normal(105) + 1j * rng.standard_normal(105)
-        u = np.arange(105, dtype=float)
+        samples = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        u = np.arange(length, dtype=float)
         np.testing.assert_allclose(
-            fallback.interpolate_periodic(samples, u), samples, atol=1e-12
+            _kernels.interpolate_periodic(samples, u), samples, atol=1e-12
         )
 
     def test_periodicity(self):
@@ -50,8 +51,8 @@ class TestInterpolatePeriodic:
         samples, _ = _bandlimited_period(rng, 7, 3)
         u = rng.uniform(0, 7, 50)
         np.testing.assert_allclose(
-            fallback.interpolate_periodic(samples, u),
-            fallback.interpolate_periodic(samples, u + 3 * 7),
+            _kernels.interpolate_periodic(samples, u),
+            _kernels.interpolate_periodic(samples, u + 3 * 7),
             atol=1e-9,
         )
 
@@ -73,7 +74,7 @@ class TestSynthesizePaths:
         gains = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         tau0 = rng.uniform(0, 4e-6, 4)
         dtau = rng.uniform(-5e-8, 5e-8, 4)
-        got = fallback.synthesize_paths(
+        got = _kernels.synthesize_paths(
             samples[None, :], np.zeros(4, np.int64), gains, tau0, dtau,
             n_samples=64, t_start=1e-3, sample_rate=fs, carrier_frequency=fc,
         )
@@ -94,8 +95,8 @@ class TestSynthesizePaths:
             sample_rate=1.0,
             carrier_frequency=0.0,
         )
-        got0 = fallback.synthesize_paths(periods, np.array([0]), **kw)
-        got1 = fallback.synthesize_paths(periods, np.array([1]), **kw)
+        got0 = _kernels.synthesize_paths(periods, np.array([0]), **kw)
+        got1 = _kernels.synthesize_paths(periods, np.array([1]), **kw)
         np.testing.assert_allclose(got0, p0, atol=1e-10)
         np.testing.assert_allclose(got1, p1, atol=1e-10)
 
@@ -105,7 +106,7 @@ class TestSynthesizePaths:
         n = 1024
         periods = np.ones((1, 105), complex)  # constant envelope isolates the carrier
         dtau = -1e-8  # approaching: delay shrinks, Doppler +600 Hz
-        out = fallback.synthesize_paths(
+        out = _kernels.synthesize_paths(
             periods, np.array([0]), np.array([1.0 + 0j]), np.array([1e-6]),
             np.array([dtau]), n, 0.0, fs, fc,
         )
@@ -115,32 +116,9 @@ class TestSynthesizePaths:
         assert peak == pytest.approx(-fc * dtau, abs=fs / n)
 
     def test_zero_paths_give_silence(self):
-        out = fallback.synthesize_paths(
+        out = _kernels.synthesize_paths(
             np.ones((1, 7), complex), np.zeros(0, np.int64), np.zeros(0, complex),
             np.zeros(0), np.zeros(0), 16, 0.0, 1.0, 1.0,
         )
         np.testing.assert_array_equal(out, np.zeros(16, complex))
 
-
-@pytest.mark.skipif(_kernels.BACKEND != "compiled", reason="extension not built")
-class TestCompiledBackend:
-    def test_agrees_with_fallback(self):
-        from ddsounder._kernels import _synth
-
-        rng = np.random.default_rng(13)
-        periods = rng.standard_normal((2, 105)) + 1j * rng.standard_normal((2, 105))
-        n_paths = 6
-        kw = dict(
-            wf_index=rng.integers(0, 2, n_paths),
-            gains=rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths),
-            tau0=rng.uniform(0, 8e-5, n_paths),
-            dtau=rng.uniform(-5e-8, 5e-8, n_paths),
-            n_samples=2048,
-            t_start=0.5,
-            sample_rate=1.25e6,
-            carrier_frequency=60.15e9,
-        )
-        a = _synth.synthesize_paths(periods, **kw)
-        b = fallback.synthesize_paths(periods, **kw)
-        scale = np.max(np.abs(b))
-        np.testing.assert_allclose(a, b, atol=1e-10 * scale)
