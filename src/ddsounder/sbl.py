@@ -9,7 +9,11 @@ the variance surface form the active set and calibrate the noise floor.
 The per-atom updates never form the full ``KM x KM`` covariance: the
 dictionary is a Kronecker product of a Doppler DFT and an upsampled delay
 comb, so after an FFT across snapshots the covariance block-diagonalizes
-into M independent ``K x K`` systems solved in one batched call.
+into M ``K x K`` blocks.  The delay atoms are K rows of a ``UK``-point DFT,
+so every block is Hermitian Toeplitz with a first column that is an FFT of
+that block's variances.  Per pass, one batched solve with two right-hand
+sides gives each block's inverse first column and its whitened data; FFTs
+turn these into the matched-filter and self-responses of all ``UK`` atoms.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tfanalysis import DelayDopplerGrid, Peak, PeakList, top_peaks_2d
+from .tfanalysis import DelayDopplerGrid, Peak, PeakList, _ranked_maxima
 
 __all__ = [
     "SparseModel",
@@ -163,28 +167,64 @@ def peak_select_2d(values: np.ndarray, count: int) -> list[tuple[int, int]]:
     if values.ndim != 2:
         raise ValueError("expected a 2-D surface")
     rows, cols = values.shape
-    index_grid = DelayDopplerGrid(
-        values=values,
-        delay_axis=np.arange(rows, dtype=np.float64),
-        doppler_axis=np.arange(cols, dtype=np.float64) - cols // 2,
+    picked_rows, picked_cols = _ranked_maxima(
+        values, count, np.arange(rows), np.abs(np.arange(cols) - cols // 2)
     )
-    picked = top_peaks_2d(index_grid, count)
-    return [
-        (int(round(p.delay)), int(round(p.doppler)) + cols // 2)
-        for p in picked.entries
-    ]
+    return [(int(r), int(c)) for r, c in zip(picked_rows, picked_cols)]
 
 
-def _block_covariances(
-    delay_atoms: np.ndarray, gamma: np.ndarray, noise_var: float
-) -> np.ndarray:
-    """``sigma^2 I + G diag(gamma_m) G^H`` for every Doppler block m."""
-    n_tones = delay_atoms.shape[0]
-    blocks = np.einsum(
-        "kn,mn,jn->mkj", delay_atoms, gamma, delay_atoms.conj(), optimize=True
+def _atom_responses(
+    gamma: np.ndarray, noise_var: float, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matched-filter and self-responses of every delay atom, per Doppler block.
+
+    Block m's covariance ``sigma^2 I + A diag(gamma[m]) A^H`` is Hermitian
+    Toeplitz with first column ``c[m] = fft(gamma[m])[:K] / K``.  ``rhs`` is
+    ``(M, K, 2)``: the unit vector ``e_0`` and the block's data spectrum.
+    Solving for both gives the first column ``a`` of the inverse and the
+    whitened data ``x``.  Returns ``a_n^H Sigma^-1 h`` and the real
+    ``a_n^H Sigma^-1 a_n``, each ``(M, U*K)``.
+    """
+    delay_bins = gamma.shape[1]
+    n_tones = rhs.shape[1]
+    col = np.fft.fft(gamma, axis=1)[:, :n_tones] / n_tones
+    lags = np.concatenate([col[:, :0:-1].conj(), col], axis=1)
+    k = np.arange(n_tones)
+    blocks = lags[:, k[:, None] - k[None, :] + n_tones - 1]
+    blocks[:, k, k] += noise_var
+    solved = np.linalg.solve(blocks, rhs)
+    first, whitened = solved[:, :, 0], solved[:, :, 1]
+    filtered = np.fft.ifft(whitened, n=delay_bins, axis=1) * (
+        delay_bins / np.sqrt(n_tones)
     )
-    blocks[:, np.arange(n_tones), np.arange(n_tones)] += noise_var
-    return blocks
+
+    # Gohberg-Semencul: Sigma^-1 = (L(a) L(a)^H - L(b) L(b)^H) / a_0 with
+    # L(v) lower-triangular Toeplitz and b = (0, conj(a_{K-1}), ..., conj(a_1)).
+    # The lag-d diagonal sum of L(v) L(v)^H is
+    # sum_r (K - r - d) v[r + d] conj(v[r]), one correlation of
+    # (K - p) v[p] with v; 2K - 1 points keep it from wrapping.  The sums are
+    # of order K / sigma^2, so a self-response near 1/gamma_n carries a
+    # relative error of about eps K gamma_n / sigma^2: round-off on noisy
+    # windows, but at the noise floor it leaves the strongest atoms' gamma
+    # good to only ~1e-4.
+    second = np.zeros_like(first)
+    second[:, 1:] = first[:, :0:-1].conj()
+    v = np.stack([first, second])
+    n_corr = 2 * n_tones - 1
+    spectra = np.fft.fft(v * (n_tones - k), n=n_corr, axis=-1) * np.fft.fft(
+        v, n=n_corr, axis=-1
+    ).conj()
+    diag_sums = np.fft.ifft(spectra[0] - spectra[1], axis=-1)[:, :n_tones]
+    diag_sums /= first[:, :1].real
+    # a_n^H Sigma^-1 a_n = (1/K) sum_d s[d] exp(2j pi d n / UK) over lags
+    # -(K-1)..K-1; lag -d is conj(s[d]) and the sum is real, so it is the
+    # real part of the one-sided sum with lags d >= 1 doubled.  Lags stay
+    # below K <= UK, so no two land on the same bin.
+    diag_sums[:, 1:] *= 2
+    self_response = np.fft.ifft(diag_sums, n=delay_bins, axis=1).real * (
+        delay_bins / n_tones
+    )
+    return filtered, self_response
 
 
 def sbl_fit(
@@ -234,9 +274,6 @@ def sbl_fit(
         tone_spacing=tone_spacing,
         snapshot_time=snapshot_time,
     )
-    atoms = model.delay_atoms()
-    # Doppler-block spectra of the window; block m sees h_hat[m].
-    h_hat = (np.fft.fft(h, axis=1) / np.sqrt(n_snapshots)).T.copy()
     h_vec = h.flatten(order="F")
 
     gamma = np.full((n_snapshots, model.delay_bins), float(cfg.gamma_init))
@@ -245,20 +282,16 @@ def sbl_fit(
     # cond(Sigma) <= gamma_max/floor must stay well below 1/eps
     noise_floor = max(1e-9 * energy / total, 1e-300)
 
-    rhs = np.empty((n_snapshots, n_tones, 1 + model.delay_bins), dtype=np.complex128)
-    rhs[:, :, 1:] = atoms[None, :, :]
-    rhs[:, :, 0] = h_hat
+    # per Doppler block m: e_0 and the window's Doppler spectrum h_hat[m]
+    rhs = np.zeros((n_snapshots, n_tones, 2), dtype=np.complex128)
+    rhs[:, 0, 0] = 1.0
+    rhs[:, :, 1] = np.fft.fft(h, axis=1).T / np.sqrt(n_snapshots)
 
     selected: list[tuple[int, int]] = []
     amplitudes = np.zeros(0, dtype=np.complex128)
     residual_power = energy
     for _ in range(cfg.iterations):
-        blocks = _block_covariances(atoms, gamma, noise_var)
-        solved = np.linalg.solve(blocks, rhs)
-        filtered = np.einsum("kn,mk->mn", atoms.conj(), solved[:, :, 0])
-        self_response = np.einsum(
-            "kn,mkn->mn", atoms.conj(), solved[:, :, 1:], optimize=True
-        ).real
+        filtered, self_response = _atom_responses(gamma, noise_var, rhs)
         gamma *= np.abs(filtered) ** 2 / np.clip(self_response, 1e-300, None)
 
         surface = np.fft.fftshift(gamma.T, axes=1)

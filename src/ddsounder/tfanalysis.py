@@ -231,6 +231,28 @@ def _strict_local_maxima(values: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _ranked_maxima(
+    values: np.ndarray,
+    count: int,
+    delay_key: np.ndarray,
+    doppler_key: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the ``count`` largest strict local maxima.
+
+    Orders by descending value, then ascending ``delay_key[row]``, then
+    ascending ``doppler_key[col]``; the sort is stable, so exact ties on all
+    three keep row-major order.
+    """
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    if np.iscomplexobj(values):
+        raise ValueError("peak picking expects a real-valued surface")
+    rows, cols = np.nonzero(_strict_local_maxima(values))
+    order = np.lexsort((doppler_key[cols], delay_key[rows], -values[rows, cols]))
+    keep = order[:count]
+    return rows[keep], cols[keep]
+
+
 def top_peaks_2d(grid: DelayDopplerGrid, count: int) -> PeakList:
     """Largest strict local maxima of a real-valued delay-Doppler surface.
 
@@ -238,27 +260,16 @@ def top_peaks_2d(grid: DelayDopplerGrid, count: int) -> PeakList:
     smaller absolute Doppler.  Plateaus have no strict maximum, so a constant
     surface yields an empty list; fewer maxima than requested returns all.
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
     values = np.asarray(grid.values)
-    if np.iscomplexobj(values):
-        raise ValueError("peak picking expects a real-valued surface")
-    mask = _strict_local_maxima(values)
-    rows, cols = np.nonzero(mask)
-    order = sorted(
-        range(rows.size),
-        key=lambda i: (
-            -values[rows[i], cols[i]],
-            grid.delay_axis[rows[i]],
-            abs(grid.doppler_axis[cols[i]]),
-        ),
+    rows, cols = _ranked_maxima(
+        values, count, grid.delay_axis, np.abs(grid.doppler_axis)
     )
     entries = [
         Peak(
-            delay=float(grid.delay_axis[rows[i]]),
-            doppler=float(grid.doppler_axis[cols[i]]),
-            power=float(values[rows[i], cols[i]]),
+            delay=float(grid.delay_axis[r]),
+            doppler=float(grid.doppler_axis[c]),
+            power=float(values[r, c]),
         )
-        for i in order[:count]
+        for r, c in zip(rows, cols)
     ]
     return PeakList(entries=entries)

@@ -26,6 +26,60 @@ def _window_from_atoms(model, entries, noise=None):
     return h
 
 
+def _dense_gamma_update(atoms, gamma, noise_var, h_hat):
+    """One fixed-point update from explicit covariance blocks (test oracle).
+
+    Forms every Doppler block ``sigma^2 I + A diag(gamma_m) A^H`` densely,
+    solves it against the data and all delay atoms at once, and applies
+    ``gamma *= |a^H S^-1 h|^2 / a^H S^-1 a``.
+    """
+    n_tones = atoms.shape[0]
+    blocks = np.einsum(
+        "kn,mn,jn->mkj", atoms, gamma, atoms.conj(), optimize=True
+    )
+    blocks[:, np.arange(n_tones), np.arange(n_tones)] += noise_var
+    rhs = np.concatenate(
+        [h_hat[:, :, None], np.broadcast_to(atoms, (len(gamma),) + atoms.shape)],
+        axis=2,
+    )
+    solved = np.linalg.solve(blocks, rhs)
+    filtered = np.einsum("kn,mk->mn", atoms.conj(), solved[:, :, 0])
+    self_response = np.einsum(
+        "kn,mkn->mn", atoms.conj(), solved[:, :, 1:], optimize=True
+    ).real
+    return gamma * np.abs(filtered) ** 2 / np.clip(self_response, 1e-300, None)
+
+
+def _reference_fit(h, cfg):
+    """``sbl_fit``'s loop with the dense update: (gamma surface, peaks, noise_var)."""
+    n_tones, n_snapshots = h.shape
+    total = n_tones * n_snapshots
+    energy = np.vdot(h, h).real
+    model = SparseModel(n_tones, n_snapshots, upsampling=cfg.upsampling)
+    atoms = model.delay_atoms()
+    h_hat = (np.fft.fft(h, axis=1) / np.sqrt(n_snapshots)).T
+    h_vec = h.flatten(order="F")
+    gamma = np.full((n_snapshots, model.delay_bins), cfg.gamma_init)
+    noise_var = cfg.noise_var_init
+    noise_floor = 1e-9 * energy / total
+    for _ in range(cfg.iterations):
+        gamma = _dense_gamma_update(atoms, gamma, noise_var, h_hat)
+        surface = np.fft.fftshift(gamma.T, axes=1)
+        selected = peak_select_2d(surface, cfg.active_set_size)
+        basis = np.stack(
+            [
+                model.column(n, (j - n_snapshots // 2) % n_snapshots)
+                for n, j in selected
+            ],
+            axis=1,
+        )
+        amplitudes, *_ = np.linalg.lstsq(basis, h_vec, rcond=None)
+        residual = h_vec - basis @ amplitudes
+        noise_var = np.vdot(residual, residual).real / (total - len(selected))
+        noise_var = max(noise_var, noise_floor)
+    return surface, selected, noise_var
+
+
 class TestSparseModel:
     def test_atom_columns_unit_norm(self, model):
         atoms = model.delay_atoms()
@@ -197,3 +251,72 @@ class TestSblFit:
             SBLConfig(iterations=0)
         with pytest.raises(ValueError):
             SBLConfig(noise_var_init=0.0)
+
+
+def _planted_window(upsampling, n_snapshots, snr_db=None):
+    """Three on-grid taps, plus white noise at ``snr_db`` unless it is None."""
+    native = SparseModel(K, n_snapshots, upsampling=upsampling)
+    taps = [
+        (2.0, 3, 4),
+        (1.0j, 5 * upsampling + 1, 4),
+        (0.7 - 0.3j, 9 * upsampling, 27),
+    ]
+    vec = sum(c * native.column(n, j) for c, n, j in taps)
+    h = vec.reshape(n_snapshots, K).T.copy()
+    if snr_db is not None:
+        rng = np.random.default_rng(upsampling * 100 + n_snapshots)
+        nv = np.mean(np.abs(h) ** 2) / 10 ** (snr_db / 10)
+        h += np.sqrt(nv / 2) * (
+            rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
+        )
+    return h
+
+
+def _peak_indices(result, upsampling, n_snapshots):
+    return [
+        (
+            round(p.delay * upsampling * K),
+            round(p.doppler * n_snapshots) + n_snapshots // 2,
+        )
+        for p in result.peaks.entries
+    ]
+
+
+class TestDenseOracle:
+    """``sbl_fit``'s structured Toeplitz update against dense covariance blocks."""
+
+    @pytest.mark.parametrize("n_snapshots", [31, 32])
+    @pytest.mark.parametrize("upsampling", [1, 2, 4])
+    def test_matches_dense_reference(self, upsampling, n_snapshots):
+        h = _planted_window(upsampling, n_snapshots, snr_db=25.0)
+        cfg = SBLConfig(upsampling=upsampling)
+        surface, selected, noise_var = _reference_fit(h, cfg)
+        result = sbl_fit(h, cfg=cfg)
+        # relative to the surface maximum: entries down at 1e-40 carry the
+        # reference's own round-off
+        np.testing.assert_allclose(
+            result.gamma.values, surface, rtol=0, atol=1e-9 * surface.max()
+        )
+        assert _peak_indices(result, upsampling, n_snapshots) == selected
+        assert result.noise_var == pytest.approx(noise_var, rel=1e-9)
+
+    @pytest.mark.parametrize("upsampling,n_snapshots", [(1, 31), (4, 32)])
+    def test_noise_free_window_at_floor(self, upsampling, n_snapshots):
+        """At the noise floor cond(Sigma) ~ 1e11: the fast path's inverse lag
+        sums round at ~eps/floor, so gamma agrees to ~1e-4, not 1e-9."""
+        h = _planted_window(upsampling, n_snapshots)
+        cfg = SBLConfig(upsampling=upsampling)
+        surface, selected, noise_var = _reference_fit(h, cfg)
+        result = sbl_fit(h, cfg=cfg)
+        floor = 1e-9 * np.vdot(h, h).real / h.size
+        assert noise_var == pytest.approx(floor, rel=1e-12)
+        assert result.noise_var == pytest.approx(floor, rel=1e-12)
+        # the planted taps lead both lists; the rest are round-off maxima
+        # (gamma < 1e-60) whose order is arbitrary
+        center = n_snapshots // 2
+        planted = [(3, center + 4), (5 * upsampling + 1, center + 4)]
+        assert selected[:2] == planted
+        assert _peak_indices(result, upsampling, n_snapshots)[:3] == selected[:3]
+        np.testing.assert_allclose(
+            result.gamma.values, surface, rtol=0, atol=1e-3 * surface.max()
+        )

@@ -179,6 +179,45 @@ class TestDsdAndPeaks:
         )
         assert top_peaks_2d(grid, 4).count == 4
 
+    @pytest.mark.parametrize("surface", ["planted", "quantized"])
+    def test_tie_order_matches_sorted_oracle(self, surface):
+        delay = np.arange(9.0)
+        doppler = np.arange(10.0) - 5  # -5..4: offsets -k and +k tie in |Doppler|
+        if surface == "planted":
+            values = np.zeros((9, 10))
+            values[2, 5 - 3] = 5.0  # ties (6, 0) in value, wins on delay
+            values[6, 5] = 5.0
+            values[4, 5 - 2] = 5.0  # ties (4, +2) in value, delay and |Doppler|
+            values[4, 5 + 2] = 5.0
+            values[0, 5 + 4] = 7.0
+            values[8, 5 - 1] = 5.0  # ties (8, +1) likewise; row-major keeps -1 first
+            values[8, 5 + 1] = 4.0
+        else:
+            values = np.random.default_rng(9).integers(0, 4, (9, 10)).astype(float)
+        grid = DelayDopplerGrid(values, delay, doppler)
+        maxima = [
+            (i, j)
+            for i in range(9)
+            for j in range(10)
+            if all(
+                values[i, j] > values[a, b]
+                for a in range(max(i - 1, 0), min(i + 2, 9))
+                for b in range(max(j - 1, 0), min(j + 2, 10))
+                if (a, b) != (i, j)
+            )
+        ]
+        oracle = sorted(
+            maxima, key=lambda ij: (-values[ij], delay[ij[0]], abs(doppler[ij[1]]))
+        )
+        got = top_peaks_2d(grid, len(maxima) + 1).entries
+        assert [(p.delay, p.doppler, p.power) for p in got] == [
+            (delay[i], doppler[j], values[i, j]) for i, j in oracle
+        ]
+        if surface == "planted":
+            assert [(p.delay, p.doppler) for p in got[:4]] == [
+                (0.0, 4.0), (2.0, -3.0), (4.0, -2.0), (4.0, 2.0)
+            ]
+
     def test_complex_values_rejected(self):
         grid = sfft(np.ones((3, 4), complex))
         with pytest.raises(ValueError):
