@@ -30,6 +30,7 @@ __all__ = [
     "tx_position",
     "horn_gain",
     "scenario_paths",
+    "path_sets",
     "apply_channel",
     "transfer_function",
 ]
@@ -216,134 +217,141 @@ def default_scenario(
 
 
 def tx_position(scenario: ScenarioConfig, t: float) -> np.ndarray:
-    """TX antenna position at time ``t`` (constant-velocity trajectory)."""
-    return scenario.tx_start_position + scenario.tx_velocity * t
+    """TX antenna position at time ``t`` (constant-velocity trajectory).
+
+    An array of times gives one position per time, shape ``t.shape + (3,)``.
+    """
+    return scenario.tx_start_position + np.multiply.outer(t, scenario.tx_velocity)
 
 
 def horn_gain(beam: BeamPattern, azimuth_deg: float, elevation_deg: float) -> float:
     """Directive gain (dBi) toward the given departure direction.
 
     Azimuth is measured in the horizontal plane from the driving direction,
-    elevation from the horizon.
+    elevation from the horizon.  Array arguments broadcast against each other.
     """
-    el = math.radians(elevation_deg)
+    el = np.radians(elevation_deg)
     el0 = math.radians(beam.boresight_elevation_deg)
-    daz = math.radians(azimuth_deg - beam.boresight_azimuth_deg)
-    cos_psi = math.sin(el) * math.sin(el0) + math.cos(el) * math.cos(el0) * math.cos(daz)
-    psi = math.degrees(math.acos(min(1.0, max(-1.0, cos_psi))))
+    daz = np.radians(np.subtract(azimuth_deg, beam.boresight_azimuth_deg))
+    cos_psi = np.sin(el) * math.sin(el0) + np.cos(el) * math.cos(el0) * np.cos(daz)
+    psi = np.degrees(np.arccos(np.clip(cos_psi, -1.0, 1.0)))
     gain = beam.gain_dbi - 3.0 * (psi / (beam.beamwidth_3db_deg / 2.0)) ** 2
-    return max(gain, beam.floor_dbi)
+    return np.maximum(gain, beam.floor_dbi)
 
 
 def _heading(scenario: ScenarioConfig) -> np.ndarray:
-    """Horizontal unit vector of the driving direction (+x at standstill)."""
-    h = scenario.tx_velocity.copy()
-    h[2] = 0.0
+    """Horizontal (x, y) unit vector of the driving direction (+x at standstill)."""
+    h = scenario.tx_velocity[:2]
     norm = np.linalg.norm(h)
-    if norm == 0:
-        return np.array([1.0, 0.0, 0.0])
-    return h / norm
+    return h / norm if norm > 0 else np.array([1.0, 0.0])
 
 
-def _departure_angles(direction: np.ndarray, heading: np.ndarray) -> tuple[float, float]:
-    """(azimuth, elevation) of a departure direction in the TX frame, deg."""
-    d = direction / np.linalg.norm(direction)
-    elevation = math.degrees(math.asin(min(1.0, max(-1.0, d[2]))))
-    horizontal = d.copy()
-    horizontal[2] = 0.0
-    norm = np.linalg.norm(horizontal)
-    if norm == 0:
-        return 0.0, elevation
-    horizontal /= norm
-    cos_az = float(np.clip(np.dot(horizontal, heading), -1.0, 1.0))
-    return math.degrees(math.acos(cos_az)), elevation
+def _ray_tracks(
+    scenario: ScenarioConfig, cfg: SounderConfig, times: np.ndarray, tx_index: int
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every candidate ray of one TX at each of ``times``.
 
+    The candidates are the LOS and one single-bounce image-source ray per
+    reflector, in ``scenario.reflectors`` order.  A reflection is visible
+    while TX and RX sit strictly on the same side of its plane and the
+    specular point lies on its extent; the RX image then lies strictly on
+    the other side, so the specular point is interior to the TX-image
+    segment.  Doppler is positive while the path shortens (the sign
+    convention of an approaching transmitter).
 
-def _mirror_across_plane(point: np.ndarray, axis: int, offset: float) -> np.ndarray:
-    image = point.copy()
-    image[axis] = 2 * offset - point[axis]
-    return image
+    Returns the ray ``kinds`` (P,) and ``delay`` (s), ``doppler`` (Hz),
+    ``gain`` (real linear amplitude) and ``visible``, each (T, P); only the
+    visible entries are rays.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    inside = (times >= -_T_EPS) & (times <= scenario.duration + _T_EPS)
+    if not inside.all():
+        t = times[~inside][0]
+        raise ValueError(f"t={t} outside the scenario duration {scenario.duration}")
+    if not 0 <= tx_index < len(scenario.tx_beams):
+        raise ConfigError(f"no beam configured for tx_index {tx_index}")
+    rx = scenario.rx_position
+    reflectors = scenario.reflectors
+    kinds = ["los"] + [r.kind for r in reflectors]
+    targets = np.tile(rx, (len(kinds), 1))
+    for ray, r in enumerate(reflectors, start=1):
+        targets[ray, r.axis] = 2 * r.offset - rx[r.axis]
 
+    tx = tx_position(scenario, times)
+    separation = targets - tx[:, None, :]  # (T, P, 3), TX toward RX or its image
+    visible = np.ones(separation.shape[:2], dtype=bool)
+    for ray, r in enumerate(reflectors, start=1):
+        to_plane = r.offset - tx[:, r.axis]
+        same_side = to_plane * (r.offset - rx[r.axis]) > 0
+        frac = np.divide(
+            to_plane, separation[:, ray, r.axis], out=np.zeros_like(to_plane), where=same_side
+        )
+        specular = tx + frac[:, None] * separation[:, ray]
+        visible[:, ray] = same_side
+        for axis, rng in enumerate((r.x_range, r.y_range, r.z_range)):
+            if rng is not None:
+                visible[:, ray] &= (rng[0] <= specular[:, axis]) & (specular[:, axis] <= rng[1])
+    # A hidden image ray can have zero length (TX at the RX image behind the
+    # plane); hidden rays take the LOS geometry so that every value is finite.
+    separation = np.where(visible[..., None], separation, separation[:, :1])
+    distance = np.linalg.norm(separation, axis=-1)
 
-def _specular_point(
-    tx: np.ndarray, rx_image: np.ndarray, axis: int, offset: float
-) -> np.ndarray | None:
-    span = rx_image[axis] - tx[axis]
-    if span == 0:
-        return None
-    frac = (offset - tx[axis]) / span
-    if not 0.0 <= frac <= 1.0:
-        return None
-    return tx + frac * (rx_image - tx)
-
-
-def _path_gain(
-    scenario: ScenarioConfig,
-    beam: BeamPattern,
-    cfg: SounderConfig,
-    distance: float,
-    departure: np.ndarray,
-    heading: np.ndarray,
-    loss_db: float = 0.0,
-) -> complex:
-    azimuth, elevation = _departure_angles(departure, heading)
-    level_db = (
-        -free_space_path_loss(distance, cfg.center_frequency)
-        + horn_gain(beam, azimuth, elevation)
-        + scenario.rx_gain_dbi
-        - loss_db
+    radial_speed = (-separation @ scenario.tx_velocity) / distance  # d|d|/dt
+    direction = separation / distance[..., None]
+    elevation = np.degrees(np.arcsin(np.clip(direction[..., 2], -1.0, 1.0)))
+    horizontal = np.linalg.norm(direction[..., :2], axis=-1)
+    cos_az = np.divide(
+        direction[..., :2] @ _heading(scenario),
+        horizontal,
+        out=np.ones_like(horizontal),
+        where=horizontal > 0,
     )
-    return complex(10.0 ** (level_db / 20.0))
+    azimuth = np.degrees(np.arccos(np.clip(cos_az, -1.0, 1.0)))
+    fc = cfg.center_frequency
+    level_db = (
+        -free_space_path_loss(distance, fc)
+        + horn_gain(scenario.tx_beams[tx_index], azimuth, elevation)
+        + scenario.rx_gain_dbi
+        - np.array([0.0] + [r.loss_db for r in reflectors])
+    )
+    return (
+        kinds,
+        distance / SPEED_OF_LIGHT,
+        -radial_speed * fc / SPEED_OF_LIGHT,
+        10.0 ** (level_db / 20.0),
+        visible,
+    )
+
+
+def path_sets(
+    scenario: ScenarioConfig, cfg: SounderConfig, times: np.ndarray, tx_index: int
+) -> list[PathSet]:
+    """The visible propagation paths of one TX at each of ``times``.
+
+    Reflections are single-bounce image-source rays, present only while the
+    specular point lies on the reflector.  Doppler is positive while the
+    path shortens.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    kinds, delay, doppler, gain, visible = _ray_tracks(scenario, cfg, times, tx_index)
+    rows = zip(times.tolist(), delay.tolist(), doppler.tolist(), gain.tolist(), visible)
+    return [
+        PathSet(
+            t=t,
+            paths=[
+                PropagationPath(tau[p], nu[p], complex(g[p]), kinds[p])
+                for p in np.flatnonzero(seen)
+            ],
+        )
+        for t, tau, nu, g, seen in rows
+    ]
 
 
 def scenario_paths(
     scenario: ScenarioConfig, cfg: SounderConfig, t: float, tx_index: int
 ) -> PathSet:
-    """Resolve all propagation paths of one TX at time ``t``.
-
-    Doppler is positive while the path shortens (the sign convention of an
-    approaching transmitter).  Reflections are single-bounce image-source
-    rays, present only while the specular point lies on the reflector.
-    """
-    if not -_T_EPS <= t <= scenario.duration + _T_EPS:
-        raise ValueError(f"t={t} outside the scenario duration {scenario.duration}")
-    if not 0 <= tx_index < len(scenario.tx_beams):
-        raise ConfigError(f"no beam configured for tx_index {tx_index}")
-    beam = scenario.tx_beams[tx_index]
-    heading = _heading(scenario)
-    tx = tx_position(scenario, t)
-    velocity = scenario.tx_velocity
-    fc = cfg.center_frequency
-
-    def ray(target: np.ndarray, kind: str, loss_db: float) -> PropagationPath:
-        separation = target - tx
-        distance = float(np.linalg.norm(separation))
-        radial_speed = float(np.dot(-separation, velocity)) / distance  # d|d|/dt
-        return PropagationPath(
-            delay=distance / SPEED_OF_LIGHT,
-            doppler=-radial_speed * fc / SPEED_OF_LIGHT,
-            gain=_path_gain(scenario, beam, cfg, distance, separation, heading, loss_db),
-            kind=kind,
-        )
-
-    paths = [ray(scenario.rx_position, "los", 0.0)]
-    for reflector in scenario.reflectors:
-        axis, offset = reflector.axis, reflector.offset
-        # TX and RX must sit on the same side of the plane
-        if (tx[axis] - offset) * (scenario.rx_position[axis] - offset) <= 0:
-            continue
-        rx_image = _mirror_across_plane(scenario.rx_position, axis, offset)
-        specular = _specular_point(tx, rx_image, axis, offset)
-        if specular is None:
-            continue
-        extents = (reflector.x_range, reflector.y_range, reflector.z_range)
-        if any(
-            rng is not None and not rng[0] <= specular[i] <= rng[1]
-            for i, rng in enumerate(extents)
-        ):
-            continue
-        paths.append(ray(rx_image, reflector.kind, reflector.loss_db))
-    return PathSet(t=t, paths=paths)
+    """Resolve all propagation paths of one TX at time ``t``."""
+    return path_sets(scenario, cfg, [t], tx_index)[0]
 
 
 def _noise_block(seed: int, block_index: int, count: int, power: float) -> np.ndarray:
@@ -405,24 +413,28 @@ def apply_channel(
     fc = cfg.center_frequency
     out = np.empty(n_total, dtype=np.complex128)
 
+    times = np.arange(0, n_total, block) / fs
+    # one geometry evaluation per TX; the rays of all TX side by side per block
+    delay, doppler, gain, visible = (
+        np.concatenate(column, axis=1)
+        for column in zip(
+            *(_ray_tracks(scenario, cfg, times, tx)[1:] for tx in range(cfg.tx_count))
+        )
+    )
+    wf_index = np.repeat(np.arange(cfg.tx_count), 1 + len(scenario.reflectors))
+    dtau = -doppler / fc
+
     for block_index, start in enumerate(range(0, n_total, block)):
         stop = min(start + block, n_total)
-        t_block = start / fs
-        wf_index, gains, tau0, dtau = [], [], [], []
-        for tx_index in range(cfg.tx_count):
-            for path in scenario_paths(scenario, cfg, t_block, tx_index).paths:
-                wf_index.append(tx_index)
-                gains.append(path.gain)
-                tau0.append(path.delay)
-                dtau.append(-path.doppler / fc)
+        rays = visible[block_index]
         out[start:stop] = _kernels.synthesize_paths(
             periods,
-            np.array(wf_index, dtype=np.int64),
-            np.array(gains, dtype=np.complex128),
-            np.array(tau0, dtype=np.float64),
-            np.array(dtau, dtype=np.float64),
+            wf_index[rays],
+            gain[block_index, rays],
+            delay[block_index, rays],
+            dtau[block_index, rays],
             stop - start,
-            t_block,
+            times[block_index],
             fs,
             fc,
         )
@@ -452,10 +464,8 @@ def transfer_function(
     demultiplexes tone ``f_k`` of this TX.  Serves as the reference for the
     time-domain pipeline and as a fast window synthesizer.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    h = np.zeros((times.size, cfg.tone_count), dtype=np.complex128)
+    _, delay, _, gain, visible = _ray_tracks(scenario, cfg, times, plan.tx_index)
     rf = cfg.center_frequency + plan.tone_frequencies
-    for row, t in enumerate(times):
-        for path in scenario_paths(scenario, cfg, float(t), plan.tx_index).paths:
-            h[row] += path.gain * np.exp(-2j * np.pi * rf * path.delay)
-    return h
+    rays = np.exp(np.multiply.outer(delay, -2j * np.pi * rf))  # (T, P, K)
+    rays *= np.where(visible, gain, 0.0)[..., None]
+    return rays.sum(axis=1)

@@ -10,8 +10,8 @@ any stage can be re-run in place::
     ddsounder run-all  --out-dir run --seed 7
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error, 3 numerical
-failure.  ``DDS_THREADS`` sets the number of concurrent window jobs in
-``analyze`` (default 1); concurrency never changes file contents.
+failure.  ``run-all`` rewrites ``manifest.json`` after each stage, so a
+failed run's manifest lists the stages that finished.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ import hashlib
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from . import io as ddio
-from .channel import apply_channel, default_scenario, scenario_paths
+from .channel import apply_channel, default_scenario, path_sets
 from .manifest import RunManifest
 from .params import ConfigError, narrowband_config, validate_config
 from .rxproc import (
@@ -113,14 +112,15 @@ def _stage_simulate(cfg, scenario, seed: int, out_dir: str) -> list[str]:
     ddio.write_signal(os.path.join(out_dir, _STILL), still, seed)
     outputs.append(_STILL)
 
-    q_count = rx.samples.size // cfg.samples_per_snapshot
+    # the rays of every complete snapshot block, at its start as in the record
+    block = cfg.samples_per_snapshot
+    q_count = rx.samples.size // block
+    block_starts = np.arange(q_count) * block / cfg.sample_rate
     for tx in range(cfg.tx_count):
-        sets = [
-            scenario_paths(scenario, cfg, q * cfg.snapshot_time, tx)
-            for q in range(q_count)
-        ]
         name = f"truth_tx{tx}.csv"
-        ddio.write_paths_csv(os.path.join(out_dir, name), sets)
+        ddio.write_paths_csv(
+            os.path.join(out_dir, name), path_sets(scenario, cfg, block_starts, tx)
+        )
         outputs.append(name)
     print(f"simulated {rx.samples.size} samples, {q_count} snapshots, seed {seed}")
     return outputs
@@ -221,23 +221,9 @@ def _stage_analyze(
             count = min(count, window_limit)
         jobs += [(grid, seed, tx, w) for w in range(count)]
 
-    threads = max(1, int(os.environ.get("DDS_THREADS", "1")))
     outputs: list[str] = []
-    if threads == 1:
-        for job in jobs:
-            outputs += _analyze_window(
-                out_dir, cfg, lsf_cfg, sbl_cfg, peak_count, *job
-            )
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _analyze_window, out_dir, cfg, lsf_cfg, sbl_cfg, peak_count, *job
-                )
-                for job in jobs
-            ]
-            for future in futures:
-                outputs += future.result()
+    for job in jobs:
+        outputs += _analyze_window(out_dir, cfg, lsf_cfg, sbl_cfg, peak_count, *job)
     print(f"analyzed {len(jobs)} windows of {window_length} snapshots")
     return outputs
 
@@ -282,36 +268,30 @@ def cmd_run_all(args) -> int:
         config_paths=[_CONFIG, _SCENARIO],
     )
 
+    def finish(name, inputs, outputs, start):
+        manifest.add_stage(name, inputs, outputs, time.perf_counter() - start, out_dir)
+        manifest.save(os.path.join(out_dir, _MANIFEST))
+
     start = time.perf_counter()
     passed, outputs = _stage_plan(cfg, out_dir)
-    manifest.add_stage("plan", [], outputs, time.perf_counter() - start, out_dir)
+    finish("plan", [], outputs, start)
     if not passed:
         return 1
 
     start = time.perf_counter()
     outputs = _stage_simulate(cfg, scenario, args.seed, out_dir)
-    manifest.add_stage("simulate", [], outputs, time.perf_counter() - start, out_dir)
+    finish("simulate", [], outputs, start)
 
     start = time.perf_counter()
     outputs = _stage_process(out_dir)
-    manifest.add_stage(
-        "process",
-        [_CONFIG, _RECORD, _STILL],
-        outputs,
-        time.perf_counter() - start,
-        out_dir,
-    )
+    finish("process", [_CONFIG, _RECORD, _STILL], outputs, start)
 
     start = time.perf_counter()
     grids = [f"h_tx{tx}.ddg1" for tx in range(cfg.tx_count)]
     outputs = _stage_analyze(
         out_dir, args.window_length, args.windows, args.sbl_iters, args.peaks
     )
-    manifest.add_stage(
-        "analyze", [_CONFIG] + grids, outputs, time.perf_counter() - start, out_dir
-    )
-
-    manifest.save(os.path.join(out_dir, _MANIFEST))
+    finish("analyze", [_CONFIG] + grids, outputs, start)
     print(f"run complete: {out_dir}/{_MANIFEST}")
     return 0
 

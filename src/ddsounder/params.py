@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
 __all__ = [
@@ -252,10 +253,12 @@ def processing_gain(averaging_count: int) -> float:
 
 
 def free_space_path_loss(distance: float, center_frequency: float) -> float:
-    """Free-space path loss ``20 log10(4 pi d fc / c)`` in dB."""
-    if distance <= 0 or center_frequency <= 0:
+    """Free-space path loss ``20 log10(4 pi d fc / c)`` in dB, elementwise for
+    an array of distances."""
+    distance = np.asarray(distance, dtype=np.float64)
+    if np.any(distance <= 0) or center_frequency <= 0:
         raise ValueError("distance and center_frequency must be positive")
-    return 20.0 * math.log10(4.0 * math.pi * distance * center_frequency / SPEED_OF_LIGHT)
+    return 20.0 * np.log10(4.0 * math.pi * distance * center_frequency / SPEED_OF_LIGHT)
 
 
 def max_doppler(speed: float, center_frequency: float) -> float:

@@ -2,7 +2,8 @@
 
 Oracles are closed-form: image-source path lengths computed by hand, Doppler
 from the radial-speed derivative, gains from the horn model plus free-space
-path loss.
+path loss.  The array ray evaluation is also held against a scalar per-ray
+tracer kept here as a reference (``_reference_paths``).
 """
 
 import dataclasses
@@ -15,11 +16,14 @@ from scipy.constants import c as C0
 from ddsounder._kernels import interpolate_periodic
 from ddsounder.channel import (
     BeamPattern,
+    PathSet,
     PlanarReflector,
+    PropagationPath,
     ScenarioConfig,
     apply_channel,
     default_scenario,
     horn_gain,
+    path_sets,
     scenario_paths,
     transfer_function,
     tx_position,
@@ -36,6 +40,93 @@ def scenario():
 def _path(paths, kind):
     found = [p for p in paths.paths if p.kind == kind]
     return found[0] if found else None
+
+
+def _reference_horn_gain(beam, azimuth_deg, elevation_deg):
+    el = math.radians(elevation_deg)
+    el0 = math.radians(beam.boresight_elevation_deg)
+    daz = math.radians(azimuth_deg - beam.boresight_azimuth_deg)
+    cos_psi = math.sin(el) * math.sin(el0) + math.cos(el) * math.cos(el0) * math.cos(daz)
+    psi = math.degrees(math.acos(min(1.0, max(-1.0, cos_psi))))
+    gain = beam.gain_dbi - 3.0 * (psi / (beam.beamwidth_3db_deg / 2.0)) ** 2
+    return max(gain, beam.floor_dbi)
+
+
+def _reference_paths(scenario, cfg, t, tx_index):
+    """Scalar per-ray image-source tracer: one instant, one ray at a time."""
+    beam = scenario.tx_beams[tx_index]
+    heading = scenario.tx_velocity * [1.0, 1.0, 0.0]
+    norm = np.linalg.norm(heading)
+    heading = heading / norm if norm > 0 else np.array([1.0, 0.0, 0.0])
+    tx = scenario.tx_start_position + scenario.tx_velocity * t
+    fc = cfg.center_frequency
+
+    def ray(target, kind, loss_db):
+        separation = target - tx
+        distance = float(np.linalg.norm(separation))
+        radial_speed = float(np.dot(-separation, scenario.tx_velocity)) / distance
+        d = separation / distance
+        elevation = math.degrees(math.asin(min(1.0, max(-1.0, d[2]))))
+        horizontal = np.array([d[0], d[1], 0.0])
+        h_norm = np.linalg.norm(horizontal)
+        azimuth = 0.0
+        if h_norm > 0:
+            cos_az = float(np.clip(np.dot(horizontal / h_norm, heading), -1.0, 1.0))
+            azimuth = math.degrees(math.acos(cos_az))
+        fspl = 20.0 * math.log10(4.0 * math.pi * distance * fc / C0)
+        level_db = (
+            -fspl
+            + _reference_horn_gain(beam, azimuth, elevation)
+            + scenario.rx_gain_dbi
+            - loss_db
+        )
+        return PropagationPath(
+            delay=distance / C0,
+            doppler=-radial_speed * fc / C0,
+            gain=complex(10.0 ** (level_db / 20.0)),
+            kind=kind,
+        )
+
+    rx = scenario.rx_position
+    paths = [ray(rx, "los", 0.0)]
+    for reflector in scenario.reflectors:
+        axis, offset = reflector.axis, reflector.offset
+        if (tx[axis] - offset) * (rx[axis] - offset) <= 0:
+            continue
+        image = rx.copy()
+        image[axis] = 2 * offset - rx[axis]
+        span = image[axis] - tx[axis]
+        if span == 0:
+            continue
+        frac = (offset - tx[axis]) / span
+        if not 0.0 <= frac <= 1.0:
+            continue
+        specular = tx + frac * (image - tx)
+        extents = (reflector.x_range, reflector.y_range, reflector.z_range)
+        if any(
+            rng is not None and not rng[0] <= specular[i] <= rng[1]
+            for i, rng in enumerate(extents)
+        ):
+            continue
+        paths.append(ray(image, reflector.kind, reflector.loss_db))
+    return PathSet(t=t, paths=paths)
+
+
+def _assert_matches_reference(scenario, cfg, times, tx_index):
+    """Kinds in order at every instant; delay, Doppler, gain to 1e-12 relative."""
+    got = path_sets(scenario, cfg, times, tx_index)
+    want = [_reference_paths(scenario, cfg, float(t), tx_index) for t in times]
+    assert [[p.kind for p in s.paths] for s in got] == [
+        [p.kind for p in s.paths] for s in want
+    ]
+    for field in ("delay", "doppler", "gain"):
+        np.testing.assert_allclose(
+            [getattr(p, field) for s in got for p in s.paths],
+            [getattr(p, field) for s in want for p in s.paths],
+            rtol=1e-12,
+            atol=0,
+            err_msg=field,
+        )
 
 
 class TestHornGain:
@@ -57,6 +148,18 @@ class TestHornGain:
         beam = BeamPattern()
         assert horn_gain(beam, 0.0, 3.75) == pytest.approx(20.0 - 0.75, abs=1e-9)
 
+    def test_arrays_broadcast(self):
+        """The cases above as one broadcast call: rows of azimuths against a
+        row of elevations."""
+        beam = BeamPattern()
+        azimuth = np.array([[0.0, 7.5, 90.0], [0.0, 0.0, 180.0]])
+        elevation = np.array([[0.0, 0.0, 0.0], [7.5, 3.75, 45.0]])
+        expected = [[20.0, 17.0, beam.floor_dbi], [17.0, 19.25, beam.floor_dbi]]
+        np.testing.assert_allclose(horn_gain(beam, azimuth, elevation), expected, atol=1e-9)
+        gains = horn_gain(beam, azimuth[0], 0.0)
+        assert gains.shape == (3,)
+        np.testing.assert_array_equal(gains, [horn_gain(beam, a, 0.0) for a in azimuth[0]])
+
 
 class TestGeometry:
     def test_trigger_distance_sets_start(self, scenario):
@@ -68,6 +171,12 @@ class TestGeometry:
         np.testing.assert_allclose(
             p, scenario.tx_start_position + 1.5 * scenario.tx_velocity
         )
+
+    def test_linear_motion_over_time_vector(self, scenario):
+        times = np.array([0.0, 1.5, 3.2])
+        positions = tx_position(scenario, times)
+        assert positions.shape == (3, 3)
+        np.testing.assert_array_equal(positions, [tx_position(scenario, t) for t in times])
 
     def test_trigger_shorter_than_height_offset_rejected(self):
         with pytest.raises(ConfigError):
@@ -140,6 +249,14 @@ class TestScenarioPaths:
         )
         kinds = [p.kind for p in scenario_paths(blocked, narrowband, 0.0, 0).paths]
         assert kinds == ["los"]
+        # at t = 1 s the TX sits exactly on the RX image behind a 3.5 m plane
+        at_image = dataclasses.replace(
+            base,
+            tx_start_position=np.array([-14.0, 0.0, 2.0]),
+            reflectors=[PlanarReflector(kind="ceiling", z=3.5)],
+        )
+        kinds = [p.kind for p in scenario_paths(at_image, narrowband, 1.0, 0).paths]
+        assert kinds == ["los"]
 
     def test_los_gain_composition(self, scenario, narrowband):
         """|gain| must equal horn gain + RX gain - FSPL, in linear scale."""
@@ -182,6 +299,48 @@ class TestScenarioPaths:
             scenario_paths(scenario, narrowband, scenario.duration + 1.0, 0)
         with pytest.raises(ConfigError):
             scenario_paths(scenario, narrowband, 0.0, 5)
+        with pytest.raises(ValueError):
+            path_sets(scenario, narrowband, [0.0, 1.0, -1.0], 0)
+
+    def test_path_sets_agree_with_single_instants(self, scenario, narrowband):
+        times = [0.0, 0.5, 2.9]
+        assert path_sets(scenario, narrowband, times, 1) == [
+            scenario_paths(scenario, narrowband, t, 1) for t in times
+        ]
+
+
+class TestScalarReference:
+    """The array ray evaluation against the scalar tracer ``_reference_paths``."""
+
+    @pytest.mark.parametrize("tx_index", [0, 1])
+    def test_every_snapshot_of_the_default_drive(self, scenario, narrowband, tx_index):
+        block = narrowband.samples_per_snapshot
+        n_total = round(scenario.duration * narrowband.sample_rate)
+        times = np.arange(0, n_total, block) / narrowband.sample_rate
+        assert times.size == 19048
+        _assert_matches_reference(scenario, narrowband, times, tx_index)
+
+    def test_parked_car_heads_along_x(self, scenario, narrowband):
+        parked = dataclasses.replace(scenario, tx_velocity=np.zeros(3))
+        for tx_index in (0, 1):
+            _assert_matches_reference(parked, narrowband, [0.0, 1.0, 3.2], tx_index)
+        assert all(p.doppler == 0 for p in scenario_paths(parked, narrowband, 1.0, 0).paths)
+
+    def test_tx_directly_beneath_rx(self, scenario, narrowband):
+        """LOS and street bounce depart vertically: no horizontal component,
+        azimuth taken as 0."""
+        below = dataclasses.replace(scenario, tx_start_position=np.array([-14.0, 0.0, 2.0]))
+        np.testing.assert_array_equal(tx_position(below, 1.0), [0.0, 0.0, 2.0])
+        for tx_index in (0, 1):
+            _assert_matches_reference(below, narrowband, [1.0], tx_index)
+
+    def test_truck_specular_point_on_its_edge(self, scenario, narrowband):
+        """At tx.x = -20 the specular point is the truck's end x = -10 exactly;
+        the extent is closed, so the ray is present."""
+        edge = dataclasses.replace(scenario, tx_start_position=np.array([-34.0, 0.0, 2.0]))
+        assert "truck" in [p.kind for p in scenario_paths(edge, narrowband, 1.0, 0).paths]
+        for tx_index in (0, 1):
+            _assert_matches_reference(edge, narrowband, [1.0], tx_index)
 
 
 class TestTransferFunction:
@@ -191,7 +350,7 @@ class TestTransferFunction:
         grid = transfer_function(scenario, narrowband, plan, times)
         fc = narrowband.center_frequency
         for row, t in enumerate(times):
-            paths = scenario_paths(scenario, narrowband, t, 0).paths
+            paths = _reference_paths(scenario, narrowband, t, 0).paths
             expected = sum(
                 p.gain * np.exp(-2j * np.pi * (fc + plan.tone_frequencies) * p.delay)
                 for p in paths

@@ -197,6 +197,21 @@ class TestRunAll:
                 continue  # wall-clock times differ
             assert a == b, f"{name} differs between identical runs"
 
+    def test_failed_run_keeps_manifest_of_finished_stages(self, mini_run, tmp_path):
+        """analyze rejects a window longer than the record; the manifest saved
+        after process lists the three finished stages as the full run does."""
+        cfg_path = os.path.join(mini_run, "config.ini")
+        scn_path = os.path.join(mini_run, "scenario.ini")
+        out = str(tmp_path / "stopped")
+        rc = main(["run-all", "--config", cfg_path, "--scenario", scn_path,
+                   "--seed", "42", "--out-dir", out, "--window-length", "100000"])
+        assert rc == 1
+        stopped = RunManifest.load(os.path.join(out, "manifest.json"))
+        complete = RunManifest.load(os.path.join(mini_run, "manifest.json"))
+        assert [s.name for s in stopped.stages] == ["plan", "simulate", "process"]
+        for a, b in zip(stopped.stages, complete.stages):
+            assert (a.inputs, a.outputs) == (b.inputs, b.outputs)
+
     def test_different_seed_changes_record(self, mini_run, tmp_path):
         cfg_path = os.path.join(mini_run, "config.ini")
         scn_path = os.path.join(mini_run, "scenario.ini")

@@ -8,6 +8,7 @@ per transmitter, two transmitters on interleaved grids, 212-fold averaging.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from ddsounder.params import (
@@ -81,7 +82,19 @@ class TestFreeSpacePathLoss:
         b = free_space_path_loss(20.0, 60.15e9)
         assert b - a == pytest.approx(20 * math.log10(2))
 
-    @pytest.mark.parametrize("distance", [0.0, -1.0])
+    def test_array_of_distances(self):
+        distances = np.array([[1.0, 10.0], [20.0, 41.0]])
+        loss = free_space_path_loss(distances, 60.15e9)
+        assert loss.shape == (2, 2)
+        np.testing.assert_allclose(
+            loss, [[free_space_path_loss(d, 60.15e9) for d in row] for row in distances]
+        )
+        assert loss[1, 0] - loss[0, 1] == pytest.approx(20 * math.log10(2))
+
+    @pytest.mark.parametrize(
+        "distance",
+        [0.0, -1.0, pytest.param(np.array([5.0, 0.0, 41.0]), id="array-with-zero")],
+    )
     def test_nonpositive_distance_rejected(self, distance):
         with pytest.raises(ValueError):
             free_space_path_loss(distance, 60.15e9)
