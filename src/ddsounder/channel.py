@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
@@ -24,13 +25,11 @@ __all__ = [
     "BeamPattern",
     "PlanarReflector",
     "ScenarioConfig",
-    "PropagationPath",
-    "PathSet",
+    "RayTracks",
     "default_scenario",
     "tx_position",
     "horn_gain",
-    "scenario_paths",
-    "path_sets",
+    "ray_tracks",
     "apply_channel",
     "transfer_function",
 ]
@@ -138,22 +137,20 @@ class ScenarioConfig:
             )
 
 
-@dataclass
-class PropagationPath:
-    """One resolved ray: delay (s), Doppler (Hz), complex gain, origin tag."""
+class RayTracks(NamedTuple):
+    """Candidate rays of one TX over ``times`` (T,), from :func:`ray_tracks`.
 
-    delay: float
-    doppler: float
-    gain: complex
-    kind: str
+    ``kinds`` (P,) tags the LOS and then one ray per reflector.  ``delay``
+    (s), ``doppler`` (Hz), ``gain`` (real linear amplitude) and ``visible``
+    are each (T, P); only the ``visible`` entries are rays.
+    """
 
-
-@dataclass
-class PathSet:
-    """All rays that exist at one time instant."""
-
-    t: float
-    paths: list[PropagationPath]
+    times: np.ndarray
+    kinds: tuple[str, ...]
+    delay: np.ndarray
+    doppler: np.ndarray
+    gain: np.ndarray
+    visible: np.ndarray
 
 
 def default_scenario(
@@ -246,10 +243,11 @@ def _heading(scenario: ScenarioConfig) -> np.ndarray:
     return h / norm if norm > 0 else np.array([1.0, 0.0])
 
 
-def _ray_tracks(
+def ray_tracks(
     scenario: ScenarioConfig, cfg: SounderConfig, times: np.ndarray, tx_index: int
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every candidate ray of one TX at each of ``times``.
+) -> RayTracks:
+    """Every candidate ray of one TX at each of ``times``; only the
+    ``visible`` entries are rays.
 
     The candidates are the LOS and one single-bounce image-source ray per
     reflector, in ``scenario.reflectors`` order.  A reflection is visible
@@ -257,11 +255,8 @@ def _ray_tracks(
     specular point lies on its extent; the RX image then lies strictly on
     the other side, so the specular point is interior to the TX-image
     segment.  Doppler is positive while the path shortens (the sign
-    convention of an approaching transmitter).
-
-    Returns the ray ``kinds`` (P,) and ``delay`` (s), ``doppler`` (Hz),
-    ``gain`` (real linear amplitude) and ``visible``, each (T, P); only the
-    visible entries are rays.
+    convention of an approaching transmitter).  Hidden entries carry the
+    LOS geometry, so every value is finite.
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     inside = (times >= -_T_EPS) & (times <= scenario.duration + _T_EPS)
@@ -272,7 +267,7 @@ def _ray_tracks(
         raise ConfigError(f"no beam configured for tx_index {tx_index}")
     rx = scenario.rx_position
     reflectors = scenario.reflectors
-    kinds = ["los"] + [r.kind for r in reflectors]
+    kinds = ("los",) + tuple(r.kind for r in reflectors)
     targets = np.tile(rx, (len(kinds), 1))
     for ray, r in enumerate(reflectors, start=1):
         targets[ray, r.axis] = 2 * r.offset - rx[r.axis]
@@ -314,44 +309,14 @@ def _ray_tracks(
         + scenario.rx_gain_dbi
         - np.array([0.0] + [r.loss_db for r in reflectors])
     )
-    return (
+    return RayTracks(
+        times,
         kinds,
         distance / SPEED_OF_LIGHT,
         -radial_speed * fc / SPEED_OF_LIGHT,
         10.0 ** (level_db / 20.0),
         visible,
     )
-
-
-def path_sets(
-    scenario: ScenarioConfig, cfg: SounderConfig, times: np.ndarray, tx_index: int
-) -> list[PathSet]:
-    """The visible propagation paths of one TX at each of ``times``.
-
-    Reflections are single-bounce image-source rays, present only while the
-    specular point lies on the reflector.  Doppler is positive while the
-    path shortens.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    kinds, delay, doppler, gain, visible = _ray_tracks(scenario, cfg, times, tx_index)
-    rows = zip(times.tolist(), delay.tolist(), doppler.tolist(), gain.tolist(), visible)
-    return [
-        PathSet(
-            t=t,
-            paths=[
-                PropagationPath(tau[p], nu[p], complex(g[p]), kinds[p])
-                for p in np.flatnonzero(seen)
-            ],
-        )
-        for t, tau, nu, g, seen in rows
-    ]
-
-
-def scenario_paths(
-    scenario: ScenarioConfig, cfg: SounderConfig, t: float, tx_index: int
-) -> PathSet:
-    """Resolve all propagation paths of one TX at time ``t``."""
-    return path_sets(scenario, cfg, [t], tx_index)[0]
 
 
 def _noise_block(seed: int, block_index: int, count: int, power: float) -> np.ndarray:
@@ -415,11 +380,10 @@ def apply_channel(
 
     times = np.arange(0, n_total, block) / fs
     # one geometry evaluation per TX; the rays of all TX side by side per block
+    tracks = [ray_tracks(scenario, cfg, times, tx) for tx in range(cfg.tx_count)]
     delay, doppler, gain, visible = (
-        np.concatenate(column, axis=1)
-        for column in zip(
-            *(_ray_tracks(scenario, cfg, times, tx)[1:] for tx in range(cfg.tx_count))
-        )
+        np.concatenate([getattr(t, name) for t in tracks], axis=1)
+        for name in ("delay", "doppler", "gain", "visible")
     )
     wf_index = np.repeat(np.arange(cfg.tx_count), 1 + len(scenario.reflectors))
     dtau = -doppler / fc
@@ -464,8 +428,8 @@ def transfer_function(
     demultiplexes tone ``f_k`` of this TX.  Serves as the reference for the
     time-domain pipeline and as a fast window synthesizer.
     """
-    _, delay, _, gain, visible = _ray_tracks(scenario, cfg, times, plan.tx_index)
+    tracks = ray_tracks(scenario, cfg, times, plan.tx_index)
     rf = cfg.center_frequency + plan.tone_frequencies
-    rays = np.exp(np.multiply.outer(delay, -2j * np.pi * rf))  # (T, P, K)
-    rays *= np.where(visible, gain, 0.0)[..., None]
+    rays = np.exp(np.multiply.outer(tracks.delay, -2j * np.pi * rf))  # (T, P, K)
+    rays *= np.where(tracks.visible, tracks.gain, 0.0)[..., None]
     return rays.sum(axis=1)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from . import io as ddio
-from .channel import apply_channel, default_scenario, path_sets
+from .channel import apply_channel, default_scenario, ray_tracks
 from .manifest import RunManifest
 from .params import ConfigError, narrowband_config, validate_config
 from .rxproc import (
@@ -119,7 +119,7 @@ def _stage_simulate(cfg, scenario, seed: int, out_dir: str) -> list[str]:
     for tx in range(cfg.tx_count):
         name = f"truth_tx{tx}.csv"
         ddio.write_paths_csv(
-            os.path.join(out_dir, name), path_sets(scenario, cfg, block_starts, tx)
+            os.path.join(out_dir, name), ray_tracks(scenario, cfg, block_starts, tx)
         )
         outputs.append(name)
     print(f"simulated {rx.samples.size} samples, {q_count} snapshots, seed {seed}")
@@ -205,6 +205,8 @@ def _stage_analyze(
     sbl_iterations: int,
     peak_count: int,
 ) -> list[str]:
+    if window_limit is not None and window_limit < 1:
+        raise ConfigError(f"--windows must be at least 1, got {window_limit}")
     cfg = ddio.load_sounder_config(os.path.join(out_dir, _CONFIG))
     lsf_cfg = LSFConfig(window_length=window_length, tone_count=cfg.tone_count)
     sbl_cfg = SBLConfig(iterations=sbl_iterations, active_set_size=peak_count)

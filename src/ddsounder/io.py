@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .channel import BeamPattern, PlanarReflector, ScenarioConfig
+from .channel import BeamPattern, PlanarReflector, RayTracks, ScenarioConfig
 from .params import ConfigError, SounderConfig, derive_config
 from .tfanalysis import DelayDopplerGrid, Peak, PeakList
 from .rxproc import TransferFunctionGrid
@@ -224,17 +224,17 @@ def _format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_two_column_csv(path, header, col_a, col_b):
-    col_a = np.asarray(col_a, dtype=np.float64)
-    col_b = np.asarray(col_b, dtype=np.float64)
-    if col_a.shape != col_b.shape or col_a.ndim != 1:
+def _write_rows(path, header, row_format, columns) -> None:
+    """Write a CSV: the ``header`` line, then ``row_format % row`` per row.
+
+    ``columns`` are 1-D and equally long; row ``i`` takes entry ``i`` of each.
+    """
+    columns = [np.asarray(col) for col in columns]
+    if any(col.ndim != 1 for col in columns) or len({col.size for col in columns}) > 1:
         raise ValueError("columns must be 1-D and equally long")
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for a, b in zip(col_a, col_b):
-        writer.writerow([_format_float(a), _format_float(b)])
-    atomic_write(path, buf.getvalue().encode("ascii"))
+    rows = zip(*(col.tolist() for col in columns))
+    lines = [",".join(header)] + [row_format % row for row in rows]
+    atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _read_two_column_csv(path, header):
@@ -265,7 +265,7 @@ def _read_two_column_csv(path, header):
 
 
 def write_snr_csv(path: str, times: np.ndarray, snr_db: np.ndarray) -> None:
-    _write_two_column_csv(path, ("time_s", "snr_db"), times, snr_db)
+    _write_rows(path, ("time_s", "snr_db"), "%.12g,%.12g", (times, snr_db))
 
 
 def read_snr_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -273,33 +273,32 @@ def read_snr_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_dsd_csv(path: str, doppler_hz: np.ndarray, power: np.ndarray) -> None:
-    _write_two_column_csv(path, ("doppler_hz", "power"), doppler_hz, power)
+    _write_rows(path, ("doppler_hz", "power"), "%.12g,%.12g", (doppler_hz, power))
 
 
 def read_dsd_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     return _read_two_column_csv(path, ("doppler_hz", "power"))
 
 
-def write_paths_csv(path: str, path_sets) -> None:
-    """Ground-truth ray table: one row per (time, ray)."""
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["time_s", "kind", "delay_s", "doppler_hz", "gain_real", "gain_imag"]
+def write_paths_csv(path: str, tracks: RayTracks) -> None:
+    """Ground-truth ray table: one row per visible ray of ``tracks``.
+
+    Rows are time-major, with the rays of each instant in LOS-then-reflector
+    order.  Gains are real, so ``gain_imag`` is always ``0``.
+    """
+    instant, ray = np.nonzero(tracks.visible)
+    _write_rows(
+        path,
+        ("time_s", "kind", "delay_s", "doppler_hz", "gain_real", "gain_imag"),
+        "%.12g,%s,%.12g,%.12g,%.12g,0",
+        (
+            tracks.times[instant],
+            np.asarray(tracks.kinds)[ray],
+            tracks.delay[instant, ray],
+            tracks.doppler[instant, ray],
+            tracks.gain[instant, ray],
+        ),
     )
-    for ps in path_sets:
-        for ray in ps.paths:
-            writer.writerow(
-                [
-                    _format_float(ps.t),
-                    ray.kind,
-                    _format_float(ray.delay),
-                    _format_float(ray.doppler),
-                    _format_float(ray.gain.real),
-                    _format_float(ray.gain.imag),
-                ]
-            )
-    atomic_write(path, buf.getvalue().encode("ascii"))
 
 
 # -- peak lists ---------------------------------------------------------------

@@ -28,14 +28,29 @@ __all__ = [
     "processing_gain",
     "free_space_path_loss",
     "max_doppler",
+    "LSF_TIME_BANDWIDTH",
+    "dpss_fits",
 ]
 
 # relative slack for floating-point comparisons of derived quantities
 _REL_TOL = 1e-9
 
 
+# Time-bandwidth product NW of the multitaper LSF's Slepian tapers (the
+# ``tfanalysis.LSFConfig`` default); it bounds the design's tone count.
+LSF_TIME_BANDWIDTH = 2.0
+
+
 class ConfigError(ValueError):
     """Raised when a configuration is structurally invalid."""
+
+
+def dpss_fits(length: int, time_bandwidth: float) -> bool:
+    """Whether ``length`` points carry Slepian tapers of time-bandwidth ``NW``.
+
+    The discrete prolate spheroidal sequences need more than ``2 NW`` points.
+    """
+    return length > 2 * time_bandwidth
 
 
 @dataclass(frozen=True)
@@ -363,6 +378,14 @@ def validate_config(cfg: SounderConfig) -> ValidationReport:
         cfg.sample_rate,
         2 * tone_max < cfg.sample_rate,
         "2 max|tone frequency| over every TX comb vs sample rate",
+    )
+
+    add(
+        "tone_count_fits_tapers",
+        cfg.tone_count,
+        2 * LSF_TIME_BANDWIDTH,
+        dpss_fits(cfg.tone_count, LSF_TIME_BANDWIDTH),
+        "tone_count must exceed 2 NW of the LSF frequency tapers",
     )
 
     q_exact = int(cfg.recording_time / cfg.snapshot_time * (1 + _REL_TOL))

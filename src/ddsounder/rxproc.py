@@ -303,13 +303,8 @@ def noise_power_estimate(averaged: np.ndarray, cfg: SounderConfig) -> float:
     averaged = np.asarray(averaged, dtype=np.complex128)
     if cfg.grid_ratio <= cfg.tx_count:
         raise ConfigError("no unoccupied tone-offset slot in this design")
-    free_plan = TonePlan(
-        tx_index=0,
-        tone_frequencies=tone_plan(cfg, 0).tone_frequencies
-        + cfg.tx_count * cfg.tx_tone_offset,
-        tone_weights=np.ones(cfg.tone_count),
-    )
-    bins = _tone_bins(cfg, free_plan.tone_frequencies)
+    free_slot = tone_plan(cfg, 0).tone_frequencies + cfg.tx_count * cfg.tx_tone_offset
+    bins = _tone_bins(cfg, free_slot)
     spectra = np.fft.fft(averaged, axis=1) / cfg.samples_per_period
     return float(np.mean(np.abs(spectra[:, bins]) ** 2))
 

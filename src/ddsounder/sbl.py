@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import ConfigError
 from .tfanalysis import DelayDopplerGrid, Peak, PeakList, _ranked_maxima
 
 __all__ = [
@@ -129,13 +130,15 @@ class SBLConfig:
 
     def __post_init__(self):
         if not isinstance(self.upsampling, (int, np.integer)) or self.upsampling < 1:
-            raise ValueError("upsampling must be a positive integer")
+            raise ConfigError("upsampling must be a positive integer")
         if self.active_set_size < 1:
-            raise ValueError("active_set_size must be at least 1")
+            raise ConfigError(
+                f"active_set_size must be at least 1, got {self.active_set_size}"
+            )
         if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
         if self.gamma_init <= 0 or self.noise_var_init <= 0:
-            raise ValueError("initial variances must be positive")
+            raise ConfigError("initial variances must be positive")
 
 
 @dataclass

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal.windows import dpss as _scipy_dpss
 
+from .params import LSF_TIME_BANDWIDTH, ConfigError, dpss_fits
+
 __all__ = [
     "DelayDopplerGrid",
     "LSFConfig",
@@ -59,13 +61,20 @@ class LSFConfig:
     tone_count: int = 21
     tapers_time: int = 3
     tapers_freq: int = 3
-    time_bandwidth: float = 2.0
+    time_bandwidth: float = LSF_TIME_BANDWIDTH
 
     def __post_init__(self):
         if self.window_length < 2 or self.tone_count < 2:
-            raise ValueError("window_length and tone_count must be at least 2")
+            raise ConfigError("window_length and tone_count must be at least 2")
         if self.tapers_time < 1 or self.tapers_freq < 1:
-            raise ValueError("at least one taper per dimension is required")
+            raise ConfigError("at least one taper per dimension is required")
+        for name in ("window_length", "tone_count"):
+            length = getattr(self, name)
+            if not dpss_fits(length, self.time_bandwidth):
+                raise ConfigError(
+                    f"{name} = {length} must exceed 2*time_bandwidth = "
+                    f"{2 * self.time_bandwidth:g} for the Slepian tapers"
+                )
 
 
 @dataclass

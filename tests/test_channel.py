@@ -2,12 +2,13 @@
 
 Oracles are closed-form: image-source path lengths computed by hand, Doppler
 from the radial-speed derivative, gains from the horn model plus free-space
-path loss.  The array ray evaluation is also held against a scalar per-ray
-tracer kept here as a reference (``_reference_paths``).
+path loss.  The array ray evaluation (``ray_tracks``) is also held against a scalar
+per-ray tracer kept here as a reference (``_reference_paths``).
 """
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,15 +17,12 @@ from scipy.constants import c as C0
 from ddsounder._kernels import interpolate_periodic
 from ddsounder.channel import (
     BeamPattern,
-    PathSet,
     PlanarReflector,
-    PropagationPath,
     ScenarioConfig,
     apply_channel,
     default_scenario,
     horn_gain,
-    path_sets,
-    scenario_paths,
+    ray_tracks,
     transfer_function,
     tx_position,
 )
@@ -37,8 +35,29 @@ def scenario():
     return default_scenario()
 
 
-def _path(paths, kind):
-    found = [p for p in paths.paths if p.kind == kind]
+class Ray(NamedTuple):
+    kind: str
+    delay: float
+    doppler: float
+    gain: float
+
+
+def _visible_rays(tracks, row):
+    """The rays of ``tracks`` at its instant ``row``, in order."""
+    delay, doppler, gain = tracks.delay[row], tracks.doppler[row], tracks.gain[row]
+    return [
+        Ray(tracks.kinds[p], delay[p], doppler[p], gain[p])
+        for p in np.flatnonzero(tracks.visible[row])
+    ]
+
+
+def _rays(scenario, cfg, t, tx_index):
+    """The visible rays of one TX at the single instant ``t``."""
+    return _visible_rays(ray_tracks(scenario, cfg, t, tx_index), 0)
+
+
+def _path(rays, kind):
+    found = [p for p in rays if p.kind == kind]
     return found[0] if found else None
 
 
@@ -80,12 +99,7 @@ def _reference_paths(scenario, cfg, t, tx_index):
             + scenario.rx_gain_dbi
             - loss_db
         )
-        return PropagationPath(
-            delay=distance / C0,
-            doppler=-radial_speed * fc / C0,
-            gain=complex(10.0 ** (level_db / 20.0)),
-            kind=kind,
-        )
+        return Ray(kind, distance / C0, -radial_speed * fc / C0, 10.0 ** (level_db / 20.0))
 
     rx = scenario.rx_position
     paths = [ray(rx, "los", 0.0)]
@@ -109,20 +123,21 @@ def _reference_paths(scenario, cfg, t, tx_index):
         ):
             continue
         paths.append(ray(image, reflector.kind, reflector.loss_db))
-    return PathSet(t=t, paths=paths)
+    return paths
 
 
 def _assert_matches_reference(scenario, cfg, times, tx_index):
     """Kinds in order at every instant; delay, Doppler, gain to 1e-12 relative."""
-    got = path_sets(scenario, cfg, times, tx_index)
+    tracks = ray_tracks(scenario, cfg, times, tx_index)
+    got = [_visible_rays(tracks, row) for row in range(len(times))]
     want = [_reference_paths(scenario, cfg, float(t), tx_index) for t in times]
-    assert [[p.kind for p in s.paths] for s in got] == [
-        [p.kind for p in s.paths] for s in want
+    assert [[p.kind for p in rays] for rays in got] == [
+        [p.kind for p in rays] for rays in want
     ]
     for field in ("delay", "doppler", "gain"):
         np.testing.assert_allclose(
-            [getattr(p, field) for s in got for p in s.paths],
-            [getattr(p, field) for s in want for p in s.paths],
+            [getattr(p, field) for rays in got for p in rays],
+            [getattr(p, field) for rays in want for p in rays],
             rtol=1e-12,
             atol=0,
             err_msg=field,
@@ -199,7 +214,7 @@ class TestGeometry:
 
 class TestScenarioPaths:
     def test_los_delay_and_doppler_at_trigger(self, scenario, narrowband):
-        paths = scenario_paths(scenario, narrowband, 0.0, 0)
+        paths = _rays(scenario, narrowband, 0.0, 0)
         los = _path(paths, "los")
         assert los.delay == pytest.approx(41.0 / C0)
         # radial speed at trigger: v * |x0| / 41
@@ -210,14 +225,14 @@ class TestScenarioPaths:
 
     def test_doppler_goes_negative_after_pass(self, scenario, narrowband):
         t_pass = -scenario.tx_start_position[0] / 14.0
-        nu = _path(scenario_paths(scenario, narrowband, t_pass + 0.25, 0), "los").doppler
+        nu = _path(_rays(scenario, narrowband, t_pass + 0.25, 0), "los").doppler
         assert nu < 0
 
     def test_wall_image_source_length(self, scenario, narrowband):
         tx = tx_position(scenario, 1.0)
         image = np.array([0.0, 20.0, 5.0])  # RX mirrored across y=+10
         expected = np.linalg.norm(tx - image) / C0
-        walls = [p for p in scenario_paths(scenario, narrowband, 1.0, 0).paths if p.kind == "wall"]
+        walls = [p for p in _rays(scenario, narrowband, 1.0, 0) if p.kind == "wall"]
         assert len(walls) == 2
         assert any(p.delay == pytest.approx(expected) for p in walls)
 
@@ -225,11 +240,11 @@ class TestScenarioPaths:
         tx = tx_position(scenario, 0.0)
         image = np.array([0.0, 0.0, -5.0])  # RX mirrored across the street
         expected = np.linalg.norm(tx - image) / C0
-        ground = _path(scenario_paths(scenario, narrowband, 0.0, 0), "ground")
+        ground = _path(_rays(scenario, narrowband, 0.0, 0), "ground")
         assert ground.delay == pytest.approx(expected)
 
     def test_reflections_are_longer_than_los(self, scenario, narrowband):
-        paths = scenario_paths(scenario, narrowband, 0.5, 0).paths
+        paths = _rays(scenario, narrowband, 0.5, 0)
         los = paths[0].delay
         assert all(p.delay > los for p in paths[1:])
 
@@ -237,17 +252,17 @@ class TestScenarioPaths:
         # TX and RX both sit at y=0, 4 m from the truck plane, so the
         # specular x is the midpoint of tx.x and 0; on the truck iff
         # tx.x in [-60, -20].
-        assert _path(scenario_paths(scenario, narrowband, 0.0, 0), "truck") is not None
+        assert _path(_rays(scenario, narrowband, 0.0, 0), "truck") is not None
         x0 = scenario.tx_start_position[0]
         t_gone = (x0 - (-19.0)) / -14.0  # tx.x = -19
-        assert _path(scenario_paths(scenario, narrowband, t_gone, 0), "truck") is None
+        assert _path(_rays(scenario, narrowband, t_gone, 0), "truck") is None
 
     def test_plane_between_endpoints_is_skipped(self, narrowband):
         base = default_scenario(truck=False, ground=False)
         blocked = dataclasses.replace(
             base, reflectors=[PlanarReflector(kind="ceiling", z=3.0)]
         )
-        kinds = [p.kind for p in scenario_paths(blocked, narrowband, 0.0, 0).paths]
+        kinds = [p.kind for p in _rays(blocked, narrowband, 0.0, 0)]
         assert kinds == ["los"]
         # at t = 1 s the TX sits exactly on the RX image behind a 3.5 m plane
         at_image = dataclasses.replace(
@@ -255,12 +270,12 @@ class TestScenarioPaths:
             tx_start_position=np.array([-14.0, 0.0, 2.0]),
             reflectors=[PlanarReflector(kind="ceiling", z=3.5)],
         )
-        kinds = [p.kind for p in scenario_paths(at_image, narrowband, 1.0, 0).paths]
+        kinds = [p.kind for p in _rays(at_image, narrowband, 1.0, 0)]
         assert kinds == ["los"]
 
     def test_los_gain_composition(self, scenario, narrowband):
         """|gain| must equal horn gain + RX gain - FSPL, in linear scale."""
-        los = _path(scenario_paths(scenario, narrowband, 0.0, 0), "los")
+        los = _path(_rays(scenario, narrowband, 0.0, 0), "los")
         x0 = scenario.tx_start_position[0]
         elevation = math.degrees(math.asin(3.0 / 41.0))
         azimuth = math.degrees(math.acos(-x0 / math.hypot(x0, 0.0)))
@@ -281,14 +296,14 @@ class TestScenarioPaths:
             scenario,
             reflectors=[PlanarReflector(kind="wall", y=10.0, loss_db=6.0)],
         )
-        g0 = _path(scenario_paths(lossless, narrowband, 1.0, 0), "wall").gain
-        g1 = _path(scenario_paths(lossy, narrowband, 1.0, 0), "wall").gain
+        g0 = _path(_rays(lossless, narrowband, 1.0, 0), "wall").gain
+        g1 = _path(_rays(lossy, narrowband, 1.0, 0), "wall").gain
         assert 20 * math.log10(abs(g0) / abs(g1)) == pytest.approx(6.0)
 
     def test_uptilted_beam_suppresses_street_bounce(self, scenario, narrowband):
         """The street reflection departs below the horizon; the 15 deg beam
         pushes it to the pattern floor while barely touching the LOS."""
-        by_beam = [scenario_paths(scenario, narrowband, 0.0, tx) for tx in (0, 1)]
+        by_beam = [_rays(scenario, narrowband, 0.0, tx) for tx in (0, 1)]
         rel = [
             abs(_path(p, "ground").gain) / abs(_path(p, "los").gain) for p in by_beam
         ]
@@ -296,17 +311,25 @@ class TestScenarioPaths:
 
     def test_time_bounds_checked(self, scenario, narrowband):
         with pytest.raises(ValueError):
-            scenario_paths(scenario, narrowband, scenario.duration + 1.0, 0)
+            ray_tracks(scenario, narrowband, scenario.duration + 1.0, 0)
         with pytest.raises(ConfigError):
-            scenario_paths(scenario, narrowband, 0.0, 5)
+            ray_tracks(scenario, narrowband, 0.0, 5)
         with pytest.raises(ValueError):
-            path_sets(scenario, narrowband, [0.0, 1.0, -1.0], 0)
+            ray_tracks(scenario, narrowband, [0.0, 1.0, -1.0], 0)
 
-    def test_path_sets_agree_with_single_instants(self, scenario, narrowband):
+    def test_time_vector_equals_single_instants(self, scenario, narrowband):
         times = [0.0, 0.5, 2.9]
-        assert path_sets(scenario, narrowband, times, 1) == [
-            scenario_paths(scenario, narrowband, t, 1) for t in times
-        ]
+        tracks = ray_tracks(scenario, narrowband, times, 1)
+        assert tracks.kinds == ("los", "wall", "wall", "ground", "truck")
+        np.testing.assert_array_equal(tracks.times, times)
+        for row, t in enumerate(times):
+            single = ray_tracks(scenario, narrowband, t, 1)
+            assert single.kinds == tracks.kinds
+            np.testing.assert_array_equal(single.times, [t])
+            for field in ("delay", "doppler", "gain", "visible"):
+                np.testing.assert_array_equal(
+                    getattr(single, field), getattr(tracks, field)[[row]], err_msg=field
+                )
 
 
 class TestScalarReference:
@@ -324,7 +347,7 @@ class TestScalarReference:
         parked = dataclasses.replace(scenario, tx_velocity=np.zeros(3))
         for tx_index in (0, 1):
             _assert_matches_reference(parked, narrowband, [0.0, 1.0, 3.2], tx_index)
-        assert all(p.doppler == 0 for p in scenario_paths(parked, narrowband, 1.0, 0).paths)
+        assert all(p.doppler == 0 for p in _rays(parked, narrowband, 1.0, 0))
 
     def test_tx_directly_beneath_rx(self, scenario, narrowband):
         """LOS and street bounce depart vertically: no horizontal component,
@@ -338,7 +361,7 @@ class TestScalarReference:
         """At tx.x = -20 the specular point is the truck's end x = -10 exactly;
         the extent is closed, so the ray is present."""
         edge = dataclasses.replace(scenario, tx_start_position=np.array([-34.0, 0.0, 2.0]))
-        assert "truck" in [p.kind for p in scenario_paths(edge, narrowband, 1.0, 0).paths]
+        assert "truck" in [p.kind for p in _rays(edge, narrowband, 1.0, 0)]
         for tx_index in (0, 1):
             _assert_matches_reference(edge, narrowband, [1.0], tx_index)
 
@@ -350,7 +373,7 @@ class TestTransferFunction:
         grid = transfer_function(scenario, narrowband, plan, times)
         fc = narrowband.center_frequency
         for row, t in enumerate(times):
-            paths = _reference_paths(scenario, narrowband, t, 0).paths
+            paths = _reference_paths(scenario, narrowband, t, 0)
             expected = sum(
                 p.gain * np.exp(-2j * np.pi * (fc + plan.tone_frequencies) * p.delay)
                 for p in paths
@@ -392,7 +415,7 @@ class TestApplyChannel:
         t = np.arange(rx.samples.size) / fs
         expected = np.zeros_like(rx.samples)
         for tx_index, sig in enumerate(signals):
-            path = scenario_paths(scn, narrowband, 0.0, tx_index).paths[0]
+            path = _rays(scn, narrowband, 0.0, tx_index)[0]
             shifted = interpolate_periodic(sig.samples, (t - path.delay) * fs)
             expected += (
                 path.gain

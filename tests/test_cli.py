@@ -77,6 +77,7 @@ class TestPlan:
             ({"sample_rate": 6.25e5}, "samples_per_period_integer"),  # 52.5 samples
             ({"sample_rate": 5e5}, "tones_within_nyquist"),  # 476 kHz tone
             ({"grid_ratio": 2, "sample_rate": 1.5e6}, "noise_slot_free"),
+            ({"tone_count": 4}, "tone_count_fits_tapers"),  # the LSF's NW = 2 tapers
         ],
     )
     def test_design_that_breaks_later_stages_fails(self, tmp_path, capsys, design, check):
@@ -135,6 +136,24 @@ class TestStages:
     def test_analyze_window_longer_than_record(self, mini_run):
         rc = main(["analyze", "--out-dir", mini_run, "--window-length", "100000"])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "flag,value,named",
+        [
+            ("--window-length", "4", "window_length"),
+            ("--sbl-iters", "0", "iterations"),
+            ("--peaks", "0", "active_set_size"),
+            ("--windows", "0", "--windows"),
+            ("--windows", "-2", "--windows"),
+        ],
+    )
+    def test_analyze_flag_out_of_range(self, mini_run, capsys, flag, value, named):
+        """A configuration error (exit 1) that names its cause, before any output."""
+        before = sorted(os.listdir(mini_run))
+        rc = main(["analyze", "--out-dir", mini_run, flag, value])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+        assert sorted(os.listdir(mini_run)) == before
 
 
 class TestRunAll:

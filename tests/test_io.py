@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from ddsounder.channel import default_scenario
+from ddsounder.channel import RayTracks, default_scenario
 from ddsounder.io import (
     FileFormatError,
     atomic_write,
@@ -26,6 +26,7 @@ from ddsounder.io import (
     save_sounder_config,
     write_dsd_csv,
     write_grid,
+    write_paths_csv,
     write_peaks_json,
     write_signal,
     write_snr_csv,
@@ -191,6 +192,24 @@ class TestCsv:
         np.testing.assert_allclose(rd, dopp)
         np.testing.assert_allclose(rp, power)
 
+    def test_round_trip_keeps_nan_and_infinities(self, tmp_path):
+        values = np.array([np.nan, -np.inf, np.inf, -0.0, 5e-324])
+        axis = (np.arange(5) - 2) * 16.53
+        for write, read in ((write_snr_csv, read_snr_csv), (write_dsd_csv, read_dsd_csv)):
+            path = str(tmp_path / f"{write.__name__}.csv")
+            write(path, axis, values)
+            ra, rv = read(path)
+            np.testing.assert_array_equal(ra, axis)
+            np.testing.assert_array_equal(rv, values)
+            assert np.signbit(rv[3])
+            assert open(path).read().splitlines()[1:3] == ["-33.06,nan", "-16.53,-inf"]
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="equally long"):
+            write_snr_csv(str(tmp_path / "snr.csv"), np.arange(3.0), np.arange(2.0))
+        with pytest.raises(ValueError, match="1-D"):
+            write_dsd_csv(str(tmp_path / "dsd.csv"), np.zeros((2, 2)), np.zeros((2, 2)))
+
     def test_malformed_line_reports_lineno(self, tmp_path):
         path = str(tmp_path / "snr.csv")
         with open(path, "w") as fh:
@@ -217,6 +236,29 @@ class TestCsv:
         open(path, "w").close()
         with pytest.raises(FileFormatError, match="empty"):
             read_snr_csv(path)
+
+
+class TestPathsCsv:
+    def test_byte_fixture(self, tmp_path):
+        """Visible rays only, time-major, LOS first; %.12g floats; real gains."""
+        tracks = RayTracks(
+            times=np.array([0.0, 0.000168]),
+            kinds=("los", "wall", "ground"),
+            delay=np.array([[1.4e-7, 1.6e-7, 1.5e-7], [1.39e-7, 1.61e-7, 1.49e-7]]),
+            doppler=np.array([[2801.4, 2500.0, 1 / 3], [-3.25, 0.0, -0.0]]),
+            gain=np.array([[1e-5, 2e-6, 3e-6], [1.25e-5, 2.5e-6, 3.5e-6]]),
+            visible=np.array([[True, True, True], [True, False, True]]),
+        )
+        path = str(tmp_path / "truth.csv")
+        write_paths_csv(path, tracks)
+        assert open(path, "rb").read() == (
+            b"time_s,kind,delay_s,doppler_hz,gain_real,gain_imag\n"
+            b"0,los,1.4e-07,2801.4,1e-05,0\n"
+            b"0,wall,1.6e-07,2500,2e-06,0\n"
+            b"0,ground,1.5e-07,0.333333333333,3e-06,0\n"
+            b"0.000168,los,1.39e-07,-3.25,1.25e-05,0\n"
+            b"0.000168,ground,1.49e-07,-0,3.5e-06,0\n"
+        )
 
 
 class TestPeaksJson:
