@@ -1,62 +1,27 @@
-"""Multipath synthesis kernel: periodic waveforms as trigonometric polynomials.
+"""Multipath synthesis kernel: each TX period of a path from the period's spectrum.
 
-A period of ``L`` samples is evaluated at fractional sample indices as the
-trigonometric polynomial through its DFT coefficients ``fft(period) / L`` on
-bins ``-L//2 ... L//2``; for even ``L`` the Nyquist coefficient is split in
-half between the two end bins.  For odd ``L`` this is periodic-sinc
-(Dirichlet) interpolation, for even ``L`` the Dirichlet kernel with its extra
-``cos(pi v / L)`` factor, and for a multitone period whose tones all lie
-inside the Nyquist band it is exactly the tone sum that generated it.
-
-The polynomial is evaluated by Horner's rule in the phasor
-``w = exp(j 2 pi u / L)``: one complex exponential per output sample and
-path, none per tap.
+Over the ``L`` samples ``r`` of one period starting at sample ``n``, a path
+with gain ``g`` has the delay ``tau + dtau r / fs``.  With the period's DFT
+``c = fft(period) / L`` on the signed bins ``b`` and the phase-ramped
+spectrum ``a_b = c_b exp(j 2 pi b (n - tau fs) / L)``, its copy of the period
+is ``g exp(-j 2 pi fc (tau + dtau r / fs))`` times the drift series
+``sum_m (-j 2 pi dtau r / L)^m / m! * L ifft(b^m a)[r]``.  For a multitone
+period whose tones lie strictly inside the Nyquist band this is exactly the
+tone sum that generated it.  The series argument is at most
+``x = pi L max|dtau|`` (about 1.5e-5 at 14 m/s and ``L = 105``), and terms
+are kept until ``x^M / M! e^x``, which bounds the remainder relative to
+``sum |c_b|``, drops below 1e-15.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["synthesize_paths", "interpolate_periodic", "BACKEND"]
+__all__ = ["synthesize_paths", "BACKEND"]
 
 BACKEND = "numpy"
-
-# output samples per pass; bounds the (paths, samples) work arrays
-_CHUNK = 4096
-
-
-def _coefficients(periods: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of each row of ``periods``, one column per row.
-
-    Returns a ``(2 * (L // 2) + 1, W)`` array over bins ``-L//2 ... L//2``,
-    lowest bin first.
-    """
-    length = periods.shape[1]
-    coef = np.fft.fftshift(np.fft.fft(periods, axis=1), axes=1) / length
-    if length % 2 == 0:
-        coef = np.concatenate([coef, coef[:, :1]], axis=1)
-        coef[:, [0, -1]] *= 0.5
-    return np.ascontiguousarray(coef.T)
-
-
-def _evaluate(coef: np.ndarray, u: np.ndarray, length: int) -> np.ndarray:
-    """Polynomial of column ``p`` of ``coef`` at the indices in row ``p`` of ``u``."""
-    angle = (2.0 * np.pi / length) * np.mod(u, length)
-    w = np.exp(1j * angle)
-    acc = np.empty(u.shape, dtype=np.complex128)
-    acc[...] = coef[-1][:, None]
-    for c in coef[-2::-1]:
-        acc *= w
-        acc += c[:, None]
-    # Horner ran over bins shifted up by L//2
-    return acc * np.exp(-1j * (coef.shape[0] // 2) * angle)
-
-
-def interpolate_periodic(samples: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Evaluate a periodic sampled waveform at fractional sample indices."""
-    samples = np.asarray(samples, dtype=np.complex128)
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    return _evaluate(_coefficients(samples[None, :]), u[None, :], samples.size)[0]
 
 
 def synthesize_paths(
@@ -66,11 +31,13 @@ def synthesize_paths(
     tau0: np.ndarray,
     dtau: np.ndarray,
     n_samples: int,
-    t_start: float,
+    first_sample: int,
     sample_rate: float,
     carrier_frequency: float,
+    block_length: int,
 ) -> np.ndarray:
-    """Superimpose delayed, Doppler-rotated copies of periodic waveforms.
+    """Superimpose delayed, Doppler-rotated copies of periodic waveforms
+    over ``B`` consecutive blocks of ``block_length`` samples.
 
     Parameters
     ----------
@@ -78,37 +45,51 @@ def synthesize_paths(
         One sequence period per waveform, all sharing the epoch t=0.
     wf_index : (P,) int
         Waveform carried by each path.
-    gains, tau0, dtau : (P,)
-        Complex path gain, path delay at ``t_start`` (s) and delay slope
-        (s/s) of each path; the delay varies linearly over the block.
+    gains, tau0, dtau : (P, B) ndarray
+        Complex path gain, path delay at the block's first sample (s) and
+        delay slope (s/s) of each path in each block; the delay varies
+        linearly over a block.
     n_samples : int
-        Output length.
-    t_start : float
-        Absolute time of the first output sample, s.
+        Output length, at most ``B * block_length``.
+    first_sample : int
+        Index of the first output sample; sample 0 is t=0.
     sample_rate, carrier_frequency : float
-        Sample rate (S/s) and RF carrier (Hz); the carrier phase
-        ``exp(-j 2 pi fc tau(t))`` carries the Doppler of each path.
+        Sample rate (S/s) and RF carrier (Hz), whose phase carries the Doppler.
+    block_length : int
+        Samples per block.
 
     Returns
     -------
     (n_samples,) complex128
     """
     periods = np.asarray(periods, dtype=np.complex128)
-    wf_index = np.asarray(wf_index, dtype=np.int64)
-    gains = np.asarray(gains, dtype=np.complex128)
-    tau0 = np.asarray(tau0, dtype=np.float64)
-    dtau = np.asarray(dtau, dtype=np.float64)
     if periods.ndim != 2:
         raise ValueError("periods must be a 2-D array of per-waveform periods")
     length = periods.shape[1]
-    coef = _coefficients(periods)[:, wf_index]
-    out = np.empty(n_samples, dtype=np.complex128)
-    dt = 1.0 / sample_rate
-    for start in range(0, n_samples, _CHUNK):
-        stop = min(start + _CHUNK, n_samples)
-        t_rel = np.arange(start, stop) * dt
-        tau = tau0[:, None] + dtau[:, None] * t_rel
-        u = (t_start + t_rel - tau) * sample_rate
-        weight = gains[:, None] * np.exp(-2j * np.pi * carrier_frequency * tau)
-        out[start:stop] = (weight * _evaluate(coef, u, length)).sum(axis=0)
-    return out
+    n_blocks = gains.shape[1]
+    x_max = math.pi * length * np.abs(dtau).max(initial=0.0)
+    if not math.isfinite(x_max):
+        raise ValueError("delay slopes must be finite")
+    terms, bound = 1, x_max * math.exp(x_max)
+    while bound >= 1e-15:
+        terms += 1
+        bound *= x_max / terms
+
+    # one row per (path, block, period): its delay and spectrum at its first sample
+    first = np.arange(0, block_length, length)
+    tau = tau0[..., None] + dtau[..., None] * (first / sample_rate)
+    offset = (first_sample + np.arange(n_blocks)[:, None] * block_length + first) % length
+    bins = np.fft.fftfreq(length, 1.0 / length)
+    ramp = np.multiply.outer(offset - tau * sample_rate, (2j * np.pi / length) * bins)
+    spectrum = np.fft.fft(periods)[wf_index][:, None, None, :] * np.exp(ramp)
+
+    # the drift series by Horner's rule in m
+    r = np.arange(length)
+    drift = (-2j * np.pi / length) * dtau[..., None, None] * r
+    rows = np.fft.ifft(bins ** (terms - 1) * spectrum)
+    for m in range(terms - 2, -1, -1):
+        rows *= drift / (m + 1)
+        rows += np.fft.ifft(bins**m * spectrum)
+    tau_r = tau[..., None] + dtau[..., None, None] * (r / sample_rate)
+    rows *= gains[..., None, None] * np.exp(-2j * np.pi * carrier_frequency * tau_r)
+    return rows.sum(axis=0).reshape(n_blocks, -1)[:, :block_length].reshape(-1)[:n_samples]

@@ -36,6 +36,9 @@ __all__ = [
 
 _T_EPS = 1e-9
 
+# (period, ray) rows per kernel call; bounds the kernel's (rows, L) arrays
+_KERNEL_ROWS = 256
+
 
 @dataclass
 class BeamPattern:
@@ -339,16 +342,18 @@ def apply_channel(
 ) -> SampledSignal:
     """Synthesize the RX record of a drive-by capture.
 
-    Per snapshot block, every path of every TX contributes a delayed,
-    carrier-phase-rotated copy of that TX's periodic waveform, evaluated as
-    the period's tone sum at the fractional delay; the delay varies linearly
-    inside a block at the rate implied by the path Doppler.  A CFO rotation
-    and counter-seeded complex white noise are applied on top.
+    Every ray of every TX, evaluated at each snapshot block's start,
+    contributes a delayed, carrier-phase-rotated copy of that TX's periodic
+    waveform (hidden rays with zero gain); inside a block the delay varies
+    linearly at the rate implied by the ray's Doppler.  The kernel runs once
+    per chunk of consecutive blocks.  A CFO rotation and counter-seeded
+    complex white noise are applied on top.
 
     Parameters
     ----------
     tx_signals : list of SampledSignal
-        One sequence period per TX, all at the configured sample rate.
+        One sequence period of ``cfg.samples_per_period`` samples per TX,
+        all at the configured sample rate.
     seed : int
         Noise stream key, [0, 2**32).
     """
@@ -360,10 +365,12 @@ def apply_channel(
         raise ConfigError("scenario must configure one beam per TX")
     if not 0 <= seed < 2**32:
         raise ConfigError("seed must fit an unsigned 32-bit integer")
-    lengths = {sig.samples.size for sig in tx_signals}
-    if len(lengths) != 1:
-        raise ConfigError("all TX periods must have equal length")
     for sig in tx_signals:
+        if sig.samples.size != cfg.samples_per_period:
+            raise ConfigError(
+                f"TX period of {sig.samples.size} samples, "
+                f"samples_per_period = {cfg.samples_per_period}"
+            )
         if not math.isclose(sig.sample_rate, cfg.sample_rate, rel_tol=1e-12):
             raise ConfigError(
                 f"TX sample rate {sig.sample_rate} != configured {cfg.sample_rate}"
@@ -385,24 +392,23 @@ def apply_channel(
         np.concatenate([getattr(t, name) for t in tracks], axis=1)
         for name in ("delay", "doppler", "gain", "visible")
     )
-    wf_index = np.repeat(np.arange(cfg.tx_count), 1 + len(scenario.reflectors))
+    gain = np.where(visible, gain, 0.0)
     dtau = -doppler / fc
+    wf_index = np.repeat(np.arange(cfg.tx_count), 1 + len(scenario.reflectors))
 
-    for block_index, start in enumerate(range(0, n_total, block)):
-        stop = min(start + block, n_total)
-        rays = visible[block_index]
+    blocks_per_call = max(1, _KERNEL_ROWS // (wf_index.size * cfg.averaging_count))
+    for first in range(0, times.size, blocks_per_call):
+        chunk = slice(first, first + blocks_per_call)
+        start = first * block
+        stop = min(start + blocks_per_call * block, n_total)
         out[start:stop] = _kernels.synthesize_paths(
-            periods,
-            wf_index[rays],
-            gain[block_index, rays],
-            delay[block_index, rays],
-            dtau[block_index, rays],
-            stop - start,
-            times[block_index],
-            fs,
-            fc,
+            periods, wf_index, gain[chunk].T, delay[chunk].T, dtau[chunk].T,
+            stop - start, start, fs, fc, block,
         )
-        if scenario.noise_psd > 0:
+
+    if scenario.noise_psd > 0:
+        for block_index, start in enumerate(range(0, n_total, block)):
+            stop = min(start + block, n_total)
             out[start:stop] += _noise_block(
                 seed, block_index, stop - start, scenario.noise_psd * fs
             )

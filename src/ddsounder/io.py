@@ -480,10 +480,15 @@ def load_scenario(path: str) -> ScenarioConfig:
     if v["ground"]:
         reflectors.append(PlanarReflector(kind="ground", z=0.0, loss_db=6.0))
     if v["truck"]:
+        truck_y = 4.0
+        if not truck_y < half:
+            raise ConfigError(
+                f"{path}: truck plane y = {truck_y} lies outside canyon_width {half * 2}"
+            )
         reflectors.append(
             PlanarReflector(
                 kind="truck",
-                y=4.0,
+                y=truck_y,
                 x_range=(-30.0, -10.0),
                 z_range=(0.0, 4.5),
                 loss_db=10.0,

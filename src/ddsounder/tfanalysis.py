@@ -167,9 +167,14 @@ def dpss_tapers(length: int, time_bandwidth: float, count: int) -> np.ndarray:
     ValueError
         If more than ``2*time_bandwidth`` tapers are requested; beyond that
         the concentration degrades and sidelobe leakage dominates.
+    ConfigError
+        If ``length`` does not exceed ``2*time_bandwidth``
+        (:func:`params.dpss_fits`).
     """
     if length < 2:
         raise ValueError("taper length must be at least 2")
+    if not dpss_fits(length, time_bandwidth):
+        raise ConfigError(f"taper length {length} must exceed 2*NW = {2 * time_bandwidth:g}")
     if count < 1:
         raise ValueError("at least one taper is required")
     if count > 2 * time_bandwidth:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from scipy.constants import c as C0
 
-from ddsounder._kernels import interpolate_periodic
 from ddsounder.channel import (
     BeamPattern,
     PlanarReflector,
@@ -27,7 +26,7 @@ from ddsounder.channel import (
     tx_position,
 )
 from ddsounder.params import ConfigError, free_space_path_loss, narrowband_config
-from ddsounder.waveform import multitone_waveform, tone_plan
+from ddsounder.waveform import SampledSignal, multitone_waveform, tone_plan
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +58,16 @@ def _rays(scenario, cfg, t, tx_index):
 def _path(rays, kind):
     found = [p for p in rays if p.kind == kind]
     return found[0] if found else None
+
+
+def interpolate_periodic(samples, u):
+    """One period's trigonometric polynomial at fractional indices ``u``,
+    summed directly over the bins ``-L//2 ... L//2`` (odd ``L``)."""
+    length = samples.size
+    assert length % 2 == 1
+    bins = np.arange(length) - length // 2
+    coef = np.fft.fftshift(np.fft.fft(samples)) / length
+    return np.exp(2j * np.pi * np.outer(np.mod(u, length), bins) / length) @ coef
 
 
 def _reference_horn_gain(beam, azimuth_deg, elevation_deg):
@@ -423,6 +432,11 @@ class TestApplyChannel:
                 * shifted
             )
         np.testing.assert_allclose(rx.samples, expected, atol=1e-9 * np.max(np.abs(expected)))
+
+    def test_period_of_wrong_length_rejected(self, narrowband, signals, short_scenario):
+        short = [SampledSignal(sig.samples[:104], sig.sample_rate) for sig in signals]
+        with pytest.raises(ConfigError, match="samples_per_period = 105"):
+            apply_channel(short, short_scenario, narrowband, seed=0)
 
     def test_cfo_rotates_carrier(self, narrowband, signals, short_scenario):
         with_cfo = dataclasses.replace(short_scenario, cfo=200.0)

@@ -369,6 +369,14 @@ class TestScenarioIni:
         back = load_scenario(path)
         assert [r.kind for r in back.reflectors] == ["wall", "wall"]
 
+    def test_truck_outside_narrow_canyon_rejected(self, tmp_path):
+        path = str(tmp_path / "scenario.ini")
+        save_scenario(path, dataclasses.replace(default_scenario(), canyon_width=6.0))
+        with pytest.raises(ConfigError, match="canyon_width"):
+            load_scenario(path)
+        save_scenario(path, dataclasses.replace(default_scenario(truck=False), canyon_width=6.0))
+        assert [r.y for r in load_scenario(path).reflectors if r.kind == "wall"] == [3.0, -3.0]
+
     def test_unknown_key_rejected(self, tmp_path):
         path = str(tmp_path / "scenario.ini")
         save_scenario(path, default_scenario())

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ddsounder import _kernels
+from ddsounder.params import default_config
 
 
 def _bandlimited_period(rng, length, max_mode):
@@ -27,6 +28,18 @@ def _bandlimited_period(rng, length, max_mode):
     return evaluate(np.arange(length)), evaluate
 
 
+def _interpolate(samples, u):
+    """The period at fractional indices ``u``: one static path with fc = 0
+    per one-sample block, block ``i`` delayed to land on ``u[i]``."""
+    u = np.atleast_1d(np.asarray(u, float))
+    return _kernels.synthesize_paths(
+        np.asarray(samples, complex)[None, :], np.array([0]), np.ones((1, u.size)),
+        (np.arange(u.size) - u)[None, :], np.zeros((1, u.size)),
+        n_samples=u.size, first_sample=0, sample_rate=1.0, carrier_frequency=0.0,
+        block_length=1,
+    )
+
+
 class TestInterpolatePeriodic:
     @pytest.mark.parametrize("length,max_mode", [(7, 3), (105, 50), (8, 3), (16, 7)])
     def test_exact_for_bandlimited_signals(self, length, max_mode):
@@ -34,7 +47,7 @@ class TestInterpolatePeriodic:
         samples, evaluate = _bandlimited_period(rng, length, max_mode)
         u = rng.uniform(0, length, 300)
         np.testing.assert_allclose(
-            _kernels.interpolate_periodic(samples, u), evaluate(u), atol=1e-9
+            _interpolate(samples, u), evaluate(u), atol=1e-9
         )
 
     @pytest.mark.parametrize("length", [105, 8])
@@ -43,7 +56,7 @@ class TestInterpolatePeriodic:
         samples = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         u = np.arange(length, dtype=float)
         np.testing.assert_allclose(
-            _kernels.interpolate_periodic(samples, u), samples, atol=1e-12
+            _interpolate(samples, u), samples, atol=1e-12
         )
 
     def test_periodicity(self):
@@ -51,8 +64,8 @@ class TestInterpolatePeriodic:
         samples, _ = _bandlimited_period(rng, 7, 3)
         u = rng.uniform(0, 7, 50)
         np.testing.assert_allclose(
-            _kernels.interpolate_periodic(samples, u),
-            _kernels.interpolate_periodic(samples, u + 3 * 7),
+            _interpolate(samples, u),
+            _interpolate(samples, u + 3 * 7),
             atol=1e-9,
         )
 
@@ -75,11 +88,52 @@ class TestSynthesizePaths:
         tau0 = rng.uniform(0, 4e-6, 4)
         dtau = rng.uniform(-5e-8, 5e-8, 4)
         got = _kernels.synthesize_paths(
-            samples[None, :], np.zeros(4, np.int64), gains, tau0, dtau,
-            n_samples=64, t_start=1e-3, sample_rate=fs, carrier_frequency=fc,
+            samples[None, :], np.zeros(4, np.int64),
+            gains[:, None], tau0[:, None], dtau[:, None],
+            n_samples=64, first_sample=1250, sample_rate=fs, carrier_frequency=fc,
+            block_length=64,
         )
-        want = self._direct(evaluate, gains, tau0, dtau, 64, 1e-3, fs, fc)
+        want = self._direct(evaluate, gains, tau0, dtau, 64, 1250 / fs, fs, fc)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    def test_full_scale_block_matches_direct_evaluation(self):
+        """A whole 100 MHz snapshot block at 14 m/s: the drift phase reaches
+        about 3e-3 rad across the block, so a drift series taken over the
+        whole block instead of over each period misses this tolerance."""
+        cfg = default_config()
+        fs, fc = cfg.sample_rate, cfg.center_frequency
+        length, block = cfg.samples_per_period, cfg.samples_per_snapshot
+        rng = np.random.default_rng(13)
+        samples, evaluate = _bandlimited_period(rng, length, length // 2)
+        gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        tau0 = rng.uniform(1e-7, 2e-7, 3)
+        dtau = np.array([-1.0, 1.0, -0.5]) * 14.0 / 299_792_458.0
+        got = _kernels.synthesize_paths(
+            samples[None, :], np.zeros(3, np.int64),
+            gains[:, None], tau0[:, None], dtau[:, None], block, block, fs, fc, block,
+        )
+        want = self._direct(evaluate, gains, tau0, dtau, block, block / fs, fs, fc)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+
+    def test_blocks_match_one_call_per_block(self):
+        rng = np.random.default_rng(14)
+        periods = np.stack([_bandlimited_period(rng, 7, 3)[0] for _ in range(2)])
+        wf_index = np.array([0, 1, 1])
+        gains = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        tau0 = rng.uniform(0, 4e-6, (3, 4))
+        dtau = rng.uniform(-5e-8, 5e-8, (3, 4))
+        kw = dict(sample_rate=1.25e6, carrier_frequency=60.15e9)
+        got = _kernels.synthesize_paths(
+            periods, wf_index, gains, tau0, dtau, 3 * 16 + 5, 3, block_length=16, **kw
+        )
+        want = np.concatenate([
+            _kernels.synthesize_paths(
+                periods, wf_index, gains[:, b:b + 1], tau0[:, b:b + 1], dtau[:, b:b + 1],
+                16, 3 + 16 * b, block_length=16, **kw,
+            )
+            for b in range(4)
+        ])[: 3 * 16 + 5]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_waveform_index_selects_period(self):
         rng = np.random.default_rng(12)
@@ -87,13 +141,14 @@ class TestSynthesizePaths:
         p1, _ = _bandlimited_period(rng, 7, 3)
         periods = np.stack([p0, p1])
         kw = dict(
-            gains=np.array([1.0 + 0j]),
-            tau0=np.array([0.0]),
-            dtau=np.array([0.0]),
+            gains=np.array([[1.0 + 0j]]),
+            tau0=np.array([[0.0]]),
+            dtau=np.array([[0.0]]),
             n_samples=7,
-            t_start=0.0,
+            first_sample=0,
             sample_rate=1.0,
             carrier_frequency=0.0,
+            block_length=7,
         )
         got0 = _kernels.synthesize_paths(periods, np.array([0]), **kw)
         got1 = _kernels.synthesize_paths(periods, np.array([1]), **kw)
@@ -107,8 +162,8 @@ class TestSynthesizePaths:
         periods = np.ones((1, 105), complex)  # constant envelope isolates the carrier
         dtau = -1e-8  # approaching: delay shrinks, Doppler +600 Hz
         out = _kernels.synthesize_paths(
-            periods, np.array([0]), np.array([1.0 + 0j]), np.array([1e-6]),
-            np.array([dtau]), n, 0.0, fs, fc,
+            periods, np.array([0]), np.array([[1.0 + 0j]]), np.array([[1e-6]]),
+            np.array([[dtau]]), n, 0, fs, fc, n,
         )
         spec = np.fft.fftshift(np.fft.fft(out * np.hanning(n)))
         freqs = np.fft.fftshift(np.fft.fftfreq(n, 1 / fs))
@@ -117,8 +172,8 @@ class TestSynthesizePaths:
 
     def test_zero_paths_give_silence(self):
         out = _kernels.synthesize_paths(
-            np.ones((1, 7), complex), np.zeros(0, np.int64), np.zeros(0, complex),
-            np.zeros(0), np.zeros(0), 16, 0.0, 1.0, 1.0,
+            np.ones((1, 7), complex), np.zeros(0, np.int64), np.zeros((0, 1), complex),
+            np.zeros((0, 1)), np.zeros((0, 1)), 16, 0, 1.0, 1.0, 16,
         )
         np.testing.assert_array_equal(out, np.zeros(16, complex))
 

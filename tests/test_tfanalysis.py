@@ -8,6 +8,7 @@ factorization of the vectorized transform matrix.
 import numpy as np
 import pytest
 
+from ddsounder.params import ConfigError
 from ddsounder.tfanalysis import (
     DelayDopplerGrid,
     LSFConfig,
@@ -99,9 +100,14 @@ class TestDpss:
         gram = tapers @ tapers.T
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-8)
 
-    def test_count_capped_by_bandwidth(self):
-        with pytest.raises(ValueError):
-            dpss_tapers(360, time_bandwidth=2.0, count=5)
+    @pytest.mark.parametrize(
+        "length,count,error,match",
+        [(360, 5, ValueError, "tapers exceed"), (4, 3, ConfigError, "taper length 4")],
+        ids=["count", "length"],
+    )
+    def test_count_capped_by_bandwidth(self, length, count, error, match):
+        with pytest.raises(error, match=match):
+            dpss_tapers(length, time_bandwidth=2.0, count=count)
 
     def test_shape(self):
         assert dpss_tapers(21, 2.0, 3).shape == (3, 21)
