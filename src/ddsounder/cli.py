@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 import time
@@ -130,6 +131,12 @@ def _stage_process(out_dir: str) -> list[str]:
     cfg = ddio.load_sounder_config(os.path.join(out_dir, _CONFIG))
     rx, seed = ddio.read_signal(os.path.join(out_dir, _RECORD))
     still, _ = ddio.read_signal(os.path.join(out_dir, _STILL))
+    for name, signal in ((_RECORD, rx), (_STILL, still)):
+        if not math.isclose(signal.sample_rate, cfg.sample_rate, rel_tol=1e-12):
+            raise ConfigError(
+                f"{name}: sample_rate {signal.sample_rate!r} S/s differs from "
+                f"{_CONFIG} sample_rate {cfg.sample_rate!r} S/s"
+            )
     plans, signals = _waveforms(cfg)
     composite = SampledSignal(
         samples=sum(sig.samples for sig in signals),

@@ -89,19 +89,22 @@ def write_signal(path: str, signal: SampledSignal, seed: int) -> None:
 
 def read_signal(path: str) -> tuple[SampledSignal, int]:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _SIGNAL_HEADER.size:
-        raise FileFormatError(f"{path}: truncated header")
-    magic, seed, rate, length, t0 = _SIGNAL_HEADER.unpack_from(blob)
-    if magic != _SIGNAL_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}, expected {_SIGNAL_MAGIC!r}")
-    expected = _SIGNAL_HEADER.size + 16 * length
-    if len(blob) != expected:
-        raise FileFormatError(
-            f"{path}: payload is {len(blob) - _SIGNAL_HEADER.size} bytes, "
-            f"header promises {16 * length}"
-        )
-    samples = np.frombuffer(blob, dtype="<c16", offset=_SIGNAL_HEADER.size).copy()
+        header = fh.read(_SIGNAL_HEADER.size)
+        if len(header) < _SIGNAL_HEADER.size:
+            raise FileFormatError(f"{path}: truncated header")
+        magic, seed, rate, length, t0 = _SIGNAL_HEADER.unpack(header)
+        if magic != _SIGNAL_MAGIC:
+            raise FileFormatError(f"{path}: bad magic {magic!r}, expected {_SIGNAL_MAGIC!r}")
+        # size check before the allocation: a corrupt length must not ask
+        # for more memory than the file could fill
+        payload = os.fstat(fh.fileno()).st_size - _SIGNAL_HEADER.size
+        if payload != 16 * length:
+            raise FileFormatError(
+                f"{path}: payload is {payload} bytes, header promises {16 * length}"
+            )
+        samples = np.empty(length, dtype="<c16")
+        if fh.readinto(samples) != payload:
+            raise FileFormatError(f"{path}: file shrank while being read")
     return SampledSignal(samples=samples, sample_rate=rate, t0=t0), int(seed)
 
 

@@ -5,6 +5,13 @@ from a standstill capture; during the drive, every snapshot is derotated by
 its own LOS frequency offset (Doppler plus CFO) before averaging, and the
 Doppler part of that correction is re-applied afterwards so that only the
 CFO is permanently removed.
+
+The derotation at absolute time ``t_q + (p L + n) / fs`` and the Doppler
+phase re-applied at the snapshot epoch ``t_q`` share the term
+``nu_q t_q``, which cancels exactly: what remains is one phase per period,
+one ramp over the samples of a period and the CFO phase at the epoch, so
+``coherent_average`` averages whole chunks of snapshots with ``N + L``
+exponentials per snapshot.
 """
 
 from __future__ import annotations
@@ -177,23 +184,10 @@ def estimate_cfo(
     return float(coarse + fine)
 
 
-def _snapshot_offset(block: np.ndarray, bins: np.ndarray, period: float) -> float:
-    """LOS frequency offset of one snapshot from per-period tone progression.
-
-    The per-period DFT coefficients of the dominant component advance by
-    ``exp(j 2 pi f T)`` from one period to the next regardless of the channel
-    delay, so the lag-one phase is an unbiased offset estimate.
-    """
-    spectra = np.fft.fft(block, axis=1)[:, bins]
-    estimate = 0.0
-    for _ in range(2):  # second pass removes the tiny residual of the first
-        rotation = np.exp(-2j * np.pi * estimate * period * np.arange(block.shape[0]))
-        v = spectra * rotation[:, None]
-        lag = np.sum(v[1:] * np.conj(v[:-1]))
-        if lag == 0:
-            break
-        estimate += math.atan2(lag.imag, lag.real) / (2.0 * math.pi * period)
-    return estimate
+# Samples per chunk of whole snapshots that coherent_average works on at once:
+# bounds its temporaries (a few chunk-sized complex arrays) whatever the record
+# length, while keeping the numpy calls per chunk large.
+_CHUNK_SAMPLES = 1 << 18
 
 
 def coherent_average(
@@ -207,11 +201,45 @@ def coherent_average(
     averaged snapshots keep the physical Doppler progression while the CFO
     is removed.
 
+    The offset of snapshot ``q`` is the lag-one phase of its per-period tone
+    coefficients ``v = fft(periods)[..., bins]``,
+    ``nu_q = angle(sum_{p,k} v[p+1,k] conj(v[p,k])) / (2 pi T)``: the DFT
+    coefficients of the dominant component advance by ``exp(j 2 pi nu T)``
+    from one period to the next whatever the channel delay.  With a single
+    period per snapshot, ``nu_q = cfo``.
+
+    Derotating sample ``n`` of period ``p`` by ``exp(-j 2 pi nu_q t)`` at its
+    absolute time ``t = t_q + (p L + n) / fs`` and restoring
+    ``exp(j 2 pi (nu_q - cfo) t_q)`` at the snapshot epoch
+    ``t_q = rx.t0 + q S / fs`` cancels the two ``nu_q t_q`` terms exactly:
+
+        out[q, n] = exp(-j 2 pi nu_q n / fs)
+                    * (1/N) sum_p exp(-j 2 pi nu_q p L / fs) x[q, p, n]
+                    * exp(-j 2 pi cfo t_q)
+
+    so each snapshot needs ``N + L`` exponentials of small arguments rather
+    than ``N L`` of arguments that grow with the record time.  Snapshots are
+    processed in chunks of whole snapshots of at most ``_CHUNK_SAMPLES``
+    samples; a trailing partial snapshot is ignored.
+
     Returns
     -------
     numpy.ndarray
         (Q, samples_per_period) averaged periods.
+
+    Raises
+    ------
+    ConfigError
+        If the record's sample rate differs from ``cfg.sample_rate``, or the
+        TX comb is off the period DFT grid.
+    ValueError
+        If the record is shorter than one snapshot.
     """
+    if not math.isclose(rx.sample_rate, cfg.sample_rate, rel_tol=1e-12):
+        raise ConfigError(
+            f"sample_rate: record is {rx.sample_rate!r} S/s, "
+            f"configuration says {cfg.sample_rate!r} S/s"
+        )
     length = cfg.samples_per_period
     per_snapshot = cfg.samples_per_snapshot
     q_count = rx.samples.size // per_snapshot
@@ -222,24 +250,27 @@ def coherent_average(
     fs = rx.sample_rate
     period = cfg.sequence_period
     n_avg = cfg.averaging_count
+    chunk = max(1, _CHUNK_SAMPLES // per_snapshot)
+    period_phase = np.arange(n_avg) * length / fs
+    sample_phase = np.arange(length) / fs
 
     out = np.empty((q_count, length), dtype=np.complex128)
-    sample_phase = np.arange(per_snapshot)
-    for q in range(q_count):
-        start = q * per_snapshot
-        block = rx.samples[start : start + per_snapshot].reshape(n_avg, length)
-        if n_avg > 1:
-            offset = _snapshot_offset(block, bins, period)
-        else:
-            offset = cfo
-        t_abs = rx.t0 + (start + sample_phase) / fs
-        derotated = (block.reshape(-1) * np.exp(-2j * np.pi * offset * t_abs)).reshape(
-            n_avg, length
+    for first in range(0, q_count, chunk):
+        stop = min(first + chunk, q_count)
+        blocks = rx.samples[first * per_snapshot : stop * per_snapshot].reshape(
+            stop - first, n_avg, length
         )
-        averaged = derotated.mean(axis=0)
-        # restore the Doppler share of the correction at the snapshot epoch
-        t_snapshot = rx.t0 + start / fs
-        out[q] = averaged * np.exp(2j * np.pi * (offset - cfo) * t_snapshot)
+        if n_avg > 1:
+            v = np.fft.fft(blocks, axis=2)[..., bins]
+            lag = np.sum(v[:, 1:] * np.conj(v[:, :-1]), axis=(1, 2))
+            offset = np.angle(lag) / (2.0 * math.pi * period)
+        else:
+            offset = np.full(stop - first, cfo)
+        t_snapshot = rx.t0 + np.arange(first, stop) * per_snapshot / fs
+        epoch = np.exp(-2j * math.pi * cfo * t_snapshot) / n_avg
+        weights = np.exp(-2j * math.pi * offset[:, None] * period_phase) * epoch[:, None]
+        ramp = np.exp(-2j * math.pi * offset[:, None] * sample_phase)
+        out[first:stop] = (weights[:, None, :] @ blocks)[:, 0] * ramp
     return out
 
 

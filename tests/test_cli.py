@@ -274,6 +274,22 @@ class TestExitCodes:
         assert main(["process", "--out-dir", out]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_sample_rate_mismatch_is_config_error(self, mini_run, tmp_path, capsys):
+        """A 1.25 MS/s record under a 2.5 MS/s config.ini names the record."""
+        out = str(tmp_path / "rate")
+        os.makedirs(out)
+        for name in ("scenario.ini", "rx_record.dds1", "standstill.dds1"):
+            data = open(os.path.join(mini_run, name), "rb").read()
+            open(os.path.join(out, name), "wb").write(data)
+        cfg = derive_config(
+            bandwidth=1e6, sample_rate=2.5e6, averaging_count=2, recording_time=0.1
+        )
+        ddio.save_sounder_config(os.path.join(out, "config.ini"), cfg)
+        assert main(["process", "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert "rx_record.dds1" in err and "sample_rate" in err
+        assert not any(name.startswith("h_tx") for name in os.listdir(out))
+
     def test_unknown_scenario_key_is_validation_error(self, tmp_path):
         cfg_path, scn_path = _mini_configs(str(tmp_path))
         with open(scn_path, "a") as fh:

@@ -102,6 +102,19 @@ class TestSignalFormat:
         with pytest.raises(FileFormatError, match="truncated"):
             read_signal(path)
 
+    def test_huge_length_rejected_before_allocation(self, tmp_path, monkeypatch):
+        """A header promising 2^40 samples on a 64-byte file allocates nothing."""
+        path = str(tmp_path / "huge.dds1")
+        header = struct.pack("<4sIdQd", b"DDS1", 0, 1.25e6, 1 << 40, 0.0)
+        open(path, "wb").write(header + b"\x00" * (64 - len(header)))
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("read_signal allocated before checking the size")
+
+        monkeypatch.setattr(np, "empty", no_allocation)
+        with pytest.raises(FileFormatError, match="header promises"):
+            read_signal(path)
+
 
 class TestGridFormat:
     def _grid(self):

@@ -6,15 +6,19 @@ drift the averager cannot remove.
 """
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ddsounder.channel import apply_channel, default_scenario, transfer_function
-from ddsounder.params import ConfigError
+from ddsounder.params import ConfigError, narrowband_config
+from ddsounder import rxproc
 from ddsounder.rxproc import (
     NoSignalError,
     TransferFunctionGrid,
+    _tone_bins,
     align_los_delay,
     coherent_average,
     demultiplex,
@@ -75,7 +79,113 @@ class TestEstimateCfo:
             estimate_cfo(rx, composite)
 
 
+def _snapshot_offset(block, bins, period):
+    """Two-pass lag-one offset of one snapshot (the per-snapshot original)."""
+    spectra = np.fft.fft(block, axis=1)[:, bins]
+    estimate = 0.0
+    for _ in range(2):
+        rotation = np.exp(-2j * np.pi * estimate * period * np.arange(block.shape[0]))
+        v = spectra * rotation[:, None]
+        lag = np.sum(v[1:] * np.conj(v[:-1]))
+        if lag == 0:
+            break
+        estimate += math.atan2(lag.imag, lag.real) / (2.0 * math.pi * period)
+    return estimate
+
+
+def _reference_coherent_average(rx, cfg, cfo, tx_index):
+    """Snapshot-by-snapshot oracle: derotate at absolute time, average,
+    restore the Doppler share at the snapshot epoch."""
+    length = cfg.samples_per_period
+    per_snapshot = cfg.samples_per_snapshot
+    bins = _tone_bins(cfg, tone_plan(cfg, tx_index).tone_frequencies)
+    fs = rx.sample_rate
+    n_avg = cfg.averaging_count
+    q_count = rx.samples.size // per_snapshot
+    out = np.empty((q_count, length), dtype=np.complex128)
+    sample_phase = np.arange(per_snapshot)
+    for q in range(q_count):
+        start = q * per_snapshot
+        block = rx.samples[start : start + per_snapshot].reshape(n_avg, length)
+        offset = _snapshot_offset(block, bins, cfg.sequence_period) if n_avg > 1 else cfo
+        t_abs = rx.t0 + (start + sample_phase) / fs
+        derotated = (block.reshape(-1) * np.exp(-2j * np.pi * offset * t_abs)).reshape(
+            n_avg, length
+        )
+        t_snapshot = rx.t0 + start / fs
+        out[q] = derotated.mean(axis=0) * np.exp(2j * np.pi * (offset - cfo) * t_snapshot)
+    return out
+
+
+def _chirped_record(cfg, chunks, t0, seed=3):
+    """Both TX combs under a LOS offset sweeping -1.4 kHz to +1.4 kHz, plus noise.
+
+    ``chunks`` is the length in coherent_average chunks (not whole); half a
+    snapshot is appended so the record also ends in a partial snapshot.
+    """
+    chunk = (rxproc._CHUNK_SAMPLES // cfg.samples_per_snapshot) * cfg.samples_per_snapshot
+    size = int(chunks * chunk) // cfg.samples_per_snapshot * cfg.samples_per_snapshot
+    size += cfg.samples_per_snapshot // 2
+    period = sum(
+        multitone_waveform(cfg, tone_plan(cfg, i)).samples for i in range(cfg.tx_count)
+    )
+    t = np.arange(size) / cfg.sample_rate
+    sweep = size / cfg.sample_rate
+    phase = -1400.0 * t + 1400.0 * t**2 / sweep
+    rng = np.random.default_rng(seed)
+    noise = 0.05 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    samples = np.resize(period, size) * np.exp(2j * np.pi * phase) + noise
+    return SampledSignal(samples, cfg.sample_rate, t0=t0)
+
+
 class TestCoherentAverage:
+    @pytest.mark.parametrize("t0", [0.0, 1.7])
+    @pytest.mark.parametrize("n_avg", [1, 2, 4])
+    def test_matches_per_snapshot_reference(self, n_avg, t0):
+        """Chunked result equals the snapshot loop over 2.6 chunks, the last
+        chunk partial and a partial snapshot trailing."""
+        cfg = narrowband_config(averaging_count=n_avg)
+        rx = _chirped_record(cfg, 2.6, t0)
+        cfo = 37.25
+        for tx in range(cfg.tx_count):
+            expected = _reference_coherent_average(rx, cfg, cfo, tx)
+            got = coherent_average(rx, cfg, cfo, tx)
+            assert got.shape == expected.shape
+            peak = np.max(np.abs(expected))
+            assert np.max(np.abs(got - expected)) <= 1e-10 * peak
+
+    def test_all_zero_record(self, narrowband):
+        rx = SampledSignal(np.zeros(10 * narrowband.samples_per_snapshot, complex),
+                           narrowband.sample_rate, t0=0.3)
+        avg = coherent_average(rx, narrowband, 55.0, 1)
+        assert avg.shape == (10, narrowband.samples_per_period)
+        assert not np.any(avg)  # zero, and no NaN from a zero lag
+
+    def test_temporaries_do_not_grow_with_record(self, narrowband):
+        """Memory above the returned array is set by the chunk, not the record."""
+        chunk = rxproc._CHUNK_SAMPLES // narrowband.samples_per_snapshot
+
+        def extra_peak(chunks):
+            size = chunks * chunk * narrowband.samples_per_snapshot
+            rx = SampledSignal(np.full(size, 1 + 1j), narrowband.sample_rate)
+            tracemalloc.start()
+            try:
+                out = coherent_average(rx, narrowband, 10.0, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - out.nbytes
+
+        assert extra_peak(8) <= 1.25 * extra_peak(2)
+
+    def test_sample_rate_mismatch_is_config_error(self, narrowband):
+        rx = SampledSignal(np.ones(4 * narrowband.samples_per_snapshot, complex),
+                           2 * narrowband.sample_rate)
+        with pytest.raises(ConfigError, match="sample_rate") as info:
+            coherent_average(rx, narrowband, 0.0, 0)
+        assert repr(rx.sample_rate) in str(info.value)
+        assert repr(narrowband.sample_rate) in str(info.value)
+
     def test_shape(self, narrowband, signals):
         scn = default_scenario(duration=0.01)
         rx = apply_channel(signals, scn, narrowband, seed=1)
