@@ -6,14 +6,16 @@ native ``1/(K tone_spacing)`` resolution.  A multiplicative fixed-point
 update sharpens one variance weight per atom; the surviving local maxima of
 the variance surface form the active set and calibrate the noise floor.
 
-The per-atom updates never form the full ``KM x KM`` covariance: the
-dictionary is a Kronecker product of a Doppler DFT and an upsampled delay
-comb, so after an FFT across snapshots the covariance block-diagonalizes
-into M ``K x K`` blocks.  The delay atoms are K rows of a ``UK``-point DFT,
-so every block is Hermitian Toeplitz with a first column that is an FFT of
-that block's variances.  Per pass, one batched solve with two right-hand
-sides gives each block's inverse first column and its whitened data; FFTs
-turn these into the matched-filter and self-responses of all ``UK`` atoms.
+No pass builds a covariance matrix or a full-length basis.  The dictionary
+is a Kronecker product of a Doppler DFT and an upsampled delay comb, so
+after a unitary FFT across snapshots the covariance block-diagonalizes into
+M ``K x K`` blocks, one per Doppler bin.  The delay atoms are K rows of a
+``UK``-point DFT, so every block is Hermitian Toeplitz with a first column
+that is an FFT of that block's variances.  Per pass, one Levinson recursion
+across all blocks gives each block's inverse first column and its whitened
+data; FFTs turn these into the matched-filter and self-responses of all
+``UK`` atoms.  The active-set least squares splits the same way: only the
+Doppler bins that hold an active atom enter it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .params import ConfigError
 from .tfanalysis import DelayDopplerGrid, Peak, PeakList, _ranked_maxima
@@ -129,16 +132,18 @@ class SBLConfig:
     noise_var_init: float = 0.1
 
     def __post_init__(self):
-        if not isinstance(self.upsampling, (int, np.integer)) or self.upsampling < 1:
-            raise ConfigError("upsampling must be a positive integer")
-        if self.active_set_size < 1:
-            raise ConfigError(
-                f"active_set_size must be at least 1, got {self.active_set_size}"
-            )
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
-        if self.gamma_init <= 0 or self.noise_var_init <= 0:
-            raise ConfigError("initial variances must be positive")
+        for name in ("upsampling", "active_set_size", "iterations"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, np.integer))
+                or value < 1
+            ):
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("gamma_init", "noise_var_init"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -148,7 +153,11 @@ class SBLResult:
     ``gamma`` is the per-atom variance surface (delay by centered Doppler);
     ``peaks`` are its selected local maxima in physical units with the
     variance as power; ``amplitudes`` are least-squares coefficients of the
-    active atoms, aligned with ``peaks.entries``.
+    active atoms, aligned with ``peaks.entries``.  The ``*_trace`` arrays
+    hold one entry per pass: the noise variance and residual power after
+    it, and the churn, the number of active atoms not active in the pass
+    before (the whole set on the first pass).  Their last entries are
+    ``noise_var`` and ``residual_power``.
     """
 
     gamma: DelayDopplerGrid
@@ -157,6 +166,9 @@ class SBLResult:
     noise_var: float
     residual_power: float
     iterations: int = 0
+    noise_var_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    residual_power_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    churn_trace: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
 
 def peak_select_2d(values: np.ndarray, count: int) -> list[tuple[int, int]]:
@@ -176,28 +188,56 @@ def peak_select_2d(values: np.ndarray, count: int) -> list[tuple[int, int]]:
     return [(int(r), int(c)) for r, c in zip(picked_rows, picked_cols)]
 
 
-def _atom_responses(
-    gamma: np.ndarray, noise_var: float, rhs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matched-filter and self-responses of every delay atom, per Doppler block.
+def _levinson(col: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve M Hermitian positive-definite Toeplitz systems at once.
 
-    Block m's covariance ``sigma^2 I + A diag(gamma[m]) A^H`` is Hermitian
-    Toeplitz with first column ``c[m] = fft(gamma[m])[:K] / K``.  ``rhs`` is
-    ``(M, K, 2)``: the unit vector ``e_0`` and the block's data spectrum.
-    Solving for both gives the first column ``a`` of the inverse and the
-    whitened data ``x``.  Returns ``a_n^H Sigma^-1 h`` and the real
-    ``a_n^H Sigma^-1 a_n``, each ``(M, U*K)``.
+    ``col`` and ``data`` are ``(K, M)``: column m is block m's first column
+    and right-hand side.  Levinson-Durbin (Levinson 1947, Durbin 1960) grows
+    the predictor ``p`` with ``T_n p = (P_n, 0, ..., 0)``, ``P_n`` the
+    prediction-error power, one order per step for every block: its
+    residual against the next lag gives the reflection coefficient, and the
+    update adds the reversed conjugate predictor.  That reversed predictor
+    solves ``T_n q = (0, ..., 0, P_n)``, so the same step extends the
+    solution of ``T_n x = data[:n]`` by one row.  On positive-definite
+    blocks this is as stable as Cholesky (Cybenko 1980).  Returns the
+    inverse's first column ``p / P_{K-1}`` and ``T^-1 data``.
     """
-    delay_bins = gamma.shape[1]
-    n_tones = rhs.shape[1]
-    col = np.fft.fft(gamma, axis=1)[:, :n_tones] / n_tones
-    lags = np.concatenate([col[:, :0:-1].conj(), col], axis=1)
-    k = np.arange(n_tones)
-    blocks = lags[:, k[:, None] - k[None, :] + n_tones - 1]
-    blocks[:, k, k] += noise_var
-    solved = np.linalg.solve(blocks, rhs)
-    first, whitened = solved[:, :, 0], solved[:, :, 1]
-    filtered = np.fft.ifft(whitened, n=delay_bins, axis=1) * (
+    n_tones = col.shape[0]
+    predictor = np.zeros_like(col)
+    predictor[0] = 1.0
+    power = col[0].real.copy()
+    solution = np.zeros_like(data)
+    solution[0] = data[0] / power
+    for n in range(1, n_tones):
+        lags = col[n:0:-1]
+        reflection = -np.einsum("jm,jm->m", lags, predictor[:n]) / power
+        predictor[: n + 1] += reflection * predictor[n::-1].conj()
+        power *= 1.0 - (reflection.real**2 + reflection.imag**2)
+        step = (data[n] - np.einsum("jm,jm->m", lags, solution[:n])) / power
+        solution[: n + 1] += step * predictor[n::-1].conj()
+    return predictor / power, solution
+
+
+def _atom_responses(
+    gamma: np.ndarray, noise_var: float, spectrum: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matched-filter and self-responses of every atom, Doppler block by block.
+
+    ``gamma`` is ``(U*K, M)`` and ``spectrum`` ``(K, M)``, column m holding
+    Doppler block m.  The block's covariance ``sigma^2 I + A diag(gamma_m) A^H``
+    is Hermitian Toeplitz with first column
+    ``c_m = fft(gamma_m)[:K] / K + sigma^2 e_0``.  One Levinson recursion
+    over all blocks gives the inverse's first column ``a`` and the whitened
+    data ``x = Sigma^-1 spectrum_m``; the Gohberg-Semencul form of the inverse
+    turns ``a`` into its diagonal sums by FFT.  Returns ``a_n^H Sigma^-1 h``
+    and the real ``a_n^H Sigma^-1 a_n``, each ``(U*K, M)``.
+    """
+    delay_bins = gamma.shape[0]
+    n_tones = spectrum.shape[0]
+    col = np.fft.fft(gamma, axis=0)[:n_tones] / n_tones
+    col[0] += noise_var
+    first, whitened = _levinson(col, spectrum)
+    filtered = np.fft.ifft(whitened, n=delay_bins, axis=0) * (
         delay_bins / np.sqrt(n_tones)
     )
 
@@ -205,26 +245,27 @@ def _atom_responses(
     # L(v) lower-triangular Toeplitz and b = (0, conj(a_{K-1}), ..., conj(a_1)).
     # The lag-d diagonal sum of L(v) L(v)^H is
     # sum_r (K - r - d) v[r + d] conj(v[r]), one correlation of
-    # (K - p) v[p] with v; 2K - 1 points keep it from wrapping.  The sums are
-    # of order K / sigma^2, so a self-response near 1/gamma_n carries a
-    # relative error of about eps K gamma_n / sigma^2: round-off on noisy
-    # windows, but at the noise floor it leaves the strongest atoms' gamma
-    # good to only ~1e-4.
+    # (K - p) v[p] with v; at least 2K - 1 points keep it from wrapping, and
+    # a composite length keeps the FFT fast.  The sums are of order
+    # K / sigma^2, so a self-response near 1/gamma_n carries a relative error
+    # of about eps K gamma_n / sigma^2: round-off on noisy windows, but at the
+    # noise floor it leaves the strongest atoms' gamma good to only ~1e-4.
     second = np.zeros_like(first)
-    second[:, 1:] = first[:, :0:-1].conj()
+    second[1:] = first[:0:-1].conj()
     v = np.stack([first, second])
-    n_corr = 2 * n_tones - 1
-    spectra = np.fft.fft(v * (n_tones - k), n=n_corr, axis=-1) * np.fft.fft(
-        v, n=n_corr, axis=-1
+    n_corr = next_fast_len(2 * n_tones - 1)
+    weights = (n_tones - np.arange(n_tones))[:, None]
+    spectra = np.fft.fft(v * weights, n=n_corr, axis=1) * np.fft.fft(
+        v, n=n_corr, axis=1
     ).conj()
-    diag_sums = np.fft.ifft(spectra[0] - spectra[1], axis=-1)[:, :n_tones]
-    diag_sums /= first[:, :1].real
+    diag_sums = np.fft.ifft(spectra[0] - spectra[1], axis=0)[:n_tones]
+    diag_sums /= first[0].real
     # a_n^H Sigma^-1 a_n = (1/K) sum_d s[d] exp(2j pi d n / UK) over lags
     # -(K-1)..K-1; lag -d is conj(s[d]) and the sum is real, so it is the
     # real part of the one-sided sum with lags d >= 1 doubled.  Lags stay
     # below K <= UK, so no two land on the same bin.
-    diag_sums[:, 1:] *= 2
-    self_response = np.fft.ifft(diag_sums, n=delay_bins, axis=1).real * (
+    diag_sums[1:] *= 2
+    self_response = np.fft.ifft(diag_sums, n=delay_bins, axis=0).real * (
         delay_bins / n_tones
     )
     return filtered, self_response
@@ -277,47 +318,62 @@ def sbl_fit(
         tone_spacing=tone_spacing,
         snapshot_time=snapshot_time,
     )
-    h_vec = h.flatten(order="F")
+    atoms = model.delay_atoms()
 
-    gamma = np.full((n_snapshots, model.delay_bins), float(cfg.gamma_init))
+    gamma = np.full((model.delay_bins, n_snapshots), float(cfg.gamma_init))
     noise_var = float(cfg.noise_var_init)
     # floor keeps the covariance blocks invertible on noise-free windows:
     # cond(Sigma) <= gamma_max/floor must stay well below 1/eps
     noise_floor = max(1e-9 * energy / total, 1e-300)
 
-    # per Doppler block m: e_0 and the window's Doppler spectrum h_hat[m]
-    rhs = np.zeros((n_snapshots, n_tones, 2), dtype=np.complex128)
-    rhs[:, 0, 0] = 1.0
-    rhs[:, :, 1] = np.fft.fft(h, axis=1).T / np.sqrt(n_snapshots)
+    # The window's unitary Doppler spectrum: column m is Doppler block m's
+    # data, and atom (n, m) is delay atom n in column m alone.  So the
+    # active-set least squares splits by column: the columns without an
+    # active atom stay whole in the residual, and only the rest are solved,
+    # with lstsq's default cutoff for the full K*M-row basis.
+    spectrum = np.fft.fft(h, axis=1) / np.sqrt(n_snapshots)
+    column_energy = np.sum(np.abs(spectrum) ** 2, axis=0)
+    rcond = np.finfo(float).eps * total
 
     selected: list[tuple[int, int]] = []
     amplitudes = np.zeros(0, dtype=np.complex128)
     residual_power = energy
-    for _ in range(cfg.iterations):
-        filtered, self_response = _atom_responses(gamma, noise_var, rhs)
+    noise_trace = np.empty(cfg.iterations)
+    residual_trace = np.empty(cfg.iterations)
+    churn_trace = np.empty(cfg.iterations, dtype=int)
+    for it in range(cfg.iterations):
+        filtered, self_response = _atom_responses(gamma, noise_var, spectrum)
         gamma *= np.abs(filtered) ** 2 / np.clip(self_response, 1e-300, None)
 
-        surface = np.fft.fftshift(gamma.T, axes=1)
+        surface = np.fft.fftshift(gamma, axes=1)
+        previous = set(selected)
         selected = peak_select_2d(surface, cfg.active_set_size)
+        churn_trace[it] = len(set(selected) - previous)
         if selected:
-            basis = np.stack(
-                [
-                    model.column(n, (j - n_snapshots // 2) % n_snapshots)
-                    for n, j in selected
-                ],
-                axis=1,
+            delays = [n for n, _ in selected]
+            dopplers = [(j - n_snapshots // 2) % n_snapshots for _, j in selected]
+            columns, column_of = np.unique(dopplers, return_inverse=True)
+            basis = np.zeros(
+                (n_tones, len(columns), len(selected)), dtype=np.complex128
             )
-            amplitudes, *_ = np.linalg.lstsq(basis, h_vec, rcond=None)
-            residual = h_vec - basis @ amplitudes
-            residual_power = float(np.vdot(residual, residual).real)
+            basis[:, column_of, np.arange(len(selected))] = atoms[:, delays]
+            basis = basis.reshape(-1, len(selected))
+            target = spectrum[:, columns].ravel()
+            amplitudes, *_ = np.linalg.lstsq(basis, target, rcond=rcond)
+            residual = target - basis @ amplitudes
+            residual_power = float(
+                np.delete(column_energy, columns).sum()
+                + np.vdot(residual, residual).real
+            )
             noise_var = residual_power / (total - len(selected))
         else:
             amplitudes = np.zeros(0, dtype=np.complex128)
             residual_power = energy
             noise_var = energy / total
         noise_var = max(noise_var, noise_floor)
+        noise_trace[it] = noise_var
+        residual_trace[it] = residual_power
 
-    surface = np.fft.fftshift(gamma.T, axes=1)
     grid = DelayDopplerGrid(
         values=surface,
         delay_axis=model.delay_axis,
@@ -339,4 +395,7 @@ def sbl_fit(
         noise_var=float(noise_var),
         residual_power=residual_power,
         iterations=cfg.iterations,
+        noise_var_trace=noise_trace,
+        residual_power_trace=residual_trace,
+        churn_trace=churn_trace,
     )

@@ -7,7 +7,8 @@ super-resolution statistics live in the acceptance suite.
 import numpy as np
 import pytest
 
-from ddsounder.sbl import SBLConfig, SparseModel, peak_select_2d, sbl_fit
+from ddsounder.params import ConfigError
+from ddsounder.sbl import SBLConfig, SparseModel, _levinson, peak_select_2d, sbl_fit
 
 K, M, U = 21, 32, 4
 
@@ -252,17 +253,53 @@ class TestSblFit:
         with pytest.raises(ValueError):
             SBLConfig(noise_var_init=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs,named",
+        [
+            ({"gamma_init": float("nan")}, "gamma_init"),
+            ({"gamma_init": float("inf")}, "gamma_init"),
+            ({"noise_var_init": float("nan")}, "noise_var_init"),
+            ({"noise_var_init": float("inf")}, "noise_var_init"),
+            ({"active_set_size": 2.5}, "active_set_size"),
+            ({"iterations": 2.5}, "iterations"),
+            ({"active_set_size": True}, "active_set_size"),
+            ({"iterations": True}, "iterations"),
+            ({"upsampling": True}, "upsampling"),
+        ],
+    )
+    def test_config_rejects_non_finite_and_non_integer(self, kwargs, named):
+        with pytest.raises(ConfigError, match=named):
+            SBLConfig(**kwargs)
 
-def _planted_window(upsampling, n_snapshots, snr_db=None):
+    @pytest.mark.parametrize("iterations", [1, 6])
+    def test_per_pass_trace(self, model, iterations):
+        rng = np.random.default_rng(300)
+        noise = 0.05 * (rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M)))
+        h = _window_from_atoms(model, [(2.0, 12, 3), (1.0j, 50, 20)], noise)
+        result = sbl_fit(h, cfg=SBLConfig(iterations=iterations, active_set_size=4))
+        for trace in (
+            result.noise_var_trace,
+            result.residual_power_trace,
+            result.churn_trace,
+        ):
+            assert trace.shape == (iterations,)
+        assert result.noise_var_trace[-1] == result.noise_var
+        assert result.residual_power_trace[-1] == result.residual_power
+        # every atom of the first pass is new; later passes swap at most all
+        assert result.churn_trace[0] == result.peaks.count == 4
+        assert np.all((result.churn_trace >= 0) & (result.churn_trace <= 4))
+
+
+def _planted_window(upsampling, n_snapshots, snr_db=None, n_tones=K):
     """Three on-grid taps, plus white noise at ``snr_db`` unless it is None."""
-    native = SparseModel(K, n_snapshots, upsampling=upsampling)
+    native = SparseModel(n_tones, n_snapshots, upsampling=upsampling)
     taps = [
         (2.0, 3, 4),
         (1.0j, 5 * upsampling + 1, 4),
-        (0.7 - 0.3j, 9 * upsampling, 27),
+        (0.7 - 0.3j, min(9, n_tones - 2) * upsampling, 27),
     ]
     vec = sum(c * native.column(n, j) for c, n, j in taps)
-    h = vec.reshape(n_snapshots, K).T.copy()
+    h = vec.reshape(n_snapshots, n_tones).T.copy()
     if snr_db is not None:
         rng = np.random.default_rng(upsampling * 100 + n_snapshots)
         nv = np.mean(np.abs(h) ** 2) / 10 ** (snr_db / 10)
@@ -272,10 +309,10 @@ def _planted_window(upsampling, n_snapshots, snr_db=None):
     return h
 
 
-def _peak_indices(result, upsampling, n_snapshots):
+def _peak_indices(result, upsampling, n_snapshots, n_tones=K):
     return [
         (
-            round(p.delay * upsampling * K),
+            round(p.delay * upsampling * n_tones),
             round(p.doppler * n_snapshots) + n_snapshots // 2,
         )
         for p in result.peaks.entries
@@ -300,6 +337,23 @@ class TestDenseOracle:
         assert _peak_indices(result, upsampling, n_snapshots) == selected
         assert result.noise_var == pytest.approx(noise_var, rel=1e-9)
 
+    @pytest.mark.parametrize("n_snapshots", [31, 32])
+    @pytest.mark.parametrize("upsampling", [1, 2, 4])
+    @pytest.mark.parametrize("n_tones", [8, 20])
+    def test_matches_dense_reference_other_tone_counts(
+        self, n_tones, upsampling, n_snapshots
+    ):
+        """Even K, and lag correlations of 15 (= 2K - 1) and 40 points."""
+        h = _planted_window(upsampling, n_snapshots, snr_db=25.0, n_tones=n_tones)
+        cfg = SBLConfig(upsampling=upsampling)
+        surface, selected, noise_var = _reference_fit(h, cfg)
+        result = sbl_fit(h, cfg=cfg)
+        np.testing.assert_allclose(
+            result.gamma.values, surface, rtol=0, atol=1e-9 * surface.max()
+        )
+        assert _peak_indices(result, upsampling, n_snapshots, n_tones) == selected
+        assert result.noise_var == pytest.approx(noise_var, rel=1e-9)
+
     @pytest.mark.parametrize("upsampling,n_snapshots", [(1, 31), (4, 32)])
     def test_noise_free_window_at_floor(self, upsampling, n_snapshots):
         """At the noise floor cond(Sigma) ~ 1e11: the fast path's inverse lag
@@ -320,3 +374,48 @@ class TestDenseOracle:
         np.testing.assert_allclose(
             result.gamma.values, surface, rtol=0, atol=1e-3 * surface.max()
         )
+
+
+def _toeplitz_blocks(rng, n_tones, n_blocks, cond):
+    """Hermitian positive-definite Toeplitz blocks ``A diag(gamma) A^H + s I``.
+
+    ``gamma`` holds ``K/2`` random atoms per block, so ``A diag(gamma) A^H``
+    is singular and ``s`` sets the condition number.
+    """
+    atoms = SparseModel(n_tones, 2, upsampling=4).delay_atoms()
+    gamma = np.zeros((n_blocks, atoms.shape[1]))
+    for m in range(n_blocks):
+        picked = rng.choice(atoms.shape[1], size=n_tones // 2, replace=False)
+        gamma[m, picked] = rng.exponential(size=picked.size)
+    blocks = np.einsum("kn,mn,jn->mkj", atoms, gamma, atoms.conj())
+    loading = np.linalg.eigvalsh(blocks)[:, -1] / cond
+    blocks[:, np.arange(n_tones), np.arange(n_tones)] += loading[:, None]
+    return blocks
+
+
+class TestLevinson:
+    """The batched Levinson recursion against ``np.linalg.solve``."""
+
+    @pytest.mark.parametrize("n_tones", [8, 21])
+    @pytest.mark.parametrize("log_cond", [1, 3, 5, 7, 9, 11])
+    def test_matches_dense_solve(self, n_tones, log_cond):
+        rng = np.random.default_rng(10 * n_tones + log_cond)
+        n_blocks = 48
+        blocks = _toeplitz_blocks(rng, n_tones, n_blocks, 10.0**log_cond)
+        data = rng.standard_normal((n_tones, n_blocks)) + 1j * rng.standard_normal(
+            (n_tones, n_blocks)
+        )
+        first, solution = _levinson(blocks[:, :, 0].T.copy(), data)
+
+        rhs = np.zeros((n_blocks, n_tones, 2), dtype=complex)
+        rhs[:, 0, 0] = 1.0
+        rhs[:, :, 1] = data.T
+        expected = np.linalg.solve(blocks, rhs)
+        # both solvers err by about cond * eps; allow 10 K times that
+        bound = 10 * n_tones * np.linalg.cond(blocks) * np.finfo(float).eps
+        for got, want in (
+            (first.T, expected[:, :, 0]),
+            (solution.T, expected[:, :, 1]),
+        ):
+            error = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+            assert np.all(error <= bound)
