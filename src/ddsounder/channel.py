@@ -40,6 +40,13 @@ _T_EPS = 1e-9
 _KERNEL_ROWS = 256
 
 
+def _require_finite(**values) -> None:
+    """Raise ``ConfigError`` naming the first value with a NaN or infinite entry."""
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass
 class BeamPattern:
     """Gaussian main-lobe horn: gain rolls off 3 dB at half the beamwidth.
@@ -55,6 +62,7 @@ class BeamPattern:
     floor_dbi: float = -20.0
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         if self.beamwidth_3db_deg <= 0:
             raise ConfigError("beamwidth_3db_deg must be positive")
         if self.floor_dbi > self.gain_dbi:
@@ -78,6 +86,7 @@ class PlanarReflector:
     loss_db: float = 6.0
 
     def __post_init__(self):
+        _require_finite(**{k: v for k, v in vars(self).items() if k != "kind"})
         if (self.y is None) == (self.z is None):
             raise ConfigError("exactly one of y and z must define the plane")
         for rng in (self.x_range, self.y_range, self.z_range):
@@ -125,6 +134,8 @@ class ScenarioConfig:
         for name in ("rx_position", "tx_start_position", "tx_velocity"):
             if getattr(self, name).shape != (3,):
                 raise ConfigError(f"{name} must be a 3-vector")
+        lists = ("reflectors", "tx_beams")
+        _require_finite(**{k: v for k, v in vars(self).items() if k not in lists})
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
         if self.standstill_duration <= 0:
@@ -157,37 +168,59 @@ class RayTracks(NamedTuple):
 
 
 def default_scenario(
-    duration: float = 3.2,
-    noise_psd: float = 1e-15,
-    cfo: float = 120.0,
+    *,
+    rx_position=(0.0, 0.0, 5.0),
+    tx_velocity=(14.0, 0.0, 0.0),
+    tx_antenna_height: float = 2.0,
+    canyon_width: float = 20.0,
+    wall_loss_db: float = 6.0,
     truck: bool = True,
     ground: bool = True,
     trigger_distance: float = 41.0,
-    speed: float = 14.0,
+    duration: float = 3.2,
+    standstill_duration: float = 0.02,
+    noise_psd: float = 1e-15,
+    cfo: float = 120.0,
+    rx_gain_dbi: float = -4.0,
+    beam_elevation_deg=(0.0, 15.0),
+    beam_gain_dbi: float = 20.0,
+    beam_width_deg: float = 15.0,
+    beam_floor_dbi: float = -20.0,
 ) -> ScenarioConfig:
     """Street-canyon drive-by: horn beams, walls, street surface, parked truck.
 
-    The car starts where the slant range to the receiver equals the trigger
-    distance (the light-barrier position) and drives in +x below the
-    receiver.  TX antenna height 2 m, RX height 5 m, 20 m wide canyon.  The
-    street reflection departs below the horizon, so the up-tilted beam
-    suppresses it far more than the horizontal beam; the truck's canvas
-    side is modeled lossier than the building walls.
+    The arguments are exactly the ``[scenario]`` INI keys; ``load_scenario``
+    builds its street here too.  The car starts where the slant range to the
+    receiver is the trigger distance (the light barrier), heading along
+    ``tx_velocity``.  One horn per elevation, all with the same gain, width
+    and floor.  The street reflection departs below the horizon, so the
+    up-tilted beam suppresses it far more than the horizontal beam; the
+    truck's canvas side (y = 4 m) is lossier than the building walls.
     """
-    rx = np.array([0.0, 0.0, 5.0])
-    tx_height = 2.0
-    dz = rx[2] - tx_height
-    if trigger_distance <= abs(dz):
+    # every argument but the two flags is numeric
+    _require_finite(**{k: v for k, v in locals().items() if k not in ("truck", "ground")})
+    rx = np.asarray(rx_position, dtype=np.float64)
+    velocity = np.asarray(tx_velocity, dtype=np.float64)
+    if rx.shape != (3,) or velocity.shape != (3,):
+        raise ConfigError("rx_position and tx_velocity must be 3-vectors")
+    dz = rx[2] - tx_antenna_height
+    if not trigger_distance > abs(dz):
         raise ConfigError("trigger_distance shorter than the height offset")
-    x0 = -math.sqrt(trigger_distance**2 - dz**2)
-    half_width = 10.0
+    speed = float(np.linalg.norm(velocity))
+    if not speed > 0:
+        raise ConfigError("tx_velocity must be non-zero")
+    start = rx - velocity / speed * math.sqrt(trigger_distance**2 - dz * dz)
+    start[2] = tx_antenna_height
+    half = canyon_width / 2
     reflectors = [
-        PlanarReflector(kind="wall", y=+half_width, loss_db=6.0),
-        PlanarReflector(kind="wall", y=-half_width, loss_db=6.0),
+        PlanarReflector(kind="wall", y=+half, loss_db=wall_loss_db),
+        PlanarReflector(kind="wall", y=-half, loss_db=wall_loss_db),
     ]
     if ground:
         reflectors.append(PlanarReflector(kind="ground", z=0.0, loss_db=6.0))
     if truck:
+        if not 4.0 < half:
+            raise ConfigError(f"truck plane y = 4.0 lies outside canyon_width {canyon_width}")
         reflectors.append(
             PlanarReflector(
                 kind="truck",
@@ -197,22 +230,29 @@ def default_scenario(
                 loss_db=10.0,
             )
         )
+    beams = [
+        BeamPattern(
+            boresight_elevation_deg=elevation,
+            gain_dbi=beam_gain_dbi,
+            beamwidth_3db_deg=beam_width_deg,
+            floor_dbi=beam_floor_dbi,
+        )
+        for elevation in beam_elevation_deg
+    ]
     return ScenarioConfig(
         rx_position=rx,
-        tx_start_position=np.array([x0, 0.0, tx_height]),
-        tx_velocity=np.array([speed, 0.0, 0.0]),
-        tx_antenna_height=tx_height,
-        canyon_width=2 * half_width,
+        tx_start_position=start,
+        tx_velocity=velocity,
+        tx_antenna_height=tx_antenna_height,
+        canyon_width=canyon_width,
         reflectors=reflectors,
         trigger_distance=trigger_distance,
         duration=duration,
+        standstill_duration=standstill_duration,
         noise_psd=noise_psd,
         cfo=cfo,
-        tx_beams=[
-            BeamPattern(boresight_elevation_deg=0.0),
-            BeamPattern(boresight_elevation_deg=15.0),
-        ],
-        rx_gain_dbi=-4.0,
+        tx_beams=beams,
+        rx_gain_dbi=rx_gain_dbi,
     )
 
 

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import configparser
 import csv
+import dataclasses
 import io as _stdio
 import json
-import math
 import os
 import struct
 
 import numpy as np
 
-from .channel import BeamPattern, PlanarReflector, RayTracks, ScenarioConfig
+from .channel import RayTracks, ScenarioConfig, default_scenario
 from .params import ConfigError, SounderConfig, derive_config
 from .tfanalysis import DelayDopplerGrid, Peak, PeakList
 from .rxproc import TransferFunctionGrid
@@ -55,7 +55,7 @@ class FileFormatError(ValueError):
 
 
 def atomic_write(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a same-directory temp file + rename."""
+    """Write bytes-like ``data`` to ``path`` via a same-directory temp file + rename."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
@@ -69,50 +69,79 @@ def atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-# -- raw I/Q records ---------------------------------------------------------
+# -- binary codec -------------------------------------------------------------
 
-_SIGNAL_MAGIC = b"DDS1"
-_SIGNAL_HEADER = struct.Struct("<4sIdQd")  # magic, seed, rate, length, t0
+# Each header starts with the magic and the seed.
+_HEADERS = {
+    b"DDS1": struct.Struct("<4sIdQd"),  # raw I/Q: rate, length, t0
+    # tone-time grid: snapshots, tones, tx index, reserved, t0, snapshot spacing
+    b"DDG1": struct.Struct("<4sIIIIIdd"),
+    b"DDG2": struct.Struct("<4sIIId"),  # real surface: rows, cols, window start
+}
+
+
+def _write_binary(path: str, kind: bytes, seed: int, fields, arrays) -> None:
+    """Store the ``kind`` header, then each array's raw bytes, from one buffer.
+
+    ``fields`` are the header fields after the magic and the seed; each of
+    ``arrays`` is already in its on-disk dtype and is copied once, into the
+    buffer.
+    """
+    header = _HEADERS[kind]
+    buf = np.empty(header.size + sum(a.nbytes for a in arrays), dtype=np.uint8)
+    header.pack_into(buf, 0, kind, seed & 0xFFFFFFFF, *fields)
+    offset = header.size
+    for a in arrays:
+        buf[offset : offset + a.nbytes].view(a.dtype).reshape(a.shape)[...] = a
+        offset += a.nbytes
+    atomic_write(path, buf)
+
+
+def _read_binary(path: str, kind: bytes, layout) -> tuple[tuple, list[np.ndarray]]:
+    """Read a ``kind`` file: its header fields after the magic, then its arrays.
+
+    ``layout(*fields)`` gives the ``(dtype, shape)`` of each array.  The
+    payload size is checked against the header before anything is allocated,
+    so a corrupt header cannot ask for more memory than the file could fill;
+    each array is then read straight into place.
+    """
+    header = _HEADERS[kind]
+    with open(path, "rb") as fh:
+        blob = fh.read(header.size)
+        if len(blob) < header.size:
+            raise FileFormatError(f"{path}: truncated header")
+        magic, *fields = header.unpack(blob)
+        if magic != kind:
+            raise FileFormatError(f"{path}: bad magic {magic!r}, expected {kind!r}")
+        shapes = layout(*fields)
+        # object dtype keeps the products in exact Python integers
+        promised = sum(
+            np.dtype(dtype).itemsize * np.prod(shape, dtype=object)
+            for dtype, shape in shapes
+        )
+        payload = os.fstat(fh.fileno()).st_size - header.size
+        if payload != promised:
+            raise FileFormatError(
+                f"{path}: payload size is {payload} bytes, header promises {promised}"
+            )
+        arrays = [np.empty(shape, dtype) for dtype, shape in shapes]
+        if sum(fh.readinto(a) for a in arrays) != payload:
+            raise FileFormatError(f"{path}: file shrank while being read")
+    return tuple(fields), arrays
 
 
 def write_signal(path: str, signal: SampledSignal, seed: int) -> None:
     """Store a complex baseband record (32-byte header + complex128 I/Q)."""
-    header = _SIGNAL_HEADER.pack(
-        _SIGNAL_MAGIC,
-        seed & 0xFFFFFFFF,
-        float(signal.sample_rate),
-        signal.samples.size,
-        float(signal.t0),
-    )
-    atomic_write(path, header + np.asarray(signal.samples, dtype="<c16").tobytes())
+    samples = np.asarray(signal.samples, dtype="<c16")
+    fields = (float(signal.sample_rate), samples.size, float(signal.t0))
+    _write_binary(path, b"DDS1", seed, fields, [samples])
 
 
 def read_signal(path: str) -> tuple[SampledSignal, int]:
-    with open(path, "rb") as fh:
-        header = fh.read(_SIGNAL_HEADER.size)
-        if len(header) < _SIGNAL_HEADER.size:
-            raise FileFormatError(f"{path}: truncated header")
-        magic, seed, rate, length, t0 = _SIGNAL_HEADER.unpack(header)
-        if magic != _SIGNAL_MAGIC:
-            raise FileFormatError(f"{path}: bad magic {magic!r}, expected {_SIGNAL_MAGIC!r}")
-        # size check before the allocation: a corrupt length must not ask
-        # for more memory than the file could fill
-        payload = os.fstat(fh.fileno()).st_size - _SIGNAL_HEADER.size
-        if payload != 16 * length:
-            raise FileFormatError(
-                f"{path}: payload is {payload} bytes, header promises {16 * length}"
-            )
-        samples = np.empty(length, dtype="<c16")
-        if fh.readinto(samples) != payload:
-            raise FileFormatError(f"{path}: file shrank while being read")
+    (seed, rate, _, t0), (samples,) = _read_binary(
+        path, b"DDS1", lambda seed, rate, length, t0: [("<c16", (length,))]
+    )
     return SampledSignal(samples=samples, sample_rate=rate, t0=t0), int(seed)
-
-
-# -- tone-time channel grids -------------------------------------------------
-
-_GRID_MAGIC = b"DDG1"
-# magic, seed, snapshots, tones, tx index, reserved, t0, snapshot spacing
-_GRID_HEADER = struct.Struct("<4sIIIIIdd")
 
 
 def write_grid(path: str, grid: TransferFunctionGrid, seed: int) -> None:
@@ -123,99 +152,53 @@ def write_grid(path: str, grid: TransferFunctionGrid, seed: int) -> None:
     """
     times = grid.snapshot_times
     spacing = float(times[1] - times[0]) if times.size > 1 else 0.0
-    header = _GRID_HEADER.pack(
-        _GRID_MAGIC,
-        seed & 0xFFFFFFFF,
-        grid.values.shape[0],
-        grid.values.shape[1],
-        grid.tx_index,
-        0,
-        float(times[0]),
-        spacing,
-    )
-    body = (
-        np.asarray(grid.tone_frequencies, dtype="<f8").tobytes()
-        + np.asarray(grid.values, dtype="<c16").tobytes()
-    )
-    atomic_write(path, header + body)
+    values = np.asarray(grid.values, dtype="<c16")
+    fields = (*values.shape, grid.tx_index, 0, float(times[0]), spacing)
+    freqs = np.asarray(grid.tone_frequencies, dtype="<f8")
+    _write_binary(path, b"DDG1", seed, fields, [freqs, values])
 
 
 def read_grid(path: str) -> tuple[TransferFunctionGrid, int]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _GRID_HEADER.size:
-        raise FileFormatError(f"{path}: truncated header")
-    magic, seed, n_snap, n_tone, tx_index, _, t0, spacing = _GRID_HEADER.unpack_from(
-        blob
+    (seed, n_snap, _, tx_index, _, t0, spacing), (freqs, values) = _read_binary(
+        path,
+        b"DDG1",
+        lambda seed, n_snap, n_tone, *_: [("<f8", (n_tone,)), ("<c16", (n_snap, n_tone))],
     )
-    if magic != _GRID_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}, expected {_GRID_MAGIC!r}")
-    expected = _GRID_HEADER.size + 8 * n_tone + 16 * n_snap * n_tone
-    if len(blob) != expected:
-        raise FileFormatError(f"{path}: size {len(blob)}, expected {expected}")
-    offset = _GRID_HEADER.size
-    freqs = np.frombuffer(blob, dtype="<f8", count=n_tone, offset=offset).copy()
-    offset += 8 * n_tone
-    values = np.frombuffer(blob, dtype="<c16", offset=offset).reshape(n_snap, n_tone)
     grid = TransferFunctionGrid(
         tx_index=int(tx_index),
-        values=values.copy(),
+        values=values,
         snapshot_times=t0 + spacing * np.arange(n_snap),
         tone_frequencies=freqs,
     )
     return grid, int(seed)
 
 
-# -- real-valued delay-Doppler surfaces --------------------------------------
-
-_SURFACE_MAGIC = b"DDG2"
-_SURFACE_HEADER = struct.Struct("<4sIIId")  # magic, seed, rows, cols, window start
-
-
 def write_surface(path: str, grid: DelayDopplerGrid, seed: int) -> None:
     """Store a real surface with its delay and Doppler axes."""
-    values = np.asarray(grid.values)
-    if np.iscomplexobj(values):
+    if np.iscomplexobj(grid.values):
         raise ValueError("surfaces are real-valued; store grids as DDG1 instead")
-    header = _SURFACE_HEADER.pack(
-        _SURFACE_MAGIC,
-        seed & 0xFFFFFFFF,
-        values.shape[0],
-        values.shape[1],
-        float(grid.window_start_time),
-    )
-    body = (
-        np.asarray(grid.delay_axis, dtype="<f8").tobytes()
-        + np.asarray(grid.doppler_axis, dtype="<f8").tobytes()
-        + np.asarray(values, dtype="<f8").tobytes()
-    )
-    atomic_write(path, header + body)
+    values = np.asarray(grid.values, dtype="<f8")
+    arrays = [
+        np.asarray(grid.delay_axis, dtype="<f8"),
+        np.asarray(grid.doppler_axis, dtype="<f8"),
+        values,
+    ]
+    fields = (*values.shape, float(grid.window_start_time))
+    _write_binary(path, b"DDG2", seed, fields, arrays)
 
 
 def read_surface(path: str) -> tuple[DelayDopplerGrid, int]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _SURFACE_HEADER.size:
-        raise FileFormatError(f"{path}: truncated header")
-    magic, seed, rows, cols, start = _SURFACE_HEADER.unpack_from(blob)
-    if magic != _SURFACE_MAGIC:
-        raise FileFormatError(
-            f"{path}: bad magic {magic!r}, expected {_SURFACE_MAGIC!r}"
-        )
-    expected = _SURFACE_HEADER.size + 8 * (rows + cols + rows * cols)
-    if len(blob) != expected:
-        raise FileFormatError(f"{path}: size {len(blob)}, expected {expected}")
-    offset = _SURFACE_HEADER.size
-    delay = np.frombuffer(blob, dtype="<f8", count=rows, offset=offset).copy()
-    offset += 8 * rows
-    doppler = np.frombuffer(blob, dtype="<f8", count=cols, offset=offset).copy()
-    offset += 8 * cols
-    values = np.frombuffer(blob, dtype="<f8", offset=offset).reshape(rows, cols)
+    (seed, _, _, start), (delay, doppler, values) = _read_binary(
+        path,
+        b"DDG2",
+        lambda seed, rows, cols, start: [
+            ("<f8", (rows,)),
+            ("<f8", (cols,)),
+            ("<f8", (rows, cols)),
+        ],
+    )
     grid = DelayDopplerGrid(
-        values=values.copy(),
-        delay_axis=delay,
-        doppler_axis=doppler,
-        window_start_time=start,
+        values=values, delay_axis=delay, doppler_axis=doppler, window_start_time=start
     )
     return grid, int(seed)
 
@@ -224,7 +207,9 @@ def read_surface(path: str) -> tuple[DelayDopplerGrid, int]:
 
 
 def _format_float(x: float) -> str:
-    return f"{x:.12g}"
+    """``%.12g`` where that text reads back as ``x``, else the shortest exact text."""
+    text = f"{x:.12g}"
+    return text if float(text) == x else repr(float(x))
 
 
 def _write_rows(path, header, row_format, columns) -> None:
@@ -438,122 +423,70 @@ def load_sounder_config(path: str) -> SounderConfig:
 
 
 def save_sounder_config(path: str, cfg: SounderConfig) -> None:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    parser["sounder"] = {
-        "center_frequency": _format_float(cfg.center_frequency),
-        "bandwidth": _format_float(cfg.bandwidth),
-        "tone_count": str(cfg.tone_count),
-        "tx_count": str(cfg.tx_count),
-        "grid_ratio": str(cfg.grid_ratio),
-        "averaging_count": str(cfg.averaging_count),
-        "max_speed": _format_float(cfg.max_speed),
-        "max_doppler": _format_float(cfg.max_doppler),
-        "recording_time": _format_float(cfg.recording_time),
-        "sample_rate": _format_float(cfg.sample_rate),
-    }
-    buf = _stdio.StringIO()
-    parser.write(buf)
-    atomic_write(path, buf.getvalue().encode("ascii"))
+    _write_ini(path, "sounder", {key: getattr(cfg, key) for key in _SOUNDER_KEYS})
+
+
+def _street(path: str, values: dict) -> ScenarioConfig:
+    """:func:`~ddsounder.channel.default_scenario`, whose arguments are the
+    [scenario] keys, with ``path`` named in its errors."""
+    try:
+        return default_scenario(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    """Read the [scenario] section into a drive-by scenario.
-
-    The start position is derived from the trigger distance (the vehicle
-    starts on the light barrier, approaching in the direction it travels).
-    """
-    parser = _read_ini(path)
-    v = _section_values(parser, path, "scenario", _SCENARIO_KEYS)
-    rx = v["rx_position"]
-    dz = rx[2] - v["tx_antenna_height"]
-    if v["trigger_distance"] <= abs(dz):
-        raise ConfigError(f"{path}: trigger_distance shorter than the height offset")
-    ground = math.sqrt(v["trigger_distance"] ** 2 - dz * dz)
-    speed = float(np.linalg.norm(v["tx_velocity"]))
-    if speed <= 0:
-        raise ConfigError(f"{path}: tx_velocity must be non-zero")
-    start = rx - v["tx_velocity"] / speed * ground
-    start[2] = v["tx_antenna_height"]
-    half = v["canyon_width"] / 2
-    reflectors = [
-        PlanarReflector(kind="wall", y=+half, loss_db=v["wall_loss_db"]),
-        PlanarReflector(kind="wall", y=-half, loss_db=v["wall_loss_db"]),
-    ]
-    if v["ground"]:
-        reflectors.append(PlanarReflector(kind="ground", z=0.0, loss_db=6.0))
-    if v["truck"]:
-        truck_y = 4.0
-        if not truck_y < half:
-            raise ConfigError(
-                f"{path}: truck plane y = {truck_y} lies outside canyon_width {half * 2}"
-            )
-        reflectors.append(
-            PlanarReflector(
-                kind="truck",
-                y=truck_y,
-                x_range=(-30.0, -10.0),
-                z_range=(0.0, 4.5),
-                loss_db=10.0,
-            )
-        )
-    beams = [
-        BeamPattern(
-            boresight_elevation_deg=elev,
-            gain_dbi=v["beam_gain_dbi"],
-            beamwidth_3db_deg=v["beam_width_deg"],
-            floor_dbi=v["beam_floor_dbi"],
-        )
-        for elev in v["beam_elevation_deg"]
-    ]
-    return ScenarioConfig(
-        rx_position=rx,
-        tx_start_position=start,
-        tx_velocity=v["tx_velocity"],
-        tx_antenna_height=v["tx_antenna_height"],
-        canyon_width=v["canyon_width"],
-        reflectors=reflectors,
-        trigger_distance=v["trigger_distance"],
-        duration=v["duration"],
-        standstill_duration=v["standstill_duration"],
-        noise_psd=v["noise_psd"],
-        cfo=v["cfo"],
-        tx_beams=beams,
-        rx_gain_dbi=v["rx_gain_dbi"],
-    )
+    """Read the [scenario] section and build its street."""
+    return _street(path, _section_values(_read_ini(path), path, "scenario", _SCENARIO_KEYS))
 
 
-def save_scenario(path: str, scenario: ScenarioConfig) -> None:
-    """Write the drive-by parameter set; geometry details are re-derived on load."""
-    walls = [r for r in scenario.reflectors if r.kind == "wall"]
-    wall_loss = walls[0].loss_db if walls else 6.0
-    has_truck = any(r.kind == "truck" for r in scenario.reflectors)
-    has_ground = any(r.kind == "ground" for r in scenario.reflectors)
-    beams = scenario.tx_beams or [BeamPattern()]
-    lead = beams[0]
+def _ini_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if np.ndim(value):
+        return ", ".join(_format_float(x) for x in value)
+    return _format_float(value)
+
+
+def _write_ini(path: str, section: str, values: dict) -> None:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    parser["scenario"] = {
-        "rx_position": ", ".join(_format_float(x) for x in scenario.rx_position),
-        "tx_velocity": ", ".join(_format_float(x) for x in scenario.tx_velocity),
-        "tx_antenna_height": _format_float(scenario.tx_antenna_height),
-        "canyon_width": _format_float(scenario.canyon_width),
-        "wall_loss_db": _format_float(wall_loss),
-        "truck": "true" if has_truck else "false",
-        "ground": "true" if has_ground else "false",
-        "trigger_distance": _format_float(scenario.trigger_distance),
-        "duration": _format_float(scenario.duration),
-        "standstill_duration": _format_float(scenario.standstill_duration),
-        "noise_psd": _format_float(scenario.noise_psd),
-        "cfo": _format_float(scenario.cfo),
-        "rx_gain_dbi": _format_float(scenario.rx_gain_dbi),
-        "beam_elevation_deg": ", ".join(
-            _format_float(b.boresight_elevation_deg) for b in beams
-        ),
-        "beam_gain_dbi": _format_float(lead.gain_dbi),
-        "beam_width_deg": _format_float(lead.beamwidth_3db_deg),
-        "beam_floor_dbi": _format_float(lead.floor_dbi),
-    }
+    parser[section] = {key: _ini_value(value) for key, value in values.items()}
     buf = _stdio.StringIO()
     parser.write(buf)
     atomic_write(path, buf.getvalue().encode("ascii"))
+
+
+def save_scenario(path: str, scenario: ScenarioConfig) -> None:
+    """Write the [scenario] keys that rebuild ``scenario`` exactly.
+
+    The street is rebuilt from the keys before anything is written; a
+    scenario they cannot reproduce field for field raises ``ConfigError``
+    naming the first field that differs.
+    """
+    if not scenario.tx_beams:
+        raise ConfigError(f"{path}: tx_beams is empty; a scenario INI holds at least one beam")
+    lead = scenario.tx_beams[0]
+    kinds = [r.kind for r in scenario.reflectors]
+    walls = [r.loss_db for r in scenario.reflectors if r.kind == "wall"]
+    derived = {
+        # with no walls, no loss rebuilds the street: the comparison refuses it
+        "wall_loss_db": walls[0] if walls else 0.0,
+        "truck": "truck" in kinds,
+        "ground": "ground" in kinds,
+        "beam_elevation_deg": [b.boresight_elevation_deg for b in scenario.tx_beams],
+        "beam_gain_dbi": lead.gain_dbi,
+        "beam_width_deg": lead.beamwidth_3db_deg,
+        "beam_floor_dbi": lead.floor_dbi,
+    }
+    values = {k: derived[k] if k in derived else getattr(scenario, k) for k in _SCENARIO_KEYS}
+    rebuilt = _street(path, values)
+    for f in dataclasses.fields(scenario):
+        mine, theirs = getattr(scenario, f.name), getattr(rebuilt, f.name)
+        same = np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+        if not same:
+            raise ConfigError(
+                f"{path}: the [scenario] keys cannot hold this scenario's {f.name}; "
+                "it would load back differently"
+            )
+    _write_ini(path, "scenario", values)

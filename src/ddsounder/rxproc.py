@@ -20,10 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.optimize import minimize_scalar
 
-from .channel import ScenarioConfig
 from .params import ConfigError, SounderConfig
 from .waveform import SampledSignal, TonePlan, tone_plan
 
@@ -33,7 +31,6 @@ __all__ = [
     "estimate_cfo",
     "coherent_average",
     "demultiplex",
-    "align_los_delay",
     "noise_power_estimate",
     "snr_per_tx",
 ]
@@ -300,28 +297,6 @@ def demultiplex(
         values=values,
         snapshot_times=times,
         tone_frequencies=plan.tone_frequencies.copy(),
-    )
-
-
-def align_los_delay(
-    grid: TransferFunctionGrid, scenario: ScenarioConfig
-) -> TransferFunctionGrid:
-    """Advance all delays by the trigger-time LOS delay (linear phase).
-
-    The LOS distance at the trigger is known (light-barrier geometry), so
-    the LOS component lands at delay zero without touching magnitudes.
-    """
-    distance = float(
-        np.linalg.norm(scenario.tx_start_position - scenario.rx_position)
-    )
-    delay = distance / SPEED_OF_LIGHT
-    ramp = np.exp(2j * np.pi * grid.tone_frequencies * delay)
-    return TransferFunctionGrid(
-        tx_index=grid.tx_index,
-        values=grid.values * ramp[None, :],
-        snapshot_times=grid.snapshot_times.copy(),
-        tone_frequencies=grid.tone_frequencies.copy(),
-        snr_db=None if grid.snr_db is None else grid.snr_db.copy(),
     )
 
 

@@ -110,16 +110,6 @@ class SparseModel:
         z = np.fft.ifft(coeffs, axis=1) * np.sqrt(self.window_length)
         return np.fft.fft(z, axis=0)[: self.tone_count] / np.sqrt(self.tone_count)
 
-    def adjoint(self, window: np.ndarray) -> np.ndarray:
-        """Apply the conjugate-transposed dictionary to a ``(K, M)`` window."""
-        window = np.asarray(window, dtype=np.complex128)
-        if window.shape != (self.tone_count, self.window_length):
-            raise ValueError("window has the wrong shape")
-        spec = np.fft.fft(window, axis=1) / np.sqrt(self.window_length)
-        padded = np.zeros((self.delay_bins, self.window_length), dtype=np.complex128)
-        padded[: self.tone_count] = spec
-        return np.fft.ifft(padded, axis=0) * self.delay_bins / np.sqrt(self.tone_count)
-
 
 @dataclass
 class SBLConfig:

@@ -206,6 +206,11 @@ class TestGeometry:
         with pytest.raises(ConfigError):
             default_scenario(trigger_distance=2.0)
 
+    @pytest.mark.parametrize("key", ["rx_position", "tx_velocity"])
+    def test_builder_vectors_have_three_entries(self, key):
+        with pytest.raises(ConfigError, match="3-vectors"):
+            default_scenario(**{key: (0.0, 5.0)})
+
     def test_reflector_census(self):
         kinds = [r.kind for r in default_scenario().reflectors]
         assert kinds.count("wall") == 2

@@ -296,3 +296,29 @@ class TestExitCodes:
             fh.write("mystery = 1\n")
         assert main(["simulate", "--config", cfg_path, "--scenario", scn_path,
                      "--seed", "1", "--out-dir", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "rx_position", "tx_velocity", "tx_antenna_height", "canyon_width",
+            "wall_loss_db", "trigger_distance", "duration", "standstill_duration",
+            "noise_psd", "cfo", "rx_gain_dbi", "beam_elevation_deg",
+            "beam_gain_dbi", "beam_width_deg", "beam_floor_dbi",
+        ],
+    )
+    def test_non_finite_scenario_value_is_validation_error(
+        self, tmp_path, capsys, key, value
+    ):
+        """A NaN or infinite entry in any numeric key fails before simulate."""
+        cfg_path, scn_path = _mini_configs(str(tmp_path))
+        lines = open(scn_path).read().splitlines(keepends=True)
+        (index,) = [i for i, line in enumerate(lines) if line.startswith(f"{key} = ")]
+        entries = lines[index].split(" = ")[1].strip().split(", ")
+        lines[index] = f"{key} = {', '.join([value] + entries[1:])}\n"
+        open(scn_path, "w").writelines(lines)
+        out = tmp_path / "x"
+        assert main(["run-all", "--config", cfg_path, "--scenario", scn_path,
+                     "--seed", "1", "--out-dir", str(out)]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()

@@ -5,6 +5,7 @@ line, for text formats) rather than propagating a numpy or parser error.
 """
 
 import dataclasses
+import inspect
 import struct
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from ddsounder.channel import RayTracks, default_scenario
 from ddsounder.io import (
+    _SCENARIO_KEYS,
     FileFormatError,
     atomic_write,
     load_scenario,
@@ -102,18 +104,31 @@ class TestSignalFormat:
         with pytest.raises(FileFormatError, match="truncated"):
             read_signal(path)
 
-    def test_huge_length_rejected_before_allocation(self, tmp_path, monkeypatch):
-        """A header promising 2^40 samples on a 64-byte file allocates nothing."""
-        path = str(tmp_path / "huge.dds1")
-        header = struct.pack("<4sIdQd", b"DDS1", 0, 1.25e6, 1 << 40, 0.0)
+    @pytest.mark.parametrize(
+        "read,header",
+        [
+            (read_signal, struct.pack("<4sIdQd", b"DDS1", 0, 1.25e6, 1 << 40, 0.0)),
+            (
+                read_grid,
+                struct.pack("<4sIIIIIdd", b"DDG1", 0, 1 << 31, 1 << 31, 0, 0, 0.0, 1.0),
+            ),
+            (read_surface, struct.pack("<4sIIId", b"DDG2", 0, 1 << 31, 1 << 31, 0.0)),
+        ],
+        ids=["DDS1", "DDG1", "DDG2"],
+    )
+    def test_huge_length_rejected_before_allocation(
+        self, tmp_path, monkeypatch, read, header
+    ):
+        """A header promising terabytes on a 64-byte file allocates nothing."""
+        path = str(tmp_path / "huge.bin")
         open(path, "wb").write(header + b"\x00" * (64 - len(header)))
 
         def no_allocation(*args, **kwargs):
-            raise AssertionError("read_signal allocated before checking the size")
+            raise AssertionError("reader allocated before checking the size")
 
         monkeypatch.setattr(np, "empty", no_allocation)
         with pytest.raises(FileFormatError, match="header promises"):
-            read_signal(path)
+            read(path)
 
 
 class TestGridFormat:
@@ -322,8 +337,13 @@ class TestPeaksJson:
 class TestSounderConfigIni:
     def test_round_trip(self, tmp_path, narrowband):
         path = str(tmp_path / "config.ini")
-        save_sounder_config(path, narrowband)
-        assert load_sounder_config(path) == narrowband
+        # neither float survives %.12g; both must reload exactly
+        odd = dataclasses.replace(
+            narrowband, max_speed=13.888888888888889, center_frequency=60.123456789012345e9
+        )
+        for cfg in (narrowband, odd):
+            save_sounder_config(path, cfg)
+            assert load_sounder_config(path) == cfg
 
     def test_unknown_key_named(self, tmp_path):
         path = str(tmp_path / "config.ini")
@@ -362,19 +382,37 @@ class TestSounderConfigIni:
             load_sounder_config(path)
 
 
+def _assert_same_scenario(actual, expected):
+    for f in dataclasses.fields(expected):
+        a, b = getattr(actual, f.name), getattr(expected, f.name)
+        if isinstance(b, np.ndarray):
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        else:
+            assert a == b, f.name
+
+
 class TestScenarioIni:
     def test_round_trip(self, tmp_path):
+        """Every field reloads exactly, over the builder's settings."""
         path = str(tmp_path / "scenario.ini")
-        scn = default_scenario()
-        save_scenario(path, scn)
-        back = load_scenario(path)
-        np.testing.assert_allclose(back.rx_position, scn.rx_position)
-        np.testing.assert_allclose(back.tx_start_position, scn.tx_start_position)
-        np.testing.assert_allclose(back.tx_velocity, scn.tx_velocity)
-        assert back.cfo == scn.cfo
-        assert back.noise_psd == scn.noise_psd
-        assert [r.kind for r in back.reflectors] == [r.kind for r in scn.reflectors]
-        assert [b.boresight_elevation_deg for b in back.tx_beams] == [0.0, 15.0]
+        for settings in (
+            {},
+            {"truck": False, "ground": False},
+            {"truck": False, "canyon_width": 6.0},
+            {"tx_velocity": (10.0, 6.0, 0.0)},
+            {"beam_elevation_deg": (0.0, 7.5, 15.0)},
+            # neither float survives %.12g
+            {
+                "tx_velocity": (13.888888888888889, 0.0, 0.0),
+                "trigger_distance": 60.123456789012345,
+            },
+        ):
+            scn = default_scenario(**settings)
+            save_scenario(path, scn)
+            _assert_same_scenario(load_scenario(path), scn)
+
+    def test_keys_are_the_builder_arguments(self):
+        assert set(_SCENARIO_KEYS) == set(inspect.signature(default_scenario).parameters)
 
     def test_flags_control_reflectors(self, tmp_path):
         path = str(tmp_path / "scenario.ini")
@@ -384,11 +422,33 @@ class TestScenarioIni:
 
     def test_truck_outside_narrow_canyon_rejected(self, tmp_path):
         path = str(tmp_path / "scenario.ini")
-        save_scenario(path, dataclasses.replace(default_scenario(), canyon_width=6.0))
+        save_scenario(path, default_scenario())
+        text = open(path).read()
+        assert "canyon_width = 20\n" in text
+        open(path, "w").write(text.replace("canyon_width = 20\n", "canyon_width = 6\n"))
         with pytest.raises(ConfigError, match="canyon_width"):
             load_scenario(path)
-        save_scenario(path, dataclasses.replace(default_scenario(truck=False), canyon_width=6.0))
+        save_scenario(path, default_scenario(truck=False, canyon_width=6.0))
         assert [r.y for r in load_scenario(path).reflectors if r.kind == "wall"] == [3.0, -3.0]
+
+    def test_save_refuses_what_the_ini_cannot_hold(self, tmp_path):
+        """Each edit would load back differently; the error names the field."""
+        path = tmp_path / "scenario.ini"
+        scn = default_scenario()
+        quieter = [scn.tx_beams[0], dataclasses.replace(scn.tx_beams[1], gain_dbi=10.0)]
+        ground_3db = [
+            dataclasses.replace(r, loss_db=3.0) if r.kind == "ground" else r
+            for r in scn.reflectors
+        ]
+        for field, value in (
+            ("reflectors", []),
+            ("tx_beams", quieter),
+            ("tx_start_position", scn.tx_start_position + [1.0, 0.0, 0.0]),
+            ("reflectors", ground_3db),
+        ):
+            with pytest.raises(ConfigError, match=field):
+                save_scenario(str(path), dataclasses.replace(scn, **{field: value}))
+            assert not path.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = str(tmp_path / "scenario.ini")

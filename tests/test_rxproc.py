@@ -19,7 +19,6 @@ from ddsounder.rxproc import (
     NoSignalError,
     TransferFunctionGrid,
     _tone_bins,
-    align_los_delay,
     coherent_average,
     demultiplex,
     estimate_cfo,
@@ -305,24 +304,6 @@ class TestNoisePath:
         )
         with pytest.raises(ValueError):
             snr_per_tx(grid, 0.0)
-
-
-class TestAlignLosDelay:
-    def test_linear_phase_only(self, narrowband, nb_plans):
-        scn = default_scenario()
-        rng = np.random.default_rng(41)
-        values = rng.standard_normal((3, 21)) + 1j * rng.standard_normal((3, 21))
-        grid = TransferFunctionGrid(
-            tx_index=0,
-            values=values,
-            snapshot_times=np.arange(3) * narrowband.snapshot_time,
-            tone_frequencies=nb_plans[0].tone_frequencies,
-        )
-        aligned = align_los_delay(grid, scn)
-        np.testing.assert_allclose(np.abs(aligned.values), np.abs(values))
-        delay = 41.0 / 299792458.0
-        ramp = np.exp(2j * np.pi * grid.tone_frequencies * delay)
-        np.testing.assert_allclose(aligned.values, values * ramp[None, :])
 
 
 class TestGridValidation:
