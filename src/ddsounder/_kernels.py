@@ -1,16 +1,16 @@
-"""Multipath synthesis kernel: each TX period of a path from the period's spectrum.
+"""Multipath synthesis kernel: each path's copy of a period as its exact tone sum.
 
-Over the ``L`` samples ``r`` of one period starting at sample ``n``, a path
-with gain ``g`` has the delay ``tau + dtau r / fs``.  With the period's DFT
-``c = fft(period) / L`` on the signed bins ``b`` and the phase-ramped
-spectrum ``a_b = c_b exp(j 2 pi b (n - tau fs) / L)``, its copy of the period
-is ``g exp(-j 2 pi fc (tau + dtau r / fs))`` times the drift series
-``sum_m (-j 2 pi dtau r / L)^m / m! * L ifft(b^m a)[r]``.  For a multitone
-period whose tones lie strictly inside the Nyquist band this is exactly the
-tone sum that generated it.  The series argument is at most
-``x = pi L max|dtau|`` (about 1.5e-5 at 14 m/s and ``L = 105``), and terms
-are kept until ``x^M / M! e^x``, which bounds the remainder relative to
-``sum |c_b|``, drops below 1e-15.
+A period of ``L`` samples is the tone sum ``sum_b c_b exp(j 2 pi b n / L)``
+with ``c = fft(period) / L`` on the signed bins ``b``.  Over the block
+starting at sample ``s``, a path with gain ``g`` has the delay
+``tau0 + dtau u / fs`` at sample ``s + u``, so its copy of the period is
+again a tone sum: term ``b`` starts at ``g c_b exp(j 2 pi (b (s mod L) / L -
+(f_b + fc) tau0))`` and advances by ``w_b = 2 pi (f_b (1 - dtau) - fc dtau)
+/ fs`` per sample, with ``f_b = b fs / L``.  Splitting ``u = a m + r`` with
+``m = isqrt(block)`` makes one block the product of the (a, term) matrix of
+start terms times ``exp(j w_b m a)`` and the (term, r) matrix of
+``exp(j w_b r)``.  Bins at round-off of the largest are dropped, so a tone
+comb costs one term per (path, tone).
 """
 
 from __future__ import annotations
@@ -65,31 +65,41 @@ def synthesize_paths(
     periods = np.asarray(periods, dtype=np.complex128)
     if periods.ndim != 2:
         raise ValueError("periods must be a 2-D array of per-waveform periods")
+    if not np.all(np.isfinite(dtau)):
+        raise ValueError("delay slopes must be finite")
     length = periods.shape[1]
     n_blocks = gains.shape[1]
-    x_max = math.pi * length * np.abs(dtau).max(initial=0.0)
-    if not math.isfinite(x_max):
-        raise ValueError("delay slopes must be finite")
-    terms, bound = 1, x_max * math.exp(x_max)
-    while bound >= 1e-15:
-        terms += 1
-        bound *= x_max / terms
 
-    # one row per (path, block, period): its delay and spectrum at its first sample
-    first = np.arange(0, block_length, length)
-    tau = tau0[..., None] + dtau[..., None] * (first / sample_rate)
-    offset = (first_sample + np.arange(n_blocks)[:, None] * block_length + first) % length
-    bins = np.fft.fftfreq(length, 1.0 / length)
-    ramp = np.multiply.outer(offset - tau * sample_rate, (2j * np.pi / length) * bins)
-    spectrum = np.fft.fft(periods)[wf_index][:, None, None, :] * np.exp(ramp)
+    # one term per (path, kept bin): rows are blocks, columns are terms
+    spectrum = np.fft.fft(periods) / length
+    magnitude = np.abs(spectrum)
+    # bins below 1e-12 of a period's largest are FFT round-off
+    kept = magnitude > 1e-12 * magnitude.max(axis=1, keepdims=True)
+    path, bin_index = np.nonzero(kept[wf_index])
+    bins = np.fft.fftfreq(length, 1.0 / length).astype(np.int64)[bin_index]
+    freq = bins * (sample_rate / length)
+    tau, slope = tau0[path].T, dtau[path].T
+    starts = (first_sample + np.arange(n_blocks) * block_length) % length
+    # whole carrier cycles of the delay drop out before they cost precision
+    carrier = carrier_frequency * tau
+    cycles = np.multiply.outer(starts, bins) % length / length
+    cycles -= freq * tau + (carrier - np.round(carrier))
+    start = gains[path].T * spectrum[wf_index[path], bin_index] * np.exp(2j * np.pi * cycles)
+    rate = freq * (1.0 - slope) - carrier_frequency * slope  # Hz, in the block
+    step = np.exp((2j * np.pi / sample_rate) * rate)
 
-    # the drift series by Horner's rule in m
-    r = np.arange(length)
-    drift = (-2j * np.pi / length) * dtau[..., None, None] * r
-    rows = np.fft.ifft(bins ** (terms - 1) * spectrum)
-    for m in range(terms - 2, -1, -1):
-        rows *= drift / (m + 1)
-        rows += np.fft.ifft(bins**m * spectrum)
-    tau_r = tau[..., None] + dtau[..., None, None] * (r / sample_rate)
-    rows *= gains[..., None, None] * np.exp(-2j * np.pi * carrier_frequency * tau_r)
-    return rows.sum(axis=0).reshape(n_blocks, -1)[:, :block_length].reshape(-1)[:n_samples]
+    # u = a m + r: (B, a, term) start terms times step**(a m), (B, r, term) step**r
+    m = math.isqrt(block_length)
+    tail = _powers(step, m)
+    head = _powers(tail[:, -1] * step, -(-block_length // m))
+    head *= start[:, None]
+    out = np.matmul(head, tail.swapaxes(1, 2)).reshape(n_blocks, -1)
+    return out[:, :block_length].reshape(-1)[:n_samples]
+
+
+def _powers(base: np.ndarray, count: int) -> np.ndarray:
+    """``base ** arange(count)`` along a new axis 1 of a (B, T) array."""
+    out = np.empty((base.shape[0], count, base.shape[1]), dtype=np.complex128)
+    out[:, 0] = 1.0
+    out[:, 1:] = base[:, None]
+    return np.cumprod(out, axis=1, out=out)

@@ -191,11 +191,11 @@ def default_scenario(
 
     The arguments are exactly the ``[scenario]`` INI keys; ``load_scenario``
     builds its street here too.  The car starts where the slant range to the
-    receiver is the trigger distance (the light barrier), heading along
-    ``tx_velocity``.  One horn per elevation, all with the same gain, width
-    and floor.  The street reflection departs below the horizon, so the
-    up-tilted beam suppresses it far more than the horizontal beam; the
-    truck's canvas side (y = 4 m) is lossier than the building walls.
+    receiver is the trigger distance (the light barrier), driving along the
+    horizontal ``tx_velocity``.  One horn per elevation, all with the same
+    gain, width and floor.  The street reflection departs below the horizon,
+    so the up-tilted beam suppresses it far more than the horizontal beam;
+    the truck's canvas side (y = 4 m) is lossier than the building walls.
     """
     # every argument but the two flags is numeric
     _require_finite(**{k: v for k, v in locals().items() if k not in ("truck", "ground")})
@@ -209,6 +209,8 @@ def default_scenario(
     speed = float(np.linalg.norm(velocity))
     if not speed > 0:
         raise ConfigError("tx_velocity must be non-zero")
+    if velocity[2] != 0:
+        raise ConfigError(f"tx_velocity must be horizontal, got {velocity.tolist()}")
     start = rx - velocity / speed * math.sqrt(trigger_distance**2 - dz * dz)
     start[2] = tx_antenna_height
     half = canyon_width / 2
@@ -385,9 +387,9 @@ def apply_channel(
     Every ray of every TX, evaluated at each snapshot block's start,
     contributes a delayed, carrier-phase-rotated copy of that TX's periodic
     waveform (hidden rays with zero gain); inside a block the delay varies
-    linearly at the rate implied by the ray's Doppler.  The kernel runs once
-    per chunk of consecutive blocks.  A CFO rotation and counter-seeded
-    complex white noise are applied on top.
+    linearly at the rate implied by the ray's Doppler.  Each chunk of
+    consecutive blocks is finished in one pass: the kernel's exact tone sum,
+    then counter-seeded complex white noise per block, then the CFO rotation.
 
     Parameters
     ----------
@@ -441,23 +443,19 @@ def apply_channel(
         chunk = slice(first, first + blocks_per_call)
         start = first * block
         stop = min(start + blocks_per_call * block, n_total)
-        out[start:stop] = _kernels.synthesize_paths(
+        rx = out[start:stop]
+        rx[:] = _kernels.synthesize_paths(
             periods, wf_index, gain[chunk].T, delay[chunk].T, dtau[chunk].T,
             stop - start, start, fs, fc, block,
         )
-
-    if scenario.noise_psd > 0:
-        for block_index, start in enumerate(range(0, n_total, block)):
-            stop = min(start + block, n_total)
-            out[start:stop] += _noise_block(
-                seed, block_index, stop - start, scenario.noise_psd * fs
-            )
-
-    if scenario.cfo != 0.0:
-        for start in range(0, n_total, 1 << 20):
-            stop = min(start + (1 << 20), n_total)
-            t = np.arange(start, stop) / fs
-            out[start:stop] *= np.exp(2j * np.pi * scenario.cfo * t)
+        if scenario.noise_psd > 0:
+            for offset in range(0, stop - start, block):
+                piece = rx[offset:offset + block]
+                piece += _noise_block(
+                    seed, first + offset // block, piece.size, scenario.noise_psd * fs
+                )
+        if scenario.cfo != 0.0:
+            rx *= np.exp(2j * np.pi * scenario.cfo * (np.arange(start, stop) / fs))
     return SampledSignal(out, fs, t0=0.0)
 
 

@@ -205,18 +205,18 @@ def _analyze_window(out_dir, cfg, lsf_cfg, sbl_cfg, peak_count, grid, seed, tx, 
     ]
 
 
-def _stage_analyze(
-    out_dir: str,
-    window_length: int,
-    window_limit: int | None,
-    sbl_iterations: int,
-    peak_count: int,
-) -> list[str]:
-    if window_limit is not None and window_limit < 1:
-        raise ConfigError(f"--windows must be at least 1, got {window_limit}")
+def _analysis_configs(cfg, args):
+    """LSF and SBL settings from the analyze flags; ``ConfigError`` names a bad flag."""
+    if args.windows is not None and args.windows < 1:
+        raise ConfigError(f"--windows must be at least 1, got {args.windows}")
+    lsf_cfg = LSFConfig(window_length=args.window_length, tone_count=cfg.tone_count)
+    return lsf_cfg, SBLConfig(iterations=args.sbl_iters, active_set_size=args.peaks)
+
+
+def _stage_analyze(args) -> list[str]:
+    out_dir, window_length, window_limit = args.out_dir, args.window_length, args.windows
     cfg = ddio.load_sounder_config(os.path.join(out_dir, _CONFIG))
-    lsf_cfg = LSFConfig(window_length=window_length, tone_count=cfg.tone_count)
-    sbl_cfg = SBLConfig(iterations=sbl_iterations, active_set_size=peak_count)
+    lsf_cfg, sbl_cfg = _analysis_configs(cfg, args)
     jobs = []
     for tx in range(cfg.tx_count):
         grid, seed = ddio.read_grid(os.path.join(out_dir, f"h_tx{tx}.ddg1"))
@@ -232,7 +232,7 @@ def _stage_analyze(
 
     outputs: list[str] = []
     for job in jobs:
-        outputs += _analyze_window(out_dir, cfg, lsf_cfg, sbl_cfg, peak_count, *job)
+        outputs += _analyze_window(out_dir, cfg, lsf_cfg, sbl_cfg, args.peaks, *job)
     print(f"analyzed {len(jobs)} windows of {window_length} snapshots")
     return outputs
 
@@ -262,14 +262,13 @@ def cmd_process(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _stage_analyze(
-        args.out_dir, args.window_length, args.windows, args.sbl_iters, args.peaks
-    )
+    _stage_analyze(args)
     return 0
 
 
 def cmd_run_all(args) -> int:
     cfg, scenario = _resolve_configs(args)
+    _analysis_configs(cfg, args)  # a bad analyze flag fails before anything is written
     out_dir = args.out_dir
     manifest = RunManifest(
         seed=args.seed,
@@ -297,9 +296,7 @@ def cmd_run_all(args) -> int:
 
     start = time.perf_counter()
     grids = [f"h_tx{tx}.ddg1" for tx in range(cfg.tx_count)]
-    outputs = _stage_analyze(
-        out_dir, args.window_length, args.windows, args.sbl_iters, args.peaks
-    )
+    outputs = _stage_analyze(args)
     finish("analyze", [_CONFIG] + grids, outputs, start)
     print(f"run complete: {out_dir}/{_MANIFEST}")
     return 0

@@ -97,11 +97,6 @@ class PeakList:
         return len(self.entries)
 
 
-def _unitary_dft(n: int) -> np.ndarray:
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-
-
 def _axes(
     n_delay: int,
     n_doppler: int,

@@ -211,6 +211,10 @@ class TestGeometry:
         with pytest.raises(ConfigError, match="3-vectors"):
             default_scenario(**{key: (0.0, 5.0)})
 
+    def test_vertical_velocity_rejected(self):
+        with pytest.raises(ConfigError, match="tx_velocity must be horizontal"):
+            default_scenario(tx_velocity=(14.0, 0.0, 2.0))
+
     def test_reflector_census(self):
         kinds = [r.kind for r in default_scenario().reflectors]
         assert kinds.count("wall") == 2

@@ -31,6 +31,16 @@ def _mini_configs(directory):
     return cfg_path, scn_path
 
 
+# an out-of-range analyze flag and the name its error carries
+_BAD_ANALYZE_FLAGS = [
+    ("--window-length", "4", "window_length"),
+    ("--sbl-iters", "0", "iterations"),
+    ("--peaks", "0", "active_set_size"),
+    ("--windows", "0", "--windows"),
+    ("--windows", "-2", "--windows"),
+]
+
+
 @pytest.fixture(scope="module")
 def mini_run(tmp_path_factory):
     """One completed run-all over the miniature scenario."""
@@ -137,16 +147,7 @@ class TestStages:
         rc = main(["analyze", "--out-dir", mini_run, "--window-length", "100000"])
         assert rc == 1
 
-    @pytest.mark.parametrize(
-        "flag,value,named",
-        [
-            ("--window-length", "4", "window_length"),
-            ("--sbl-iters", "0", "iterations"),
-            ("--peaks", "0", "active_set_size"),
-            ("--windows", "0", "--windows"),
-            ("--windows", "-2", "--windows"),
-        ],
-    )
+    @pytest.mark.parametrize("flag,value,named", _BAD_ANALYZE_FLAGS)
     def test_analyze_flag_out_of_range(self, mini_run, capsys, flag, value, named):
         """A configuration error (exit 1) that names its cause, before any output."""
         before = sorted(os.listdir(mini_run))
@@ -230,6 +231,19 @@ class TestRunAll:
         assert [s.name for s in stopped.stages] == ["plan", "simulate", "process"]
         for a, b in zip(stopped.stages, complete.stages):
             assert (a.inputs, a.outputs) == (b.inputs, b.outputs)
+
+    @pytest.mark.parametrize("flag,value,named", _BAD_ANALYZE_FLAGS)
+    def test_analyze_flag_out_of_range_fails_before_simulate(
+        self, tmp_path, capsys, flag, value, named
+    ):
+        """run-all checks the analyze flags before any stage writes a file."""
+        cfg_path, scn_path = _mini_configs(str(tmp_path))
+        out = tmp_path / "x"
+        rc = main(["run-all", "--config", cfg_path, "--scenario", scn_path,
+                   "--seed", "1", "--out-dir", str(out), flag, value])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_different_seed_changes_record(self, mini_run, tmp_path):
         cfg_path = os.path.join(mini_run, "config.ini")
@@ -321,4 +335,17 @@ class TestExitCodes:
         assert main(["run-all", "--config", cfg_path, "--scenario", scn_path,
                      "--seed", "1", "--out-dir", str(out)]) == 1
         assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_vertical_tx_velocity_is_validation_error(self, tmp_path, capsys):
+        """A climbing car would start off the light barrier; fails before simulate."""
+        cfg_path, scn_path = _mini_configs(str(tmp_path))
+        text = open(scn_path).read()
+        level = "tx_velocity = 14, 0, 0\n"
+        assert level in text
+        open(scn_path, "w").write(text.replace(level, "tx_velocity = 14, 0, 2\n"))
+        out = tmp_path / "x"
+        assert main(["run-all", "--config", cfg_path, "--scenario", scn_path,
+                     "--seed", "1", "--out-dir", str(out)]) == 1
+        assert "tx_velocity must be horizontal" in capsys.readouterr().err
         assert not out.exists()
