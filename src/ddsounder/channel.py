@@ -5,14 +5,16 @@ transmitter-carrying car approaching along the street, vertical reflecting
 planes for the canyon walls and (optionally) a parked truck.  Paths are LOS
 plus single-bounce image-source reflections; per-path Doppler follows from
 the geometry time derivative, and directivity from a Gaussian main-lobe horn
-model.
+model.  ``record_chunks`` makes the record chunk by chunk, with the ray
+geometry evaluated a bounded number of snapshot blocks at a time, so a
+record of any length can be written to disk without being whole in memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
@@ -30,6 +32,8 @@ __all__ = [
     "tx_position",
     "horn_gain",
     "ray_tracks",
+    "block_tracks",
+    "record_chunks",
     "apply_channel",
     "transfer_function",
 ]
@@ -38,6 +42,9 @@ _T_EPS = 1e-9
 
 # (period, ray) rows per kernel call; bounds the kernel's (rows, L) arrays
 _KERNEL_ROWS = 256
+# snapshot blocks whose ray geometry is evaluated at once (rounded up to
+# whole kernel calls); bounds the (blocks, rays) arrays of a long record
+_GEOMETRY_BLOCKS = 512
 
 
 def _require_finite(**values) -> None:
@@ -364,6 +371,23 @@ def ray_tracks(
     )
 
 
+def block_tracks(
+    scenario: ScenarioConfig,
+    cfg: SounderConfig,
+    block_count: int,
+    tx_index: int,
+    *,
+    group: int = _GEOMETRY_BLOCKS,
+) -> Iterator[RayTracks]:
+    """:func:`ray_tracks` of one TX at the starts of the first ``block_count``
+    snapshot blocks of the record, as consecutive :class:`RayTracks` of at
+    most ``group`` blocks each, so that memory stays bounded whatever the
+    record length."""
+    starts = np.arange(block_count) * cfg.samples_per_snapshot / cfg.sample_rate
+    for first in range(0, block_count, group):
+        yield ray_tracks(scenario, cfg, starts[first : first + group], tx_index)
+
+
 def _noise_block(seed: int, block_index: int, count: int, power: float) -> np.ndarray:
     """Counter-seeded complex AWGN: stream identity is (seed, block_index).
 
@@ -376,13 +400,18 @@ def _noise_block(seed: int, block_index: int, count: int, power: float) -> np.nd
     return math.sqrt(power / 2.0) * (w[0::2] + 1j * w[1::2])
 
 
-def apply_channel(
+def _record_length(scenario: ScenarioConfig, cfg: SounderConfig) -> int:
+    """Samples in the record of a drive of ``scenario.duration``."""
+    return round(scenario.duration * cfg.sample_rate)
+
+
+def record_chunks(
     tx_signals: list[SampledSignal],
     scenario: ScenarioConfig,
     cfg: SounderConfig,
     seed: int,
-) -> SampledSignal:
-    """Synthesize the RX record of a drive-by capture.
+) -> tuple[int, Iterator[np.ndarray]]:
+    """The RX record of a drive-by capture as a stream of finished chunks.
 
     Every ray of every TX, evaluated at each snapshot block's start,
     contributes a delayed, carrier-phase-rotated copy of that TX's periodic
@@ -391,6 +420,8 @@ def apply_channel(
     consecutive blocks is finished in one pass: the kernel's exact tone sum,
     then counter-seeded complex white noise per block, then the CFO rotation.
 
+    The arguments are checked here; the chunks are made as they are taken.
+
     Parameters
     ----------
     tx_signals : list of SampledSignal
@@ -398,6 +429,11 @@ def apply_channel(
         all at the configured sample rate.
     seed : int
         Noise stream key, [0, 2**32).
+
+    Returns
+    -------
+    (int, iterator of numpy.ndarray)
+        The record length in samples, and its consecutive complex128 chunks.
     """
     if len(tx_signals) != cfg.tx_count:
         raise ConfigError(
@@ -418,45 +454,71 @@ def apply_channel(
                 f"TX sample rate {sig.sample_rate} != configured {cfg.sample_rate}"
             )
 
-    n_total = round(scenario.duration * cfg.sample_rate)
+    n_total = _record_length(scenario, cfg)
     if n_total < 1:
         raise ConfigError("scenario duration yields an empty record")
     periods = np.stack([sig.samples for sig in tx_signals])
+    return n_total, _chunks(periods, scenario, cfg, seed, n_total)
+
+
+def _chunks(periods, scenario, cfg, seed, n_total) -> Iterator[np.ndarray]:
     block = cfg.samples_per_snapshot
     fs = cfg.sample_rate
     fc = cfg.center_frequency
-    out = np.empty(n_total, dtype=np.complex128)
-
-    times = np.arange(0, n_total, block) / fs
-    # one geometry evaluation per TX; the rays of all TX side by side per block
-    tracks = [ray_tracks(scenario, cfg, times, tx) for tx in range(cfg.tx_count)]
-    delay, doppler, gain, visible = (
-        np.concatenate([getattr(t, name) for t in tracks], axis=1)
-        for name in ("delay", "doppler", "gain", "visible")
-    )
-    gain = np.where(visible, gain, 0.0)
-    dtau = -doppler / fc
     wf_index = np.repeat(np.arange(cfg.tx_count), 1 + len(scenario.reflectors))
-
     blocks_per_call = max(1, _KERNEL_ROWS // (wf_index.size * cfg.averaging_count))
-    for first in range(0, times.size, blocks_per_call):
-        chunk = slice(first, first + blocks_per_call)
-        start = first * block
-        stop = min(start + blocks_per_call * block, n_total)
-        rx = out[start:stop]
-        rx[:] = _kernels.synthesize_paths(
-            periods, wf_index, gain[chunk].T, delay[chunk].T, dtau[chunk].T,
-            stop - start, start, fs, fc, block,
+    # whole kernel calls per geometry evaluation
+    blocks_per_group = blocks_per_call * -(-_GEOMETRY_BLOCKS // blocks_per_call)
+
+    block_count = -(-n_total // block)
+    # one geometry evaluation per TX and group; the rays of all TX side by
+    # side per block
+    groups = zip(*(
+        block_tracks(scenario, cfg, block_count, tx, group=blocks_per_group)
+        for tx in range(cfg.tx_count)
+    ))
+    for group, tracks in zip(range(0, block_count, blocks_per_group), groups):
+        delay, doppler, gain, visible = (
+            np.concatenate([getattr(t, name) for t in tracks], axis=1)
+            for name in ("delay", "doppler", "gain", "visible")
         )
-        if scenario.noise_psd > 0:
-            for offset in range(0, stop - start, block):
-                piece = rx[offset:offset + block]
-                piece += _noise_block(
-                    seed, first + offset // block, piece.size, scenario.noise_psd * fs
-                )
-        if scenario.cfo != 0.0:
-            rx *= np.exp(2j * np.pi * scenario.cfo * (np.arange(start, stop) / fs))
-    return SampledSignal(out, fs, t0=0.0)
+        gain = np.where(visible, gain, 0.0)
+        dtau = -doppler / fc
+        for offset in range(0, delay.shape[0], blocks_per_call):
+            chunk = slice(offset, offset + blocks_per_call)
+            first = group + offset
+            start = first * block
+            stop = min(start + blocks_per_call * block, n_total)
+            rx = _kernels.synthesize_paths(
+                periods, wf_index, gain[chunk].T, delay[chunk].T, dtau[chunk].T,
+                stop - start, start, fs, fc, block,
+            )
+            if scenario.noise_psd > 0:
+                for at in range(0, stop - start, block):
+                    piece = rx[at : at + block]
+                    piece += _noise_block(
+                        seed, first + at // block, piece.size, scenario.noise_psd * fs
+                    )
+            if scenario.cfo != 0.0:
+                rx *= np.exp(2j * np.pi * scenario.cfo * (np.arange(start, stop) / fs))
+            yield rx
+
+
+def apply_channel(
+    tx_signals: list[SampledSignal],
+    scenario: ScenarioConfig,
+    cfg: SounderConfig,
+    seed: int,
+) -> SampledSignal:
+    """Synthesize the whole RX record of a drive-by capture in memory: the
+    chunks of :func:`record_chunks`, concatenated."""
+    n_total, chunks = record_chunks(tx_signals, scenario, cfg, seed)
+    out = np.empty(n_total, dtype=np.complex128)
+    start = 0
+    for rx in chunks:
+        out[start : start + rx.size] = rx
+        start += rx.size
+    return SampledSignal(out, cfg.sample_rate, t0=0.0)
 
 
 def transfer_function(

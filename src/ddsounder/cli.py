@@ -9,9 +9,14 @@ any stage can be re-run in place::
     ddsounder analyze  --out-dir run --windows 4
     ddsounder run-all  --out-dir run --seed 7
 
+``simulate`` writes the record and the standstill capture to disk chunk by
+chunk as they are synthesized, and ``process`` reads the record back in
+chunks of whole snapshots, so neither stage holds a whole record in memory.
+
 Exit codes: 0 success, 1 validation failure, 2 I/O error, 3 numerical
-failure.  ``run-all`` rewrites ``manifest.json`` after each stage, so a
-failed run's manifest lists the stages that finished.
+failure.  ``run-all`` checks the analyze flags, and that the record holds at
+least one window, before any stage runs; it rewrites ``manifest.json`` after
+each stage, so a failed run's manifest lists the stages that finished.
 """
 
 from __future__ import annotations
@@ -28,17 +33,10 @@ import numpy as np
 
 from . import __version__
 from . import io as ddio
-from .channel import apply_channel, default_scenario, ray_tracks
+from .channel import _record_length, block_tracks, default_scenario, record_chunks
 from .manifest import RunManifest
 from .params import ConfigError, narrowband_config, validate_config
-from .rxproc import (
-    NoSignalError,
-    coherent_average,
-    demultiplex,
-    estimate_cfo,
-    noise_power_estimate,
-    snr_per_tx,
-)
+from .rxproc import NoSignalError, demultiplex_record, estimate_cfo, snr_per_tx
 from .sbl import SBLConfig, sbl_fit
 from .tfanalysis import LSFConfig, dsd, lsf_estimate, top_peaks_2d
 from .waveform import SampledSignal, multitone_waveform, tone_plan
@@ -98,8 +96,10 @@ def _stage_simulate(cfg, scenario, seed: int, out_dir: str) -> list[str]:
     outputs = [_CONFIG, _SCENARIO]
 
     plans, signals = _waveforms(cfg)
-    rx = apply_channel(signals, scenario, cfg, seed)
-    ddio.write_signal(os.path.join(out_dir, _RECORD), rx, seed)
+    record_length, chunks = record_chunks(signals, scenario, cfg, seed)
+    ddio.write_signal_chunks(
+        os.path.join(out_dir, _RECORD), chunks, record_length, cfg.sample_rate, seed
+    )
     outputs.append(_RECORD)
 
     # Same geometry frozen at the trigger position: the car has not moved
@@ -109,48 +109,59 @@ def _stage_simulate(cfg, scenario, seed: int, out_dir: str) -> list[str]:
         tx_velocity=np.zeros(3),
         duration=scenario.standstill_duration,
     )
-    still = apply_channel(signals, parked, cfg, _derived_seed(seed, "standstill"))
-    ddio.write_signal(os.path.join(out_dir, _STILL), still, seed)
+    still_length, chunks = record_chunks(
+        signals, parked, cfg, _derived_seed(seed, "standstill")
+    )
+    ddio.write_signal_chunks(
+        os.path.join(out_dir, _STILL), chunks, still_length, cfg.sample_rate, seed
+    )
     outputs.append(_STILL)
 
     # the rays of every complete snapshot block, at its start as in the record
-    block = cfg.samples_per_snapshot
-    q_count = rx.samples.size // block
-    block_starts = np.arange(q_count) * block / cfg.sample_rate
+    q_count = record_length // cfg.samples_per_snapshot
     for tx in range(cfg.tx_count):
         name = f"truth_tx{tx}.csv"
         ddio.write_paths_csv(
-            os.path.join(out_dir, name), ray_tracks(scenario, cfg, block_starts, tx)
+            os.path.join(out_dir, name), block_tracks(scenario, cfg, q_count, tx)
         )
         outputs.append(name)
-    print(f"simulated {rx.samples.size} samples, {q_count} snapshots, seed {seed}")
+    print(f"simulated {record_length} samples, {q_count} snapshots, seed {seed}")
     return outputs
 
 
-def _stage_process(out_dir: str) -> list[str]:
-    cfg = ddio.load_sounder_config(os.path.join(out_dir, _CONFIG))
-    rx, seed = ddio.read_signal(os.path.join(out_dir, _RECORD))
+def _check_rate(name: str, rate: float, cfg) -> None:
+    if not math.isclose(rate, cfg.sample_rate, rel_tol=1e-12):
+        raise ConfigError(
+            f"{name}: sample_rate {rate!r} S/s differs from "
+            f"{_CONFIG} sample_rate {cfg.sample_rate!r} S/s"
+        )
+
+
+def _standstill_cfo(out_dir: str, cfg, signals) -> float:
+    """CFO of the standstill record, found with the sum of the TX periods."""
     still, _ = ddio.read_signal(os.path.join(out_dir, _STILL))
-    for name, signal in ((_RECORD, rx), (_STILL, still)):
-        if not math.isclose(signal.sample_rate, cfg.sample_rate, rel_tol=1e-12):
-            raise ConfigError(
-                f"{name}: sample_rate {signal.sample_rate!r} S/s differs from "
-                f"{_CONFIG} sample_rate {cfg.sample_rate!r} S/s"
-            )
-    plans, signals = _waveforms(cfg)
+    _check_rate(_STILL, still.sample_rate, cfg)
     composite = SampledSignal(
         samples=sum(sig.samples for sig in signals),
         sample_rate=cfg.sample_rate,
     )
-    cfo = estimate_cfo(still, composite)
-    print(f"carrier frequency offset: {cfo:+.3f} Hz")
+    return estimate_cfo(still, composite)
+
+
+def _stage_process(out_dir: str) -> list[str]:
+    cfg = ddio.load_sounder_config(os.path.join(out_dir, _CONFIG))
+    # the record is read chunk by chunk; it is never whole in memory
+    with ddio.SignalReader(os.path.join(out_dir, _RECORD)) as record:
+        _check_rate(_RECORD, record.sample_rate, cfg)
+        plans, signals = _waveforms(cfg)
+        cfo = _standstill_cfo(out_dir, cfg, signals)
+        print(f"carrier frequency offset: {cfo:+.3f} Hz")
+        grids, noise = demultiplex_record(record, cfg, cfo, plans)
     outputs = []
-    for tx in range(cfg.tx_count):
-        averaged = coherent_average(rx, cfg, cfo, tx)
-        noise = noise_power_estimate(averaged, cfg)
-        grid = demultiplex(averaged, cfg, plans[tx], t0=rx.t0)
-        snr = snr_per_tx(grid, noise)
-        ddio.write_grid(os.path.join(out_dir, f"h_tx{tx}.ddg1"), grid, seed)
+    for grid, noise_power in zip(grids, noise):
+        tx = grid.tx_index
+        snr = snr_per_tx(grid, noise_power)
+        ddio.write_grid(os.path.join(out_dir, f"h_tx{tx}.ddg1"), grid, record.seed)
         ddio.write_snr_csv(
             os.path.join(out_dir, f"snr_tx{tx}.csv"), grid.snapshot_times, snr
         )
@@ -268,7 +279,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg, scenario = _resolve_configs(args)
-    _analysis_configs(cfg, args)  # a bad analyze flag fails before anything is written
+    # a bad analyze flag, or a window longer than the record, fails before
+    # anything is written
+    _analysis_configs(cfg, args)
+    snapshots = _record_length(scenario, cfg) // cfg.samples_per_snapshot
+    if snapshots < args.window_length:
+        raise ConfigError(
+            f"the record has {snapshots} snapshots, "
+            f"shorter than one {args.window_length}-snapshot window"
+        )
     out_dir = args.out_dir
     manifest = RunManifest(
         seed=args.seed,

@@ -5,6 +5,11 @@ is the format version, and carry the generating seed so downstream stages
 can derive their own streams.  All writers go through an atomic
 write-then-rename so a crashed run never leaves a truncated file behind.
 
+A raw record need never be whole in memory: :func:`write_signal_chunks`
+streams it to disk chunk by chunk, and :class:`SignalReader` reads it back
+in chunks into one reused buffer.  :func:`write_signal` and
+:func:`read_signal` are their one-chunk cases.
+
 ``FileFormatError`` means the bytes were read but do not form a valid file;
 plain ``OSError`` means the file could not be read at all.
 """
@@ -12,12 +17,14 @@ plain ``OSError`` means the file could not be read at all.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import dataclasses
 import io as _stdio
 import json
 import os
 import struct
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -30,7 +37,9 @@ from .waveform import SampledSignal
 __all__ = [
     "FileFormatError",
     "atomic_write",
+    "write_signal_chunks",
     "write_signal",
+    "SignalReader",
     "read_signal",
     "write_grid",
     "read_grid",
@@ -54,12 +63,15 @@ class FileFormatError(ValueError):
     """Read bytes do not form a valid file of the expected format."""
 
 
-def atomic_write(path: str, data: bytes) -> None:
-    """Write bytes-like ``data`` to ``path`` via a same-directory temp file + rename."""
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """Binary file handle on a same-directory temp file that replaces ``path``
+    (after an fsync) only if the ``with`` body completes; otherwise the temp
+    file is removed and ``path`` is left as it was."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -67,6 +79,12 @@ def atomic_write(path: str, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Write bytes-like ``data`` to ``path`` via a same-directory temp file + rename."""
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 # -- binary codec -------------------------------------------------------------
@@ -97,51 +115,133 @@ def _write_binary(path: str, kind: bytes, seed: int, fields, arrays) -> None:
     atomic_write(path, buf)
 
 
-def _read_binary(path: str, kind: bytes, layout) -> tuple[tuple, list[np.ndarray]]:
-    """Read a ``kind`` file: its header fields after the magic, then its arrays.
+def _read_header(fh, path: str, kind: bytes, layout) -> tuple[tuple, list]:
+    """Check the header of an open ``kind`` file; its fields after the magic,
+    and the ``(dtype, shape)`` of each array, ``layout(*fields)``.
 
-    ``layout(*fields)`` gives the ``(dtype, shape)`` of each array.  The
-    payload size is checked against the header before anything is allocated,
-    so a corrupt header cannot ask for more memory than the file could fill;
-    each array is then read straight into place.
+    The payload size is checked against the header before anything is
+    allocated, so a corrupt header cannot ask for more memory than the file
+    could fill.
     """
     header = _HEADERS[kind]
-    with open(path, "rb") as fh:
-        blob = fh.read(header.size)
-        if len(blob) < header.size:
-            raise FileFormatError(f"{path}: truncated header")
-        magic, *fields = header.unpack(blob)
-        if magic != kind:
-            raise FileFormatError(f"{path}: bad magic {magic!r}, expected {kind!r}")
-        shapes = layout(*fields)
-        # object dtype keeps the products in exact Python integers
-        promised = sum(
-            np.dtype(dtype).itemsize * np.prod(shape, dtype=object)
-            for dtype, shape in shapes
+    blob = fh.read(header.size)
+    if len(blob) < header.size:
+        raise FileFormatError(f"{path}: truncated header")
+    magic, *fields = header.unpack(blob)
+    if magic != kind:
+        raise FileFormatError(f"{path}: bad magic {magic!r}, expected {kind!r}")
+    shapes = layout(*fields)
+    # object dtype keeps the products in exact Python integers
+    promised = sum(
+        np.dtype(dtype).itemsize * np.prod(shape, dtype=object) for dtype, shape in shapes
+    )
+    payload = os.fstat(fh.fileno()).st_size - header.size
+    if payload != promised:
+        raise FileFormatError(
+            f"{path}: payload size is {payload} bytes, header promises {promised}"
         )
-        payload = os.fstat(fh.fileno()).st_size - header.size
-        if payload != promised:
-            raise FileFormatError(
-                f"{path}: payload size is {payload} bytes, header promises {promised}"
-            )
+    return tuple(fields), shapes
+
+
+def _read_binary(path: str, kind: bytes, layout) -> tuple[tuple, list[np.ndarray]]:
+    """Read a ``kind`` file: its header fields after the magic, then its arrays,
+    each read straight into place once :func:`_read_header` has passed."""
+    with open(path, "rb") as fh:
+        fields, shapes = _read_header(fh, path, kind, layout)
         arrays = [np.empty(shape, dtype) for dtype, shape in shapes]
-        if sum(fh.readinto(a) for a in arrays) != payload:
+        if sum(fh.readinto(a) for a in arrays) != sum(a.nbytes for a in arrays):
             raise FileFormatError(f"{path}: file shrank while being read")
-    return tuple(fields), arrays
+    return fields, arrays
+
+
+def _signal_layout(seed, rate, length, t0):
+    return [("<c16", (length,))]
+
+
+def write_signal_chunks(
+    path: str, chunks, length: int, sample_rate: float, seed: int, t0: float = 0.0
+) -> None:
+    """Store a complex baseband record of ``length`` samples given as an
+    iterable of consecutive chunks (32-byte header + complex128 I/Q).
+
+    The header goes down first, then each chunk as it is made, into a temp
+    file that replaces ``path`` only once every sample is written, as in
+    :func:`atomic_write`.  An exception while the chunks are made, or a
+    sample count other than ``length`` (``ValueError``), leaves neither
+    ``path`` nor the temp file behind.
+    """
+    header = _HEADERS[b"DDS1"].pack(
+        b"DDS1", seed & 0xFFFFFFFF, float(sample_rate), length, float(t0)
+    )
+    with _atomic_file(path) as fh:
+        fh.write(header)
+        written = 0
+        for chunk in chunks:
+            chunk = np.ascontiguousarray(chunk, dtype="<c16")
+            fh.write(chunk)
+            written += chunk.size
+        if written != length:
+            raise ValueError(f"{path}: {written} samples written, header promises {length}")
 
 
 def write_signal(path: str, signal: SampledSignal, seed: int) -> None:
-    """Store a complex baseband record (32-byte header + complex128 I/Q)."""
-    samples = np.asarray(signal.samples, dtype="<c16")
-    fields = (float(signal.sample_rate), samples.size, float(signal.t0))
-    _write_binary(path, b"DDS1", seed, fields, [samples])
+    """Store a whole record: :func:`write_signal_chunks` with one chunk."""
+    samples = signal.samples
+    write_signal_chunks(path, [samples], samples.size, signal.sample_rate, seed, signal.t0)
+
+
+class SignalReader:
+    """A DDS1 record opened for reading in chunks.
+
+    Opening checks the magic and that the payload holds exactly the
+    ``length`` samples the header promises, before any sample buffer is
+    allocated; ``seed``, ``sample_rate``, ``length`` and ``t0`` are the
+    header's.  Use it as a context manager, or call :meth:`close`.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            fields, _ = _read_header(self._fh, path, b"DDS1", _signal_layout)
+        except BaseException:
+            self._fh.close()
+            raise
+        seed, self.sample_rate, self.length, self.t0 = fields
+        self.seed = int(seed)
+
+    def chunks(self, size: int):
+        """Yield the samples in order, ``size`` at a time (the last chunk may
+        be shorter).
+
+        Every chunk is read with ``readinto`` into one buffer, allocated
+        before the first, so a chunk is valid only until the next is read.
+        ``FileFormatError`` if the file shrank since it was opened.
+        """
+        self._fh.seek(_HEADERS[b"DDS1"].size)
+        buf = np.empty(min(size, self.length), dtype="<c16")
+        for start in range(0, self.length, size):
+            chunk = buf[: min(size, self.length - start)]
+            if self._fh.readinto(chunk) != chunk.nbytes:
+                raise FileFormatError(f"{self.path}: file shrank while being read")
+            yield chunk
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def read_signal(path: str) -> tuple[SampledSignal, int]:
-    (seed, rate, _, t0), (samples,) = _read_binary(
-        path, b"DDS1", lambda seed, rate, length, t0: [("<c16", (length,))]
-    )
-    return SampledSignal(samples=samples, sample_rate=rate, t0=t0), int(seed)
+    """A whole record: :class:`SignalReader` with one chunk of every sample."""
+    with SignalReader(path) as reader:
+        samples = next(reader.chunks(max(reader.length, 1)), np.empty(0, "<c16"))
+    signal = SampledSignal(samples=samples, sample_rate=reader.sample_rate, t0=reader.t0)
+    return signal, reader.seed
 
 
 def write_grid(path: str, grid: TransferFunctionGrid, seed: int) -> None:
@@ -212,17 +312,21 @@ def _format_float(x: float) -> str:
     return text if float(text) == x else repr(float(x))
 
 
-def _write_rows(path, header, row_format, columns) -> None:
+def _write_rows(path, header, row_format, batches) -> None:
     """Write a CSV: the ``header`` line, then ``row_format % row`` per row.
 
-    ``columns`` are 1-D and equally long; row ``i`` takes entry ``i`` of each.
+    Each of ``batches`` is a sequence of 1-D, equally long columns; row ``i``
+    of a batch takes entry ``i`` of each.  Batches are formatted and written
+    one at a time, through the same temp file + rename as :func:`atomic_write`.
     """
-    columns = [np.asarray(col) for col in columns]
-    if any(col.ndim != 1 for col in columns) or len({col.size for col in columns}) > 1:
-        raise ValueError("columns must be 1-D and equally long")
-    rows = zip(*(col.tolist() for col in columns))
-    lines = [",".join(header)] + [row_format % row for row in rows]
-    atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
+    with _atomic_file(path) as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        for columns in batches:
+            columns = [np.asarray(col) for col in columns]
+            if any(col.ndim != 1 for col in columns) or len({col.size for col in columns}) > 1:
+                raise ValueError("columns must be 1-D and equally long")
+            rows = zip(*(col.tolist() for col in columns))
+            fh.write("".join([row_format % row + "\n" for row in rows]).encode("ascii"))
 
 
 def _read_two_column_csv(path, header):
@@ -253,7 +357,7 @@ def _read_two_column_csv(path, header):
 
 
 def write_snr_csv(path: str, times: np.ndarray, snr_db: np.ndarray) -> None:
-    _write_rows(path, ("time_s", "snr_db"), "%.12g,%.12g", (times, snr_db))
+    _write_rows(path, ("time_s", "snr_db"), "%.12g,%.12g", [(times, snr_db)])
 
 
 def read_snr_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -261,31 +365,38 @@ def read_snr_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_dsd_csv(path: str, doppler_hz: np.ndarray, power: np.ndarray) -> None:
-    _write_rows(path, ("doppler_hz", "power"), "%.12g,%.12g", (doppler_hz, power))
+    _write_rows(path, ("doppler_hz", "power"), "%.12g,%.12g", [(doppler_hz, power)])
 
 
 def read_dsd_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     return _read_two_column_csv(path, ("doppler_hz", "power"))
 
 
-def write_paths_csv(path: str, tracks: RayTracks) -> None:
+def write_paths_csv(path: str, tracks: Iterable[RayTracks]) -> None:
     """Ground-truth ray table: one row per visible ray of ``tracks``.
 
-    Rows are time-major, with the rays of each instant in LOS-then-reflector
-    order.  Gains are real, so ``gain_imag`` is always ``0``.
+    ``tracks`` are consecutive :class:`~ddsounder.channel.RayTracks`, such
+    as those of :func:`~ddsounder.channel.block_tracks`; the rows of each
+    are formatted and written before the next is taken.  Rows are
+    time-major, with the rays of each instant in LOS-then-reflector order.
+    Gains are real, so ``gain_imag`` is always ``0``.
     """
-    instant, ray = np.nonzero(tracks.visible)
+
+    def columns(part):
+        instant, ray = np.nonzero(part.visible)
+        return (
+            part.times[instant],
+            np.asarray(part.kinds)[ray],
+            part.delay[instant, ray],
+            part.doppler[instant, ray],
+            part.gain[instant, ray],
+        )
+
     _write_rows(
         path,
         ("time_s", "kind", "delay_s", "doppler_hz", "gain_real", "gain_imag"),
         "%.12g,%s,%.12g,%.12g,%.12g,0",
-        (
-            tracks.times[instant],
-            np.asarray(tracks.kinds)[ray],
-            tracks.delay[instant, ray],
-            tracks.doppler[instant, ray],
-            tracks.gain[instant, ray],
-        ),
+        map(columns, tracks),
     )
 
 

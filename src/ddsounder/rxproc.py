@@ -12,6 +12,12 @@ phase re-applied at the snapshot epoch ``t_q`` share the term
 one ramp over the samples of a period and the CFO phase at the epoch, so
 ``coherent_average`` averages whole chunks of snapshots with ``N + L``
 exponentials per snapshot.
+
+A drive record need never be whole in memory: ``demultiplex_record`` takes
+it from a reader one chunk of whole snapshots at a time and keeps only the
+per-tone values of each snapshot, bit for bit what the whole-record
+functions give.  The CFO search evaluates the zero-padded spectrum of the
+standstill only inside its band, by a chirp-z transform.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.optimize import minimize_scalar
 
 from .params import ConfigError, SounderConfig
@@ -32,6 +39,7 @@ __all__ = [
     "coherent_average",
     "demultiplex",
     "noise_power_estimate",
+    "demultiplex_record",
     "snr_per_tx",
 ]
 
@@ -89,6 +97,52 @@ def _fractional_roll(samples: np.ndarray, shift: float) -> np.ndarray:
     length = samples.size
     k = np.fft.fftfreq(length, d=1.0 / length)
     return np.fft.ifft(np.fft.fft(samples) * np.exp(-2j * np.pi * k * shift / length))
+
+
+def _padded_band(samples: np.ndarray, fs: float, halfwidth: float):
+    """Magnitudes of the 8x zero-padded DFT of ``samples`` at its bins in
+    ``|f| <= halfwidth``, without the other bins.
+
+    With ``N = samples.size`` and ``M = 8N``, the bins ``k`` are those with
+    ``|k fs / M| <= halfwidth``, picked by the very float comparison of
+    ``np.fft.fftfreq(M, 1/fs)`` and listed in its order, so an argmax picks
+    the bin a full padded transform would, except at round-off ties: with the
+    peak halfway between two bins, the magnitudes agree with the FFT's within
+    about 1e-15 of the peak, but either bin may win.  They are evaluated as a
+    chirp-z transform (Bluestein): with ``k n = (k^2 + n^2 - (k - n)^2) / 2``,
+
+        |X[k]| = |sum_n x[n] exp(-j pi n^2 / M) exp(j pi (k - n)^2 / M)|,
+
+    one linear convolution over the band, by FFTs of about ``N + 8P`` points
+    for ``8P + 1`` band bins of a ``P``-period record (Rabiner, Schafer &
+    Rader 1969).  The squares are reduced modulo ``2M`` in integers, so the
+    chirp phases stay exact however long the record.
+
+    Returns
+    -------
+    (numpy.ndarray, numpy.ndarray)
+        The band's bin frequencies (Hz) and DFT magnitudes.
+    """
+    size = samples.size
+    padded = 8 * size
+    step = 1.0 / (padded * (1.0 / fs))  # np.fft.fftfreq(padded, 1/fs)'s spacing
+    reach = min(int(halfwidth / step) + 1, padded // 2)
+    k = np.arange(-reach, min(reach, padded // 2 - 1) + 1)
+    count = k.size
+
+    n = np.arange(size)
+    weighted = samples * np.exp((-1j * math.pi / padded) * (n * n % (2 * padded)))
+    lag = np.arange(k[0] - size + 1, k[-1] + 1)  # every k - n
+    chirp = np.exp((1j * math.pi / padded) * (lag * lag % (2 * padded)))
+    length = next_fast_len(size + count - 1)
+    spectrum = np.fft.fft(weighted, length)
+    spectrum *= np.fft.fft(chirp, length)
+    magnitude = np.abs(np.fft.ifft(spectrum)[size - 1 : size - 1 + count])
+
+    order = np.r_[np.flatnonzero(k >= 0), np.flatnonzero(k < 0)]  # fftfreq's order
+    freqs = k[order] * step
+    band = np.abs(freqs) <= halfwidth
+    return freqs[band], magnitude[order][band]
 
 
 def estimate_cfo(
@@ -154,12 +208,9 @@ def estimate_cfo(
 
     mixed = derotated * np.conj(np.tile(aligned, folded.shape[0]))
     total = mixed.size
-    padded = np.fft.fft(mixed, 8 * total)
-    freqs = np.fft.fftfreq(8 * total, d=1.0 / fs)
     halfwidth = 0.5 / period
-    band = np.abs(freqs) <= halfwidth
-    band_bins = np.flatnonzero(band)
-    best = band_bins[int(np.argmax(np.abs(padded[band_bins])))]
+    freqs, magnitude = _padded_band(mixed, fs, halfwidth)
+    best_freq = freqs[int(np.argmax(magnitude))]
 
     t = n / fs
 
@@ -167,7 +218,7 @@ def estimate_cfo(
         return -np.abs(np.sum(mixed * np.exp(-2j * np.pi * f * t))) ** 2
 
     grid_step = fs / (8 * total)
-    bracket = (freqs[best] - grid_step, freqs[best] + grid_step)
+    bracket = (best_freq - grid_step, best_freq + grid_step)
     fine = minimize_scalar(neg_power, bounds=bracket, method="bounded",
                            options={"xatol": 1e-6}).x
 
@@ -181,10 +232,43 @@ def estimate_cfo(
     return float(coarse + fine)
 
 
-# Samples per chunk of whole snapshots that coherent_average works on at once:
-# bounds its temporaries (a few chunk-sized complex arrays) whatever the record
-# length, while keeping the numpy calls per chunk large.
+# Samples per chunk of whole snapshots that coherent_average and
+# demultiplex_record work on at once: bounds their temporaries (a few
+# chunk-sized complex arrays) whatever the record length, while keeping the
+# numpy calls per chunk large.  The averaged values depend on where the chunks
+# start, at round-off, so both take the same chunks.
 _CHUNK_SAMPLES = 1 << 18
+
+
+def _chunk_snapshots(cfg: SounderConfig) -> int:
+    """Whole snapshots per chunk: as many as fit ``_CHUNK_SAMPLES``, at least one."""
+    return max(1, _CHUNK_SAMPLES // cfg.samples_per_snapshot)
+
+
+def _check_rate(rate: float, cfg: SounderConfig) -> None:
+    if not math.isclose(rate, cfg.sample_rate, rel_tol=1e-12):
+        raise ConfigError(
+            f"sample_rate: record is {rate!r} S/s, "
+            f"configuration says {cfg.sample_rate!r} S/s"
+        )
+
+
+def _average_chunk(blocks, bins, cfg, cfo, fs, t_snapshot, out) -> None:
+    """:func:`coherent_average` of the (c, N, L) ``blocks`` of ``c`` whole
+    snapshots taken at ``t_snapshot``, for the TX comb on ``bins``, into the
+    (c, L) ``out``."""
+    count, n_avg, length = blocks.shape
+    if n_avg > 1:
+        v = np.fft.fft(blocks, axis=2)[..., bins]
+        lag = np.sum(v[:, 1:] * np.conj(v[:, :-1]), axis=(1, 2))
+        offset = np.angle(lag) / (2.0 * math.pi * cfg.sequence_period)
+    else:
+        offset = np.full(count, cfo)
+    epoch = np.exp(-2j * math.pi * cfo * t_snapshot) / n_avg
+    period_phase = np.arange(n_avg) * length / fs
+    weights = np.exp(-2j * math.pi * offset[:, None] * period_phase) * epoch[:, None]
+    ramp = np.exp(-2j * math.pi * offset[:, None] * (np.arange(length) / fs))
+    np.multiply((weights[:, None, :] @ blocks)[:, 0], ramp, out=out)
 
 
 def coherent_average(
@@ -232,43 +316,31 @@ def coherent_average(
     ValueError
         If the record is shorter than one snapshot.
     """
-    if not math.isclose(rx.sample_rate, cfg.sample_rate, rel_tol=1e-12):
-        raise ConfigError(
-            f"sample_rate: record is {rx.sample_rate!r} S/s, "
-            f"configuration says {cfg.sample_rate!r} S/s"
-        )
+    _check_rate(rx.sample_rate, cfg)
     length = cfg.samples_per_period
     per_snapshot = cfg.samples_per_snapshot
     q_count = rx.samples.size // per_snapshot
     if q_count < 1:
         raise ValueError("record shorter than one snapshot")
-    plan = tone_plan(cfg, tx_index)
-    bins = _tone_bins(cfg, plan.tone_frequencies)
+    bins = _tone_bins(cfg, tone_plan(cfg, tx_index).tone_frequencies)
     fs = rx.sample_rate
-    period = cfg.sequence_period
-    n_avg = cfg.averaging_count
-    chunk = max(1, _CHUNK_SAMPLES // per_snapshot)
-    period_phase = np.arange(n_avg) * length / fs
-    sample_phase = np.arange(length) / fs
-
+    chunk = _chunk_snapshots(cfg)
     out = np.empty((q_count, length), dtype=np.complex128)
     for first in range(0, q_count, chunk):
         stop = min(first + chunk, q_count)
         blocks = rx.samples[first * per_snapshot : stop * per_snapshot].reshape(
-            stop - first, n_avg, length
+            stop - first, cfg.averaging_count, length
         )
-        if n_avg > 1:
-            v = np.fft.fft(blocks, axis=2)[..., bins]
-            lag = np.sum(v[:, 1:] * np.conj(v[:, :-1]), axis=(1, 2))
-            offset = np.angle(lag) / (2.0 * math.pi * period)
-        else:
-            offset = np.full(stop - first, cfo)
         t_snapshot = rx.t0 + np.arange(first, stop) * per_snapshot / fs
-        epoch = np.exp(-2j * math.pi * cfo * t_snapshot) / n_avg
-        weights = np.exp(-2j * math.pi * offset[:, None] * period_phase) * epoch[:, None]
-        ramp = np.exp(-2j * math.pi * offset[:, None] * sample_phase)
-        out[first:stop] = (weights[:, None, :] @ blocks)[:, 0] * ramp
+        _average_chunk(blocks, bins, cfg, cfo, fs, t_snapshot, out[first:stop])
     return out
+
+
+def _spectra(averaged: np.ndarray, cfg: SounderConfig) -> np.ndarray:
+    """Period DFT of each averaged snapshot at tone scale, ``fft / L``."""
+    spectra = np.fft.fft(averaged, axis=1)
+    spectra /= cfg.samples_per_period
+    return spectra
 
 
 def demultiplex(
@@ -289,15 +361,21 @@ def demultiplex(
             f"got {averaged.shape}"
         )
     bins = _tone_bins(cfg, plan.tone_frequencies)
-    spectra = np.fft.fft(averaged, axis=1) / cfg.samples_per_period
-    values = spectra[:, bins] / plan.tone_weights[None, :]
-    times = t0 + np.arange(averaged.shape[0]) * cfg.snapshot_time
+    values = _spectra(averaged, cfg)[:, bins] / plan.tone_weights[None, :]
     return TransferFunctionGrid(
         tx_index=plan.tx_index,
         values=values,
-        snapshot_times=times,
+        snapshot_times=t0 + np.arange(averaged.shape[0]) * cfg.snapshot_time,
         tone_frequencies=plan.tone_frequencies.copy(),
     )
+
+
+def _free_slot_bins(cfg: SounderConfig) -> np.ndarray:
+    """Period DFT bins of the first tone-offset slot past the configured TXs."""
+    if cfg.grid_ratio <= cfg.tx_count:
+        raise ConfigError("no unoccupied tone-offset slot in this design")
+    free_slot = tone_plan(cfg, 0).tone_frequencies + cfg.tx_count * cfg.tx_tone_offset
+    return _tone_bins(cfg, free_slot)
 
 
 def noise_power_estimate(averaged: np.ndarray, cfg: SounderConfig) -> float:
@@ -306,13 +384,74 @@ def noise_power_estimate(averaged: np.ndarray, cfg: SounderConfig) -> float:
     The first tone-offset slot past the configured TXs is guaranteed free,
     so its bins measure the post-averaging noise at tone scale.
     """
-    averaged = np.asarray(averaged, dtype=np.complex128)
-    if cfg.grid_ratio <= cfg.tx_count:
-        raise ConfigError("no unoccupied tone-offset slot in this design")
-    free_slot = tone_plan(cfg, 0).tone_frequencies + cfg.tx_count * cfg.tx_tone_offset
-    bins = _tone_bins(cfg, free_slot)
-    spectra = np.fft.fft(averaged, axis=1) / cfg.samples_per_period
+    bins = _free_slot_bins(cfg)
+    spectra = _spectra(np.asarray(averaged, dtype=np.complex128), cfg)
     return float(np.mean(np.abs(spectra[:, bins]) ** 2))
+
+
+def demultiplex_record(
+    record, cfg: SounderConfig, cfo: float, plans: list[TonePlan]
+) -> tuple[list[TransferFunctionGrid], list[float]]:
+    """Tone grids and noise powers of every TX in ``plans``, from a record
+    read chunk by chunk.
+
+    ``record`` carries the record's ``sample_rate``, ``length`` (samples)
+    and ``t0``, and ``record.chunks(size)`` yields its samples in order,
+    ``size`` at a time (:class:`ddsounder.io.SignalReader`).  Each chunk
+    holds the whole snapshots that :func:`coherent_average` takes at once,
+    and goes through the same steps as :func:`coherent_average`,
+    :func:`demultiplex` and :func:`noise_power_estimate`, with one period
+    DFT per chunk and TX for tones and noise; only the (Q, K) tone values
+    and free-slot powers of each TX are kept.  The noise power is the mean over all the
+    kept powers, the sum :func:`noise_power_estimate` takes over the whole
+    record.  Grids and noise powers are bit for bit those of the
+    whole-record functions.  A trailing partial snapshot is ignored.
+
+    Raises
+    ------
+    ConfigError
+        If the record's sample rate differs from ``cfg.sample_rate``, a TX
+        comb is off the period DFT grid, or no tone-offset slot is free.
+    ValueError
+        If the record is shorter than one snapshot.
+    """
+    _check_rate(record.sample_rate, cfg)
+    fs = record.sample_rate
+    length = cfg.samples_per_period
+    per_snapshot = cfg.samples_per_snapshot
+    q_count = record.length // per_snapshot
+    if q_count < 1:
+        raise ValueError("record shorter than one snapshot")
+    bins = [_tone_bins(cfg, plan.tone_frequencies) for plan in plans]
+    free_bins = _free_slot_bins(cfg)
+    # (Q, K) in the column-major layout of ``spectra[:, bins]``, so that
+    # reductions over them add in the order they do over whole-record arrays
+    values = [np.empty((b.size, q_count), dtype=np.complex128).T for b in bins]
+    powers = [np.empty((free_bins.size, q_count)).T for _ in plans]
+    chunk = _chunk_snapshots(cfg)
+    for first, samples in zip(range(0, q_count, chunk), record.chunks(chunk * per_snapshot)):
+        stop = min(first + chunk, q_count)
+        blocks = samples[: (stop - first) * per_snapshot].reshape(
+            stop - first, cfg.averaging_count, length
+        )
+        t_snapshot = record.t0 + np.arange(first, stop) * per_snapshot / fs
+        for plan, tx_bins, tx_values, tx_powers in zip(plans, bins, values, powers):
+            averaged = np.empty((stop - first, length), dtype=np.complex128)
+            _average_chunk(blocks, tx_bins, cfg, cfo, fs, t_snapshot, averaged)
+            spectra = _spectra(averaged, cfg)
+            np.divide(spectra[:, tx_bins], plan.tone_weights, out=tx_values[first:stop])
+            np.square(np.abs(spectra[:, free_bins]), out=tx_powers[first:stop])
+    times = record.t0 + np.arange(q_count) * cfg.snapshot_time
+    grids = [
+        TransferFunctionGrid(
+            tx_index=plan.tx_index,
+            values=tx_values,
+            snapshot_times=times,
+            tone_frequencies=plan.tone_frequencies.copy(),
+        )
+        for plan, tx_values in zip(plans, values)
+    ]
+    return grids, [float(np.mean(tx_powers)) for tx_powers in powers]
 
 
 def snr_per_tx(grid: TransferFunctionGrid, noise_power: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal.windows import dpss as _scipy_dpss
+from scipy.linalg import eigh_tridiagonal
 
 from .params import LSF_TIME_BANDWIDTH, ConfigError, dpss_fits
 
@@ -177,7 +177,25 @@ def dpss_tapers(length: int, time_bandwidth: float, count: int) -> np.ndarray:
             f"{count} tapers exceed the well-concentrated family of "
             f"2*NW = {2 * time_bandwidth:g}"
         )
-    return _scipy_dpss(length, time_bandwidth, Kmax=count)
+    # Slepian's tridiagonal matrix, whose leading eigenvectors are the
+    # tapers (Percival & Walden 1993)
+    n = np.arange(length, dtype=np.float64)
+    half_bandwidth = time_bandwidth / length
+    diagonal = ((length - 1 - 2 * n) / 2.0) ** 2 * np.cos(2 * np.pi * half_bandwidth)
+    off_diagonal = n[1:] * (length - n[1:]) / 2.0
+    _, vectors = eigh_tridiagonal(
+        diagonal, off_diagonal, select="i", select_range=(length - count, length - 1)
+    )
+    tapers = vectors[:, ::-1].T
+    # sign convention of Percival & Walden (p. 379): even tapers sum
+    # positive, odd tapers start with a positive lobe (the first sample
+    # above the numerical noise)
+    threshold = max(1e-7, 1.0 / length)
+    for i, taper in enumerate(tapers):
+        lead = taper.sum() if i % 2 == 0 else taper[taper * taper > threshold][0]
+        if lead < 0:
+            taper *= -1
+    return tapers
 
 
 def lsf_estimate(

@@ -19,12 +19,15 @@ from ddsounder.channel import (
     PlanarReflector,
     ScenarioConfig,
     apply_channel,
+    block_tracks,
     default_scenario,
     horn_gain,
     ray_tracks,
+    record_chunks,
     transfer_function,
     tx_position,
 )
+from ddsounder import channel
 from ddsounder.params import ConfigError, free_space_path_loss, narrowband_config
 from ddsounder.waveform import SampledSignal, multitone_waveform, tone_plan
 
@@ -467,3 +470,36 @@ class TestApplyChannel:
         nl = apply_channel(signals, loud, narrowband, seed=3).samples - base
         ratio = np.var(nl) / np.var(nq)
         assert ratio == pytest.approx(1e4, rel=0.05)
+
+
+class TestRecordChunks:
+    def test_arguments_checked_before_any_chunk(self, narrowband, signals, short_scenario):
+        short = [SampledSignal(sig.samples[:104], sig.sample_rate) for sig in signals]
+        with pytest.raises(ConfigError, match="samples_per_period = 105"):
+            record_chunks(short, short_scenario, narrowband, seed=0)
+
+    def test_geometry_groups_do_not_change_the_record(
+        self, narrowband, signals, monkeypatch
+    ):
+        """0.2 s is 1,190 blocks, three geometry groups: the chunks are bit for
+        bit the record made with one geometry evaluation for all blocks."""
+        scn = default_scenario(duration=0.2)
+        length, chunks = record_chunks(signals, scn, narrowband, seed=4)
+        grouped = np.concatenate(list(chunks))
+        assert length == grouped.size == 250_000
+        monkeypatch.setattr(channel, "_GEOMETRY_BLOCKS", 10**6)
+        whole = apply_channel(signals, scn, narrowband, seed=4)
+        np.testing.assert_array_equal(grouped, whole.samples)
+
+    def test_block_tracks_are_ray_tracks_in_groups(self, scenario, narrowband):
+        count = 2 * channel._GEOMETRY_BLOCKS + 7
+        parts = list(block_tracks(scenario, narrowband, count, 1))
+        assert [p.times.size for p in parts] == [
+            channel._GEOMETRY_BLOCKS, channel._GEOMETRY_BLOCKS, 7
+        ]
+        starts = np.arange(count) * narrowband.samples_per_snapshot / narrowband.sample_rate
+        whole = ray_tracks(scenario, narrowband, starts, 1)
+        for name in ("times", "delay", "doppler", "gain", "visible"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(p, name) for p in parts]), getattr(whole, name)
+            )

@@ -7,15 +7,18 @@ full-length scenario statistics live in the acceptance suite.  Exit codes:
 
 import json
 import os
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ddsounder import cli
 from ddsounder import io as ddio
 from ddsounder.channel import default_scenario
 from ddsounder.cli import main
 from ddsounder.manifest import RunManifest
-from ddsounder.params import derive_config, validate_config
+from ddsounder.params import ConfigError, derive_config, validate_config
 from ddsounder.waveform import SampledSignal
 
 
@@ -217,20 +220,39 @@ class TestRunAll:
                 continue  # wall-clock times differ
             assert a == b, f"{name} differs between identical runs"
 
-    def test_failed_run_keeps_manifest_of_finished_stages(self, mini_run, tmp_path):
-        """analyze rejects a window longer than the record; the manifest saved
-        after process lists the three finished stages as the full run does."""
+    def test_failed_run_keeps_manifest_of_finished_stages(
+        self, mini_run, tmp_path, monkeypatch
+    ):
+        """analyze fails after process; the manifest saved after process lists
+        the three finished stages as the full run does."""
         cfg_path = os.path.join(mini_run, "config.ini")
         scn_path = os.path.join(mini_run, "scenario.ini")
         out = str(tmp_path / "stopped")
+
+        def failing_analyze(args):
+            raise ConfigError("analyze stopped")
+
+        monkeypatch.setattr(cli, "_stage_analyze", failing_analyze)
         rc = main(["run-all", "--config", cfg_path, "--scenario", scn_path,
-                   "--seed", "42", "--out-dir", out, "--window-length", "100000"])
+                   "--seed", "42", "--out-dir", out, "--window-length", "128"])
         assert rc == 1
         stopped = RunManifest.load(os.path.join(out, "manifest.json"))
         complete = RunManifest.load(os.path.join(mini_run, "manifest.json"))
         assert [s.name for s in stopped.stages] == ["plan", "simulate", "process"]
         for a, b in zip(stopped.stages, complete.stages):
             assert (a.inputs, a.outputs) == (b.inputs, b.outputs)
+
+    def test_window_longer_than_record_fails_before_simulate(self, tmp_path, capsys):
+        """0.1 s of 168 us snapshots is 595 of them: a 596-snapshot window exits
+        1 naming both counts, and no file is written."""
+        cfg_path, scn_path = _mini_configs(str(tmp_path))
+        out = tmp_path / "x"
+        rc = main(["run-all", "--config", cfg_path, "--scenario", scn_path,
+                   "--seed", "1", "--out-dir", str(out), "--window-length", "596"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "595 snapshots" in err and "596-snapshot window" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,named", _BAD_ANALYZE_FLAGS)
     def test_analyze_flag_out_of_range_fails_before_simulate(
@@ -272,6 +294,48 @@ class TestExitCodes:
         open(os.path.join(out, "rx_record.dds1"), "wb").write(bytes(blob))
         assert main(["process", "--out-dir", out]) == 2
         assert "bad magic" in capsys.readouterr().err
+
+    def _copy_run(self, mini_run, out):
+        os.makedirs(out)
+        for name in ("config.ini", "scenario.ini", "standstill.dds1", "rx_record.dds1"):
+            data = open(os.path.join(mini_run, name), "rb").read()
+            open(os.path.join(out, name), "wb").write(data)
+        return os.path.join(out, "rx_record.dds1")
+
+    def test_record_one_sample_short_is_io_error(self, mini_run, tmp_path, capsys):
+        out = str(tmp_path / "short")
+        record = self._copy_run(mini_run, out)
+        os.truncate(record, os.path.getsize(record) - 16)
+        assert main(["process", "--out-dir", out]) == 2
+        assert "header promises" in capsys.readouterr().err
+        assert not any(name.startswith("h_tx") for name in os.listdir(out))
+
+    def test_record_promising_2_to_40_samples_is_io_error(self, mini_run, tmp_path, capsys):
+        out = str(tmp_path / "huge")
+        record = self._copy_run(mini_run, out)
+        with open(record, "r+b") as fh:
+            fh.seek(16)  # magic, seed, sample rate, then the length
+            fh.write(struct.pack("<Q", 1 << 40))
+        assert main(["process", "--out-dir", out]) == 2
+        assert "header promises" in capsys.readouterr().err
+
+    def test_record_shrinking_while_processed_is_io_error(
+        self, mini_run, tmp_path, capsys, monkeypatch
+    ):
+        """The record passes its size check, then loses its second half
+        while the standstill is searched for the CFO."""
+        out = str(tmp_path / "shrink")
+        record = self._copy_run(mini_run, out)
+        estimate = cli.estimate_cfo
+
+        def shrink_then_estimate(*args):
+            os.truncate(record, os.path.getsize(record) // 2)
+            return estimate(*args)
+
+        monkeypatch.setattr(cli, "estimate_cfo", shrink_then_estimate)
+        assert main(["process", "--out-dir", out]) == 2
+        assert "shrank" in capsys.readouterr().err
+        assert not any(name.startswith("h_tx") for name in os.listdir(out))
 
     def test_signal_free_standstill_is_numerical_error(self, mini_run, tmp_path, capsys):
         out = str(tmp_path / "nosig")
@@ -349,3 +413,42 @@ class TestExitCodes:
                      "--seed", "1", "--out-dir", str(out)]) == 1
         assert "tx_velocity must be horizontal" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBoundedMemory:
+    """simulate and process hold chunks of the record, never all of it."""
+
+    @staticmethod
+    def _traced_peaks(out, duration):
+        """Traced peak bytes of simulate, then of process, on a ``duration`` s
+        drive.  The design averages eight periods per snapshot (the paper's
+        averages 212), so the per-snapshot tone grids that process keeps are
+        a small share of the record; 0.25 s already spans more than one
+        262,144-sample chunk of coherent_average."""
+        cfg = derive_config(
+            bandwidth=1e6, sample_rate=1.25e6, averaging_count=8,
+            max_speed=3.5, max_doppler=700.0,
+        )
+        assert validate_config(cfg).passed
+        scenario = default_scenario(duration=duration, tx_velocity=(3.5, 0.0, 0.0))
+        peaks = []
+        for stage in (
+            lambda: cli._stage_simulate(cfg, scenario, 7, out),
+            lambda: cli._stage_process(out),
+        ):
+            tracemalloc.start()
+            try:
+                stage()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks
+
+    def test_peak_flat_in_record_length(self, tmp_path, capsys):
+        """A 4x longer record (1 s, 20 MB on disk) stays within 1.25x of the
+        0.25 s record's peak in both stages."""
+        short = self._traced_peaks(str(tmp_path / "short"), 0.25)
+        long = self._traced_peaks(str(tmp_path / "long"), 1.0)
+        assert os.path.getsize(str(tmp_path / "long" / "rx_record.dds1")) == 32 + 16 * 1_250_000
+        for stage, a, b in zip(("simulate", "process"), short, long):
+            assert b <= 1.25 * a, f"{stage}: {b / 2**20:.2f} MB vs {a / 2**20:.2f} MB"

@@ -6,6 +6,7 @@ line, for text formats) rather than propagating a numpy or parser error.
 
 import dataclasses
 import inspect
+import os
 import struct
 
 import numpy as np
@@ -15,6 +16,7 @@ from ddsounder.channel import RayTracks, default_scenario
 from ddsounder.io import (
     _SCENARIO_KEYS,
     FileFormatError,
+    SignalReader,
     atomic_write,
     load_scenario,
     load_sounder_config,
@@ -31,6 +33,7 @@ from ddsounder.io import (
     write_paths_csv,
     write_peaks_json,
     write_signal,
+    write_signal_chunks,
     write_snr_csv,
     write_surface,
 )
@@ -129,6 +132,101 @@ class TestSignalFormat:
         monkeypatch.setattr(np, "empty", no_allocation)
         with pytest.raises(FileFormatError, match="header promises"):
             read(path)
+
+
+class TestSignalStream:
+    """The DDS1 stream writer and chunk reader."""
+
+    def _samples(self, count=1000):
+        rng = np.random.default_rng(2)
+        return rng.standard_normal(count) + 1j * rng.standard_normal(count)
+
+    def test_chunks_round_trip(self, tmp_path):
+        """Chunks of 300 in, chunks of 256 out: the bytes of one write_signal."""
+        path, whole = str(tmp_path / "a.dds1"), str(tmp_path / "b.dds1")
+        data = self._samples()
+        pieces = (data[i : i + 300] for i in range(0, data.size, 300))
+        write_signal_chunks(path, pieces, data.size, 1.25e6, seed=9, t0=0.25)
+        write_signal(whole, SampledSignal(data, 1.25e6, t0=0.25), seed=9)
+        assert open(path, "rb").read() == open(whole, "rb").read()
+        with SignalReader(path) as reader:
+            assert (reader.seed, reader.sample_rate, reader.length, reader.t0) == (
+                9, 1.25e6, 1000, 0.25,
+            )
+            chunks = [chunk.copy() for chunk in reader.chunks(256)]
+        assert [c.size for c in chunks] == [256, 256, 256, 232]
+        np.testing.assert_array_equal(np.concatenate(chunks), data)
+
+    def test_reader_reuses_one_buffer(self, tmp_path):
+        path = str(tmp_path / "a.dds1")
+        write_signal(path, SampledSignal(self._samples(), 1.25e6), seed=0)
+        with SignalReader(path) as reader:
+            bases = {id(np.asarray(c).base) for c in reader.chunks(100)}
+        assert len(bases) == 1
+
+    def test_payload_one_sample_short(self, tmp_path):
+        path = str(tmp_path / "a.dds1")
+        write_signal(path, SampledSignal(self._samples(), 1.25e6), seed=0)
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[:-16])
+        with pytest.raises(FileFormatError, match="header promises"):
+            SignalReader(path)
+
+    def test_huge_length_rejected_before_allocation(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "huge.dds1")
+        header = struct.pack("<4sIdQd", b"DDS1", 0, 1.25e6, 1 << 40, 0.0)
+        open(path, "wb").write(header + b"\x00" * 32)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("reader allocated before checking the size")
+
+        monkeypatch.setattr(np, "empty", no_allocation)
+        with pytest.raises(FileFormatError, match="header promises"):
+            SignalReader(path)
+
+    def test_file_shrinking_before_last_chunk(self, tmp_path):
+        """The size check passed on opening; the file then loses its tail."""
+        path = str(tmp_path / "a.dds1")
+        write_signal(path, SampledSignal(self._samples(), 1.25e6), seed=0)
+        with SignalReader(path) as reader:
+            chunks = reader.chunks(400)
+            next(chunks)
+            os.truncate(path, 32 + 16 * 900)
+            with pytest.raises(FileFormatError, match="shrank"):
+                list(chunks)
+
+    def test_interrupted_write_leaves_nothing(self, tmp_path):
+        path = tmp_path / "a.dds1"
+
+        def failing():
+            yield self._samples(100)
+            raise RuntimeError("synthesis failed")
+
+        with pytest.raises(RuntimeError, match="synthesis failed"):
+            write_signal_chunks(str(path), failing(), 200, 1.25e6, seed=0)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "a.dds1"
+        write_signal(str(path), SampledSignal(self._samples(10), 1.25e6), seed=0)
+        before = path.read_bytes()
+
+        def failing():
+            yield self._samples(100)
+            raise RuntimeError("synthesis failed")
+
+        with pytest.raises(RuntimeError):
+            write_signal_chunks(str(path), failing(), 200, 1.25e6, seed=0)
+        assert [p.name for p in tmp_path.iterdir()] == ["a.dds1"]
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("count", [99, 101])
+    def test_sample_count_must_match_header(self, tmp_path, count):
+        with pytest.raises(ValueError, match="header promises 100"):
+            write_signal_chunks(
+                str(tmp_path / "a.dds1"), [self._samples(count)], 100, 1.25e6, seed=0
+            )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGridFormat:
@@ -278,7 +376,7 @@ class TestPathsCsv:
             visible=np.array([[True, True, True], [True, False, True]]),
         )
         path = str(tmp_path / "truth.csv")
-        write_paths_csv(path, tracks)
+        write_paths_csv(path, [tracks])
         assert open(path, "rb").read() == (
             b"time_s,kind,delay_s,doppler_hz,gain_real,gain_imag\n"
             b"0,los,1.4e-07,2801.4,1e-05,0\n"
@@ -287,6 +385,15 @@ class TestPathsCsv:
             b"0.000168,los,1.39e-07,-3.25,1.25e-05,0\n"
             b"0.000168,ground,1.49e-07,-0,3.5e-06,0\n"
         )
+        # consecutive parts are written one at a time, to the same bytes
+        parts = (
+            RayTracks(tracks.times[i : i + 1], tracks.kinds,
+                      *(a[i : i + 1] for a in tracks[2:]))
+            for i in range(2)
+        )
+        split = str(tmp_path / "split.csv")
+        write_paths_csv(split, parts)
+        assert open(split, "rb").read() == open(path, "rb").read()
 
 
 class TestPeaksJson:

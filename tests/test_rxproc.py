@@ -77,6 +77,60 @@ class TestEstimateCfo:
         with pytest.raises(ValueError, match="sample rate"):
             estimate_cfo(rx, composite)
 
+    @pytest.mark.parametrize(
+        "cfo,seed,duration",
+        # 25,000, 62,500 and 38,875 samples: 10, 25 and 25 past whole periods
+        [(120.0, 7, 0.02), (-412.0, 11, 0.05), (1003.7, 13, 0.0311)],
+    )
+    def test_band_search_matches_full_padded_fft(
+        self, narrowband, signals, composite, monkeypatch, cfo, seed, duration
+    ):
+        """Away from a round-off tie between two bins (none of these CFOs is
+        one), the band-only search picks the bin of a full 8N-point FFT's
+        argmax over the band, and the estimate is the identical float."""
+        rx = apply_channel(
+            signals, _parked(duration, cfo=cfo, noise_psd=1e-15), narrowband, seed=seed
+        )
+        band_only = estimate_cfo(rx, composite)
+        picked = []
+
+        def full_fft_band(samples, fs, halfwidth):
+            padded = np.fft.fft(samples, 8 * samples.size)
+            freqs = np.fft.fftfreq(8 * samples.size, d=1.0 / fs)
+            band = np.flatnonzero(np.abs(freqs) <= halfwidth)
+            got_freqs, got_magnitude = band_search(samples, fs, halfwidth)
+            np.testing.assert_array_equal(got_freqs, freqs[band])
+            magnitude = np.abs(padded[band])
+            assert np.argmax(got_magnitude) == np.argmax(magnitude)
+            picked.append(freqs[band][np.argmax(magnitude)])
+            return freqs[band], magnitude
+
+        band_search = rxproc._padded_band
+        monkeypatch.setattr(rxproc, "_padded_band", full_fft_band)
+        assert estimate_cfo(rx, composite) == band_only
+        assert len(picked) == 1
+        assert band_only == pytest.approx(cfo, abs=0.05)
+
+    @pytest.mark.parametrize("size", [840, 3150, 4096])
+    @pytest.mark.parametrize("k", [0, 3, -5])
+    def test_band_search_at_half_bin_ties(self, size, k):
+        """A tone halfway between two padded bins: the band magnitudes are the
+        full FFT's within 1e-14 of the peak, and the band argmax is one of the
+        two tied bins, though not always the one the full FFT picks."""
+        fs, halfwidth = 1e6, 0.5e6 / 210
+        padded = 8 * size
+        tone = (k + 0.5) * fs / padded
+        x = np.exp(2j * np.pi * tone * np.arange(size) / fs)
+        freqs, magnitude = rxproc._padded_band(x, fs, halfwidth)
+        full_freqs = np.fft.fftfreq(padded, d=1.0 / fs)
+        band = np.abs(full_freqs) <= halfwidth
+        full = np.abs(np.fft.fft(x, padded)[band])
+        np.testing.assert_array_equal(freqs, full_freqs[band])
+        assert np.max(np.abs(magnitude - full)) <= 1e-14 * full.max()
+        assert freqs[np.argmax(magnitude)] * padded / fs == pytest.approx(
+            k + 0.5, abs=0.5 + 1e-9
+        )
+
 
 def _snapshot_offset(block, bins, period):
     """Two-pass lag-one offset of one snapshot (the per-snapshot original)."""
@@ -202,6 +256,55 @@ class TestCoherentAverage:
         rx = SampledSignal(np.ones(105, complex), narrowband.sample_rate)
         with pytest.raises(ValueError, match="snapshot"):
             coherent_average(rx, narrowband, 0.0, 0)
+
+
+class _InMemoryRecord:
+    """The reader interface of demultiplex_record over an in-memory record,
+    counting the samples it hands out."""
+
+    def __init__(self, signal):
+        self.signal = signal
+        self.sample_rate, self.t0 = signal.sample_rate, signal.t0
+        self.length = signal.samples.size
+        self.sizes = []
+
+    def chunks(self, size):
+        for start in range(0, self.length, size):
+            self.sizes.append(min(size, self.length - start))
+            yield self.signal.samples[start : start + size].copy()
+
+
+class TestDemultiplexRecord:
+    @pytest.mark.parametrize("t0", [0.0, 1.7])
+    def test_equals_whole_record_functions(self, narrowband, nb_plans, t0):
+        """2.6 chunks with a partial snapshot trailing: every grid and noise
+        power is bit for bit that of the whole-record functions, and the
+        record is handed out in whole-snapshot chunks of coherent_average."""
+        rx = _chirped_record(narrowband, 2.6, t0)
+        record = _InMemoryRecord(rx)
+        grids, noise = rxproc.demultiplex_record(record, narrowband, 37.25, nb_plans)
+        chunk = (rxproc._CHUNK_SAMPLES // narrowband.samples_per_snapshot) * (
+            narrowband.samples_per_snapshot
+        )
+        assert record.sizes[:-1] == [chunk] * (len(record.sizes) - 1)
+        assert len(record.sizes) == 3
+        for plan, grid, power in zip(nb_plans, grids, noise):
+            averaged = coherent_average(rx, narrowband, 37.25, plan.tx_index)
+            expected = demultiplex(averaged, narrowband, plan, t0=t0)
+            assert grid.tx_index == plan.tx_index
+            np.testing.assert_array_equal(grid.values, expected.values)
+            np.testing.assert_array_equal(grid.snapshot_times, expected.snapshot_times)
+            np.testing.assert_array_equal(grid.tone_frequencies, expected.tone_frequencies)
+            assert power == noise_power_estimate(averaged, narrowband)
+            np.testing.assert_array_equal(
+                snr_per_tx(grid, power), snr_per_tx(expected, power)
+            )
+
+    def test_record_shorter_than_snapshot_rejected(self, narrowband, nb_plans):
+        short = SampledSignal(np.ones(narrowband.samples_per_snapshot - 1, complex),
+                              narrowband.sample_rate)
+        with pytest.raises(ValueError, match="shorter than one snapshot"):
+            rxproc.demultiplex_record(_InMemoryRecord(short), narrowband, 0.0, nb_plans)
 
 
 class TestDemultiplex:

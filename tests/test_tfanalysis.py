@@ -112,6 +112,37 @@ class TestDpss:
     def test_shape(self):
         assert dpss_tapers(21, 2.0, 3).shape == (3, 21)
 
+    @pytest.mark.parametrize(
+        "length,time_bandwidth,count",
+        [(360, 2.0, 3), (21, 2.0, 3), (8, 2.0, 3), (10, 2.0, 4), (128, 2.0, 4),
+         (361, 2.0, 1), (1000, 3.5, 7), (5, 1.5, 2)],
+    )
+    def test_equals_scipy_dpss(self, length, time_bandwidth, count):
+        """Bit for bit scipy's tapers: the same eigenproblem, signs and norm."""
+        from scipy.signal.windows import dpss
+
+        np.testing.assert_array_equal(
+            dpss_tapers(length, time_bandwidth, count),
+            dpss(length, time_bandwidth, Kmax=count),
+        )
+
+    def test_cli_does_not_import_scipy_signal(self):
+        """The tapers are built in-house, so no CLI call pays for scipy.signal."""
+        import os
+        import subprocess
+        import sys
+
+        import ddsounder
+
+        src = os.path.dirname(os.path.dirname(ddsounder.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = "import sys, ddsounder.cli; print('scipy.signal' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.stdout.strip() == "False"
+
 
 class TestLsf:
     def test_planted_tap_recovered(self):
