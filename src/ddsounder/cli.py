@@ -205,6 +205,9 @@ def _analyze_window(out_dir, cfg, lsf_cfg, sbl_cfg, peak_count, grid, seed, tx, 
             "source": "sbl",
             "noise_var": fit.noise_var,
             "residual_power": fit.residual_power,
+            "noise_var_trace": fit.noise_var_trace.tolist(),
+            "residual_power_trace": fit.residual_power_trace.tolist(),
+            "churn_trace": fit.churn_trace.tolist(),
         },
     )
     return [

@@ -15,7 +15,8 @@ that is an FFT of that block's variances.  Per pass, one Levinson recursion
 across all blocks gives each block's inverse first column and its whitened
 data; FFTs turn these into the matched-filter and self-responses of all
 ``UK`` atoms.  The active-set least squares splits the same way: only the
-Doppler bins that hold an active atom enter it.
+Doppler bins that hold an active atom enter it.  Each fit allocates its
+transform and response arrays once, and every pass writes into them.
 """
 
 from __future__ import annotations
@@ -195,21 +196,71 @@ def _levinson(col: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray
     n_tones = col.shape[0]
     predictor = np.zeros_like(col)
     predictor[0] = 1.0
+    # the reversed conjugate predictor, times the step's coefficient
+    flipped = np.empty_like(col)
     power = col[0].real.copy()
     solution = np.zeros_like(data)
     solution[0] = data[0] / power
     for n in range(1, n_tones):
         lags = col[n:0:-1]
-        reflection = -np.einsum("jm,jm->m", lags, predictor[:n]) / power
-        predictor[: n + 1] += reflection * predictor[n::-1].conj()
+        reflection = np.einsum("jm,jm->m", lags, predictor[:n])
+        reflection /= power
+        np.negative(reflection, out=reflection)
+        update = np.conjugate(predictor[n::-1], out=flipped[: n + 1])
+        update *= reflection
+        predictor[: n + 1] += update
         power *= 1.0 - (reflection.real**2 + reflection.imag**2)
-        step = (data[n] - np.einsum("jm,jm->m", lags, solution[:n])) / power
-        solution[: n + 1] += step * predictor[n::-1].conj()
-    return predictor / power, solution
+        step = data[n] - np.einsum("jm,jm->m", lags, solution[:n])
+        step /= power
+        update = np.conjugate(predictor[n::-1], out=flipped[: n + 1])
+        update *= step
+        solution[: n + 1] += update
+    predictor /= power
+    return predictor, solution
+
+
+class _PassBuffers:
+    """Work arrays of one :func:`sbl_fit` call, written in place by every pass.
+
+    ``half`` holds the real transforms over the ``U*K`` delay bins (first
+    gamma's, later the self-responses' lag sums); ``spectra`` the two
+    forward transforms of the Gohberg-Semencul correlation and ``lags`` its
+    inverse.  Nothing here is returned to the caller.
+    """
+
+    def __init__(self, n_tones: int, delay_bins: int, n_snapshots: int):
+        n_corr = next_fast_len(2 * n_tones - 1)
+        self.weights = (n_tones - np.arange(n_tones))[:, None]
+        self.col = np.empty((n_tones, n_snapshots), dtype=np.complex128)
+        self.weighted = np.empty_like(self.col)
+        self.half = np.empty((delay_bins // 2 + 1, n_snapshots), dtype=np.complex128)
+        self.spectra = np.empty((2, n_corr, n_snapshots), dtype=np.complex128)
+        self.cross = np.empty((n_corr, n_snapshots), dtype=np.complex128)
+        self.lags = np.empty_like(self.cross)
+        self.filtered = np.empty((delay_bins, n_snapshots), dtype=np.complex128)
+        self.self_response = np.empty((delay_bins, n_snapshots))
+        self.ratio = np.empty_like(self.self_response)
+
+
+def _fold(sums: np.ndarray, half: np.ndarray, delay_bins: int) -> None:
+    """Write the ``U*K``-point Hermitian spectrum of lag values into ``half``.
+
+    ``sums`` holds lags 0..K-1 and lag ``-d`` is ``conj(sums[d])``; ``half``
+    gets the bins 0..UK/2 of their sum over the ``UK`` bins.  For ``U >= 2``
+    every lag has its own bin; for ``U = 1`` bin ``k`` also collects the
+    conjugate of lag ``K - k``.
+    """
+    n_tones = sums.shape[0]
+    known = min(n_tones, half.shape[0])
+    half[:known] = sums[:known]
+    half[known:] = 0
+    half[delay_bins - n_tones + 1 :] += sums[
+        n_tones - 1 : delay_bins - half.shape[0] : -1
+    ].conj()
 
 
 def _atom_responses(
-    gamma: np.ndarray, noise_var: float, spectrum: np.ndarray
+    gamma: np.ndarray, noise_var: float, spectrum: np.ndarray, work: _PassBuffers
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matched-filter and self-responses of every atom, Doppler block by block.
 
@@ -220,44 +271,65 @@ def _atom_responses(
     over all blocks gives the inverse's first column ``a`` and the whitened
     data ``x = Sigma^-1 spectrum_m``; the Gohberg-Semencul form of the inverse
     turns ``a`` into its diagonal sums by FFT.  Returns ``a_n^H Sigma^-1 h``
-    and the real ``a_n^H Sigma^-1 a_n``, each ``(U*K, M)``.
+    and the real ``a_n^H Sigma^-1 a_n``, each ``(U*K, M)``, in ``work``'s
+    buffers.
     """
     delay_bins = gamma.shape[0]
     n_tones = spectrum.shape[0]
-    col = np.fft.fft(gamma, axis=0)[:n_tones] / n_tones
+    # gamma is real, so bin k of its transform is the conjugate of bin UK - k:
+    # the real transform's bins up to UK/2 give c_m, and for U = 1 its bins
+    # beyond K/2 are the conjugates of the bins K - k
+    half, col = work.half, work.col
+    np.fft.rfft(gamma, axis=0, out=half)
+    known = min(n_tones, half.shape[0])
+    col[:known] = half[:known]
+    np.conjugate(
+        half[delay_bins - n_tones + 1 : delay_bins - known + 1][::-1],
+        out=col[known:],
+    )
+    col /= n_tones
     col[0] += noise_var
     first, whitened = _levinson(col, spectrum)
-    filtered = np.fft.ifft(whitened, n=delay_bins, axis=0) * (
-        delay_bins / np.sqrt(n_tones)
-    )
+    filtered = np.fft.ifft(whitened, n=delay_bins, axis=0, out=work.filtered)
+    filtered *= delay_bins / np.sqrt(n_tones)
 
     # Gohberg-Semencul: Sigma^-1 = (L(a) L(a)^H - L(b) L(b)^H) / a_0 with
     # L(v) lower-triangular Toeplitz and b = (0, conj(a_{K-1}), ..., conj(a_1)).
     # The lag-d diagonal sum of L(v) L(v)^H is
     # sum_r (K - r - d) v[r + d] conj(v[r]), one correlation of
     # (K - p) v[p] with v; at least 2K - 1 points keep it from wrapping, and
-    # a composite length keeps the FFT fast.  The sums are of order
-    # K / sigma^2, so a self-response near 1/gamma_n carries a relative error
-    # of about eps K gamma_n / sigma^2: round-off on noisy windows, but at the
-    # noise floor it leaves the strongest atoms' gamma good to only ~1e-4.
-    second = np.zeros_like(first)
-    second[1:] = first[:0:-1].conj()
-    v = np.stack([first, second])
-    n_corr = next_fast_len(2 * n_tones - 1)
-    weights = (n_tones - np.arange(n_tones))[:, None]
-    spectra = np.fft.fft(v * weights, n=n_corr, axis=1) * np.fft.fft(
-        v, n=n_corr, axis=1
-    ).conj()
-    diag_sums = np.fft.ifft(spectra[0] - spectra[1], axis=0)[:n_tones]
+    # a composite length keeps the FFT fast.  With A = fft(a) and
+    # Aw = fft((K - p) a), b's transforms are w^{Kf} conj(A - a_0) and
+    # w^{Kf} conj(K A - Aw), so the phases cancel and the difference of the
+    # two correlation spectra is Aw conj(A) - conj(K A - Aw) (A - a_0).
+    # The sums are of order K / sigma^2, so a self-response near 1/gamma_n
+    # carries a relative error of about eps K gamma_n / sigma^2: round-off on
+    # noisy windows, but at the noise floor it leaves the strongest atoms'
+    # gamma good to only ~1e-4.
+    a_hat, aw_hat = work.spectra
+    n_corr = a_hat.shape[0]
+    np.fft.fft(first, n=n_corr, axis=0, out=a_hat)
+    np.multiply(first, work.weights, out=work.weighted)
+    np.fft.fft(work.weighted, n=n_corr, axis=0, out=aw_hat)
+    cross = np.conjugate(a_hat, out=work.cross)
+    cross *= aw_hat
+    # conj(K A - Aw) (A - a_0) in aw_hat; the lag buffer holds K A meanwhile
+    np.multiply(a_hat, n_tones, out=work.lags)
+    np.subtract(work.lags, aw_hat, out=aw_hat)
+    np.conjugate(aw_hat, out=aw_hat)
+    a_hat -= first[0]
+    aw_hat *= a_hat
+    cross -= aw_hat
+    diag_sums = np.fft.ifft(cross, axis=0, out=work.lags)[:n_tones]
     diag_sums /= first[0].real
     # a_n^H Sigma^-1 a_n = (1/K) sum_d s[d] exp(2j pi d n / UK) over lags
-    # -(K-1)..K-1; lag -d is conj(s[d]) and the sum is real, so it is the
-    # real part of the one-sided sum with lags d >= 1 doubled.  Lags stay
-    # below K <= UK, so no two land on the same bin.
-    diag_sums[1:] *= 2
-    self_response = np.fft.ifft(diag_sums, n=delay_bins, axis=0).real * (
-        delay_bins / n_tones
+    # -(K-1)..K-1 with s[-d] = conj(s[d]): a real inverse transform of the
+    # lag sums folded onto the UK bins
+    _fold(diag_sums, half, delay_bins)
+    self_response = np.fft.irfft(
+        half, n=delay_bins, axis=0, out=work.self_response
     )
+    self_response *= delay_bins / n_tones
     return filtered, self_response
 
 
@@ -331,11 +403,19 @@ def sbl_fit(
     noise_trace = np.empty(cfg.iterations)
     residual_trace = np.empty(cfg.iterations)
     churn_trace = np.empty(cfg.iterations, dtype=int)
+    work = _PassBuffers(n_tones, model.delay_bins, n_snapshots)
+    # the returned surface: fftshift(gamma, axes=1), written in place
+    surface = np.empty_like(gamma)
+    center = n_snapshots // 2
     for it in range(cfg.iterations):
-        filtered, self_response = _atom_responses(gamma, noise_var, spectrum)
-        gamma *= np.abs(filtered) ** 2 / np.clip(self_response, 1e-300, None)
+        filtered, self_response = _atom_responses(gamma, noise_var, spectrum, work)
+        ratio = np.abs(filtered, out=work.ratio)
+        np.square(ratio, out=ratio)
+        ratio /= np.clip(self_response, 1e-300, None, out=self_response)
+        gamma *= ratio
 
-        surface = np.fft.fftshift(gamma, axes=1)
+        surface[:, center:] = gamma[:, : n_snapshots - center]
+        surface[:, :center] = gamma[:, n_snapshots - center :]
         previous = set(selected)
         selected = peak_select_2d(surface, cfg.active_set_size)
         churn_trace[it] = len(set(selected) - previous)

@@ -243,18 +243,23 @@ def dsd(grid: DelayDopplerGrid) -> np.ndarray:
 
 def _strict_local_maxima(values: np.ndarray) -> np.ndarray:
     """Boolean mask of strict 8-neighbourhood maxima (edges compare fewer)."""
-    padded = np.full((values.shape[0] + 2, values.shape[1] + 2), -np.inf)
-    padded[1:-1, 1:-1] = values
-    center = padded[1:-1, 1:-1]
-    mask = np.ones(values.shape, dtype=bool)
+    rows, cols = values.shape
+    # as if padded with -inf: a -inf cell is no maximum, even without neighbours
+    mask = values > -np.inf
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
-            neighbour = padded[
-                1 + di : 1 + di + values.shape[0], 1 + dj : 1 + dj + values.shape[1]
-            ]
-            mask &= center > neighbour
+            # the cells with a neighbour at (di, dj), and those neighbours
+            here = (
+                slice(max(-di, 0), rows - max(di, 0)),
+                slice(max(-dj, 0), cols - max(dj, 0)),
+            )
+            there = (
+                slice(max(di, 0), rows - max(-di, 0)),
+                slice(max(dj, 0), cols - max(-dj, 0)),
+            )
+            mask[here] &= values[here] > values[there]
     return mask
 
 
@@ -274,8 +279,16 @@ def _ranked_maxima(
         raise ValueError("count must be non-negative")
     if np.iscomplexobj(values):
         raise ValueError("peak picking expects a real-valued surface")
-    rows, cols = np.nonzero(_strict_local_maxima(values))
-    order = np.lexsort((doppler_key[cols], delay_key[rows], -values[rows, cols]))
+    flat = np.flatnonzero(_strict_local_maxima(values))
+    rows, cols = np.divmod(flat, values.shape[1])
+    peaks = values.ravel()[flat]
+    if 0 < count < peaks.size:
+        # only maxima at or above the count-th largest value can rank; all
+        # ties with it stay, so the sort below still settles them
+        cut = np.partition(peaks, peaks.size - count)[peaks.size - count]
+        keep = peaks >= cut
+        rows, cols, peaks = rows[keep], cols[keep], peaks[keep]
+    order = np.lexsort((doppler_key[cols], delay_key[rows], -peaks))
     keep = order[:count]
     return rows[keep], cols[keep]
 

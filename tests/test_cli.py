@@ -7,6 +7,7 @@ full-length scenario statistics live in the acceptance suite.  Exit codes:
 
 import json
 import os
+import shutil
 import struct
 import tracemalloc
 
@@ -145,6 +146,22 @@ class TestStages:
         assert rc == 0
         assert os.path.exists(os.path.join(out, "lsf_tx0_w000.ddg2"))
         assert not os.path.exists(os.path.join(out, "lsf_tx0_w001.ddg2"))
+
+    def test_sbl_peaks_carry_per_pass_traces(self, mini_run, tmp_path):
+        out = str(tmp_path / "traces")
+        os.makedirs(out)
+        for name in ("config.ini", "h_tx0.ddg1", "h_tx1.ddg1"):
+            shutil.copyfile(os.path.join(mini_run, name), os.path.join(out, name))
+        rc = main(["analyze", "--out-dir", out, "--window-length", "128",
+                   "--windows", "1", "--sbl-iters", "3"])
+        assert rc == 0
+        for tx in (0, 1):
+            _, meta = ddio.read_peaks_json(os.path.join(out, f"sbl_peaks_tx{tx}_w000.json"))
+            for key in ("noise_var_trace", "residual_power_trace", "churn_trace"):
+                assert len(meta[key]) == 3, key
+            assert meta["noise_var_trace"][-1] == meta["noise_var"]
+            assert meta["residual_power_trace"][-1] == meta["residual_power"]
+            assert all(isinstance(c, int) and c >= 0 for c in meta["churn_trace"])
 
     def test_analyze_window_longer_than_record(self, mini_run):
         rc = main(["analyze", "--out-dir", mini_run, "--window-length", "100000"])

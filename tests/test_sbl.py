@@ -282,6 +282,25 @@ class TestSblFit:
         assert np.all((result.churn_trace >= 0) & (result.churn_trace <= 4))
 
 
+    def test_repeat_fit_is_bitwise_and_keeps_first_result(self, model):
+        """Each call's work buffers are its own: a second fit of the same window
+        repeats the first bit for bit and leaves the first result as it was."""
+        rng = np.random.default_rng(301)
+        noise = 0.05 * (rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M)))
+        h = _window_from_atoms(model, [(2.0, 12, 3), (1.0j, 50, 20)], noise)
+        cfg = SBLConfig(iterations=4, active_set_size=4)
+        first = sbl_fit(h, cfg=cfg)
+        kept = first.gamma.values.copy()
+        second = sbl_fit(h, cfg=cfg)
+        assert second.gamma.values is not first.gamma.values
+        assert first.gamma.values.tobytes() == kept.tobytes()
+        assert second.gamma.values.tobytes() == kept.tobytes()
+        assert second.peaks.entries == first.peaks.entries
+        assert second.amplitudes.tobytes() == first.amplitudes.tobytes()
+        for name in ("noise_var_trace", "residual_power_trace", "churn_trace"):
+            assert getattr(second, name).tobytes() == getattr(first, name).tobytes()
+
+
 def _planted_window(upsampling, n_snapshots, snr_db=None, n_tones=K):
     """Three on-grid taps, plus white noise at ``snr_db`` unless it is None."""
     native = SparseModel(n_tones, n_snapshots, upsampling=upsampling)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ddsounder.params import ConfigError
+from ddsounder.sbl import peak_select_2d
 from ddsounder.tfanalysis import (
     DelayDopplerGrid,
     LSFConfig,
@@ -28,6 +29,22 @@ def _planted_tap(k_count, m_count, delay_bin, doppler_bin):
     return np.exp(-2j * np.pi * k * delay_bin / k_count) * np.exp(
         2j * np.pi * l * doppler_bin / m_count
     )
+
+
+def _strict_maxima(values):
+    """Row-major list of the cells above all their in-bounds 8 neighbours."""
+    rows, cols = values.shape
+    return [
+        (i, j)
+        for i in range(rows)
+        for j in range(cols)
+        if all(
+            values[i, j] > values[a, b]
+            for a in range(max(i - 1, 0), min(i + 2, rows))
+            for b in range(max(j - 1, 0), min(j + 2, cols))
+            if (a, b) != (i, j)
+        )
+    ]
 
 
 def _rand_h(rng, k, m):
@@ -232,28 +249,30 @@ class TestDsdAndPeaks:
         else:
             values = np.random.default_rng(9).integers(0, 4, (9, 10)).astype(float)
         grid = DelayDopplerGrid(values, delay, doppler)
-        maxima = [
-            (i, j)
-            for i in range(9)
-            for j in range(10)
-            if all(
-                values[i, j] > values[a, b]
-                for a in range(max(i - 1, 0), min(i + 2, 9))
-                for b in range(max(j - 1, 0), min(j + 2, 10))
-                if (a, b) != (i, j)
-            )
-        ]
+        maxima = _strict_maxima(values)
         oracle = sorted(
             maxima, key=lambda ij: (-values[ij], delay[ij[0]], abs(doppler[ij[1]]))
         )
-        got = top_peaks_2d(grid, len(maxima) + 1).entries
-        assert [(p.delay, p.doppler, p.power) for p in got] == [
-            (delay[i], doppler[j], values[i, j]) for i, j in oracle
-        ]
+        expected = [(delay[i], doppler[j], values[i, j]) for i, j in oracle]
+        # every count cuts the ranking somewhere, through ties or not
+        for count in range(1, len(maxima) + 2):
+            got = top_peaks_2d(grid, count).entries
+            assert [(p.delay, p.doppler, p.power) for p in got] == expected[:count]
         if surface == "planted":
             assert [(p.delay, p.doppler) for p in got[:4]] == [
                 (0.0, 4.0), (2.0, -3.0), (4.0, -2.0), (4.0, 2.0)
             ]
+
+    def test_peak_select_tie_order_on_sbl_sized_surface(self):
+        """An SBL-sized surface (84 delay bins x 360 Doppler bins) quantized
+        to {0..3}: hundreds of maxima share each value, so most counts cut
+        through a tie."""
+        values = np.random.default_rng(10).integers(0, 4, (84, 360)).astype(float)
+        maxima = _strict_maxima(values)
+        oracle = sorted(maxima, key=lambda ij: (-values[ij], ij[0], abs(ij[1] - 180)))
+        assert len(oracle) > 500
+        for count in range(1, len(maxima) + 2):
+            assert peak_select_2d(values, count) == oracle[:count]
 
     def test_complex_values_rejected(self):
         grid = sfft(np.ones((3, 4), complex))
