@@ -29,7 +29,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .channel import RayTracks, ScenarioConfig, default_scenario
-from .params import ConfigError, SounderConfig, derive_config
+from .params import ConfigError, SounderConfig
 from .tfanalysis import DelayDopplerGrid, Peak, PeakList
 from .rxproc import TransferFunctionGrid
 from .waveform import SampledSignal
@@ -447,18 +447,8 @@ def read_peaks_json(path: str) -> tuple[PeakList, dict]:
 
 # -- INI configuration --------------------------------------------------------
 
-_SOUNDER_KEYS = {
-    "center_frequency": float,
-    "bandwidth": float,
-    "tone_count": int,
-    "tx_count": int,
-    "grid_ratio": int,
-    "averaging_count": int,
-    "max_speed": float,
-    "max_doppler": float,
-    "recording_time": float,
-    "sample_rate": float,
-}
+# the [sounder] keys are the design's fields; each default carries its type
+_SOUNDER_KEYS = {f.name: type(f.default) for f in dataclasses.fields(SounderConfig)}
 
 _SCENARIO_KEYS = {
     "rx_position": "triple",
@@ -530,7 +520,7 @@ def load_sounder_config(path: str) -> SounderConfig:
     """Read the [sounder] section; every key is required, none may be extra."""
     parser = _read_ini(path)
     values = _section_values(parser, path, "sounder", _SOUNDER_KEYS)
-    return derive_config(**values)
+    return SounderConfig(**values)
 
 
 def save_sounder_config(path: str, cfg: SounderConfig) -> None:

@@ -18,8 +18,8 @@ from ddsounder import io as ddio
 from ddsounder.channel import apply_channel, default_scenario, transfer_function
 from ddsounder.cli import main
 from ddsounder.params import (
+    SounderConfig,
     default_config,
-    derive_config,
     free_space_path_loss,
     processing_gain,
     validate_config,
@@ -102,14 +102,11 @@ def test_acceptance_4_processing_gain(announce):
     rng = np.random.default_rng(4)
     results = {}
     for n_avg in (4, 16, 64, 212):
-        cfg = derive_config(
-            bandwidth=1e6, sample_rate=1.25e6,
-            averaging_count=n_avg, recording_time=40 * n_avg * 84e-6,
-        )
+        cfg = SounderConfig(bandwidth=1e6, sample_rate=1.25e6, averaging_count=n_avg)
         length = cfg.samples_per_period
         signals = [multitone_waveform(cfg, tone_plan(cfg, i)) for i in range(2)]
         scn = dataclasses.replace(
-            default_scenario(duration=cfg.recording_time, cfo=0.0, noise_psd=0.0),
+            default_scenario(duration=40 * n_avg * 84e-6, cfo=0.0, noise_psd=0.0),
             tx_velocity=np.zeros(3),
         )
         clean = apply_channel(signals, scn, cfg, seed=0)
@@ -328,9 +325,7 @@ def test_acceptance_8d_truck_fading_variance(announce, driveby):
 
 
 def test_acceptance_9_determinism(announce, tmp_path):
-    cfg = derive_config(
-        bandwidth=1e6, sample_rate=1.25e6, averaging_count=2, recording_time=0.4
-    )
+    cfg = SounderConfig(bandwidth=1e6, sample_rate=1.25e6, averaging_count=2)
     cfg_path = str(tmp_path / "config.ini")
     scn_path = str(tmp_path / "scenario.ini")
     ddio.save_sounder_config(cfg_path, cfg)

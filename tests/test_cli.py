@@ -9,25 +9,26 @@ import json
 import os
 import shutil
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ddsounder import cli
 from ddsounder import io as ddio
-from ddsounder.channel import default_scenario
+from ddsounder.channel import _record_length, default_scenario
 from ddsounder.cli import main
 from ddsounder.manifest import RunManifest
-from ddsounder.params import ConfigError, derive_config, validate_config
+from ddsounder.params import ConfigError, SounderConfig, validate_config
 from ddsounder.waveform import SampledSignal
 
 
 def _mini_configs(directory):
     """Short-record config pair for fast pipeline tests."""
-    cfg = derive_config(
-        bandwidth=1e6, sample_rate=1.25e6, averaging_count=2, recording_time=0.1
-    )
+    cfg = SounderConfig(bandwidth=1e6, sample_rate=1.25e6, averaging_count=2)
     cfg_path = os.path.join(directory, "mini_config.ini")
     scn_path = os.path.join(directory, "mini_scenario.ini")
     ddio.save_sounder_config(cfg_path, cfg)
@@ -65,6 +66,19 @@ def mini_run(tmp_path_factory):
     return out
 
 
+# desk-scale designs (1 MHz, two-fold averaging) that fail one plan check each
+_FAILING_DESIGNS = [
+    ({"sample_rate": 6.25e5}, "samples_per_period_integer"),  # 52.5 samples
+    ({"sample_rate": 5e5}, "tones_within_nyquist"),  # 476 kHz tone
+    ({"grid_ratio": 2, "sample_rate": 1.5e6}, "noise_slot_free"),
+    ({"tone_count": 4}, "tone_count_fits_tapers"),  # the LSF's NW = 2 tapers
+    # 8 tones at a 125 kHz spacing sit on 12.5 kHz + 25 kHz multiples
+    ({"tone_count": 8, "grid_ratio": 5, "sample_rate": 2e6}, "tones_on_period_grid"),
+    ({"averaging_count": 100}, "doppler_sampling"),  # 8.4 ms snapshots
+    ({"tx_count": 3, "grid_ratio": 2, "sample_rate": 1.5e6}, "tx_combs_collision_free"),
+]
+
+
 class TestPlan:
     def test_default_config_passes(self, capsys):
         assert main(["plan"]) == 0
@@ -77,25 +91,19 @@ class TestPlan:
         assert "overall: PASS" in text
 
     def test_violating_config_fails(self, tmp_path, capsys):
-        cfg = derive_config(
-            bandwidth=1e6, sample_rate=1.25e6, averaging_count=100, recording_time=0.1
-        )
+        cfg = SounderConfig(bandwidth=1e6, sample_rate=1.25e6, averaging_count=100)
         path = str(tmp_path / "bad.ini")
         ddio.save_sounder_config(path, cfg)
         assert main(["plan", "--config", path]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "design,check",
-        [
-            ({"sample_rate": 6.25e5}, "samples_per_period_integer"),  # 52.5 samples
-            ({"sample_rate": 5e5}, "tones_within_nyquist"),  # 476 kHz tone
-            ({"grid_ratio": 2, "sample_rate": 1.5e6}, "noise_slot_free"),
-            ({"tone_count": 4}, "tone_count_fits_tapers"),  # the LSF's NW = 2 tapers
-        ],
-    )
+    def test_every_check_has_a_failing_design(self, narrowband):
+        checks = [c.name for c in validate_config(narrowband).checks]
+        assert sorted(checks) == sorted(check for _, check in _FAILING_DESIGNS)
+
+    @pytest.mark.parametrize("design,check", _FAILING_DESIGNS)
     def test_design_that_breaks_later_stages_fails(self, tmp_path, capsys, design, check):
-        cfg = derive_config(**{"bandwidth": 1e6, "averaging_count": 2, **design})
+        cfg = SounderConfig(**{"bandwidth": 1e6, "averaging_count": 2, **design})
         report = validate_config(cfg)
         assert not next(c for c in report.checks if c.name == check).passed
         path = str(tmp_path / "bad.ini")
@@ -113,6 +121,58 @@ class TestPlan:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+@st.composite
+def _designs(draw):
+    """A design drawn from the nine [sounder] keys, from the tightest values
+    that pass the taper, noise-slot and Nyquist rules up.  The sample rate is
+    drawn as an integer period length, so the period lies on the sample grid.
+    The Doppler and period-grid rules still fail some of the draws."""
+    tone_count = draw(st.integers(5, 24))
+    tx_count = draw(st.integers(1, 3))
+    grid_ratio = tx_count + draw(st.integers(1, 4))
+    bandwidth = draw(st.floats(2e5, 1e6))
+    # the highest tone completes (K - 1) g / 2 + T - 1 cycles per period
+    nyquist = (tone_count - 1) * grid_ratio + 2 * (tx_count - 1)
+    period_length = nyquist + draw(st.integers(1, 2 * tone_count * grid_ratio))
+    return SounderConfig(
+        center_frequency=draw(st.floats(1e9, 1e11)),
+        bandwidth=bandwidth,
+        tone_count=tone_count,
+        tx_count=tx_count,
+        grid_ratio=grid_ratio,
+        averaging_count=draw(st.integers(1, 8)),
+        max_speed=draw(st.floats(1.0, 30.0)),
+        max_doppler=draw(st.floats(100.0, 5000.0)),
+        sample_rate=period_length * bandwidth / (tone_count * grid_ratio),
+    )
+
+
+class TestPlannedDesignsRun:
+    """Whatever plan passes, simulate, process and analyze run."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(cfg=_designs())
+    def test_run_all_exits_zero(self, cfg):
+        assume(validate_config(cfg).passed)
+        scenario = default_scenario(
+            duration=0.1,
+            tx_velocity=(cfg.max_speed, 0.0, 0.0),
+            beam_elevation_deg=[7.5 * tx for tx in range(cfg.tx_count)],
+        )
+        snapshots = _record_length(scenario, cfg) // cfg.samples_per_snapshot
+        with tempfile.TemporaryDirectory() as root:
+            cfg_path = os.path.join(root, "config.ini")
+            scn_path = os.path.join(root, "scenario.ini")
+            ddio.save_sounder_config(cfg_path, cfg)
+            ddio.save_scenario(scn_path, scenario)
+            rc = main([
+                "run-all", "--config", cfg_path, "--scenario", scn_path,
+                "--seed", "3", "--out-dir", os.path.join(root, "run"),
+                "--window-length", str(min(snapshots, 64)), "--windows", "1",
+            ])
+        assert rc == 0, cfg
 
 
 class TestStages:
@@ -376,9 +436,7 @@ class TestExitCodes:
         for name in ("scenario.ini", "rx_record.dds1", "standstill.dds1"):
             data = open(os.path.join(mini_run, name), "rb").read()
             open(os.path.join(out, name), "wb").write(data)
-        cfg = derive_config(
-            bandwidth=1e6, sample_rate=2.5e6, averaging_count=2, recording_time=0.1
-        )
+        cfg = SounderConfig(bandwidth=1e6, sample_rate=2.5e6, averaging_count=2)
         ddio.save_sounder_config(os.path.join(out, "config.ini"), cfg)
         assert main(["process", "--out-dir", out]) == 1
         err = capsys.readouterr().err
@@ -442,7 +500,7 @@ class TestBoundedMemory:
         averages 212), so the per-snapshot tone grids that process keeps are
         a small share of the record; 0.25 s already spans more than one
         262,144-sample chunk of coherent_average."""
-        cfg = derive_config(
+        cfg = SounderConfig(
             bandwidth=1e6, sample_rate=1.25e6, averaging_count=8,
             max_speed=3.5, max_doppler=700.0,
         )

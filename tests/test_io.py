@@ -37,7 +37,7 @@ from ddsounder.io import (
     write_snr_csv,
     write_surface,
 )
-from ddsounder.params import ConfigError
+from ddsounder.params import ConfigError, SounderConfig
 from ddsounder.rxproc import TransferFunctionGrid
 from ddsounder.tfanalysis import DelayDopplerGrid, Peak, PeakList
 from ddsounder.waveform import SampledSignal
@@ -448,7 +448,15 @@ class TestSounderConfigIni:
         odd = dataclasses.replace(
             narrowband, max_speed=13.888888888888889, center_frequency=60.123456789012345e9
         )
-        for cfg in (narrowband, odd):
+        # every [sounder] key is saved: no field falls back to its default
+        changed = SounderConfig(
+            center_frequency=28e9, bandwidth=2e6, tone_count=17, tx_count=3,
+            grid_ratio=5, averaging_count=3, max_speed=8.5, max_doppler=900.0,
+            sample_rate=2.5e6,
+        )
+        for f in dataclasses.fields(SounderConfig):
+            assert getattr(changed, f.name) != f.default, f.name
+        for cfg in (narrowband, odd, changed):
             save_sounder_config(path, cfg)
             assert load_sounder_config(path) == cfg
 

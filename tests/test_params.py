@@ -11,10 +11,11 @@ import math
 import numpy as np
 import pytest
 
+from ddsounder.channel import _record_length, default_scenario
 from ddsounder.params import (
     ConfigError,
+    SounderConfig,
     default_config,
-    derive_config,
     free_space_path_loss,
     max_doppler,
     narrowband_config,
@@ -46,11 +47,11 @@ class TestDerivedQuantities:
     def test_snapshot_time(self, fullscale):
         assert fullscale.snapshot_time == pytest.approx(178.08e-6, abs=0.01e-6)
 
-    def test_snapshot_count_fills_recording(self, fullscale):
-        assert fullscale.snapshot_count == math.floor(
-            fullscale.recording_time / fullscale.snapshot_time * (1 + 1e-9)
-        )
-        assert fullscale.snapshot_count == 20215
+    def test_drive_fills_whole_snapshots(self, fullscale):
+        # the record is the scenario's 3.2 s drive, cut to whole snapshots
+        samples = _record_length(default_scenario(), fullscale)
+        assert samples == 400_000_000
+        assert samples // fullscale.samples_per_snapshot == 17969
 
     def test_processing_gain_212(self):
         assert processing_gain(212) == pytest.approx(23.2634, abs=5e-4)
@@ -65,7 +66,8 @@ class TestDerivedQuantities:
         assert narrowband.sample_rate == pytest.approx(1.25e6)
         assert narrowband.averaging_count == 2
         assert narrowband.snapshot_time == pytest.approx(168e-6)
-        assert narrowband.snapshot_count == 19047
+        snapshots = _record_length(default_scenario(), narrowband)
+        assert snapshots // narrowband.samples_per_snapshot == 19047
         # Doppler ambiguity at the snapshot rate comfortably covers max speed
         alias = 0.5 / narrowband.snapshot_time
         assert alias == pytest.approx(2976.19, abs=0.01)
@@ -109,16 +111,9 @@ class TestValidation:
     def test_report_text_lists_every_check(self, fullscale):
         text = validate_config(fullscale).to_text()
         assert "overall: PASS" in text
-        assert "delay_sampling" in text
+        assert "tones_on_period_grid" in text
         assert "doppler_sampling" in text
         assert "processing_gain_db" in text
-
-    def test_excess_delay_violation_fails(self, fullscale):
-        # a 200 ns delay target cannot be met by the 4.76 MHz tone spacing
-        cfg = dataclasses.replace(fullscale, max_excess_delay=200e-9)
-        report = validate_config(cfg)
-        assert not report.passed
-        assert not next(c for c in report.checks if c.name == "delay_sampling").passed
 
     def test_doppler_violation_fails(self, fullscale):
         cfg = dataclasses.replace(fullscale, max_doppler=5e3)
@@ -127,7 +122,7 @@ class TestValidation:
 
     def test_comb_collision_detected(self):
         # ratio 1 leaves no offset slots for the second TX
-        cfg = derive_config(grid_ratio=1)
+        cfg = SounderConfig(grid_ratio=1)
         report = validate_config(cfg)
         assert not next(
             c for c in report.checks if c.name == "tx_combs_collision_free"
@@ -148,17 +143,18 @@ class TestConstruction:
             {"tx_count": 0},
             {"bandwidth": -1.0},
             {"averaging_count": 0},
-            {"recording_time": 0.0},
+            {"grid_ratio": 0},
             {"center_frequency": float("nan")},
+            {"grid_ratio": 2.5},
         ],
     )
     def test_invalid_inputs_raise_config_error(self, kwargs):
         with pytest.raises(ConfigError):
-            derive_config(**kwargs)
+            SounderConfig(**kwargs)
 
     def test_fractional_sample_period_rejected(self):
         # 840 ns at 124 MS/s is 104.16 samples
-        cfg = derive_config(sample_rate=124e6)
+        cfg = SounderConfig(sample_rate=124e6)
         with pytest.raises(ConfigError):
             cfg.samples_per_period
 
@@ -173,3 +169,9 @@ class TestConstruction:
     def test_grid_ratio_property(self, fullscale, narrowband):
         assert fullscale.grid_ratio == 4
         assert narrowband.grid_ratio == 4
+
+    def test_fields_are_the_free_choices(self):
+        assert [f.name for f in dataclasses.fields(SounderConfig)] == [
+            "center_frequency", "bandwidth", "tone_count", "tx_count", "grid_ratio",
+            "averaging_count", "max_speed", "max_doppler", "sample_rate",
+        ]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ddsounder.params import ConfigError, derive_config
+from ddsounder.params import ConfigError, SounderConfig
 from ddsounder.waveform import (
     SampledSignal,
     crest_factor,
@@ -113,7 +113,7 @@ class TestMultitoneWaveform:
         assert zc < 2.5  # loose bound; flat weighting reaches sqrt(21) ~ 4.6
 
     def test_tones_above_nyquist_rejected(self):
-        cfg = derive_config(sample_rate=50e6)  # comb extends past 25 MHz
+        cfg = SounderConfig(sample_rate=50e6)  # comb extends past 25 MHz
         with pytest.raises(ValueError, match="Nyquist"):
             multitone_waveform(cfg, tone_plan(cfg, 0))
 
