@@ -11,6 +11,10 @@ again a tone sum: term ``b`` starts at ``g c_b exp(j 2 pi (b (s mod L) / L -
 start terms times ``exp(j w_b m a)`` and the (term, r) matrix of
 ``exp(j w_b r)``.  Bins at round-off of the largest are dropped, so a tone
 comb costs one term per (path, tone).
+
+Both power tables are built by doubling, about ``log2(count)`` vectorised
+products each, into work arrays that a caller making many calls owns
+(:class:`_PowerTables`), so consecutive calls reuse them.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ def synthesize_paths(
     sample_rate: float,
     carrier_frequency: float,
     block_length: int,
+    *,
+    tables: _PowerTables | None = None,
 ) -> np.ndarray:
     """Superimpose delayed, Doppler-rotated copies of periodic waveforms
     over ``B`` consecutive blocks of ``block_length`` samples.
@@ -57,6 +63,9 @@ def synthesize_paths(
         Sample rate (S/s) and RF carrier (Hz), whose phase carries the Doppler.
     block_length : int
         Samples per block.
+    tables : _PowerTables, optional
+        Work arrays for the power tables, reused across calls; the output
+        does not depend on what they held before.  Fresh ones by default.
 
     Returns
     -------
@@ -84,22 +93,67 @@ def synthesize_paths(
     carrier = carrier_frequency * tau
     cycles = np.multiply.outer(starts, bins) % length / length
     cycles -= freq * tau + (carrier - np.round(carrier))
-    start = gains[path].T * spectrum[wf_index[path], bin_index] * np.exp(2j * np.pi * cycles)
+    start = gains[path].T * spectrum[wf_index[path], bin_index] * _expj(2 * np.pi * cycles)
     rate = freq * (1.0 - slope) - carrier_frequency * slope  # Hz, in the block
-    step = np.exp((2j * np.pi / sample_rate) * rate)
+    step = _expj((2 * np.pi / sample_rate) * rate)
 
     # u = a m + r: (B, a, term) start terms times step**(a m), (B, r, term) step**r
     m = math.isqrt(block_length)
-    tail = _powers(step, m)
-    head = _powers(tail[:, -1] * step, -(-block_length // m))
+    head, tail = (tables or _PowerTables()).take(
+        (n_blocks, -(-block_length // m), step.shape[1]), (n_blocks, m, step.shape[1])
+    )
+    _powers(step, tail)
+    _powers(tail[:, -1] * step, head)
     head *= start[:, None]
     out = np.matmul(head, tail.swapaxes(1, 2)).reshape(n_blocks, -1)
     return out[:, :block_length].reshape(-1)[:n_samples]
 
 
-def _powers(base: np.ndarray, count: int) -> np.ndarray:
-    """``base ** arange(count)`` along a new axis 1 of a (B, T) array."""
-    out = np.empty((base.shape[0], count, base.shape[1]), dtype=np.complex128)
+class _PowerTables:
+    """Work arrays for the two power tables of consecutive
+    :func:`synthesize_paths` calls, grown to the largest call so far."""
+
+    def __init__(self):
+        self._flat = np.empty(0, dtype=np.complex128)
+
+    def take(self, head_shape, tail_shape) -> tuple[np.ndarray, np.ndarray]:
+        """Two disjoint C-contiguous arrays of the given shapes, contents undefined."""
+        head_size, tail_size = math.prod(head_shape), math.prod(tail_shape)
+        if self._flat.size < head_size + tail_size:
+            self._flat = np.empty(head_size + tail_size, dtype=np.complex128)
+        return (
+            self._flat[:head_size].reshape(head_shape),
+            self._flat[head_size : head_size + tail_size].reshape(tail_shape),
+        )
+
+
+def _expj(phase: np.ndarray) -> np.ndarray:
+    """``exp(j phase)`` of a real array, from its cosine and sine: numpy's
+    complex ``exp`` takes several times longer for the same values."""
+    out = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def _powers(base: np.ndarray, out: np.ndarray) -> None:
+    """Write ``base ** arange(count)`` into the (B, count, T) ``out`` for the
+    (B, T) ``base``, by doubling: ``out[:, k:2k] = out[:, :k] base**k``, then
+    ``base**k`` is squared.
+
+    The squares are taken in ``clongdouble`` and rounded once each, so no
+    rounding is doubled from one level to the next; every power is then a
+    product of at most ``log2(count)`` rounded factors, within a few units in
+    the last place of the exact power (``cumprod``'s error grows with the
+    square root of the exponent).
+    """
+    count = out.shape[1]
     out[:, 0] = 1.0
-    out[:, 1:] = base[:, None]
-    return np.cumprod(out, axis=1, out=out)
+    power = base.astype(np.clongdouble)
+    k = 1
+    while k < count:
+        n = min(k, count - k)
+        np.multiply(out[:, :n], power.astype(np.complex128)[:, None], out=out[:, k : k + n])
+        k += n
+        if k < count:
+            power *= power

@@ -388,18 +388,6 @@ def block_tracks(
         yield ray_tracks(scenario, cfg, starts[first : first + group], tx_index)
 
 
-def _noise_block(seed: int, block_index: int, count: int, power: float) -> np.ndarray:
-    """Counter-seeded complex AWGN: stream identity is (seed, block_index).
-
-    Each block owns an independent Philox stream, so blocks can be generated
-    in any order (serial or parallel) with bit-identical results.
-    """
-    key = np.array([seed, block_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    w = rng.standard_normal(2 * count)
-    return math.sqrt(power / 2.0) * (w[0::2] + 1j * w[1::2])
-
-
 def _record_length(scenario: ScenarioConfig, cfg: SounderConfig) -> int:
     """Samples in the record of a drive of ``scenario.duration``."""
     return round(scenario.duration * cfg.sample_rate)
@@ -419,6 +407,10 @@ def record_chunks(
     linearly at the rate implied by the ray's Doppler.  Each chunk of
     consecutive blocks is finished in one pass: the kernel's exact tone sum,
     then counter-seeded complex white noise per block, then the CFO rotation.
+    Block ``b``'s noise is ``sqrt(noise_psd fs / 2) (w[0::2] + j w[1::2])``
+    for the first standard normals ``w`` of
+    ``Generator(Philox(key=[seed, b]))``, so each block owns an independent
+    stream whatever the chunking.
 
     The arguments are checked here; the chunks are made as they are taken.
 
@@ -470,6 +462,21 @@ def _chunks(periods, scenario, cfg, seed, n_total) -> Iterator[np.ndarray]:
     # whole kernel calls per geometry evaluation
     blocks_per_group = blocks_per_call * -(-_GEOMETRY_BLOCKS // blocks_per_call)
 
+    # work arrays of the whole record: the kernel's power tables, the
+    # noise draws and the CFO rotation of one kernel call's samples
+    tables = _kernels._PowerTables()
+    draws = np.empty(2 * blocks_per_call * block)
+    # Each block's noise is the start of its own Philox stream, keyed on
+    # (seed, block index); one generator serves every block of the record,
+    # its key rewritten and its counter and buffer reset per block.
+    philox = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    normal = np.random.Generator(philox)
+    state = philox.state
+    noise_scale = math.sqrt(scenario.noise_psd * fs / 2.0)
+    # exp(j 2 pi cfo (s + u) / fs) over block u of a block starting at s
+    in_block = np.exp(2j * np.pi * scenario.cfo * (np.arange(block) / fs))
+    rotation = np.empty((blocks_per_call, block), dtype=np.complex128)
+
     block_count = -(-n_total // block)
     # one geometry evaluation per TX and group; the rays of all TX side by
     # side per block
@@ -491,16 +498,20 @@ def _chunks(periods, scenario, cfg, seed, n_total) -> Iterator[np.ndarray]:
             stop = min(start + blocks_per_call * block, n_total)
             rx = _kernels.synthesize_paths(
                 periods, wf_index, gain[chunk].T, delay[chunk].T, dtau[chunk].T,
-                stop - start, start, fs, fc, block,
+                stop - start, start, fs, fc, block, tables=tables,
             )
             if scenario.noise_psd > 0:
-                for at in range(0, stop - start, block):
-                    piece = rx[at : at + block]
-                    piece += _noise_block(
-                        seed, first + at // block, piece.size, scenario.noise_psd * fs
-                    )
+                noise = draws[: 2 * rx.size]
+                for index, at in enumerate(range(0, noise.size, 2 * block), start=first):
+                    state["state"]["key"][1] = index
+                    philox.state = state
+                    normal.standard_normal(out=noise[at : at + 2 * block])
+                noise *= noise_scale
+                rx += noise.view(np.complex128)
             if scenario.cfo != 0.0:
-                rx *= np.exp(2j * np.pi * scenario.cfo * (np.arange(start, stop) / fs))
+                phasor = np.exp(2j * np.pi * scenario.cfo * (np.arange(start, stop, block) / fs))
+                np.multiply.outer(phasor, in_block, out=rotation[: phasor.size])
+                rx *= rotation.reshape(-1)[: rx.size]
             yield rx
 
 

@@ -14,9 +14,11 @@ chunk as they are synthesized, and ``process`` reads the record back in
 chunks of whole snapshots, so neither stage holds a whole record in memory.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error, 3 numerical
-failure.  ``run-all`` checks the analyze flags, and that the record holds at
-least one window, before any stage runs; it rewrites ``manifest.json`` after
-each stage, so a failed run's manifest lists the stages that finished.
+failure.  ``run-all`` checks that the scenario has one beam per TX, the
+analyze flags, that the record holds at least one window and that the
+standstill holds two sequence periods, before any stage runs; it rewrites
+``manifest.json`` after each stage, so a failed run's manifest lists the
+stages that finished.
 """
 
 from __future__ import annotations
@@ -89,6 +91,15 @@ def _stage_plan(cfg, out_dir: str | None) -> tuple[bool, list[str]]:
     return report.passed, outputs
 
 
+def _parked(scenario):
+    """The standstill capture's scenario: the drive's geometry frozen at the
+    trigger position for ``standstill_duration``.  The car has not moved yet,
+    so the only frequency offset left in its record is the CFO."""
+    return dataclasses.replace(
+        scenario, tx_velocity=np.zeros(3), duration=scenario.standstill_duration
+    )
+
+
 def _stage_simulate(cfg, scenario, seed: int, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     ddio.save_sounder_config(os.path.join(out_dir, _CONFIG), cfg)
@@ -102,15 +113,8 @@ def _stage_simulate(cfg, scenario, seed: int, out_dir: str) -> list[str]:
     )
     outputs.append(_RECORD)
 
-    # Same geometry frozen at the trigger position: the car has not moved
-    # yet, so the only frequency offset left in this record is the CFO.
-    parked = dataclasses.replace(
-        scenario,
-        tx_velocity=np.zeros(3),
-        duration=scenario.standstill_duration,
-    )
     still_length, chunks = record_chunks(
-        signals, parked, cfg, _derived_seed(seed, "standstill")
+        signals, _parked(scenario), cfg, _derived_seed(seed, "standstill")
     )
     ddio.write_signal_chunks(
         os.path.join(out_dir, _STILL), chunks, still_length, cfg.sample_rate, seed
@@ -282,9 +286,21 @@ def cmd_analyze(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg, scenario = _resolve_configs(args)
-    # a bad analyze flag, or a window longer than the record, fails before
-    # anything is written
+    # a scenario without one beam per TX, a bad analyze flag, a window longer
+    # than the record or a standstill shorter than two sequence periods fails
+    # before anything is written
+    if len(scenario.tx_beams) != cfg.tx_count:
+        raise ConfigError(
+            f"the scenario configures {len(scenario.tx_beams)} beams for "
+            f"{cfg.tx_count} TXs; it must configure one beam per TX"
+        )
     _analysis_configs(cfg, args)
+    if _record_length(_parked(scenario), cfg) < 2 * cfg.samples_per_period:
+        raise ConfigError(
+            f"sequence period {cfg.sequence_period:g} s is longer than half of "
+            f"standstill_duration {scenario.standstill_duration:g} s; the CFO "
+            "estimate needs two periods of the standstill"
+        )
     snapshots = _record_length(scenario, cfg) // cfg.samples_per_snapshot
     if snapshots < args.window_length:
         raise ConfigError(

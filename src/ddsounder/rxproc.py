@@ -10,8 +10,8 @@ The derotation at absolute time ``t_q + (p L + n) / fs`` and the Doppler
 phase re-applied at the snapshot epoch ``t_q`` share the term
 ``nu_q t_q``, which cancels exactly: what remains is one phase per period,
 one ramp over the samples of a period and the CFO phase at the epoch, so
-``coherent_average`` averages whole chunks of snapshots with ``N + L``
-exponentials per snapshot.
+``coherent_average`` averages whole chunks of snapshots with ``N`` + about
+``2 sqrt(L)`` exponentials per snapshot.
 
 A drive record need never be whole in memory: ``demultiplex_record`` takes
 it from a reader one chunk of whole snapshots at a time and keeps only the
@@ -253,13 +253,22 @@ def _check_rate(rate: float, cfg: SounderConfig) -> None:
         )
 
 
-def _average_chunk(blocks, bins, cfg, cfo, fs, t_snapshot, out) -> None:
+def _period_spectra(blocks: np.ndarray, work: np.ndarray | None = None) -> np.ndarray | None:
+    """DFT of every period of the (c, N, L) ``blocks``, which every TX's offset
+    estimate reads, into the leading rows of ``work`` if given; ``None`` with
+    one period per snapshot, where none is needed."""
+    if blocks.shape[1] == 1:
+        return None
+    return np.fft.fft(blocks, axis=2, out=None if work is None else work[: blocks.shape[0]])
+
+
+def _average_chunk(blocks, spectra, bins, cfg, cfo, fs, t_snapshot, out) -> None:
     """:func:`coherent_average` of the (c, N, L) ``blocks`` of ``c`` whole
     snapshots taken at ``t_snapshot``, for the TX comb on ``bins``, into the
-    (c, L) ``out``."""
+    (c, L) ``out``; ``spectra`` is their :func:`_period_spectra`."""
     count, n_avg, length = blocks.shape
     if n_avg > 1:
-        v = np.fft.fft(blocks, axis=2)[..., bins]
+        v = spectra[..., bins]
         lag = np.sum(v[:, 1:] * np.conj(v[:, :-1]), axis=(1, 2))
         offset = np.angle(lag) / (2.0 * math.pi * cfg.sequence_period)
     else:
@@ -267,8 +276,14 @@ def _average_chunk(blocks, bins, cfg, cfo, fs, t_snapshot, out) -> None:
     epoch = np.exp(-2j * math.pi * cfo * t_snapshot) / n_avg
     period_phase = np.arange(n_avg) * length / fs
     weights = np.exp(-2j * math.pi * offset[:, None] * period_phase) * epoch[:, None]
-    ramp = np.exp(-2j * math.pi * offset[:, None] * (np.arange(length) / fs))
-    np.multiply((weights[:, None, :] @ blocks)[:, 0], ramp, out=out)
+    np.matmul(weights[:, None, :], blocks, out=out[:, None, :])
+    # the ramp exp(-j 2 pi nu_q n / fs) at n = a m + r: a coarse (c, a) table
+    # of the steps a m times a fine (c, r) table of the steps r
+    step = -2j * math.pi * offset[:, None] / fs
+    m = math.isqrt(length)
+    coarse = np.exp(step * np.arange(0, length, m))
+    fine = np.exp(step * np.arange(m))
+    out *= (coarse[:, :, None] * fine[:, None, :]).reshape(count, -1)[:, :length]
 
 
 def coherent_average(
@@ -298,10 +313,14 @@ def coherent_average(
                     * (1/N) sum_p exp(-j 2 pi nu_q p L / fs) x[q, p, n]
                     * exp(-j 2 pi cfo t_q)
 
-    so each snapshot needs ``N + L`` exponentials of small arguments rather
-    than ``N L`` of arguments that grow with the record time.  Snapshots are
-    processed in chunks of whole snapshots of at most ``_CHUNK_SAMPLES``
-    samples; a trailing partial snapshot is ignored.
+    so each snapshot needs ``N`` phases and one ramp over the ``L`` samples
+    of a period, all of small arguments, rather than ``N L`` exponentials of
+    arguments that grow with the record time.  The ramp at ``n = a m + r``,
+    ``m = isqrt(L)``, is the product of a coarse ``exp(-j 2 pi nu_q a m /
+    fs)`` and a fine ``exp(-j 2 pi nu_q r / fs)``: about ``2 sqrt(L)``
+    exponentials and ``L`` products.  Snapshots are processed in chunks of
+    whole snapshots of at most ``_CHUNK_SAMPLES`` samples; a trailing partial
+    snapshot is ignored.
 
     Returns
     -------
@@ -332,13 +351,15 @@ def coherent_average(
             stop - first, cfg.averaging_count, length
         )
         t_snapshot = rx.t0 + np.arange(first, stop) * per_snapshot / fs
-        _average_chunk(blocks, bins, cfg, cfo, fs, t_snapshot, out[first:stop])
+        _average_chunk(
+            blocks, _period_spectra(blocks), bins, cfg, cfo, fs, t_snapshot, out[first:stop]
+        )
     return out
 
 
-def _spectra(averaged: np.ndarray, cfg: SounderConfig) -> np.ndarray:
+def _spectra(averaged: np.ndarray, cfg: SounderConfig, out=None) -> np.ndarray:
     """Period DFT of each averaged snapshot at tone scale, ``fft / L``."""
-    spectra = np.fft.fft(averaged, axis=1)
+    spectra = np.fft.fft(averaged, axis=1, out=out)
     spectra /= cfg.samples_per_period
     return spectra
 
@@ -400,8 +421,10 @@ def demultiplex_record(
     ``size`` at a time (:class:`ddsounder.io.SignalReader`).  Each chunk
     holds the whole snapshots that :func:`coherent_average` takes at once,
     and goes through the same steps as :func:`coherent_average`,
-    :func:`demultiplex` and :func:`noise_power_estimate`, with one period
-    DFT per chunk and TX for tones and noise; only the (Q, K) tone values
+    :func:`demultiplex` and :func:`noise_power_estimate`, with one DFT of
+    the chunk's periods for every TX's offset estimate and one DFT of the
+    averaged periods per chunk and TX for tones and noise, all into work
+    arrays allocated once per record; only the (Q, K) tone values
     and free-slot powers of each TX are kept.  The noise power is the mean over all the
     kept powers, the sum :func:`noise_power_estimate` takes over the whole
     record.  Grids and noise powers are bit for bit those of the
@@ -428,19 +451,29 @@ def demultiplex_record(
     # reductions over them add in the order they do over whole-record arrays
     values = [np.empty((b.size, q_count), dtype=np.complex128).T for b in bins]
     powers = [np.empty((free_bins.size, q_count)).T for _ in plans]
-    chunk = _chunk_snapshots(cfg)
+    chunk = min(_chunk_snapshots(cfg), q_count)
+    # work arrays of the whole record, one chunk each
+    period_spectra = (
+        np.empty((chunk, cfg.averaging_count, length), dtype=np.complex128)
+        if cfg.averaging_count > 1 else None
+    )
+    averaged = np.empty((chunk, length), dtype=np.complex128)
+    spectra = np.empty_like(averaged)
     for first, samples in zip(range(0, q_count, chunk), record.chunks(chunk * per_snapshot)):
         stop = min(first + chunk, q_count)
         blocks = samples[: (stop - first) * per_snapshot].reshape(
             stop - first, cfg.averaging_count, length
         )
         t_snapshot = record.t0 + np.arange(first, stop) * per_snapshot / fs
+        chunk_spectra = _period_spectra(blocks, period_spectra)
         for plan, tx_bins, tx_values, tx_powers in zip(plans, bins, values, powers):
-            averaged = np.empty((stop - first, length), dtype=np.complex128)
-            _average_chunk(blocks, tx_bins, cfg, cfo, fs, t_snapshot, averaged)
-            spectra = _spectra(averaged, cfg)
-            np.divide(spectra[:, tx_bins], plan.tone_weights, out=tx_values[first:stop])
-            np.square(np.abs(spectra[:, free_bins]), out=tx_powers[first:stop])
+            tx_averaged = averaged[: stop - first]
+            _average_chunk(
+                blocks, chunk_spectra, tx_bins, cfg, cfo, fs, t_snapshot, tx_averaged
+            )
+            tx_spectra = _spectra(tx_averaged, cfg, spectra[: stop - first])
+            np.divide(tx_spectra[:, tx_bins], plan.tone_weights, out=tx_values[first:stop])
+            np.square(np.abs(tx_spectra[:, free_bins]), out=tx_powers[first:stop])
     times = record.t0 + np.arange(q_count) * cfg.snapshot_time
     grids = [
         TransferFunctionGrid(

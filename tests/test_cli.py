@@ -5,6 +5,7 @@ full-length scenario statistics live in the acceptance suite.  Exit codes:
 0 success, 1 validation, 2 I/O, 3 numerical.
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -22,7 +23,7 @@ from ddsounder import io as ddio
 from ddsounder.channel import _record_length, default_scenario
 from ddsounder.cli import main
 from ddsounder.manifest import RunManifest
-from ddsounder.params import ConfigError, SounderConfig, validate_config
+from ddsounder.params import ConfigError, SounderConfig, narrowband_config, validate_config
 from ddsounder.waveform import SampledSignal
 
 
@@ -192,6 +193,39 @@ class TestStages:
         _, seed = ddio.read_signal(os.path.join(out, "rx_record.dds1"))
         assert seed == 7
 
+    def test_noise_blocks_are_keyed_philox_draws(self, tmp_path, monkeypatch):
+        """With silent TXs and no CFO, snapshot block b of the record is the
+        start of ``Generator(Philox(key=[seed, b]))``'s standard normals, bit
+        for bit, and of the standstill the same with its derived seed.  Both
+        records cross several 12-block chunks and end in a partial block."""
+        cfg = narrowband_config()
+        scenario = default_scenario(duration=0.01, cfo=0.0)  # 59 blocks + 110 samples
+        cfg_path, scn_path = str(tmp_path / "config.ini"), str(tmp_path / "scenario.ini")
+        ddio.save_sounder_config(cfg_path, cfg)
+        ddio.save_scenario(scn_path, scenario)
+        waveforms = cli._waveforms
+
+        def silent(cfg):
+            plans, signals = waveforms(cfg)
+            return plans, [SampledSignal(0 * s.samples, s.sample_rate) for s in signals]
+
+        monkeypatch.setattr(cli, "_waveforms", silent)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg_path, "--scenario", scn_path,
+                     "--seed", "9", "--out-dir", str(out)]) == 0
+        block = cfg.samples_per_snapshot
+        scale = np.sqrt(scenario.noise_psd * cfg.sample_rate / 2)
+        for name, key in (
+            ("rx_record.dds1", 9), ("standstill.dds1", cli._derived_seed(9, "standstill"))
+        ):
+            samples = ddio.read_signal(str(out / name))[0].samples
+            assert samples.size > 24 * block and samples.size % block
+            for b in range(-(-samples.size // block)):
+                piece = samples[b * block : (b + 1) * block]
+                philox = np.random.Philox(key=np.array([key, b], dtype=np.uint64))
+                w = np.random.Generator(philox).standard_normal(2 * piece.size)
+                np.testing.assert_array_equal(piece, scale * (w[0::2] + 1j * w[1::2]))
+
     def test_process_then_analyze(self, tmp_path):
         cfg_path, scn_path = _mini_configs(str(tmp_path))
         out = str(tmp_path / "steps")
@@ -329,6 +363,46 @@ class TestRunAll:
         assert rc == 1
         err = capsys.readouterr().err
         assert "595 snapshots" in err and "596-snapshot window" in err
+        assert not out.exists()
+
+    def test_standstill_shorter_than_two_periods_fails_before_simulate(
+        self, tmp_path, capsys
+    ):
+        """An 8 kHz design has a 10.5 ms sequence period, more than half of the
+        default 20 ms standstill that the CFO estimate reads: run-all exits 1
+        naming both values, and no file is written."""
+        cfg = SounderConfig(
+            bandwidth=8e3, sample_rate=1e4, averaging_count=1,
+            max_doppler=40.0, max_speed=0.2,
+        )
+        assert validate_config(cfg).passed
+        cfg_path = str(tmp_path / "config.ini")
+        scn_path = str(tmp_path / "scenario.ini")
+        ddio.save_sounder_config(cfg_path, cfg)
+        ddio.save_scenario(scn_path, default_scenario(duration=1.0))
+        out = tmp_path / "x"
+        rc = main(["run-all", "--config", cfg_path, "--scenario", scn_path,
+                   "--seed", "1", "--out-dir", str(out), "--window-length", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "sequence period 0.0105 s" in err and "standstill_duration 0.02 s" in err
+        assert not out.exists()
+
+    def test_beam_count_other_than_tx_count_fails_before_plan(self, tmp_path, capsys):
+        """Three TXs on the default two-beam street pass plan, but run-all
+        exits 1 before plan writes validation.txt or the manifest."""
+        cfg = dataclasses.replace(narrowband_config(), tx_count=3)
+        assert validate_config(cfg).passed
+        cfg_path = str(tmp_path / "config.ini")
+        scn_path = str(tmp_path / "scenario.ini")
+        ddio.save_sounder_config(cfg_path, cfg)
+        ddio.save_scenario(scn_path, default_scenario(duration=0.1))
+        out = tmp_path / "x"
+        rc = main(["run-all", "--config", cfg_path, "--scenario", scn_path,
+                   "--seed", "1", "--out-dir", str(out), "--window-length", "128"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "2 beams for 3 TXs" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,named", _BAD_ANALYZE_FLAGS)

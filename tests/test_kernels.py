@@ -182,6 +182,68 @@ class TestSynthesizePaths:
         np.testing.assert_array_equal(out, np.zeros(16, complex))
 
 
+def _kernel_inputs(rng, cfg, n_blocks):
+    """The sounder's two TX periods and five random rays per TX over ``n_blocks``."""
+    plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
+    periods = np.stack([multitone_waveform(cfg, plan).samples for plan in plans])
+    wf_index = np.repeat(np.arange(cfg.tx_count), 5)
+    shape = (wf_index.size, n_blocks)
+    gains = 1e-4 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    tau0 = rng.uniform(40.0, 90.0, shape) / SPEED_OF_LIGHT
+    dtau = rng.choice([-14.0, 14.0], shape) / SPEED_OF_LIGHT
+    return periods, wf_index, gains, tau0, dtau
+
+
+class TestPowerTables:
+    @pytest.mark.parametrize(
+        "make_config,calls",
+        [
+            # a record's full 12-block calls, then its short last call
+            (narrowband_config, [(12, 12.0), (12, 12.0), (12, 12.0), (5, 4.3)]),
+            # the full-scale standstill's one-block calls, the last one partial
+            (default_config, [(1, 1.0), (1, 1.0), (1, 0.6)]),
+        ],
+        ids=["desk-record", "full-scale-standstill"],
+    )
+    def test_reused_tables_match_fresh_calls(self, make_config, calls):
+        """Calls of varying block counts through one set of tables give, bit
+        for bit, what each gives with fresh tables."""
+        cfg = make_config()
+        block = cfg.samples_per_snapshot
+        rng = np.random.default_rng(21)
+        tables = _kernels._PowerTables()
+        first = 0
+        for n_blocks, blocks_out in calls:
+            args = _kernel_inputs(rng, cfg, n_blocks)
+            n = round(blocks_out * block)
+            kw = dict(n_samples=n, first_sample=first, sample_rate=cfg.sample_rate,
+                      carrier_frequency=cfg.center_frequency, block_length=block)
+            reused = _kernels.synthesize_paths(*args, **kw, tables=tables)
+            fresh = _kernels.synthesize_paths(*args, **kw)
+            assert reused.size == n
+            np.testing.assert_array_equal(reused, fresh)
+            first += n_blocks * block
+
+    def test_doubling_no_worse_than_cumprod(self):
+        """Against the exact powers of the rounded base, the doubled tables are
+        at least as close as ``cumprod``'s, at counts around powers of two, the
+        desk tables' 14 and 15, and up to the full-scale head's 150
+        (isqrt(22260) + 1)."""
+        rng = np.random.default_rng(22)
+        base = np.exp(1j * rng.uniform(-np.pi, np.pi, (12, 210)))
+        top = 150
+        exact = base.astype(np.clongdouble)[:, None, :] ** np.arange(top)[:, None]
+        running = np.empty((12, top, 210), dtype=np.complex128)
+        running[:, 0] = 1.0
+        running[:, 1:] = base[:, None]
+        np.cumprod(running, axis=1, out=running)
+        for count in (1, 2, 3, 4, 5, 8, 9, 14, 15, 16, 17, 33, 64, 100, 149, 150):
+            doubled = np.empty((12, count, 210), dtype=np.complex128)
+            _kernels._powers(base, doubled)
+            error = np.max(np.abs(doubled - exact[:, :count]))
+            assert error <= np.max(np.abs(running[:, :count] - exact[:, :count])), count
+
+
 class TestToneSumOracle:
     @pytest.mark.parametrize(
         "make_config,n_blocks",
