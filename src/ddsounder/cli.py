@@ -14,11 +14,11 @@ chunk as they are synthesized, and ``process`` reads the record back in
 chunks of whole snapshots, so neither stage holds a whole record in memory.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error, 3 numerical
-failure.  ``run-all`` checks that the scenario has one beam per TX, the
-analyze flags, that the record holds at least one window and that the
-standstill holds two sequence periods, before any stage runs; it rewrites
-``manifest.json`` after each stage, so a failed run's manifest lists the
-stages that finished.
+failure.  ``simulate`` and ``run-all`` check that the scenario has one beam
+per TX and that the standstill holds two sequence periods before they write
+anything; ``run-all`` also checks the analyze flags and that the record
+holds at least one window.  It rewrites ``manifest.json`` after each stage,
+so a failed run's manifest lists the stages that finished.
 """
 
 from __future__ import annotations
@@ -98,6 +98,22 @@ def _parked(scenario):
     return dataclasses.replace(
         scenario, tx_velocity=np.zeros(3), duration=scenario.standstill_duration
     )
+
+
+def _check_scenario(cfg, scenario) -> None:
+    """``ConfigError`` unless the scenario has one beam per TX and a
+    standstill of the two sequence periods that the CFO estimate needs."""
+    if len(scenario.tx_beams) != cfg.tx_count:
+        raise ConfigError(
+            f"the scenario configures {len(scenario.tx_beams)} beams for "
+            f"{cfg.tx_count} TXs; it must configure one beam per TX"
+        )
+    if _record_length(_parked(scenario), cfg) < 2 * cfg.samples_per_period:
+        raise ConfigError(
+            f"sequence period {cfg.sequence_period:g} s is longer than half of "
+            f"standstill_duration {scenario.standstill_duration:g} s; the CFO "
+            "estimate needs two periods of the standstill"
+        )
 
 
 def _stage_simulate(cfg, scenario, seed: int, out_dir: str) -> list[str]:
@@ -270,6 +286,7 @@ def cmd_simulate(args) -> int:
     if not report.passed:
         sys.stderr.write(report.to_text())
         return 1
+    _check_scenario(cfg, scenario)
     _stage_simulate(cfg, scenario, args.seed, args.out_dir)
     return 0
 
@@ -286,21 +303,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg, scenario = _resolve_configs(args)
-    # a scenario without one beam per TX, a bad analyze flag, a window longer
-    # than the record or a standstill shorter than two sequence periods fails
-    # before anything is written
-    if len(scenario.tx_beams) != cfg.tx_count:
-        raise ConfigError(
-            f"the scenario configures {len(scenario.tx_beams)} beams for "
-            f"{cfg.tx_count} TXs; it must configure one beam per TX"
-        )
+    # a bad scenario, a bad analyze flag or a window longer than the record
+    # fails before anything is written
+    _check_scenario(cfg, scenario)
     _analysis_configs(cfg, args)
-    if _record_length(_parked(scenario), cfg) < 2 * cfg.samples_per_period:
-        raise ConfigError(
-            f"sequence period {cfg.sequence_period:g} s is longer than half of "
-            f"standstill_duration {scenario.standstill_duration:g} s; the CFO "
-            "estimate needs two periods of the standstill"
-        )
     snapshots = _record_length(scenario, cfg) // cfg.samples_per_snapshot
     if snapshots < args.window_length:
         raise ConfigError(

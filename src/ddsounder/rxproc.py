@@ -6,28 +6,21 @@ its own LOS frequency offset (Doppler plus CFO) before averaging, and the
 Doppler part of that correction is re-applied afterwards so that only the
 CFO is permanently removed.
 
-The derotation at absolute time ``t_q + (p L + n) / fs`` and the Doppler
-phase re-applied at the snapshot epoch ``t_q`` share the term
-``nu_q t_q``, which cancels exactly: what remains is one phase per period,
-one ramp over the samples of a period and the CFO phase at the epoch, so
-``coherent_average`` averages whole chunks of snapshots with ``N`` + about
-``2 sqrt(L)`` exponentials per snapshot.
-
 A drive record need never be whole in memory: ``demultiplex_record`` takes
 it from a reader one chunk of whole snapshots at a time and keeps only the
-per-tone values of each snapshot, bit for bit what the whole-record
-functions give.  The CFO search evaluates the zero-padded spectrum of the
-standstill only inside its band, by a chirp-z transform.
+per-tone values of each snapshot, bit for bit what ``coherent_average`` and
+a period DFT give on the whole record.  The CFO estimate is the maximum of
+the standstill's periodogram (Rife & Boorstyn 1974), reached by Newton steps
+on its analytic derivatives, which reduce the standstill to three sums per
+period; no temporary is the size of the standstill.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.optimize import minimize_scalar
 
 from .params import ConfigError, SounderConfig
 from .waveform import SampledSignal, TonePlan, tone_plan
@@ -37,8 +30,6 @@ __all__ = [
     "TransferFunctionGrid",
     "estimate_cfo",
     "coherent_average",
-    "demultiplex",
-    "noise_power_estimate",
     "demultiplex_record",
     "snr_per_tx",
 ]
@@ -60,7 +51,6 @@ class TransferFunctionGrid:
     values: np.ndarray
     snapshot_times: np.ndarray
     tone_frequencies: np.ndarray
-    snr_db: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
@@ -84,14 +74,6 @@ def _tone_bins(cfg: SounderConfig, frequencies: np.ndarray) -> np.ndarray:
     return rounded % length
 
 
-def _fold_periods(samples: np.ndarray, length: int) -> np.ndarray:
-    """(P, L) view of the leading whole periods of a record."""
-    whole = samples.size // length
-    if whole < 1:
-        raise ValueError("record shorter than one sequence period")
-    return samples[: whole * length].reshape(whole, length)
-
-
 def _fractional_roll(samples: np.ndarray, shift: float) -> np.ndarray:
     """Circularly delay a periodic record by a fractional sample count."""
     length = samples.size
@@ -99,50 +81,52 @@ def _fractional_roll(samples: np.ndarray, shift: float) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(samples) * np.exp(-2j * np.pi * k * shift / length))
 
 
-def _padded_band(samples: np.ndarray, fs: float, halfwidth: float):
-    """Magnitudes of the 8x zero-padded DFT of ``samples`` at its bins in
-    ``|f| <= halfwidth``, without the other bins.
+# Newton's error shrinks quadratically in the main lobe: six steps reach round-off.
+_NEWTON_STEPS = 6
 
-    With ``N = samples.size`` and ``M = 8N``, the bins ``k`` are those with
-    ``|k fs / M| <= halfwidth``, picked by the very float comparison of
-    ``np.fft.fftfreq(M, 1/fs)`` and listed in its order, so an argmax picks
-    the bin a full padded transform would, except at round-off ties: with the
-    peak halfway between two bins, the magnitudes agree with the FFT's within
-    about 1e-15 of the peak, but either bin may win.  They are evaluated as a
-    chirp-z transform (Bluestein): with ``k n = (k^2 + n^2 - (k - n)^2) / 2``,
 
-        |X[k]| = |sum_n x[n] exp(-j pi n^2 / M) exp(j pi (k - n)^2 / M)|,
-
-    one linear convolution over the band, by FFTs of about ``N + 8P`` points
-    for ``8P + 1`` band bins of a ``P``-period record (Rabiner, Schafer &
-    Rader 1969).  The squares are reduced modulo ``2M`` in integers, so the
-    chirp phases stay exact however long the record.
-
-    Returns
-    -------
-    (numpy.ndarray, numpy.ndarray)
-        The band's bin frequencies (Hz) and DFT magnitudes.
+def _periodogram_peak(folded: np.ndarray, phase: np.ndarray, w: np.ndarray, fs: float):
+    """``(f, |D(f)|)`` at the maximum over the band ``|f| <= fs / 2L`` of
+    ``|D(f)|^2``, ``D(f) = sum_{p,l} phase[p] folded[p, l] w[l] exp(-j 2 pi f
+    (t_p + t_l))``, with ``t_p`` a period's and ``t_l`` an in-period time,
+    both centred.  Each Newton step on ``F' = 2 Re(conj(D) D')`` and
+    ``F'' = 2 Re(|D'|^2 + conj(D) D'')`` takes D, D' and D'' from the (P, 3)
+    sums ``folded @ [e, e t_l, e t_l^2]``, weighted afterwards by the period
+    phases and ``t_p``, ``t_p^2``, so no temporary is the size of ``folded``.
+    The steps start at the argmax of the 8x zero-padded FFT of the per-period
+    sums, in the main lobe (of two tied bins, either), and stay within one
+    padded bin of it.
     """
-    size = samples.size
-    padded = 8 * size
-    step = 1.0 / (padded * (1.0 / fs))  # np.fft.fftfreq(padded, 1/fs)'s spacing
-    reach = min(int(halfwidth / step) + 1, padded // 2)
-    k = np.arange(-reach, min(reach, padded // 2 - 1) + 1)
-    count = k.size
+    count, length = folded.shape
+    period = length / fs
+    padded = 8 * count
+    sums = np.fft.fft(phase * (folded @ w), padded)
+    start = np.fft.fftfreq(padded, d=period)[np.argmax(np.abs(sums))]
+    low, high = start - 1 / (padded * period), start + 1 / (padded * period)
+    t_period = (np.arange(count) - (count - 1) / 2) * period
+    t_sample = (np.arange(length) - (length - 1) / 2) / fs
+    weights = np.empty((length, 3), dtype=np.complex128)
 
-    n = np.arange(size)
-    weighted = samples * np.exp((-1j * math.pi / padded) * (n * n % (2 * padded)))
-    lag = np.arange(k[0] - size + 1, k[-1] + 1)  # every k - n
-    chirp = np.exp((1j * math.pi / padded) * (lag * lag % (2 * padded)))
-    length = next_fast_len(size + count - 1)
-    spectrum = np.fft.fft(weighted, length)
-    spectrum *= np.fft.fft(chirp, length)
-    magnitude = np.abs(np.fft.ifft(spectrum)[size - 1 : size - 1 + count])
+    def derivatives(f: float):
+        """D(f), D'(f) and D''(f)."""
+        weights[:, 0] = w * np.exp(-2j * math.pi * f * t_sample)
+        weights[:, 1] = weights[:, 0] * t_sample
+        weights[:, 2] = weights[:, 1] * t_sample
+        s0, s1, s2 = (folded @ weights).T
+        g = phase * np.exp(-2j * math.pi * f * t_period)
+        d1 = g @ (t_period * s0 + s1)
+        d2 = g @ (t_period * (t_period * s0 + 2 * s1) + s2)
+        return g @ s0, -2j * math.pi * d1, -4 * math.pi**2 * d2
 
-    order = np.r_[np.flatnonzero(k >= 0), np.flatnonzero(k < 0)]  # fftfreq's order
-    freqs = k[order] * step
-    band = np.abs(freqs) <= halfwidth
-    return freqs[band], magnitude[order][band]
+    f = start
+    for _ in range(_NEWTON_STEPS):
+        d0, d1, d2 = derivatives(f)
+        slope = (d0.conjugate() * d1).real  # F' / 2
+        curvature = abs(d1) ** 2 + (d0.conjugate() * d2).real  # F'' / 2
+        # where F is not concave, go uphill to the bracket's end
+        step = -slope / curvature if curvature < 0 else math.copysign(math.inf, slope)
+        f = min(max(f + step, low), high)
+    return f, abs(derivatives(f)[0])
 
 
 def estimate_cfo(
@@ -150,11 +134,14 @@ def estimate_cfo(
     reference: SampledSignal,
     detection_threshold: float = 0.1,
 ) -> float:
-    """Carrier frequency offset of a static capture, via correlation.
+    """Carrier frequency offset of a static capture: its periodogram maximum.
 
-    A period-lag autocorrelation gives a coarse, delay-independent estimate;
-    the record is then derotated, the reference aligned in (fractional)
-    delay, and the offset refined on the continuous correlation peak.
+    A period-lag autocorrelation gives a coarse, delay-independent offset
+    ``c``, and the reference ``a`` is aligned in (fractional) delay to the
+    mean period derotated by ``c``.  The estimate is ``c + f`` at the maximum
+    of ``|D(f)|^2``, ``D(f) = sum_n y[n] conj(a[n mod L]) exp(-j 2 pi f t_n)``
+    over the derotated capture ``y``, the maximum-likelihood single-tone
+    estimate (Rife & Boorstyn 1974), found by :func:`_periodogram_peak`.
 
     Parameters
     ----------
@@ -174,7 +161,7 @@ def estimate_cfo(
     Raises
     ------
     NoSignalError
-        If the normalized correlation never exceeds the threshold.
+        If the normalized correlation is below the threshold or not a number.
     """
     if not math.isclose(rx.sample_rate, reference.sample_rate, rel_tol=1e-12):
         raise ValueError("rx and reference sample rates differ")
@@ -183,51 +170,31 @@ def estimate_cfo(
         raise ValueError("rx must span at least two reference periods")
     fs = rx.sample_rate
     period = length / fs
+    count = rx.samples.size // length
+    folded = rx.samples[: count * length].reshape(count, length)
 
-    folded = _fold_periods(rx.samples, length)
     # coarse: phase advance across one period, independent of channel delay
-    lag = np.sum(folded[1:] * np.conj(folded[:-1]))
+    lag = np.vdot(folded[:-1], folded[1:])
     coarse = math.atan2(lag.imag, lag.real) / (2.0 * math.pi * period)
-
-    n = np.arange(folded.size)
-    derotated = folded.reshape(-1) * np.exp(-2j * np.pi * coarse * n / fs)
-    mean_period = derotated.reshape(-1, length).mean(axis=0)
+    phase = np.exp((-2j * math.pi * coarse * period) * np.arange(count))
+    ramp = np.exp((-2j * math.pi * coarse / fs) * np.arange(length))
+    mean_period = (phase @ folded) * ramp / count
 
     # align the reference to the (integer + fractional) channel delay
     spectrum = np.fft.fft(mean_period) * np.conj(np.fft.fft(reference.samples))
     xcorr = np.abs(np.fft.ifft(spectrum))
     peak = int(np.argmax(xcorr))
-    left, mid, right = (
-        xcorr[(peak - 1) % length],
-        xcorr[peak],
-        xcorr[(peak + 1) % length],
-    )
+    left, mid, right = xcorr[[peak - 1, peak, (peak + 1) % length]]
     denom = left - 2 * mid + right
     offset = 0.5 * (left - right) / denom if denom != 0 else 0.0
     aligned = _fractional_roll(reference.samples, peak + offset)
 
-    mixed = derotated * np.conj(np.tile(aligned, folded.shape[0]))
-    total = mixed.size
-    halfwidth = 0.5 / period
-    freqs, magnitude = _padded_band(mixed, fs, halfwidth)
-    best_freq = freqs[int(np.argmax(magnitude))]
-
-    t = n / fs
-
-    def neg_power(f: float) -> float:
-        return -np.abs(np.sum(mixed * np.exp(-2j * np.pi * f * t))) ** 2
-
-    grid_step = fs / (8 * total)
-    bracket = (best_freq - grid_step, best_freq + grid_step)
-    fine = minimize_scalar(neg_power, bounds=bracket, method="bounded",
-                           options={"xatol": 1e-6}).x
-
-    correlation = np.abs(np.sum(mixed * np.exp(-2j * np.pi * fine * t)))
-    norm = np.linalg.norm(derotated) * np.linalg.norm(aligned) * math.sqrt(folded.shape[0])
-    if norm == 0 or correlation / norm < detection_threshold:
+    fine, correlation = _periodogram_peak(folded, phase, np.conj(aligned) * ramp, fs)
+    norm = np.linalg.norm(folded) * np.linalg.norm(aligned) * math.sqrt(count)
+    ratio = correlation / norm if norm else 0.0
+    if not ratio >= detection_threshold:
         raise NoSignalError(
-            f"normalized correlation {correlation / norm if norm else 0.0:.3g} "
-            f"below threshold {detection_threshold}"
+            f"normalized correlation {ratio:.3g} below threshold {detection_threshold}"
         )
     return float(coarse + fine)
 
@@ -357,57 +324,12 @@ def coherent_average(
     return out
 
 
-def _spectra(averaged: np.ndarray, cfg: SounderConfig, out=None) -> np.ndarray:
-    """Period DFT of each averaged snapshot at tone scale, ``fft / L``."""
-    spectra = np.fft.fft(averaged, axis=1, out=out)
-    spectra /= cfg.samples_per_period
-    return spectra
-
-
-def demultiplex(
-    averaged: np.ndarray,
-    cfg: SounderConfig,
-    plan: TonePlan,
-    t0: float = 0.0,
-) -> TransferFunctionGrid:
-    """Per-tone channel coefficients from averaged snapshot periods.
-
-    Divides each tone's DFT coefficient by its transmit weight, so a
-    distortion-free channel of gain ``g`` yields ``g`` everywhere.
-    """
-    averaged = np.asarray(averaged, dtype=np.complex128)
-    if averaged.ndim != 2 or averaged.shape[1] != cfg.samples_per_period:
-        raise ValueError(
-            f"averaged snapshots must be (Q, {cfg.samples_per_period}), "
-            f"got {averaged.shape}"
-        )
-    bins = _tone_bins(cfg, plan.tone_frequencies)
-    values = _spectra(averaged, cfg)[:, bins] / plan.tone_weights[None, :]
-    return TransferFunctionGrid(
-        tx_index=plan.tx_index,
-        values=values,
-        snapshot_times=t0 + np.arange(averaged.shape[0]) * cfg.snapshot_time,
-        tone_frequencies=plan.tone_frequencies.copy(),
-    )
-
-
 def _free_slot_bins(cfg: SounderConfig) -> np.ndarray:
     """Period DFT bins of the first tone-offset slot past the configured TXs."""
     if cfg.grid_ratio <= cfg.tx_count:
         raise ConfigError("no unoccupied tone-offset slot in this design")
     free_slot = tone_plan(cfg, 0).tone_frequencies + cfg.tx_count * cfg.tx_tone_offset
     return _tone_bins(cfg, free_slot)
-
-
-def noise_power_estimate(averaged: np.ndarray, cfg: SounderConfig) -> float:
-    """Mean power of the unoccupied comb bins of averaged periods.
-
-    The first tone-offset slot past the configured TXs is guaranteed free,
-    so its bins measure the post-averaging noise at tone scale.
-    """
-    bins = _free_slot_bins(cfg)
-    spectra = _spectra(np.asarray(averaged, dtype=np.complex128), cfg)
-    return float(np.mean(np.abs(spectra[:, bins]) ** 2))
 
 
 def demultiplex_record(
@@ -419,16 +341,16 @@ def demultiplex_record(
     ``record`` carries the record's ``sample_rate``, ``length`` (samples)
     and ``t0``, and ``record.chunks(size)`` yields its samples in order,
     ``size`` at a time (:class:`ddsounder.io.SignalReader`).  Each chunk
-    holds the whole snapshots that :func:`coherent_average` takes at once,
-    and goes through the same steps as :func:`coherent_average`,
-    :func:`demultiplex` and :func:`noise_power_estimate`, with one DFT of
-    the chunk's periods for every TX's offset estimate and one DFT of the
-    averaged periods per chunk and TX for tones and noise, all into work
-    arrays allocated once per record; only the (Q, K) tone values
-    and free-slot powers of each TX are kept.  The noise power is the mean over all the
-    kept powers, the sum :func:`noise_power_estimate` takes over the whole
-    record.  Grids and noise powers are bit for bit those of the
-    whole-record functions.  A trailing partial snapshot is ignored.
+    holds the whole snapshots that :func:`coherent_average` takes at once and
+    is averaged as it averages them, per TX, with one DFT of the chunk's
+    periods for every TX's offset estimate.  The DFT of each averaged period
+    at tone scale, ``fft / L``, gives a TX's tone values, each coefficient
+    over its transmit weight, so a distortion-free channel of gain ``g``
+    yields ``g`` everywhere.  The first tone-offset slot past the configured
+    TXs is guaranteed free, and the mean power of its bins over the record is
+    the TX's noise power after averaging, at tone scale.  Work arrays are
+    allocated once per record; only the (Q, K) tone values and free-slot
+    powers of each TX are kept.  A trailing partial snapshot is ignored.
 
     Raises
     ------
@@ -471,7 +393,8 @@ def demultiplex_record(
             _average_chunk(
                 blocks, chunk_spectra, tx_bins, cfg, cfo, fs, t_snapshot, tx_averaged
             )
-            tx_spectra = _spectra(tx_averaged, cfg, spectra[: stop - first])
+            tx_spectra = np.fft.fft(tx_averaged, axis=1, out=spectra[: stop - first])
+            tx_spectra /= length
             np.divide(tx_spectra[:, tx_bins], plan.tone_weights, out=tx_values[first:stop])
             np.square(np.abs(tx_spectra[:, free_bins]), out=tx_powers[first:stop])
     times = record.t0 + np.arange(q_count) * cfg.snapshot_time

@@ -22,7 +22,6 @@ __all__ = [
     "zadoff_chu",
     "tone_plan",
     "multitone_waveform",
-    "crest_factor",
 ]
 
 
@@ -151,12 +150,3 @@ def multitone_waveform(cfg: SounderConfig, plan: TonePlan) -> SampledSignal:
     t = np.arange(length) / cfg.sample_rate
     phases = np.exp(2j * np.pi * np.outer(t, plan.tone_frequencies))
     return SampledSignal(phases @ plan.tone_weights, cfg.sample_rate, t0=0.0)
-
-
-def crest_factor(signal: SampledSignal) -> float:
-    """Peak magnitude over RMS of a sampled signal."""
-    magnitude = np.abs(signal.samples)
-    rms = np.sqrt(np.mean(magnitude**2))
-    if rms == 0:
-        raise ValueError("crest factor of an all-zero signal is undefined")
-    return float(np.max(magnitude) / rms)

@@ -80,6 +80,30 @@ _FAILING_DESIGNS = [
 ]
 
 
+@pytest.mark.parametrize(
+    "module",
+    [
+        "scipy.signal",  # the DPSS tapers are built in-house
+        "scipy.optimize",  # the CFO estimate's Newton steps are in closed form
+    ],
+)
+def test_cli_does_not_import(module):
+    """No CLI call pays for importing these scipy subpackages."""
+    import subprocess
+    import sys
+
+    import ddsounder
+
+    src = os.path.dirname(os.path.dirname(ddsounder.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = f"import sys, ddsounder.cli; print({module!r} in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout.strip() == "False"
+
+
 class TestPlan:
     def test_default_config_passes(self, capsys):
         assert main(["plan"]) == 0
@@ -192,6 +216,34 @@ class TestStages:
             assert os.path.exists(os.path.join(out, name)), name
         _, seed = ddio.read_signal(os.path.join(out, "rx_record.dds1"))
         assert seed == 7
+
+    @pytest.mark.parametrize(
+        "design,duration,named",
+        [
+            # a 10.5 ms sequence period: more than half of the 20 ms standstill
+            (dict(bandwidth=8e3, sample_rate=1e4, averaging_count=1,
+                  max_doppler=40.0, max_speed=0.2), 1.0, "standstill_duration 0.02 s"),
+            (dict(tx_count=3), 0.1, "2 beams for 3 TXs"),  # on the two-beam street
+        ],
+        ids=["standstill", "beams"],
+    )
+    def test_simulate_checks_scenario_before_writing(
+        self, tmp_path, capsys, design, duration, named
+    ):
+        """simulate run alone applies run-all's scenario checks: it exits 1
+        and writes no file."""
+        cfg = dataclasses.replace(narrowband_config(), **design)
+        assert validate_config(cfg).passed
+        cfg_path = str(tmp_path / "config.ini")
+        scn_path = str(tmp_path / "scenario.ini")
+        ddio.save_sounder_config(cfg_path, cfg)
+        ddio.save_scenario(scn_path, default_scenario(duration=duration))
+        out = tmp_path / "x"
+        rc = main(["simulate", "--config", cfg_path, "--scenario", scn_path,
+                   "--seed", "1", "--out-dir", str(out)])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_noise_blocks_are_keyed_philox_draws(self, tmp_path, monkeypatch):
         """With silent TXs and no CFO, snapshot block b of the record is the

@@ -20,9 +20,8 @@ from ddsounder.rxproc import (
     TransferFunctionGrid,
     _tone_bins,
     coherent_average,
-    demultiplex,
+    demultiplex_record,
     estimate_cfo,
-    noise_power_estimate,
     snr_per_tx,
 )
 from ddsounder.waveform import SampledSignal, TonePlan, multitone_waveform, tone_plan
@@ -48,6 +47,12 @@ def _parked(duration, cfo=0.0, noise_psd=0.0):
     return dataclasses.replace(scn, tx_velocity=np.zeros(3))
 
 
+@pytest.fixture(scope="module")
+def desk_standstill(narrowband, signals):
+    """A noisy 0.1 s standstill of the desk design, 125,000 samples."""
+    return apply_channel(signals, _parked(0.1, cfo=120.0, noise_psd=1e-15), narrowband, seed=3)
+
+
 class TestEstimateCfo:
     def test_recovers_injected_cfo(self, narrowband, signals, composite):
         scn = _parked(0.02, cfo=73.5, noise_psd=1e-15)
@@ -67,6 +72,13 @@ class TestEstimateCfo:
         with pytest.raises(NoSignalError):
             estimate_cfo(SampledSignal(noise, narrowband.sample_rate), composite)
 
+    def test_non_finite_capture_rejected(self, composite, desk_standstill):
+        """A NaN sample makes the correlation NaN, which is no detection."""
+        samples = desk_standstill.samples.copy()
+        samples[5] = np.nan
+        with pytest.raises(NoSignalError, match="nan"):
+            estimate_cfo(SampledSignal(samples, desk_standstill.sample_rate), composite)
+
     def test_short_record_rejected(self, narrowband, composite):
         short = SampledSignal(np.ones(105, complex), narrowband.sample_rate)
         with pytest.raises(ValueError, match="two reference periods"):
@@ -85,51 +97,129 @@ class TestEstimateCfo:
     def test_band_search_matches_full_padded_fft(
         self, narrowband, signals, composite, monkeypatch, cfo, seed, duration
     ):
-        """Away from a round-off tie between two bins (none of these CFOs is
-        one), the band-only search picks the bin of a full 8N-point FFT's
-        argmax over the band, and the estimate is the identical float."""
+        """The periodogram peak found from the 8P-point start search over the
+        per-period sums lies within half a bin of the argmax over the band of a
+        full 8N-point zero-padded FFT of D's summand, and is at least as high
+        as every bin of it; the estimate is within 0.05 Hz of the injected CFO,
+        and the samples past the last whole period are not read."""
         rx = apply_channel(
             signals, _parked(duration, cfo=cfo, noise_psd=1e-15), narrowband, seed=seed
         )
-        band_only = estimate_cfo(rx, composite)
-        picked = []
+        searched = []
 
-        def full_fft_band(samples, fs, halfwidth):
-            padded = np.fft.fft(samples, 8 * samples.size)
-            freqs = np.fft.fftfreq(8 * samples.size, d=1.0 / fs)
-            band = np.flatnonzero(np.abs(freqs) <= halfwidth)
-            got_freqs, got_magnitude = band_search(samples, fs, halfwidth)
-            np.testing.assert_array_equal(got_freqs, freqs[band])
-            magnitude = np.abs(padded[band])
-            assert np.argmax(got_magnitude) == np.argmax(magnitude)
-            picked.append(freqs[band][np.argmax(magnitude)])
-            return freqs[band], magnitude
+        def spy(folded, phase, w, fs):
+            searched.append((folded, phase, w, peak(folded, phase, w, fs)))
+            return searched[-1][-1]
 
-        band_search = rxproc._padded_band
-        monkeypatch.setattr(rxproc, "_padded_band", full_fft_band)
-        assert estimate_cfo(rx, composite) == band_only
-        assert len(picked) == 1
-        assert band_only == pytest.approx(cfo, abs=0.05)
+        peak = rxproc._periodogram_peak
+        monkeypatch.setattr(rxproc, "_periodogram_peak", spy)
+        estimate = estimate_cfo(rx, composite)
+        ((folded, phase, w, (fine, correlation)),) = searched
+        summand = (phase[:, None] * folded * w).reshape(-1)
+        padded = 8 * summand.size
+        freqs = np.fft.fftfreq(padded, d=1.0 / rx.sample_rate)
+        band = np.abs(freqs) <= 0.5 / narrowband.sequence_period
+        full = np.abs(np.fft.fft(summand, padded)[band])
+        bin_width = rx.sample_rate / padded
+        assert abs(fine - freqs[band][np.argmax(full)]) <= 0.5 * bin_width
+        assert correlation >= full.max() * (1 - 1e-12)
+
+        whole = folded.size
+        assert estimate == estimate_cfo(
+            SampledSignal(rx.samples[:whole], rx.sample_rate), composite
+        )
+        assert estimate == pytest.approx(cfo, abs=0.05)
 
     @pytest.mark.parametrize("size", [840, 3150, 4096])
     @pytest.mark.parametrize("k", [0, 3, -5])
     def test_band_search_at_half_bin_ties(self, size, k):
-        """A tone halfway between two padded bins: the band magnitudes are the
-        full FFT's within 1e-14 of the peak, and the band argmax is one of the
-        two tied bins, though not always the one the full FFT picks."""
-        fs, halfwidth = 1e6, 0.5e6 / 210
-        padded = 8 * size
-        tone = (k + 0.5) * fs / padded
-        x = np.exp(2j * np.pi * tone * np.arange(size) / fs)
-        freqs, magnitude = rxproc._padded_band(x, fs, halfwidth)
-        full_freqs = np.fft.fftfreq(padded, d=1.0 / fs)
-        band = np.abs(full_freqs) <= halfwidth
-        full = np.abs(np.fft.fft(x, padded)[band])
-        np.testing.assert_array_equal(freqs, full_freqs[band])
-        assert np.max(np.abs(magnitude - full)) <= 1e-14 * full.max()
-        assert freqs[np.argmax(magnitude)] * padded / fs == pytest.approx(
-            k + 0.5, abs=0.5 + 1e-9
+        """A tone halfway between two bins of the 8x zero-padded start search
+        over the band: the two bins tie within round-off, and the Newton steps
+        from either end at the tone, where |D| is the sample count."""
+        fs = 1e6
+        length = 105 if size % 105 == 0 else 128
+        count = size // length
+        tone = (k + 0.5) * fs / (8 * size)
+        x = np.exp(2j * np.pi * tone * np.arange(size) / fs).reshape(count, length)
+        start = np.abs(np.fft.fft(x.sum(axis=1), 8 * count))
+        assert start[k] == pytest.approx(start[k + 1], rel=1e-12)
+        assert start[k] == pytest.approx(start.max(), rel=1e-12)
+        f, magnitude = rxproc._periodogram_peak(x, np.ones(count), np.ones(length), fs)
+        assert f == pytest.approx(tone, abs=1e-12 * fs / size)
+        assert magnitude == pytest.approx(size, rel=1e-12)
+
+    def test_is_periodogram_maximum(self, narrowband, signals, composite, monkeypatch):
+        """On a 20-period capture the estimate is, to 1e-11 Hz, the maximum of
+        F(f) = |D(f)|^2 with D(f) = sum_n x[n] conj(a[n mod L]) exp(-j 2 pi f n
+        / fs) and ``a`` the aligned reference: a 40-digit root of F' with F
+        falling on either side."""
+        mpmath = pytest.importorskip("mpmath")
+        rx = apply_channel(
+            signals, _parked(0.00168, cfo=250.0, noise_psd=1e-13), narrowband, seed=9
         )
+        length = composite.samples.size
+        assert rx.samples.size == 20 * length
+        rolled = []
+
+        def spy(samples, shift):
+            rolled.append(fractional_roll(samples, shift))
+            return rolled[-1]
+
+        fractional_roll = rxproc._fractional_roll
+        monkeypatch.setattr(rxproc, "_fractional_roll", spy)
+        estimate = estimate_cfo(rx, composite)
+        (aligned,) = rolled
+
+        with mpmath.workdps(40):
+            mixed = [
+                mpmath.mpc(complex(x)) * mpmath.conj(mpmath.mpc(complex(aligned[n % length])))
+                for n, x in enumerate(rx.samples)
+            ]
+
+            def sums(f):
+                """D(f) and D'(f) / (-j 2 pi)."""
+                step = mpmath.expj(-2 * mpmath.pi * f / rx.sample_rate)
+                rotation, d0, d1 = mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0)
+                for n, m in enumerate(mixed):
+                    d0 += m * rotation
+                    d1 += m * rotation * n / rx.sample_rate
+                    rotation *= step
+                return d0, d1
+
+            def slope(f):  # F'(f) / (4 pi)
+                d0, d1 = sums(f)
+                return mpmath.im(mpmath.conj(d0) * d1)
+
+            root = mpmath.findroot(slope, (estimate - 1e-3, estimate + 1e-3), solver="anderson")
+            power = [abs(sums(root + h)[0]) ** 2 for h in (-1.0, 0.0, 1.0)]
+            assert power[1] > max(power[0], power[2])
+            assert abs(float(root) - estimate) <= 1e-11
+
+    def test_round_off_in_capture_does_not_move_estimate(
+        self, narrowband, composite, desk_standstill
+    ):
+        """Perturbing a 0.1 s desk standstill by 4e-15 of its peak moves the
+        estimate by at most 1e-12 Hz: it is the periodogram maximum to
+        round-off, not a search stopped at a tolerance."""
+        estimate = estimate_cfo(desk_standstill, composite)
+        samples = desk_standstill.samples
+        scale = 4e-15 * np.max(np.abs(samples))
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            noise = rng.standard_normal(samples.size) + 1j * rng.standard_normal(samples.size)
+            moved = SampledSignal(samples + scale * noise, desk_standstill.sample_rate)
+            assert abs(estimate_cfo(moved, composite) - estimate) <= 1e-12
+
+    def test_temporaries_small_beside_capture(self, composite, desk_standstill):
+        """No temporary is the size of the capture: the traced peak on a 0.1 s
+        desk standstill stays under half of its samples' bytes."""
+        tracemalloc.start()
+        try:
+            estimate_cfo(desk_standstill, composite)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * desk_standstill.samples.nbytes
 
 
 def _snapshot_offset(block, bins, period):
@@ -258,6 +348,26 @@ class TestCoherentAverage:
             coherent_average(rx, narrowband, 0.0, 0)
 
 
+def _demultiplex(averaged, cfg, plan, t0=0.0):
+    """Whole-record oracle of demultiplex_record's tone grids: the period DFT
+    of each averaged snapshot at tone scale, each tone over its weight."""
+    spectra = np.fft.fft(averaged, axis=1) / cfg.samples_per_period
+    values = spectra[:, _tone_bins(cfg, plan.tone_frequencies)] / plan.tone_weights[None, :]
+    return TransferFunctionGrid(
+        tx_index=plan.tx_index,
+        values=values,
+        snapshot_times=t0 + np.arange(averaged.shape[0]) * cfg.snapshot_time,
+        tone_frequencies=plan.tone_frequencies.copy(),
+    )
+
+
+def _noise_power(averaged, cfg):
+    """Whole-record oracle of demultiplex_record's noise powers: the mean
+    power of the free slot's bins of every averaged period."""
+    spectra = np.fft.fft(averaged, axis=1) / cfg.samples_per_period
+    return float(np.mean(np.abs(spectra[:, rxproc._free_slot_bins(cfg)]) ** 2))
+
+
 class _InMemoryRecord:
     """The reader interface of demultiplex_record over an in-memory record,
     counting the samples it hands out."""
@@ -282,7 +392,7 @@ class TestDemultiplexRecord:
         record is handed out in whole-snapshot chunks of coherent_average."""
         rx = _chirped_record(narrowband, 2.6, t0)
         record = _InMemoryRecord(rx)
-        grids, noise = rxproc.demultiplex_record(record, narrowband, 37.25, nb_plans)
+        grids, noise = demultiplex_record(record, narrowband, 37.25, nb_plans)
         chunk = (rxproc._CHUNK_SAMPLES // narrowband.samples_per_snapshot) * (
             narrowband.samples_per_snapshot
         )
@@ -290,12 +400,12 @@ class TestDemultiplexRecord:
         assert len(record.sizes) == 3
         for plan, grid, power in zip(nb_plans, grids, noise):
             averaged = coherent_average(rx, narrowband, 37.25, plan.tx_index)
-            expected = demultiplex(averaged, narrowband, plan, t0=t0)
+            expected = _demultiplex(averaged, narrowband, plan, t0=t0)
             assert grid.tx_index == plan.tx_index
             np.testing.assert_array_equal(grid.values, expected.values)
             np.testing.assert_array_equal(grid.snapshot_times, expected.snapshot_times)
             np.testing.assert_array_equal(grid.tone_frequencies, expected.tone_frequencies)
-            assert power == noise_power_estimate(averaged, narrowband)
+            assert power == _noise_power(averaged, narrowband)
             np.testing.assert_array_equal(
                 snr_per_tx(grid, power), snr_per_tx(expected, power)
             )
@@ -304,15 +414,15 @@ class TestDemultiplexRecord:
         short = SampledSignal(np.ones(narrowband.samples_per_snapshot - 1, complex),
                               narrowband.sample_rate)
         with pytest.raises(ValueError, match="shorter than one snapshot"):
-            rxproc.demultiplex_record(_InMemoryRecord(short), narrowband, 0.0, nb_plans)
+            demultiplex_record(_InMemoryRecord(short), narrowband, 0.0, nb_plans)
 
 
 class TestDemultiplex:
     def test_static_channel_matches_transfer_function(self, narrowband, signals, nb_plans):
         scn = _parked(0.005)
         rx = apply_channel(signals, scn, narrowband, seed=1)
-        for tx, plan in enumerate(nb_plans):
-            grid = demultiplex(coherent_average(rx, narrowband, 0.0, tx), narrowband, plan)
+        grids, _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0, nb_plans)
+        for plan, grid in zip(nb_plans, grids):
             want = transfer_function(scn, narrowband, plan, grid.snapshot_times)
             err = np.max(np.abs(grid.values - want)) / np.max(np.abs(want))
             assert err < 1e-6
@@ -321,17 +431,18 @@ class TestDemultiplex:
         """Moving TX: agreement is limited by intra-snapshot Doppler drift."""
         scn = default_scenario(duration=0.01, cfo=0.0, noise_psd=0.0)
         rx = apply_channel(signals, scn, narrowband, seed=1)
-        for tx, plan in enumerate(nb_plans):
-            grid = demultiplex(coherent_average(rx, narrowband, 0.0, tx), narrowband, plan)
+        grids, _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0, nb_plans)
+        for plan, grid in zip(nb_plans, grids):
             want = transfer_function(scn, narrowband, plan, grid.snapshot_times)
             err = np.linalg.norm(grid.values - want) / np.linalg.norm(want)
             assert err < 2e-2
 
     def test_flat_channel_recovers_unit_gain(self, narrowband, nb_plans, signals):
         """Feeding the TX period straight through must give H = 1."""
-        plan = nb_plans[0]
-        period = signals[0].samples
-        grid = demultiplex(period[None, :], narrowband, plan)
+        periods = 3 * narrowband.averaging_count
+        rx = SampledSignal(np.tile(signals[0].samples, periods), narrowband.sample_rate)
+        (grid,), _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0, nb_plans[:1])
+        assert grid.values.shape == (3, narrowband.tone_count)
         np.testing.assert_allclose(grid.values, 1.0, atol=1e-12)
 
     def test_off_grid_plan_rejected(self, narrowband):
@@ -340,24 +451,26 @@ class TestDemultiplex:
             tone_frequencies=np.array([1000.0]),  # not on the offset grid
             tone_weights=np.array([1.0 + 0j]),
         )
+        rx = SampledSignal(np.ones(narrowband.samples_per_snapshot, complex),
+                           narrowband.sample_rate)
         with pytest.raises(ConfigError, match="off the period DFT grid"):
-            demultiplex(np.ones((1, 105), complex), narrowband, bad)
-
-    def test_wrong_period_length_rejected(self, narrowband, nb_plans):
-        with pytest.raises(ValueError, match="averaged snapshots"):
-            demultiplex(np.ones((1, 64), complex), narrowband, nb_plans[0])
+            demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0, [bad])
 
 
 class TestCrosstalk:
-    """With one TX silent, its demultiplexed slots hold only leakage."""
+    """With one TX silent, its demultiplexed slots hold only leakage.
+
+    Both combs are read from the periods averaged on the live comb's offset:
+    demultiplex_record would average the silent comb on an offset estimated
+    from its own round-off, which shifts the live comb into its slots."""
 
     def _leakage_db(self, narrowband, nb_plans, scenario, seed):
         wave0 = multitone_waveform(narrowband, nb_plans[0])
         silent = SampledSignal(np.zeros(105, complex), narrowband.sample_rate)
         rx = apply_channel([wave0, silent], scenario, narrowband, seed=seed)
         avg = coherent_average(rx, narrowband, 0.0, 0)  # reference the live comb
-        own = demultiplex(avg, narrowband, nb_plans[0])
-        leak = demultiplex(avg, narrowband, nb_plans[1])
+        own = _demultiplex(avg, narrowband, nb_plans[0])
+        leak = _demultiplex(avg, narrowband, nb_plans[1])
         return 10 * np.log10(
             np.mean(np.abs(leak.values) ** 2) / np.mean(np.abs(own.values) ** 2)
         )
@@ -373,7 +486,7 @@ class TestCrosstalk:
 
 
 class TestNoisePath:
-    def test_noise_power_estimate_calibrated(self, narrowband):
+    def test_noise_power_estimate_calibrated(self, narrowband, nb_plans):
         """Free-slot estimate must equal sigma^2 / (N L) at tone scale."""
         rng = np.random.default_rng(31)
         sigma2 = 2.5
@@ -382,8 +495,7 @@ class TestNoisePath:
             rng.standard_normal(n) + 1j * rng.standard_normal(n)
         )
         rx = SampledSignal(noise, narrowband.sample_rate)
-        avg = coherent_average(rx, narrowband, 0.0, 0)
-        est = noise_power_estimate(avg, narrowband)
+        _, (est,) = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0, nb_plans[:1])
         expected = sigma2 / (narrowband.averaging_count * narrowband.samples_per_period)
         assert est == pytest.approx(expected, rel=0.1)
 

@@ -143,23 +143,6 @@ class TestDpss:
             dpss(length, time_bandwidth, Kmax=count),
         )
 
-    def test_cli_does_not_import_scipy_signal(self):
-        """The tapers are built in-house, so no CLI call pays for scipy.signal."""
-        import os
-        import subprocess
-        import sys
-
-        import ddsounder
-
-        src = os.path.dirname(os.path.dirname(ddsounder.__file__))
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        code = "import sys, ddsounder.cli; print('scipy.signal' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert done.stdout.strip() == "False"
-
 
 class TestLsf:
     def test_planted_tap_recovered(self):

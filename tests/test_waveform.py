@@ -6,11 +6,16 @@ import pytest
 from ddsounder.params import ConfigError, SounderConfig
 from ddsounder.waveform import (
     SampledSignal,
-    crest_factor,
     multitone_waveform,
     tone_plan,
     zadoff_chu,
 )
+
+
+def crest_factor(signal: SampledSignal) -> float:
+    """Peak magnitude over RMS of a sampled signal."""
+    magnitude = np.abs(signal.samples)
+    return float(np.max(magnitude) / np.sqrt(np.mean(magnitude**2)))
 
 
 class TestZadoffChu:
