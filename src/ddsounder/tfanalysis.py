@@ -242,25 +242,26 @@ def dsd(grid: DelayDopplerGrid) -> np.ndarray:
 
 
 def _strict_local_maxima(values: np.ndarray) -> np.ndarray:
-    """Boolean mask of strict 8-neighbourhood maxima (edges compare fewer)."""
+    """Boolean mask of strict 8-neighbourhood maxima (edges compare fewer).
+
+    The surface is laid out row by row with one ``-inf`` cell after each row
+    and a ``-inf`` margin of one row plus one cell on either side, so the
+    neighbour at ``(di, dj)`` of every cell sits at the flat offset
+    ``di * (cols + 1) + dj``: each comparison is one contiguous pass.  A
+    missing neighbour reads ``-inf``, so a ``-inf`` cell is never a maximum,
+    even without neighbours.
+    """
     rows, cols = values.shape
-    # as if padded with -inf: a -inf cell is no maximum, even without neighbours
-    mask = values > -np.inf
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            # the cells with a neighbour at (di, dj), and those neighbours
-            here = (
-                slice(max(-di, 0), rows - max(di, 0)),
-                slice(max(-dj, 0), cols - max(dj, 0)),
-            )
-            there = (
-                slice(max(di, 0), rows - max(-di, 0)),
-                slice(max(dj, 0), cols - max(-dj, 0)),
-            )
-            mask[here] &= values[here] > values[there]
-    return mask
+    stride = cols + 1
+    size = rows * stride
+    flat = np.full(size + 2 * (stride + 1), -np.inf)
+    core = flat[stride + 1 : stride + 1 + size]
+    core.reshape(rows, stride)[:, :cols] = values
+    mask = np.ones(size, dtype=bool)
+    for k in (1, stride - 1, stride, stride + 1):
+        mask &= core > flat[stride + 1 + k : stride + 1 + k + size]
+        mask &= core > flat[stride + 1 - k : stride + 1 - k + size]
+    return mask.reshape(rows, stride)[:, :cols]
 
 
 def _ranked_maxima(

@@ -7,10 +7,12 @@ full-length scenario statistics live in the acceptance suite.  Exit codes:
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import shutil
 import struct
 import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -480,6 +482,107 @@ class TestRunAll:
         a = ddio.read_signal(os.path.join(mini_run, "rx_record.dds1"))[0]
         b = ddio.read_signal(os.path.join(out2, "rx_record.dds1"))[0]
         assert np.any(a.samples != b.samples)
+
+
+class TestWindowPool:
+    """analyze runs its windows on one forked worker per available CPU."""
+
+    WINDOW = "32"  # 18 windows per TX on the miniature record
+
+    def _grids(self, mini_run, out):
+        os.makedirs(out)
+        for name in ("config.ini", "h_tx0.ddg1", "h_tx1.ddg1"):
+            shutil.copyfile(os.path.join(mini_run, name), os.path.join(out, name))
+        return out
+
+    def _analyze(self, out, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        argv = ["analyze", "--out-dir", out, "--window-length", self.WINDOW]
+        return cli._stage_analyze(cli._build_parser().parse_args(argv))
+
+    def _files(self, out):
+        return {
+            name: open(os.path.join(out, name), "rb").read()
+            for name in sorted(os.listdir(out))
+        }
+
+    def test_pool_and_single_worker_write_the_same_bytes(
+        self, mini_run, tmp_path, monkeypatch, capsys
+    ):
+        pooled = self._grids(mini_run, str(tmp_path / "pool"))
+        single = self._grids(mini_run, str(tmp_path / "single"))
+        names = self._analyze(pooled, monkeypatch, 2)
+        assert "analyzed 36 windows of 32 snapshots on 2 workers" in capsys.readouterr().out
+        assert self._analyze(single, monkeypatch, 1) == names
+        assert "on 1 worker\n" in capsys.readouterr().out
+        assert names[:6] == [
+            "lsf_tx0_w000.ddg2", "dsd_tx0_w000.csv", "peaks_tx0_w000.json",
+            "gamma_tx0_w000.ddg2", "sbl_peaks_tx0_w000.json", "lsf_tx0_w001.ddg2",
+        ]
+        assert names[-1] == "sbl_peaks_tx1_w017.json"
+        files = self._files(pooled)
+        assert len(files) == 3 + len(names)
+        assert files == self._files(single)
+        assert multiprocessing.active_children() == []
+
+    def test_nan_window_fails_fast_with_the_serial_message(
+        self, mini_run, tmp_path, monkeypatch, capsys
+    ):
+        """A NaN in h_tx1 window 5: exit 3 with the message a serial run
+        gives, no worker left, no temp file, and the windows queued behind it
+        never start (those after it are slowed, so the pool cannot reach them
+        before the failure cancels them)."""
+        runs = {}
+        for kind in ("single", "pool"):
+            out = self._grids(mini_run, str(tmp_path / kind))
+            path = os.path.join(out, "h_tx1.ddg1")
+            grid, seed = ddio.read_grid(path)
+            grid.values[5 * 32 + 7, 3] = np.nan
+            ddio.write_grid(path, grid, seed)
+            runs[kind] = out
+        window = cli._analyze_window
+
+        def slow_after_nan(*job):
+            tx, w = job[-2:]
+            if tx == 1 and w > 5:
+                time.sleep(0.2)
+            return window(*job)
+
+        monkeypatch.setattr(cli, "_analyze_window", slow_after_nan)
+        messages = {}
+        for kind, cpus in (("single", 1), ("pool", 2)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            rc = main(["analyze", "--out-dir", runs[kind], "--window-length", self.WINDOW])
+            assert rc == 3
+            messages[kind] = capsys.readouterr().err
+        assert messages["pool"] == messages["single"]
+        assert "non-finite" in messages["pool"]
+        assert multiprocessing.active_children() == []
+        serial, pooled = self._files(runs["single"]), self._files(runs["pool"])
+        assert not [name for name in pooled if ".tmp." in name]
+        # every window before the NaN one finished, as in the serial run
+        assert {name: pooled[name] for name in serial} == serial
+        assert "lsf_tx1_w017.ddg2" not in pooled
+
+    def test_dead_worker_is_io_error_naming_analyze(
+        self, mini_run, tmp_path, monkeypatch, capsys
+    ):
+        out = self._grids(mini_run, str(tmp_path / "dead"))
+        window = cli._analyze_window
+
+        def die_on_window_3(*job):
+            if job[-2:] == (0, 3):
+                os._exit(1)
+            return window(*job)
+
+        monkeypatch.setattr(cli, "_analyze_window", die_on_window_3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        rc = main(["analyze", "--out-dir", out, "--window-length", self.WINDOW])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: analyze: a window worker died" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
 
 
 class TestExitCodes:

@@ -19,6 +19,7 @@ from ddsounder.tfanalysis import (
     lsf_estimate,
     sfft,
     top_peaks_2d,
+    _strict_local_maxima,
 )
 
 
@@ -45,6 +46,27 @@ def _strict_maxima(values):
             if (a, b) != (i, j)
         )
     ]
+
+
+def _slice_maxima(values):
+    """Strict 8-neighbourhood maxima by shifted 2-D slices, as if padded with
+    -inf: the reference for the flat-offset ``_strict_local_maxima``."""
+    rows, cols = values.shape
+    mask = values > -np.inf
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            here = (
+                slice(max(-di, 0), rows - max(di, 0)),
+                slice(max(-dj, 0), cols - max(dj, 0)),
+            )
+            there = (
+                slice(max(di, 0), rows - max(-di, 0)),
+                slice(max(dj, 0), cols - max(-dj, 0)),
+            )
+            mask[here] &= values[here] > values[there]
+    return mask
 
 
 def _rand_h(rng, k, m):
@@ -198,6 +220,26 @@ class TestDsdAndPeaks:
             (3.0, 2.0),
         ]
         assert [p.power for p in peaks.entries] == [10.0, 5.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (9, 10), (84, 360)]
+    )
+    @pytest.mark.parametrize("surface", ["normal", "quantized", "with_inf"])
+    def test_strict_local_maxima_match_slice_oracle(self, shape, surface):
+        """Random surfaces, ties and plateaus (values in {0..3}), and -inf and
+        NaN cells: the flat-offset mask equals the 2-D slice mask."""
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            if surface == "normal":
+                values = rng.standard_normal(shape)
+            else:
+                values = rng.integers(0, 4, shape).astype(float)
+            if surface == "with_inf":
+                values[rng.random(shape) < 0.3] = -np.inf
+                values[rng.random(shape) < 0.05] = np.nan
+            got = _strict_local_maxima(values)
+            assert got.shape == shape
+            np.testing.assert_array_equal(got, _slice_maxima(values))
 
     def test_plateau_is_not_a_peak(self):
         values = np.zeros((4, 4))
