@@ -187,9 +187,9 @@ def _stage_process(out_dir: str) -> list[str]:
         plans, signals = _waveforms(cfg)
         cfo = _standstill_cfo(out_dir, cfg, signals)
         print(f"carrier frequency offset: {cfo:+.3f} Hz")
-        grids, noise = demultiplex_record(record, cfg, cfo, plans)
+        grids, noise_power = demultiplex_record(record, cfg, cfo, plans)
     outputs = []
-    for grid, noise_power in zip(grids, noise):
+    for grid in grids:
         tx = grid.tx_index
         snr = snr_per_tx(grid, noise_power)
         ddio.write_grid(os.path.join(out_dir, f"h_tx{tx}.ddg1"), grid, record.seed)

@@ -2,8 +2,8 @@
 
 The manifest is the one output that is allowed to differ between otherwise
 identical runs (it records wall-clock times); everything it points at must
-be byte-identical for equal seeds.  Staleness is decided purely by content
-hash, so touching a file without changing it does not invalidate anything.
+be byte-identical for equal seeds.  A run hashes each of its files once: an
+input that an earlier stage wrote takes the digest recorded for it there.
 """
 
 from __future__ import annotations
@@ -55,44 +55,23 @@ class RunManifest:
         wall_clock_s: float,
         base_dir: str = ".",
     ) -> StageRecord:
-        """Record a completed stage, hashing its files relative to ``base_dir``."""
+        """Record a completed stage, hashing its files relative to ``base_dir``.
+
+        An input that an earlier stage recorded as an output takes the digest
+        of its latest such record; only the other inputs are read from disk.
+        """
+        written = {p: d for stage in self.stages for p, d in stage.outputs.items()}
         record = StageRecord(
             name=name,
-            inputs={p: file_digest(os.path.join(base_dir, p)) for p in input_paths},
+            inputs={
+                p: written.get(p) or file_digest(os.path.join(base_dir, p))
+                for p in input_paths
+            },
             outputs={p: file_digest(os.path.join(base_dir, p)) for p in output_paths},
             wall_clock_s=wall_clock_s,
         )
         self.stages.append(record)
         return record
-
-    def stale_stages(self, base_dir: str = ".") -> list[str]:
-        """Names of stages whose inputs changed since they ran.
-
-        A stage is stale when any recorded input hash no longer matches the
-        file on disk (or the file is gone), or when the stage that produced
-        one of its inputs is itself stale — rewriting an early stage output
-        invalidates everything downstream even before the files change.
-        """
-        stale: list[str] = []
-        dirty_outputs: set[str] = set()
-        for stage in self.stages:
-            is_stale = False
-            for path, recorded in stage.inputs.items():
-                if path in dirty_outputs:
-                    is_stale = True
-                    continue
-                full = os.path.join(base_dir, path)
-                try:
-                    current = file_digest(full)
-                except OSError:
-                    is_stale = True
-                    continue
-                if current != recorded:
-                    is_stale = True
-            if is_stale:
-                stale.append(stage.name)
-                dirty_outputs.update(stage.outputs)
-        return stale
 
     def to_json(self) -> str:
         obj = {

@@ -1,10 +1,12 @@
 """Receiver-side processing: sync, coherent averaging, demultiplexing.
 
-The receiver sees the superposition of all TX combs.  One CFO estimate comes
-from a standstill capture; during the drive, every snapshot is derotated by
-its own LOS frequency offset (Doppler plus CFO) before averaging, and the
-Doppler part of that correction is re-applied afterwards so that only the
-CFO is permanently removed.
+The receiver sees the superposition of all TX combs, sent by one
+transmitter from one oscillator.  One CFO estimate comes from a standstill
+capture; during the drive, every snapshot is derotated by its own LOS
+frequency offset (Doppler plus CFO), estimated once from the tones of all
+combs, before averaging, and the Doppler part of that correction is
+re-applied afterwards so that only the CFO is permanently removed.  Every
+TX's tone values are read from the one spectrum of each averaged snapshot.
 
 A drive record need never be whole in memory: ``demultiplex_record`` takes
 it from a reader one chunk of whole snapshots at a time and keeps only the
@@ -220,21 +222,21 @@ def _check_rate(rate: float, cfg: SounderConfig) -> None:
         )
 
 
-def _period_spectra(blocks: np.ndarray, work: np.ndarray | None = None) -> np.ndarray | None:
-    """DFT of every period of the (c, N, L) ``blocks``, which every TX's offset
-    estimate reads, into the leading rows of ``work`` if given; ``None`` with
-    one period per snapshot, where none is needed."""
-    if blocks.shape[1] == 1:
-        return None
-    return np.fft.fft(blocks, axis=2, out=None if work is None else work[: blocks.shape[0]])
+def _comb_bins(cfg: SounderConfig) -> np.ndarray:
+    """Period DFT bins of every TX comb of the design, TX by TX."""
+    return np.concatenate(
+        [_tone_bins(cfg, tone_plan(cfg, tx).tone_frequencies) for tx in range(cfg.tx_count)]
+    )
 
 
-def _average_chunk(blocks, spectra, bins, cfg, cfo, fs, t_snapshot, out) -> None:
+def _average_chunk(blocks, bins, cfg, cfo, fs, t_snapshot, out, work=None) -> None:
     """:func:`coherent_average` of the (c, N, L) ``blocks`` of ``c`` whole
-    snapshots taken at ``t_snapshot``, for the TX comb on ``bins``, into the
-    (c, L) ``out``; ``spectra`` is their :func:`_period_spectra`."""
+    snapshots taken at ``t_snapshot``, with the offsets read from the period
+    DFT ``bins`` of every comb, into the (c, L) ``out``; the period DFTs go
+    into the leading rows of ``work`` if given."""
     count, n_avg, length = blocks.shape
     if n_avg > 1:
+        spectra = np.fft.fft(blocks, axis=2, out=None if work is None else work[:count])
         v = spectra[..., bins]
         lag = np.sum(v[:, 1:] * np.conj(v[:, :-1]), axis=(1, 2))
         offset = np.angle(lag) / (2.0 * math.pi * cfg.sequence_period)
@@ -253,23 +255,22 @@ def _average_chunk(blocks, spectra, bins, cfg, cfo, fs, t_snapshot, out) -> None
     out *= (coarse[:, :, None] * fine[:, None, :]).reshape(count, -1)[:, :length]
 
 
-def coherent_average(
-    rx: SampledSignal, cfg: SounderConfig, cfo: float, tx_index: int
-) -> np.ndarray:
-    """Average the periods of every snapshot coherently for one TX.
+def coherent_average(rx: SampledSignal, cfg: SounderConfig, cfo: float) -> np.ndarray:
+    """Average the periods of every snapshot coherently.
 
     Each snapshot is derotated by its own estimated LOS frequency offset
     (Doppler plus CFO), its periods are averaged, and the Doppler part of
     the offset is restored as a phase at the snapshot timestamp, so the
     averaged snapshots keep the physical Doppler progression while the CFO
-    is removed.
+    is removed.  The TXs share one oscillator and one car, so one offset per
+    snapshot serves every comb.
 
     The offset of snapshot ``q`` is the lag-one phase of its per-period tone
-    coefficients ``v = fft(periods)[..., bins]``,
-    ``nu_q = angle(sum_{p,k} v[p+1,k] conj(v[p,k])) / (2 pi T)``: the DFT
-    coefficients of the dominant component advance by ``exp(j 2 pi nu T)``
-    from one period to the next whatever the channel delay.  With a single
-    period per snapshot, ``nu_q = cfo``.
+    coefficients ``v = fft(periods)[..., bins]`` on the bins of every TX
+    comb, ``nu_q = angle(sum_{p,k} v[p+1,k] conj(v[p,k])) / (2 pi T)``: the
+    DFT coefficients of the dominant component advance by
+    ``exp(j 2 pi nu T)`` from one period to the next whatever the channel
+    delay.  With a single period per snapshot, ``nu_q = cfo``.
 
     Derotating sample ``n`` of period ``p`` by ``exp(-j 2 pi nu_q t)`` at its
     absolute time ``t = t_q + (p L + n) / fs`` and restoring
@@ -297,7 +298,7 @@ def coherent_average(
     Raises
     ------
     ConfigError
-        If the record's sample rate differs from ``cfg.sample_rate``, or the
+        If the record's sample rate differs from ``cfg.sample_rate``, or a
         TX comb is off the period DFT grid.
     ValueError
         If the record is shorter than one snapshot.
@@ -308,7 +309,7 @@ def coherent_average(
     q_count = rx.samples.size // per_snapshot
     if q_count < 1:
         raise ValueError("record shorter than one snapshot")
-    bins = _tone_bins(cfg, tone_plan(cfg, tx_index).tone_frequencies)
+    bins = _comb_bins(cfg)
     fs = rx.sample_rate
     chunk = _chunk_snapshots(cfg)
     out = np.empty((q_count, length), dtype=np.complex128)
@@ -318,9 +319,7 @@ def coherent_average(
             stop - first, cfg.averaging_count, length
         )
         t_snapshot = rx.t0 + np.arange(first, stop) * per_snapshot / fs
-        _average_chunk(
-            blocks, _period_spectra(blocks), bins, cfg, cfo, fs, t_snapshot, out[first:stop]
-        )
+        _average_chunk(blocks, bins, cfg, cfo, fs, t_snapshot, out[first:stop])
     return out
 
 
@@ -334,23 +333,23 @@ def _free_slot_bins(cfg: SounderConfig) -> np.ndarray:
 
 def demultiplex_record(
     record, cfg: SounderConfig, cfo: float, plans: list[TonePlan]
-) -> tuple[list[TransferFunctionGrid], list[float]]:
-    """Tone grids and noise powers of every TX in ``plans``, from a record
-    read chunk by chunk.
+) -> tuple[list[TransferFunctionGrid], float]:
+    """Tone grids of every TX in ``plans`` and the receiver's noise power,
+    from a record read chunk by chunk.
 
     ``record`` carries the record's ``sample_rate``, ``length`` (samples)
     and ``t0``, and ``record.chunks(size)`` yields its samples in order,
     ``size`` at a time (:class:`ddsounder.io.SignalReader`).  Each chunk
     holds the whole snapshots that :func:`coherent_average` takes at once and
-    is averaged as it averages them, per TX, with one DFT of the chunk's
-    periods for every TX's offset estimate.  The DFT of each averaged period
-    at tone scale, ``fft / L``, gives a TX's tone values, each coefficient
-    over its transmit weight, so a distortion-free channel of gain ``g``
-    yields ``g`` everywhere.  The first tone-offset slot past the configured
-    TXs is guaranteed free, and the mean power of its bins over the record is
-    the TX's noise power after averaging, at tone scale.  Work arrays are
-    allocated once per record; only the (Q, K) tone values and free-slot
-    powers of each TX are kept.  A trailing partial snapshot is ignored.
+    is averaged once, as it averages them, on one offset per snapshot from
+    every comb of the design.  One DFT of each averaged period at tone scale,
+    ``fft / L``, gives every TX's tone values, each coefficient over its
+    transmit weight, so a distortion-free channel of gain ``g`` yields ``g``
+    everywhere.  The first tone-offset slot past the configured TXs is
+    guaranteed free, and the mean power of its bins over the record is the
+    noise power after averaging, at tone scale.  Work arrays are allocated
+    once per record; only the (Q, K) tone values of each TX and the free-slot
+    powers are kept.  A trailing partial snapshot is ignored.
 
     Raises
     ------
@@ -367,12 +366,13 @@ def demultiplex_record(
     q_count = record.length // per_snapshot
     if q_count < 1:
         raise ValueError("record shorter than one snapshot")
+    comb_bins = _comb_bins(cfg)
     bins = [_tone_bins(cfg, plan.tone_frequencies) for plan in plans]
     free_bins = _free_slot_bins(cfg)
     # (Q, K) in the column-major layout of ``spectra[:, bins]``, so that
     # reductions over them add in the order they do over whole-record arrays
     values = [np.empty((b.size, q_count), dtype=np.complex128).T for b in bins]
-    powers = [np.empty((free_bins.size, q_count)).T for _ in plans]
+    powers = np.empty((free_bins.size, q_count)).T
     chunk = min(_chunk_snapshots(cfg), q_count)
     # work arrays of the whole record, one chunk each
     period_spectra = (
@@ -387,16 +387,15 @@ def demultiplex_record(
             stop - first, cfg.averaging_count, length
         )
         t_snapshot = record.t0 + np.arange(first, stop) * per_snapshot / fs
-        chunk_spectra = _period_spectra(blocks, period_spectra)
-        for plan, tx_bins, tx_values, tx_powers in zip(plans, bins, values, powers):
-            tx_averaged = averaged[: stop - first]
-            _average_chunk(
-                blocks, chunk_spectra, tx_bins, cfg, cfo, fs, t_snapshot, tx_averaged
-            )
-            tx_spectra = np.fft.fft(tx_averaged, axis=1, out=spectra[: stop - first])
-            tx_spectra /= length
-            np.divide(tx_spectra[:, tx_bins], plan.tone_weights, out=tx_values[first:stop])
-            np.square(np.abs(tx_spectra[:, free_bins]), out=tx_powers[first:stop])
+        chunk_averaged = averaged[: stop - first]
+        _average_chunk(
+            blocks, comb_bins, cfg, cfo, fs, t_snapshot, chunk_averaged, period_spectra
+        )
+        chunk_spectra = np.fft.fft(chunk_averaged, axis=1, out=spectra[: stop - first])
+        chunk_spectra /= length
+        for plan, tx_bins, tx_values in zip(plans, bins, values):
+            np.divide(chunk_spectra[:, tx_bins], plan.tone_weights, out=tx_values[first:stop])
+        np.square(np.abs(chunk_spectra[:, free_bins]), out=powers[first:stop])
     times = record.t0 + np.arange(q_count) * cfg.snapshot_time
     grids = [
         TransferFunctionGrid(
@@ -407,7 +406,7 @@ def demultiplex_record(
         )
         for plan, tx_values in zip(plans, values)
     ]
-    return grids, [float(np.mean(tx_powers)) for tx_powers in powers]
+    return grids, float(np.mean(powers))
 
 
 def snr_per_tx(grid: TransferFunctionGrid, noise_power: float) -> np.ndarray:

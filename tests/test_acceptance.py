@@ -116,7 +116,7 @@ def test_acceptance_4_processing_gain(announce):
             + 1j * rng.standard_normal(clean.samples.size)
         )
         noisy = dataclasses.replace(clean, samples=clean.samples + noise)
-        averaged = coherent_average(noisy, cfg, 0.0, 0)
+        averaged = coherent_average(noisy, cfg, 0.0)
         # residual noise lives in the off-comb DFT bins of the averaged
         # periods; comb bins carry signal and would bias the estimate
         spectrum = np.fft.fft(averaged, axis=1) / length

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from ddsounder import cli
 from ddsounder import io as ddio
+from ddsounder import manifest
 from ddsounder.channel import _record_length, default_scenario
 from ddsounder.cli import main
 from ddsounder.manifest import RunManifest
@@ -385,6 +386,32 @@ class TestRunAll:
                 continue  # wall-clock times differ
             assert a == b, f"{name} differs between identical runs"
 
+    def test_manifest_hashes_each_file_once(self, tmp_path, monkeypatch):
+        """Every digest in the manifest is that of the file on disk, and no
+        path is hashed twice: an input takes its producer's digest."""
+        cfg_path, scn_path = _mini_configs(str(tmp_path))
+        out = str(tmp_path / "once")
+        hashed = []
+        digest = manifest.file_digest
+
+        def counting_digest(path):
+            hashed.append(os.path.relpath(path, out))
+            return digest(path)
+
+        monkeypatch.setattr(manifest, "file_digest", counting_digest)
+        assert main(["run-all", "--config", cfg_path, "--scenario", scn_path,
+                     "--seed", "5", "--out-dir", out, "--window-length", "128",
+                     "--windows", "1"]) == 0
+        assert len(hashed) == len(set(hashed))
+        recorded = RunManifest.load(os.path.join(out, "manifest.json"))
+        listed = set()
+        for stage in recorded.stages:
+            for rel, value in {**stage.inputs, **stage.outputs}.items():
+                assert value == digest(os.path.join(out, rel)), rel
+                listed.add(rel)
+        assert set(hashed) == listed
+        assert "rx_record.dds1" in recorded.stages[2].inputs
+
     def test_failed_run_keeps_manifest_of_finished_stages(
         self, mini_run, tmp_path, monkeypatch
     ):
@@ -671,6 +698,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "rx_record.dds1" in err and "sample_rate" in err
         assert not any(name.startswith("h_tx") for name in os.listdir(out))
+
+    @pytest.mark.parametrize("name", ["rx_record.dds1", "standstill.dds1"])
+    def test_input_header_rate_mismatch_is_config_error(
+        self, mini_run, tmp_path, capsys, name
+    ):
+        """A record or standstill whose header rate disagrees with config.ini
+        exits 1 naming the file, and no grid is written."""
+        out = str(tmp_path / "header_rate")
+        self._copy_run(mini_run, out)
+        with open(os.path.join(out, name), "r+b") as fh:
+            fh.seek(8)  # magic, seed, then the sample rate
+            fh.write(struct.pack("<d", 2.5e6))
+        assert main(["process", "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert name in err and "sample_rate 2500000.0 S/s" in err
+        assert not any(f.startswith("h_tx") for f in os.listdir(out))
 
     def test_unknown_scenario_key_is_validation_error(self, tmp_path):
         cfg_path, scn_path = _mini_configs(str(tmp_path))

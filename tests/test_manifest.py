@@ -1,9 +1,11 @@
-"""Manifest tests: content hashing, staleness propagation, serialization."""
+"""Manifest tests: content hashing, digest reuse, serialization."""
 
 import hashlib
+import os
 
 import pytest
 
+from ddsounder import manifest
 from ddsounder.io import FileFormatError
 from ddsounder.manifest import RunManifest, file_digest
 
@@ -37,36 +39,28 @@ class TestDigest:
             file_digest(str(tree / "nope.bin"))
 
 
-class TestStaleness:
-    def test_clean_tree_has_no_stale_stages(self, tree):
-        assert _chain(tree).stale_stages(base_dir=str(tree)) == []
+class TestDigestReuse:
+    def test_input_written_earlier_takes_its_recorded_digest(self, tree, monkeypatch):
+        """record.bin and grid.bin are hashed once, as outputs; config.ini,
+        which no stage wrote, is hashed from disk as process's input."""
+        hashed = []
 
-    def test_touch_without_change_stays_clean(self, tree):
-        m = _chain(tree)
-        (tree / "record.bin").write_bytes(b"\x01\x02\x03")  # same content
-        assert m.stale_stages(base_dir=str(tree)) == []
+        def counting_digest(path):
+            hashed.append(os.path.basename(path))
+            return file_digest(path)
 
-    def test_input_edit_propagates_downstream(self, tree):
+        monkeypatch.setattr(manifest, "file_digest", counting_digest)
         m = _chain(tree)
-        (tree / "record.bin").write_bytes(b"tampered")
-        assert m.stale_stages(base_dir=str(tree)) == ["process", "analyze"]
+        assert sorted(hashed) == ["config.ini", "grid.bin", "peaks.json", "record.bin"]
+        assert m.stages[1].inputs["record.bin"] == m.stages[0].outputs["record.bin"]
+        assert m.stages[2].inputs["grid.bin"] == m.stages[1].outputs["grid.bin"]
 
-    def test_config_edit_hits_only_consumers(self, tree):
+    def test_latest_writer_wins(self, tree):
         m = _chain(tree)
-        (tree / "config.ini").write_text("[sounder]\nbandwidth = 2\n")
-        assert m.stale_stages(base_dir=str(tree)) == ["process", "analyze"]
-
-    def test_missing_input_is_stale(self, tree):
-        m = _chain(tree)
-        (tree / "grid.bin").unlink()
-        assert m.stale_stages(base_dir=str(tree)) == ["analyze"]
-
-    def test_downstream_staleness_without_file_change(self, tree):
-        """A stale producer dirties its outputs even if they still match."""
-        m = _chain(tree)
-        (tree / "config.ini").write_text("changed")
-        # grid.bin on disk is untouched, but its producer is stale
-        assert "analyze" in m.stale_stages(base_dir=str(tree))
+        (tree / "grid.bin").write_bytes(b"rewritten")
+        m.add_stage("rewrite", [], ["grid.bin"], 1.0, base_dir=str(tree))
+        stage = m.add_stage("plot", ["grid.bin"], [], 1.0, base_dir=str(tree))
+        assert stage.inputs["grid.bin"] == hashlib.sha256(b"rewritten").hexdigest()
 
 
 class TestSerialization:

@@ -236,12 +236,15 @@ def _snapshot_offset(block, bins, period):
     return estimate
 
 
-def _reference_coherent_average(rx, cfg, cfo, tx_index):
-    """Snapshot-by-snapshot oracle: derotate at absolute time, average,
-    restore the Doppler share at the snapshot epoch."""
+def _reference_coherent_average(rx, cfg, cfo):
+    """Snapshot-by-snapshot oracle: derotate at absolute time by the offset
+    of the tones of every comb, average, restore the Doppler share at the
+    snapshot epoch."""
     length = cfg.samples_per_period
     per_snapshot = cfg.samples_per_snapshot
-    bins = _tone_bins(cfg, tone_plan(cfg, tx_index).tone_frequencies)
+    bins = np.concatenate(
+        [_tone_bins(cfg, tone_plan(cfg, tx).tone_frequencies) for tx in range(cfg.tx_count)]
+    )
     fs = rx.sample_rate
     n_avg = cfg.averaging_count
     q_count = rx.samples.size // per_snapshot
@@ -290,17 +293,16 @@ class TestCoherentAverage:
         cfg = narrowband_config(averaging_count=n_avg)
         rx = _chirped_record(cfg, 2.6, t0)
         cfo = 37.25
-        for tx in range(cfg.tx_count):
-            expected = _reference_coherent_average(rx, cfg, cfo, tx)
-            got = coherent_average(rx, cfg, cfo, tx)
-            assert got.shape == expected.shape
-            peak = np.max(np.abs(expected))
-            assert np.max(np.abs(got - expected)) <= 1e-10 * peak
+        expected = _reference_coherent_average(rx, cfg, cfo)
+        got = coherent_average(rx, cfg, cfo)
+        assert got.shape == expected.shape
+        peak = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-10 * peak
 
     def test_all_zero_record(self, narrowband):
         rx = SampledSignal(np.zeros(10 * narrowband.samples_per_snapshot, complex),
                            narrowband.sample_rate, t0=0.3)
-        avg = coherent_average(rx, narrowband, 55.0, 1)
+        avg = coherent_average(rx, narrowband, 55.0)
         assert avg.shape == (10, narrowband.samples_per_period)
         assert not np.any(avg)  # zero, and no NaN from a zero lag
 
@@ -313,7 +315,7 @@ class TestCoherentAverage:
             rx = SampledSignal(np.full(size, 1 + 1j), narrowband.sample_rate)
             tracemalloc.start()
             try:
-                out = coherent_average(rx, narrowband, 10.0, 0)
+                out = coherent_average(rx, narrowband, 10.0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -325,27 +327,27 @@ class TestCoherentAverage:
         rx = SampledSignal(np.ones(4 * narrowband.samples_per_snapshot, complex),
                            2 * narrowband.sample_rate)
         with pytest.raises(ConfigError, match="sample_rate") as info:
-            coherent_average(rx, narrowband, 0.0, 0)
+            coherent_average(rx, narrowband, 0.0)
         assert repr(rx.sample_rate) in str(info.value)
         assert repr(narrowband.sample_rate) in str(info.value)
 
     def test_shape(self, narrowband, signals):
         scn = default_scenario(duration=0.01)
         rx = apply_channel(signals, scn, narrowband, seed=1)
-        avg = coherent_average(rx, narrowband, 120.0, 0)
+        avg = coherent_average(rx, narrowband, 120.0)
         q = rx.samples.size // narrowband.samples_per_snapshot
         assert avg.shape == (q, narrowband.samples_per_period)
 
     def test_static_snapshots_identical(self, narrowband, signals):
         rx = apply_channel(signals, _parked(0.005), narrowband, seed=1)
-        avg = coherent_average(rx, narrowband, 0.0, 0)
+        avg = coherent_average(rx, narrowband, 0.0)
         spread = np.max(np.abs(avg - avg[0]))
         assert spread < 1e-9 * np.max(np.abs(avg))
 
     def test_record_shorter_than_snapshot_rejected(self, narrowband):
         rx = SampledSignal(np.ones(105, complex), narrowband.sample_rate)
         with pytest.raises(ValueError, match="snapshot"):
-            coherent_average(rx, narrowband, 0.0, 0)
+            coherent_average(rx, narrowband, 0.0)
 
 
 def _demultiplex(averaged, cfg, plan, t0=0.0):
@@ -362,7 +364,7 @@ def _demultiplex(averaged, cfg, plan, t0=0.0):
 
 
 def _noise_power(averaged, cfg):
-    """Whole-record oracle of demultiplex_record's noise powers: the mean
+    """Whole-record oracle of demultiplex_record's noise power: the mean
     power of the free slot's bins of every averaged period."""
     spectra = np.fft.fft(averaged, axis=1) / cfg.samples_per_period
     return float(np.mean(np.abs(spectra[:, rxproc._free_slot_bins(cfg)]) ** 2))
@@ -387,28 +389,40 @@ class _InMemoryRecord:
 class TestDemultiplexRecord:
     @pytest.mark.parametrize("t0", [0.0, 1.7])
     def test_equals_whole_record_functions(self, narrowband, nb_plans, t0):
-        """2.6 chunks with a partial snapshot trailing: every grid and noise
-        power is bit for bit that of the whole-record functions, and the
-        record is handed out in whole-snapshot chunks of coherent_average."""
+        """2.6 chunks with a partial snapshot trailing: every grid and the
+        noise power are bit for bit those of the whole-record functions, and
+        the record is handed out in whole-snapshot chunks of coherent_average."""
         rx = _chirped_record(narrowband, 2.6, t0)
         record = _InMemoryRecord(rx)
-        grids, noise = demultiplex_record(record, narrowband, 37.25, nb_plans)
+        grids, power = demultiplex_record(record, narrowband, 37.25, nb_plans)
         chunk = (rxproc._CHUNK_SAMPLES // narrowband.samples_per_snapshot) * (
             narrowband.samples_per_snapshot
         )
         assert record.sizes[:-1] == [chunk] * (len(record.sizes) - 1)
         assert len(record.sizes) == 3
-        for plan, grid, power in zip(nb_plans, grids, noise):
-            averaged = coherent_average(rx, narrowband, 37.25, plan.tx_index)
+        averaged = coherent_average(rx, narrowband, 37.25)
+        assert power == _noise_power(averaged, narrowband)
+        assert len(grids) == len(nb_plans)
+        for plan, grid in zip(nb_plans, grids):
             expected = _demultiplex(averaged, narrowband, plan, t0=t0)
             assert grid.tx_index == plan.tx_index
             np.testing.assert_array_equal(grid.values, expected.values)
             np.testing.assert_array_equal(grid.snapshot_times, expected.snapshot_times)
             np.testing.assert_array_equal(grid.tone_frequencies, expected.tone_frequencies)
-            assert power == _noise_power(averaged, narrowband)
             np.testing.assert_array_equal(
                 snr_per_tx(grid, power), snr_per_tx(expected, power)
             )
+
+    def test_offsets_do_not_depend_on_the_plans_asked_for(self, narrowband, nb_plans):
+        """TX1's grid alone is bit for bit its grid beside TX0's: the offsets
+        come from every comb of the design, not from the plans passed."""
+        rx = _chirped_record(narrowband, 0.5, 0.0)
+        both, power = demultiplex_record(_InMemoryRecord(rx), narrowband, 37.25, nb_plans)
+        (alone,), alone_power = demultiplex_record(
+            _InMemoryRecord(rx), narrowband, 37.25, nb_plans[1:]
+        )
+        np.testing.assert_array_equal(alone.values, both[1].values)
+        assert alone_power == power
 
     def test_record_shorter_than_snapshot_rejected(self, narrowband, nb_plans):
         short = SampledSignal(np.ones(narrowband.samples_per_snapshot - 1, complex),
@@ -458,19 +472,13 @@ class TestDemultiplex:
 
 
 class TestCrosstalk:
-    """With one TX silent, its demultiplexed slots hold only leakage.
-
-    Both combs are read from the periods averaged on the live comb's offset:
-    demultiplex_record would average the silent comb on an offset estimated
-    from its own round-off, which shifts the live comb into its slots."""
+    """With one TX silent, its demultiplexed slots hold only leakage."""
 
     def _leakage_db(self, narrowband, nb_plans, scenario, seed):
         wave0 = multitone_waveform(narrowband, nb_plans[0])
         silent = SampledSignal(np.zeros(105, complex), narrowband.sample_rate)
         rx = apply_channel([wave0, silent], scenario, narrowband, seed=seed)
-        avg = coherent_average(rx, narrowband, 0.0, 0)  # reference the live comb
-        own = _demultiplex(avg, narrowband, nb_plans[0])
-        leak = _demultiplex(avg, narrowband, nb_plans[1])
+        (own, leak), _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0, nb_plans)
         return 10 * np.log10(
             np.mean(np.abs(leak.values) ** 2) / np.mean(np.abs(own.values) ** 2)
         )
@@ -495,7 +503,7 @@ class TestNoisePath:
             rng.standard_normal(n) + 1j * rng.standard_normal(n)
         )
         rx = SampledSignal(noise, narrowband.sample_rate)
-        _, (est,) = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0, nb_plans[:1])
+        _, est = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0, nb_plans[:1])
         expected = sigma2 / (narrowband.averaging_count * narrowband.samples_per_period)
         assert est == pytest.approx(expected, rel=0.1)
 
