@@ -52,7 +52,7 @@ from .params import ConfigError, narrowband_config, validate_config
 from .rxproc import NoSignalError, demultiplex_record, estimate_cfo, snr_per_tx
 from .sbl import SBLConfig, sbl_fit
 from .tfanalysis import LSFConfig, dsd, lsf_estimate, top_peaks_2d
-from .waveform import SampledSignal, multitone_waveform, tone_plan
+from .waveform import multitone_waveform, tone_plan
 
 _CONFIG = "config.ini"
 _SCENARIO = "scenario.ini"
@@ -113,7 +113,9 @@ def _parked(scenario):
 
 def _check_scenario(cfg, scenario) -> None:
     """``ConfigError`` unless the scenario has one beam per TX and a
-    standstill of the two sequence periods that the CFO estimate needs."""
+    standstill of at least two sequence periods: the CFO estimate compares
+    the standstill's periods with each other.  Two already give the exact
+    offset of a noise-free capture; more average the noise down."""
     if len(scenario.tx_beams) != cfg.tx_count:
         raise ConfigError(
             f"the scenario configures {len(scenario.tx_beams)} beams for "
@@ -133,7 +135,7 @@ def _stage_simulate(cfg, scenario, seed: int, out_dir: str) -> list[str]:
     ddio.save_scenario(os.path.join(out_dir, _SCENARIO), scenario)
     outputs = [_CONFIG, _SCENARIO]
 
-    plans, signals = _waveforms(cfg)
+    _, signals = _waveforms(cfg)
     record_length, chunks = record_chunks(signals, scenario, cfg, seed)
     ddio.write_signal_chunks(
         os.path.join(out_dir, _RECORD), chunks, record_length, cfg.sample_rate, seed
@@ -168,15 +170,11 @@ def _check_rate(name: str, rate: float, cfg) -> None:
         )
 
 
-def _standstill_cfo(out_dir: str, cfg, signals) -> float:
-    """CFO of the standstill record, found with the sum of the TX periods."""
+def _standstill_cfo(out_dir: str, cfg) -> float:
+    """CFO of the standstill record."""
     still, _ = ddio.read_signal(os.path.join(out_dir, _STILL))
     _check_rate(_STILL, still.sample_rate, cfg)
-    composite = SampledSignal(
-        samples=sum(sig.samples for sig in signals),
-        sample_rate=cfg.sample_rate,
-    )
-    return estimate_cfo(still, composite)
+    return estimate_cfo(still, cfg)
 
 
 def _stage_process(out_dir: str) -> list[str]:
@@ -184,9 +182,9 @@ def _stage_process(out_dir: str) -> list[str]:
     # the record is read chunk by chunk; it is never whole in memory
     with ddio.SignalReader(os.path.join(out_dir, _RECORD)) as record:
         _check_rate(_RECORD, record.sample_rate, cfg)
-        plans, signals = _waveforms(cfg)
-        cfo = _standstill_cfo(out_dir, cfg, signals)
+        cfo = _standstill_cfo(out_dir, cfg)
         print(f"carrier frequency offset: {cfo:+.3f} Hz")
+        plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
         grids, noise_power = demultiplex_record(record, cfg, cfo, plans)
     outputs = []
     for grid in grids:
@@ -259,13 +257,14 @@ def _run_window(index: int) -> list[str]:
     return _analyze_window(*_JOBS[index])
 
 
-def _map_windows(jobs: list[tuple]) -> tuple[list[list[str]], int]:
+def _map_windows(out_dir: str, jobs: list[tuple]) -> tuple[list[list[str]], int]:
     """``_analyze_window(*job)`` for every job, on one forked worker per
     available CPU (at most one per job); the file names in job order, and the
     worker count.  With one worker the jobs run in this process.  The first
     window that raises cancels the windows not yet started, and its exception
     is raised once the started ones have finished.  A worker that dies
-    raises ``ChildProcessError`` naming the analyze stage."""
+    raises ``ChildProcessError`` naming the analyze stage, once the temp
+    files the pool's workers left in ``out_dir`` are removed."""
     workers = min(len(os.sched_getaffinity(0)), len(jobs))
     _JOBS[:] = jobs
     try:
@@ -281,12 +280,19 @@ def _map_windows(jobs: list[tuple]) -> tuple[list[list[str]], int]:
         try:
             return list(pool.map(_run_window, range(len(jobs)))), workers
         except BrokenProcessPool as exc:
-            raise ChildProcessError(
-                "analyze: a window worker died (killed by a signal or the "
-                f"out-of-memory killer?): {exc}"
-            ) from exc
+            broken = exc
         finally:
             pool.shutdown(cancel_futures=True)
+        # a broken pool terminates its other workers wherever they are, maybe
+        # inside io.atomic_write; now none is alive, and this process writes
+        # nothing in the run directory meanwhile, so its temp files are theirs
+        for name in os.listdir(out_dir):
+            if name.rpartition(".tmp.")[2].isdigit():
+                os.unlink(os.path.join(out_dir, name))
+        raise ChildProcessError(
+            "analyze: a window worker died (killed by a signal or the "
+            f"out-of-memory killer?): {broken}"
+        ) from broken
     finally:
         _JOBS.clear()
 
@@ -317,7 +323,7 @@ def _stage_analyze(args) -> list[str]:
             count = min(count, window_limit)
         jobs += [common + (grid, seed, tx, w) for w in range(count)]
 
-    names, workers = _map_windows(jobs)
+    names, workers = _map_windows(out_dir, jobs)
     print(
         f"analyzed {len(jobs)} windows of {window_length} snapshots "
         f"on {workers} worker{'s' if workers > 1 else ''}"

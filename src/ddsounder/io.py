@@ -20,6 +20,7 @@ import configparser
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io as _stdio
 import json
 import os
@@ -450,24 +451,11 @@ def read_peaks_json(path: str) -> tuple[PeakList, dict]:
 # the [sounder] keys are the design's fields; each default carries its type
 _SOUNDER_KEYS = {f.name: type(f.default) for f in dataclasses.fields(SounderConfig)}
 
+# the [scenario] keys are the street builder's arguments; each default carries
+# its type, a tuple standing for a list of floats
 _SCENARIO_KEYS = {
-    "rx_position": "triple",
-    "tx_velocity": "triple",
-    "tx_antenna_height": float,
-    "canyon_width": float,
-    "wall_loss_db": float,
-    "truck": bool,
-    "ground": bool,
-    "trigger_distance": float,
-    "duration": float,
-    "standstill_duration": float,
-    "noise_psd": float,
-    "cfo": float,
-    "rx_gain_dbi": float,
-    "beam_elevation_deg": "floats",
-    "beam_gain_dbi": float,
-    "beam_width_deg": float,
-    "beam_floor_dbi": float,
+    name: type(arg.default)
+    for name, arg in inspect.signature(default_scenario).parameters.items()
 }
 
 
@@ -500,12 +488,7 @@ def _section_values(parser, path, section, schema) -> dict:
                 if lowered not in ("true", "false", "yes", "no", "1", "0"):
                     raise ValueError(raw)
                 values[key] = lowered in ("true", "yes", "1")
-            elif kind == "triple":
-                parts = [float(p) for p in raw.split(",")]
-                if len(parts) != 3:
-                    raise ValueError(raw)
-                values[key] = np.array(parts)
-            elif kind == "floats":
+            elif kind is tuple:
                 values[key] = [float(p) for p in raw.split(",")]
             else:
                 values[key] = kind(raw)

@@ -112,6 +112,11 @@ class SparseModel:
         return np.fft.fft(z, axis=0)[: self.tone_count] / np.sqrt(self.tone_count)
 
 
+# Every fit starts from a flat variance surface and this noise variance.
+_GAMMA_INIT = 1.0
+_NOISE_VAR_INIT = 0.1
+
+
 @dataclass
 class SBLConfig:
     """Fixed-point settings: grid refinement, sparsity, and iteration count."""
@@ -119,8 +124,6 @@ class SBLConfig:
     upsampling: int = 4
     active_set_size: int = 10
     iterations: int = 10
-    gamma_init: float = 1.0
-    noise_var_init: float = 0.1
 
     def __post_init__(self):
         for name in ("upsampling", "active_set_size", "iterations"):
@@ -131,10 +134,6 @@ class SBLConfig:
                 or value < 1
             ):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        for name in ("gamma_init", "noise_var_init"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -382,8 +381,8 @@ def sbl_fit(
     )
     atoms = model.delay_atoms()
 
-    gamma = np.full((model.delay_bins, n_snapshots), float(cfg.gamma_init))
-    noise_var = float(cfg.noise_var_init)
+    gamma = np.full((model.delay_bins, n_snapshots), _GAMMA_INIT)
+    noise_var = _NOISE_VAR_INIT
     # floor keeps the covariance blocks invertible on noise-free windows:
     # cond(Sigma) <= gamma_max/floor must stay well below 1/eps
     noise_floor = max(1e-9 * energy / total, 1e-300)

@@ -53,27 +53,27 @@ class DelayDopplerGrid:
             raise ValueError("axis lengths must match the value grid")
 
 
+# Slepian tapers per dimension of the LSF window, each of time-bandwidth
+# product LSF_TIME_BANDWIDTH
+_TAPERS = 3
+
+
 @dataclass
 class LSFConfig:
-    """Multitaper estimator settings: window size and taper families."""
+    """Multitaper estimator settings: the window size."""
 
     window_length: int = 360
     tone_count: int = 21
-    tapers_time: int = 3
-    tapers_freq: int = 3
-    time_bandwidth: float = LSF_TIME_BANDWIDTH
 
     def __post_init__(self):
         if self.window_length < 2 or self.tone_count < 2:
             raise ConfigError("window_length and tone_count must be at least 2")
-        if self.tapers_time < 1 or self.tapers_freq < 1:
-            raise ConfigError("at least one taper per dimension is required")
         for name in ("window_length", "tone_count"):
             length = getattr(self, name)
-            if not dpss_fits(length, self.time_bandwidth):
+            if not dpss_fits(length, LSF_TIME_BANDWIDTH):
                 raise ConfigError(
                     f"{name} = {length} must exceed 2*time_bandwidth = "
-                    f"{2 * self.time_bandwidth:g} for the Slepian tapers"
+                    f"{2 * LSF_TIME_BANDWIDTH:g} for the Slepian tapers"
                 )
 
 
@@ -217,14 +217,14 @@ def lsf_estimate(
             f"window shape {h.shape} does not match configured "
             f"({cfg.tone_count}, {cfg.window_length})"
         )
-    freq_tapers = dpss_tapers(cfg.tone_count, cfg.time_bandwidth, cfg.tapers_freq)
-    time_tapers = dpss_tapers(cfg.window_length, cfg.time_bandwidth, cfg.tapers_time)
+    freq_tapers = dpss_tapers(cfg.tone_count, LSF_TIME_BANDWIDTH, _TAPERS)
+    time_tapers = dpss_tapers(cfg.window_length, LSF_TIME_BANDWIDTH, _TAPERS)
     accum = np.zeros(h.shape, dtype=np.float64)
     for u_freq in freq_tapers:
         for u_time in time_tapers:
             tapered = h * np.outer(u_freq, u_time)
             accum += np.abs(sfft(tapered).values) ** 2
-    accum /= cfg.tapers_freq * cfg.tapers_time
+    accum /= _TAPERS**2
     delay, doppler = _axes(
         cfg.tone_count, cfg.window_length, tone_spacing, snapshot_time
     )

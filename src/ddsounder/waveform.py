@@ -107,12 +107,12 @@ def zadoff_chu(root: int, length: int) -> np.ndarray:
     return np.exp(-1j * np.pi * root * exponent / length)
 
 
-def tone_plan(cfg: SounderConfig, tx_index: int, root: int = 1) -> TonePlan:
+def tone_plan(cfg: SounderConfig, tx_index: int) -> TonePlan:
     """Build the tone comb of one TX.
 
     The comb of TX 0 is centered on DC; TX ``i`` is shifted up by
-    ``i * tx_tone_offset``.  Weights are the Zadoff-Chu sequence of the comb
-    length.
+    ``i * tx_tone_offset``.  Weights are the root-1 Zadoff-Chu sequence of
+    the comb length.
     """
     if not 0 <= tx_index < cfg.tx_count:
         raise ConfigError(
@@ -123,7 +123,7 @@ def tone_plan(cfg: SounderConfig, tx_index: int, root: int = 1) -> TonePlan:
     return TonePlan(
         tx_index=tx_index,
         tone_frequencies=frequencies,
-        tone_weights=zadoff_chu(root, cfg.tone_count),
+        tone_weights=zadoff_chu(1, cfg.tone_count),
     )
 
 

@@ -594,11 +594,18 @@ class TestWindowPool:
     def test_dead_worker_is_io_error_naming_analyze(
         self, mini_run, tmp_path, monkeypatch, capsys
     ):
+        """TX0 window 3 kills its worker while window 2 waits inside
+        ``io._atomic_file`` on the other one: the broken pool terminates that
+        worker there, and its temp file is removed with the pool."""
         out = self._grids(mini_run, str(tmp_path / "dead"))
         window = cli._analyze_window
 
         def die_on_window_3(*job):
+            if job[-2:] == (0, 2):
+                with ddio._atomic_file(os.path.join(out, "lsf_tx0_w002.ddg2")):
+                    time.sleep(60)
             if job[-2:] == (0, 3):
+                time.sleep(0.5)
                 os._exit(1)
             return window(*job)
 
@@ -610,6 +617,7 @@ class TestWindowPool:
         assert "error: analyze: a window worker died" in err
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
+        assert not [name for name in os.listdir(out) if ".tmp." in name]
 
 
 class TestExitCodes:

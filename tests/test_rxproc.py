@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ddsounder.channel import apply_channel, default_scenario, transfer_function
-from ddsounder.params import ConfigError, narrowband_config
+from ddsounder.params import ConfigError, SounderConfig, narrowband_config
 from ddsounder import rxproc
 from ddsounder.rxproc import (
     NoSignalError,
@@ -35,13 +35,6 @@ def signals(narrowband):
     ]
 
 
-@pytest.fixture(scope="module")
-def composite(narrowband, signals):
-    """Sum of both TX periods, the natural sync reference."""
-    total = signals[0].samples + signals[1].samples
-    return SampledSignal(total, narrowband.sample_rate)
-
-
 def _parked(duration, cfo=0.0, noise_psd=0.0):
     scn = default_scenario(duration=duration, cfo=cfo, noise_psd=noise_psd)
     return dataclasses.replace(scn, tx_velocity=np.zeros(3))
@@ -54,40 +47,52 @@ def desk_standstill(narrowband, signals):
 
 
 class TestEstimateCfo:
-    def test_recovers_injected_cfo(self, narrowband, signals, composite):
+    def test_recovers_injected_cfo(self, narrowband, signals):
         scn = _parked(0.02, cfo=73.5, noise_psd=1e-15)
         rx = apply_channel(signals, scn, narrowband, seed=21)
-        assert estimate_cfo(rx, composite) == pytest.approx(73.5, abs=0.05)
+        assert estimate_cfo(rx, narrowband) == pytest.approx(73.5, abs=0.05)
 
-    def test_negative_cfo(self, narrowband, signals, composite):
+    def test_negative_cfo(self, narrowband, signals):
         scn = _parked(0.02, cfo=-412.0, noise_psd=1e-15)
         rx = apply_channel(signals, scn, narrowband, seed=22)
-        assert estimate_cfo(rx, composite) == pytest.approx(-412.0, abs=0.05)
+        assert estimate_cfo(rx, narrowband) == pytest.approx(-412.0, abs=0.05)
 
-    def test_noise_only_capture_rejected(self, narrowband, composite):
-        # a standstill-length capture: the correlation statistic is ~0.02
+    @pytest.mark.parametrize("periods", [20, 119])
+    def test_noise_only_capture_rejected(self, narrowband, periods):
+        # noise alone leaves a periodic share of the energy of about 0.01 at 20
+        # periods and 0.003 at 119, under the detection threshold
         rng = np.random.default_rng(23)
-        n = 119 * 105
+        n = periods * 105
         noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         with pytest.raises(NoSignalError):
-            estimate_cfo(SampledSignal(noise, narrowband.sample_rate), composite)
+            estimate_cfo(SampledSignal(noise, narrowband.sample_rate), narrowband)
 
-    def test_non_finite_capture_rejected(self, composite, desk_standstill):
-        """A NaN sample makes the correlation NaN, which is no detection."""
+    def test_non_finite_capture_rejected(self, narrowband, desk_standstill):
+        """A NaN sample makes the periodic share NaN, which is no detection."""
         samples = desk_standstill.samples.copy()
         samples[5] = np.nan
         with pytest.raises(NoSignalError, match="nan"):
-            estimate_cfo(SampledSignal(samples, desk_standstill.sample_rate), composite)
+            estimate_cfo(SampledSignal(samples, desk_standstill.sample_rate), narrowband)
 
-    def test_short_record_rejected(self, narrowband, composite):
+    def test_short_record_rejected(self, narrowband):
         short = SampledSignal(np.ones(105, complex), narrowband.sample_rate)
         with pytest.raises(ValueError, match="two reference periods"):
-            estimate_cfo(short, composite)
+            estimate_cfo(short, narrowband)
 
-    def test_rate_mismatch_rejected(self, composite):
+    def test_rate_mismatch_rejected(self, narrowband):
         rx = SampledSignal(np.ones(420, complex), 2e6)
-        with pytest.raises(ValueError, match="sample rate"):
-            estimate_cfo(rx, composite)
+        with pytest.raises(ValueError, match="sample_rate"):
+            estimate_cfo(rx, narrowband)
+
+    @pytest.mark.parametrize("periods", [2, 4, 20, 238])
+    def test_exact_on_noise_free_parked_street(self, narrowband, signals, periods):
+        """A parked capture of the default street, walls, ground and truck
+        included, is periodic up to the CFO rotation: from two periods on the
+        estimate is the injected CFO to round-off."""
+        duration = periods * narrowband.sequence_period
+        rx = apply_channel(signals, _parked(duration, cfo=120.0), narrowband, seed=1)
+        assert rx.samples.size == periods * narrowband.samples_per_period
+        assert abs(estimate_cfo(rx, narrowband) - 120.0) <= 1e-9
 
     @pytest.mark.parametrize(
         "cfo,seed,duration",
@@ -95,127 +100,120 @@ class TestEstimateCfo:
         [(120.0, 7, 0.02), (-412.0, 11, 0.05), (1003.7, 13, 0.0311)],
     )
     def test_band_search_matches_full_padded_fft(
-        self, narrowband, signals, composite, monkeypatch, cfo, seed, duration
+        self, narrowband, signals, cfo, seed, duration
     ):
-        """The periodogram peak found from the 8P-point start search over the
-        per-period sums lies within half a bin of the argmax over the band of a
-        full 8N-point zero-padded FFT of D's summand, and is at least as high
-        as every bin of it; the estimate is within 0.05 Hz of the injected CFO,
-        and the samples past the last whole period are not read."""
+        """The estimate lies within half a bin of the argmax of a dense
+        evaluation of F(f) = sum_l |sum_p x[p, l] exp(-j 2 pi f p T)|^2 over
+        the band |f| <= 1 / 2T, the 16P-point zero-padded FFT along the
+        periods, and F there is at least every value of it; the estimate is
+        within 0.05 Hz of the injected CFO, and the samples past the last
+        whole period are not read."""
         rx = apply_channel(
             signals, _parked(duration, cfo=cfo, noise_psd=1e-15), narrowband, seed=seed
         )
-        searched = []
+        length = narrowband.samples_per_period
+        count = rx.samples.size // length
+        folded = rx.samples[: count * length].reshape(count, length)
+        period = length / rx.sample_rate
+        padded = 16 * count
+        dense = np.sum(np.abs(np.fft.fft(folded, padded, axis=0)) ** 2, axis=1)
+        freqs = np.fft.fftfreq(padded, d=period)
 
-        def spy(folded, phase, w, fs):
-            searched.append((folded, phase, w, peak(folded, phase, w, fs)))
-            return searched[-1][-1]
-
-        peak = rxproc._periodogram_peak
-        monkeypatch.setattr(rxproc, "_periodogram_peak", spy)
-        estimate = estimate_cfo(rx, composite)
-        ((folded, phase, w, (fine, correlation)),) = searched
-        summand = (phase[:, None] * folded * w).reshape(-1)
-        padded = 8 * summand.size
-        freqs = np.fft.fftfreq(padded, d=1.0 / rx.sample_rate)
-        band = np.abs(freqs) <= 0.5 / narrowband.sequence_period
-        full = np.abs(np.fft.fft(summand, padded)[band])
-        bin_width = rx.sample_rate / padded
-        assert abs(fine - freqs[band][np.argmax(full)]) <= 0.5 * bin_width
-        assert correlation >= full.max() * (1 - 1e-12)
+        estimate = estimate_cfo(rx, narrowband)
+        rotation = np.exp(-2j * np.pi * estimate * period * np.arange(count))
+        peak = np.sum(np.abs(rotation @ folded) ** 2)
+        assert abs(estimate - freqs[np.argmax(dense)]) <= 0.5 / (padded * period)
+        assert peak >= dense.max() * (1 - 1e-12)
 
         whole = folded.size
         assert estimate == estimate_cfo(
-            SampledSignal(rx.samples[:whole], rx.sample_rate), composite
+            SampledSignal(rx.samples[:whole], rx.sample_rate), narrowband
         )
         assert estimate == pytest.approx(cfo, abs=0.05)
 
     @pytest.mark.parametrize("size", [840, 3150, 4096])
     @pytest.mark.parametrize("k", [0, 3, -5])
     def test_band_search_at_half_bin_ties(self, size, k):
-        """A tone halfway between two bins of the 8x zero-padded start search
-        over the band: the two bins tie within round-off, and the Newton steps
-        from either end at the tone, where |D| is the sample count."""
+        """A tone halfway between two bins of the n-point grid of F, n the
+        least 5-smooth length of at least 2P - 1 for P periods: the two bins
+        tie within round-off, and the Newton steps from either end at the
+        tone."""
         fs = 1e6
         length = 105 if size % 105 == 0 else 128
+        # 21 tones and grid ratio 4: L = fs * 84 / bandwidth samples per period
+        cfg = SounderConfig(bandwidth=fs * 84 / length, sample_rate=fs)
+        assert cfg.samples_per_period == length
         count = size // length
-        tone = (k + 0.5) * fs / (8 * size)
-        x = np.exp(2j * np.pi * tone * np.arange(size) / fs).reshape(count, length)
-        start = np.abs(np.fft.fft(x.sum(axis=1), 8 * count))
+        n = rxproc._smooth_length(2 * count - 1)
+        assert n == {8: 15, 30: 60, 32: 64}[count]
+        tone = (k + 0.5) * fs / (n * length)
+        x = np.exp(2j * np.pi * tone * np.arange(size) / fs)
+        start = np.sum(np.abs(np.fft.fft(x.reshape(count, length), n, axis=0)) ** 2, axis=1)
         assert start[k] == pytest.approx(start[k + 1], rel=1e-12)
         assert start[k] == pytest.approx(start.max(), rel=1e-12)
-        f, magnitude = rxproc._periodogram_peak(x, np.ones(count), np.ones(length), fs)
-        assert f == pytest.approx(tone, abs=1e-12 * fs / size)
-        assert magnitude == pytest.approx(size, rel=1e-12)
+        assert estimate_cfo(SampledSignal(x, fs), cfg) == pytest.approx(
+            tone, abs=1e-12 * fs / size
+        )
 
-    def test_is_periodogram_maximum(self, narrowband, signals, composite, monkeypatch):
+    def test_is_periodogram_maximum(self, narrowband, signals):
         """On a 20-period capture the estimate is, to 1e-11 Hz, the maximum of
-        F(f) = |D(f)|^2 with D(f) = sum_n x[n] conj(a[n mod L]) exp(-j 2 pi f n
-        / fs) and ``a`` the aligned reference: a 40-digit root of F' with F
-        falling on either side."""
+        F(f) = sum_l |D_l(f)|^2 with D_l(f) = sum_p x[p, l] exp(-j 2 pi f p
+        T): a 40-digit root of F' with F falling on either side."""
         mpmath = pytest.importorskip("mpmath")
         rx = apply_channel(
             signals, _parked(0.00168, cfo=250.0, noise_psd=1e-13), narrowband, seed=9
         )
-        length = composite.samples.size
-        assert rx.samples.size == 20 * length
-        rolled = []
-
-        def spy(samples, shift):
-            rolled.append(fractional_roll(samples, shift))
-            return rolled[-1]
-
-        fractional_roll = rxproc._fractional_roll
-        monkeypatch.setattr(rxproc, "_fractional_roll", spy)
-        estimate = estimate_cfo(rx, composite)
-        (aligned,) = rolled
+        length = narrowband.samples_per_period
+        count = rx.samples.size // length
+        assert count == 20 and rx.samples.size == 20 * length
+        estimate = estimate_cfo(rx, narrowband)
 
         with mpmath.workdps(40):
-            mixed = [
-                mpmath.mpc(complex(x)) * mpmath.conj(mpmath.mpc(complex(aligned[n % length])))
-                for n, x in enumerate(rx.samples)
+            columns = [
+                [mpmath.mpc(complex(rx.samples[p * length + l])) for p in range(count)]
+                for l in range(length)
             ]
+            period = mpmath.mpf(length) / mpmath.mpf(rx.sample_rate)
 
             def sums(f):
-                """D(f) and D'(f) / (-j 2 pi)."""
-                step = mpmath.expj(-2 * mpmath.pi * f / rx.sample_rate)
-                rotation, d0, d1 = mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0)
-                for n, m in enumerate(mixed):
-                    d0 += m * rotation
-                    d1 += m * rotation * n / rx.sample_rate
-                    rotation *= step
-                return d0, d1
+                """F(f) and F'(f) / (4 pi)."""
+                step = mpmath.expj(-2 * mpmath.pi * f * period)
+                rotations = [step**p for p in range(count)]
+                power, slope = mpmath.mpf(0), mpmath.mpf(0)
+                for column in columns:
+                    d0 = mpmath.fsum(x * r for x, r in zip(column, rotations))
+                    d1 = mpmath.fsum(p * period * x * r for p, (x, r) in
+                                     enumerate(zip(column, rotations)))
+                    power += abs(d0) ** 2
+                    slope += mpmath.im(mpmath.conj(d0) * d1)
+                return power, slope
 
-            def slope(f):  # F'(f) / (4 pi)
-                d0, d1 = sums(f)
-                return mpmath.im(mpmath.conj(d0) * d1)
-
-            root = mpmath.findroot(slope, (estimate - 1e-3, estimate + 1e-3), solver="anderson")
-            power = [abs(sums(root + h)[0]) ** 2 for h in (-1.0, 0.0, 1.0)]
+            root = mpmath.findroot(
+                lambda f: sums(f)[1], (estimate - 1e-3, estimate + 1e-3), solver="anderson"
+            )
+            power = [sums(root + h)[0] for h in (-1.0, 0.0, 1.0)]
             assert power[1] > max(power[0], power[2])
             assert abs(float(root) - estimate) <= 1e-11
 
-    def test_round_off_in_capture_does_not_move_estimate(
-        self, narrowband, composite, desk_standstill
-    ):
+    def test_round_off_in_capture_does_not_move_estimate(self, narrowband, desk_standstill):
         """Perturbing a 0.1 s desk standstill by 4e-15 of its peak moves the
         estimate by at most 1e-12 Hz: it is the periodogram maximum to
         round-off, not a search stopped at a tolerance."""
-        estimate = estimate_cfo(desk_standstill, composite)
+        estimate = estimate_cfo(desk_standstill, narrowband)
         samples = desk_standstill.samples
         scale = 4e-15 * np.max(np.abs(samples))
         rng = np.random.default_rng(5)
         for _ in range(3):
             noise = rng.standard_normal(samples.size) + 1j * rng.standard_normal(samples.size)
             moved = SampledSignal(samples + scale * noise, desk_standstill.sample_rate)
-            assert abs(estimate_cfo(moved, composite) - estimate) <= 1e-12
+            assert abs(estimate_cfo(moved, narrowband) - estimate) <= 1e-12
 
-    def test_temporaries_small_beside_capture(self, composite, desk_standstill):
+    def test_temporaries_small_beside_capture(self, narrowband, desk_standstill):
         """No temporary is the size of the capture: the traced peak on a 0.1 s
         desk standstill stays under half of its samples' bytes."""
         tracemalloc.start()
         try:
-            estimate_cfo(desk_standstill, composite)
+            estimate_cfo(desk_standstill, narrowband)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
