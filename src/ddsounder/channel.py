@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from . import _kernels
-from .params import ConfigError, SounderConfig, free_space_path_loss
+from .params import SPEED_OF_LIGHT, ConfigError, SounderConfig, free_space_path_loss
 from .waveform import SampledSignal, TonePlan
 
 __all__ = [

@@ -26,7 +26,7 @@ own files, so the output bytes do not depend on the worker count.
 Exit codes: 0 success, 1 validation failure, 2 I/O error (also an analyze
 worker that died, killed by a signal or the out-of-memory killer), 3
 numerical failure.  ``simulate`` and ``run-all`` check that the scenario has
-one beam per TX and that the standstill holds two sequence periods before
+one beam per TX and that the standstill holds 20 sequence periods before
 they write anything; ``run-all`` also checks the analyze flags and that the
 record holds at least one window.  It rewrites ``manifest.json`` after each
 stage, so a failed run's manifest lists the stages that finished.
@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import math
 import os
 import sys
 import time
@@ -49,7 +48,13 @@ from . import io as ddio
 from .channel import _record_length, block_tracks, default_scenario, record_chunks
 from .manifest import RunManifest
 from .params import ConfigError, narrowband_config, validate_config
-from .rxproc import NoSignalError, demultiplex_record, estimate_cfo, snr_per_tx
+from .rxproc import (
+    NoSignalError,
+    _check_rate,
+    demultiplex_record,
+    estimate_cfo,
+    snr_per_tx,
+)
 from .sbl import SBLConfig, sbl_fit
 from .tfanalysis import LSFConfig, dsd, lsf_estimate, top_peaks_2d
 from .waveform import multitone_waveform, tone_plan
@@ -111,21 +116,31 @@ def _parked(scenario):
     )
 
 
+# The fewest sequence periods a standstill must hold.  estimate_cfo is exact
+# on a noise-free capture of two, but on noise its periodic share falls only
+# slowly with the period count: of 200 desk-scale captures of white noise
+# alone (numpy seeds 0-199) it accepts 178 at 2 periods, 164 at 4, 15 at 10
+# and none at 16 or 20.  Fewer periods would let process derotate the drive
+# by a CFO read from noise.
+_MIN_STANDSTILL_PERIODS = 20
+
+
 def _check_scenario(cfg, scenario) -> None:
     """``ConfigError`` unless the scenario has one beam per TX and a
-    standstill of at least two sequence periods: the CFO estimate compares
-    the standstill's periods with each other.  Two already give the exact
-    offset of a noise-free capture; more average the noise down."""
+    standstill of at least ``_MIN_STANDSTILL_PERIODS`` sequence periods: the
+    CFO estimate compares the standstill's periods with each other."""
     if len(scenario.tx_beams) != cfg.tx_count:
         raise ConfigError(
             f"the scenario configures {len(scenario.tx_beams)} beams for "
             f"{cfg.tx_count} TXs; it must configure one beam per TX"
         )
-    if _record_length(_parked(scenario), cfg) < 2 * cfg.samples_per_period:
+    periods = _record_length(_parked(scenario), cfg) / cfg.samples_per_period
+    if periods < _MIN_STANDSTILL_PERIODS:
         raise ConfigError(
-            f"sequence period {cfg.sequence_period:g} s is longer than half of "
-            f"standstill_duration {scenario.standstill_duration:g} s; the CFO "
-            "estimate needs two periods of the standstill"
+            f"standstill_duration {scenario.standstill_duration:g} s holds "
+            f"{periods:.1f} periods of the sequence period "
+            f"{cfg.sequence_period:g} s; the CFO estimate needs at least "
+            f"{_MIN_STANDSTILL_PERIODS} to tell the standstill's signal from noise"
         )
 
 
@@ -162,18 +177,10 @@ def _stage_simulate(cfg, scenario, seed: int, out_dir: str) -> list[str]:
     return outputs
 
 
-def _check_rate(name: str, rate: float, cfg) -> None:
-    if not math.isclose(rate, cfg.sample_rate, rel_tol=1e-12):
-        raise ConfigError(
-            f"{name}: sample_rate {rate!r} S/s differs from "
-            f"{_CONFIG} sample_rate {cfg.sample_rate!r} S/s"
-        )
-
-
 def _standstill_cfo(out_dir: str, cfg) -> float:
     """CFO of the standstill record."""
     still, _ = ddio.read_signal(os.path.join(out_dir, _STILL))
-    _check_rate(_STILL, still.sample_rate, cfg)
+    _check_rate(still.sample_rate, cfg, _STILL)
     return estimate_cfo(still, cfg)
 
 
@@ -181,7 +188,7 @@ def _stage_process(out_dir: str) -> list[str]:
     cfg = ddio.load_sounder_config(os.path.join(out_dir, _CONFIG))
     # the record is read chunk by chunk; it is never whole in memory
     with ddio.SignalReader(os.path.join(out_dir, _RECORD)) as record:
-        _check_rate(_RECORD, record.sample_rate, cfg)
+        _check_rate(record.sample_rate, cfg, _RECORD)
         cfo = _standstill_cfo(out_dir, cfg)
         print(f"carrier frequency offset: {cfo:+.3f} Hz")
         plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 __all__ = [
     "SounderConfig",
@@ -31,8 +30,12 @@ __all__ = [
     "free_space_path_loss",
     "max_doppler",
     "LSF_TIME_BANDWIDTH",
+    "SPEED_OF_LIGHT",
     "dpss_fits",
 ]
+
+# Speed of light in vacuum in m/s, exact by the SI definition of the metre.
+SPEED_OF_LIGHT = 299_792_458.0
 
 # relative slack for floating-point comparisons of derived quantities
 _REL_TOL = 1e-9
@@ -45,6 +48,20 @@ LSF_TIME_BANDWIDTH = 2.0
 
 class ConfigError(ValueError):
     """Raised when a configuration is structurally invalid."""
+
+
+def _smooth_length(target: int, primes: tuple[int, ...] = (2, 3, 5)) -> int:
+    """The least integer at least ``target`` with no prime factor outside
+    ``primes``, a fast FFT length."""
+    n = target
+    while True:
+        rest = n
+        for factor in primes:
+            while rest % factor == 0:
+                rest //= factor
+        if rest == 1:
+            return n
+        n += 1
 
 
 def dpss_fits(length: int, time_bandwidth: float) -> bool:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ConfigError, SounderConfig
+from .params import ConfigError, SounderConfig, _smooth_length
 from .waveform import SampledSignal, TonePlan, tone_plan
 
 __all__ = [
@@ -88,19 +88,6 @@ _LAG_COLUMNS = 8
 _MIN_PERIODIC_SHARE = 0.03
 
 
-def _smooth_length(target: int) -> int:
-    """The least 5-smooth integer at least ``target``, a fast FFT length."""
-    n = target
-    while True:
-        rest = n
-        for factor in (2, 3, 5):
-            while rest % factor == 0:
-                rest //= factor
-        if rest == 1:
-            return n
-        n += 1
-
-
 def estimate_cfo(rx: SampledSignal, cfg: SounderConfig) -> float:
     """Carrier frequency offset of a static capture: the maximum of its
     period-lag periodogram.
@@ -141,7 +128,7 @@ def estimate_cfo(rx: SampledSignal, cfg: SounderConfig) -> float:
     length = cfg.samples_per_period
     count = rx.samples.size // length
     if count < 2:
-        raise ValueError("rx must span at least two reference periods")
+        raise ValueError("rx must span at least two sequence periods")
     period = length / rx.sample_rate
     folded = rx.samples[: count * length].reshape(count, length)
     n = _smooth_length(2 * count - 1)
@@ -193,11 +180,12 @@ def _chunk_snapshots(cfg: SounderConfig) -> int:
     return max(1, _CHUNK_SAMPLES // cfg.samples_per_snapshot)
 
 
-def _check_rate(rate: float, cfg: SounderConfig) -> None:
+def _check_rate(rate: float, cfg: SounderConfig, name: str = "record") -> None:
+    """``ConfigError`` naming ``name`` unless ``rate`` is the configured rate."""
     if not math.isclose(rate, cfg.sample_rate, rel_tol=1e-12):
         raise ConfigError(
-            f"sample_rate: record is {rate!r} S/s, "
-            f"configuration says {cfg.sample_rate!r} S/s"
+            f"{name}: sample_rate {rate!r} S/s differs from the configured "
+            f"sample_rate {cfg.sample_rate!r} S/s"
         )
 
 

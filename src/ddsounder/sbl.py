@@ -1,10 +1,11 @@
 """Sparse Bayesian recovery of delay-Doppler paths from one channel window.
 
 The tone-time window is modelled as a sparse superposition of dictionary
-atoms on a delay-Doppler grid whose delay axis is upsampled beyond the
-native ``1/(K tone_spacing)`` resolution.  A multiplicative fixed-point
-update sharpens one variance weight per atom; the surviving local maxima of
-the variance surface form the active set and calibrate the noise floor.
+atoms on a delay-Doppler grid whose delay axis is upsampled by a fixed
+``U = 4`` beyond the native ``1/(K tone_spacing)`` resolution.  A
+multiplicative fixed-point update sharpens one variance weight per atom; the
+surviving local maxima of the variance surface form the active set and
+calibrate the noise floor.
 
 No pass builds a covariance matrix or a full-length basis.  The dictionary
 is a Kronecker product of a Doppler DFT and an upsampled delay comb, so
@@ -24,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
-from .params import ConfigError
+from .params import ConfigError, _smooth_length
 from .tfanalysis import DelayDopplerGrid, Peak, PeakList, _ranked_maxima
 
 __all__ = [
@@ -36,6 +36,11 @@ __all__ = [
     "peak_select_2d",
     "sbl_fit",
 ]
+
+
+# Delay bins per native delay bin of every fit.  At U >= 2 the real transform
+# of a Doppler block's variances has more than K bins, so no lag aliases.
+_UPSAMPLING = 4
 
 
 @dataclass
@@ -51,7 +56,7 @@ class SparseModel:
 
     tone_count: int
     window_length: int
-    upsampling: int = 4
+    upsampling: int = _UPSAMPLING
     tone_spacing: float = 1.0
     snapshot_time: float = 1.0
 
@@ -103,14 +108,6 @@ class SparseModel:
         )
         return np.outer(b, g).ravel()
 
-    def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        """Synthesize a ``(K, M)`` window from a ``(U*K, M)`` coefficient grid."""
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != (self.delay_bins, self.window_length):
-            raise ValueError("coefficient grid has the wrong shape")
-        z = np.fft.ifft(coeffs, axis=1) * np.sqrt(self.window_length)
-        return np.fft.fft(z, axis=0)[: self.tone_count] / np.sqrt(self.tone_count)
-
 
 # Every fit starts from a flat variance surface and this noise variance.
 _GAMMA_INIT = 1.0
@@ -119,14 +116,13 @@ _NOISE_VAR_INIT = 0.1
 
 @dataclass
 class SBLConfig:
-    """Fixed-point settings: grid refinement, sparsity, and iteration count."""
+    """Fixed-point settings: sparsity and iteration count."""
 
-    upsampling: int = 4
     active_set_size: int = 10
     iterations: int = 10
 
     def __post_init__(self):
-        for name in ("upsampling", "active_set_size", "iterations"):
+        for name in ("active_set_size", "iterations"):
             value = getattr(self, name)
             if (
                 isinstance(value, bool)
@@ -228,7 +224,7 @@ class _PassBuffers:
     """
 
     def __init__(self, n_tones: int, delay_bins: int, n_snapshots: int):
-        n_corr = next_fast_len(2 * n_tones - 1)
+        n_corr = _smooth_length(2 * n_tones - 1, (2, 3, 5, 7, 11))
         self.weights = (n_tones - np.arange(n_tones))[:, None]
         self.col = np.empty((n_tones, n_snapshots), dtype=np.complex128)
         self.weighted = np.empty_like(self.col)
@@ -239,23 +235,6 @@ class _PassBuffers:
         self.filtered = np.empty((delay_bins, n_snapshots), dtype=np.complex128)
         self.self_response = np.empty((delay_bins, n_snapshots))
         self.ratio = np.empty_like(self.self_response)
-
-
-def _fold(sums: np.ndarray, half: np.ndarray, delay_bins: int) -> None:
-    """Write the ``U*K``-point Hermitian spectrum of lag values into ``half``.
-
-    ``sums`` holds lags 0..K-1 and lag ``-d`` is ``conj(sums[d])``; ``half``
-    gets the bins 0..UK/2 of their sum over the ``UK`` bins.  For ``U >= 2``
-    every lag has its own bin; for ``U = 1`` bin ``k`` also collects the
-    conjugate of lag ``K - k``.
-    """
-    n_tones = sums.shape[0]
-    known = min(n_tones, half.shape[0])
-    half[:known] = sums[:known]
-    half[known:] = 0
-    half[delay_bins - n_tones + 1 :] += sums[
-        n_tones - 1 : delay_bins - half.shape[0] : -1
-    ].conj()
 
 
 def _atom_responses(
@@ -275,18 +254,10 @@ def _atom_responses(
     """
     delay_bins = gamma.shape[0]
     n_tones = spectrum.shape[0]
-    # gamma is real, so bin k of its transform is the conjugate of bin UK - k:
-    # the real transform's bins up to UK/2 give c_m, and for U = 1 its bins
-    # beyond K/2 are the conjugates of the bins K - k
+    # gamma is real, and its real transform's UK/2 + 1 bins hold c_m's K lags
     half, col = work.half, work.col
     np.fft.rfft(gamma, axis=0, out=half)
-    known = min(n_tones, half.shape[0])
-    col[:known] = half[:known]
-    np.conjugate(
-        half[delay_bins - n_tones + 1 : delay_bins - known + 1][::-1],
-        out=col[known:],
-    )
-    col /= n_tones
+    np.divide(half[:n_tones], n_tones, out=col)
     col[0] += noise_var
     first, whitened = _levinson(col, spectrum)
     filtered = np.fft.ifft(whitened, n=delay_bins, axis=0, out=work.filtered)
@@ -323,8 +294,9 @@ def _atom_responses(
     diag_sums /= first[0].real
     # a_n^H Sigma^-1 a_n = (1/K) sum_d s[d] exp(2j pi d n / UK) over lags
     # -(K-1)..K-1 with s[-d] = conj(s[d]): a real inverse transform of the
-    # lag sums folded onto the UK bins
-    _fold(diag_sums, half, delay_bins)
+    # lag sums, each in its own bin of the UK
+    half[:n_tones] = diag_sums
+    half[n_tones:] = 0
     self_response = np.fft.irfft(
         half, n=delay_bins, axis=0, out=work.self_response
     )
@@ -375,7 +347,6 @@ def sbl_fit(
     model = SparseModel(
         tone_count=n_tones,
         window_length=n_snapshots,
-        upsampling=cfg.upsampling,
         tone_spacing=tone_spacing,
         snapshot_time=snapshot_time,
     )

@@ -88,6 +88,9 @@ _FAILING_DESIGNS = [
     [
         "scipy.signal",  # the DPSS tapers are built in-house
         "scipy.optimize",  # the CFO estimate's Newton steps are in closed form
+        "scipy.constants",  # params.SPEED_OF_LIGHT
+        "scipy.fft",  # params._smooth_length gives the FFT lengths
+        "scipy.special",  # loaded by scipy.fft
     ],
 )
 def test_cli_does_not_import(module):
@@ -469,6 +472,35 @@ class TestRunAll:
         assert "sequence period 0.0105 s" in err and "standstill_duration 0.02 s" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "run-all"])
+    def test_standstill_of_twelve_periods_fails_before_writing(
+        self, tmp_path, capsys, command
+    ):
+        """A 1 ms desk standstill holds 11.9 sequence periods: too few for the
+        CFO estimate to tell a signal from noise, so the command exits 1
+        naming the standstill and writes no file."""
+        cfg_path = str(tmp_path / "config.ini")
+        scn_path = str(tmp_path / "scenario.ini")
+        ddio.save_sounder_config(cfg_path, narrowband_config())
+        ddio.save_scenario(scn_path, default_scenario(standstill_duration=0.001))
+        out = tmp_path / "x"
+        rc = main([command, "--config", cfg_path, "--scenario", scn_path,
+                   "--seed", "1", "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "standstill_duration 0.001 s holds 11.9 periods" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("periods,admitted", [(19, False), (20, True)])
+    def test_standstill_needs_twenty_periods(self, periods, admitted):
+        cfg = narrowband_config()
+        scenario = default_scenario(standstill_duration=periods * cfg.sequence_period)
+        if admitted:
+            cli._check_scenario(cfg, scenario)
+        else:
+            with pytest.raises(ConfigError, match="19.0 periods"):
+                cli._check_scenario(cfg, scenario)
+
     def test_beam_count_other_than_tx_count_fails_before_plan(self, tmp_path, capsys):
         """Three TXs on the default two-beam street pass plan, but run-all
         exits 1 before plan writes validation.txt or the manifest."""
@@ -722,6 +754,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert name in err and "sample_rate 2500000.0 S/s" in err
         assert not any(f.startswith("h_tx") for f in os.listdir(out))
+
+    def test_both_header_rates_mismatched_names_the_record(
+        self, mini_run, tmp_path, capsys
+    ):
+        """The record's rate is checked before the standstill's."""
+        out = str(tmp_path / "both_rates")
+        self._copy_run(mini_run, out)
+        for name in ("rx_record.dds1", "standstill.dds1"):
+            with open(os.path.join(out, name), "r+b") as fh:
+                fh.seek(8)
+                fh.write(struct.pack("<d", 2.5e6))
+        assert main(["process", "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert "rx_record.dds1" in err and "standstill.dds1" not in err
 
     def test_unknown_scenario_key_is_validation_error(self, tmp_path):
         cfg_path, scn_path = _mini_configs(str(tmp_path))

@@ -13,8 +13,10 @@ import pytest
 
 from ddsounder.channel import _record_length, default_scenario
 from ddsounder.params import (
+    SPEED_OF_LIGHT,
     ConfigError,
     SounderConfig,
+    _smooth_length,
     default_config,
     free_space_path_loss,
     max_doppler,
@@ -100,6 +102,37 @@ class TestFreeSpacePathLoss:
     def test_nonpositive_distance_rejected(self, distance):
         with pytest.raises(ValueError):
             free_space_path_loss(distance, 60.15e9)
+
+
+class TestScipyEquivalents:
+    """The constant and the FFT-length rule that stand in for scipy's; scipy
+    is the oracle."""
+
+    def test_speed_of_light_is_scipys(self):
+        from scipy.constants import c
+
+        assert SPEED_OF_LIGHT == c
+
+    def test_eleven_smooth_length_is_scipys_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        targets = range(1, 5000)
+        assert [_smooth_length(t, (2, 3, 5, 7, 11)) for t in targets] == [
+            next_fast_len(t) for t in targets
+        ]
+
+    def test_default_is_the_least_five_smooth_length(self):
+        smooth = sorted(
+            2**a * 3**b * 5**c
+            for a in range(14)
+            for b in range(9)
+            for c in range(7)
+            if 2**a * 3**b * 5**c < 10_000
+        )
+        targets = range(1, 5000)
+        assert [_smooth_length(t) for t in targets] == [
+            next(n for n in smooth if n >= t) for t in targets
+        ]
 
 
 class TestValidation:

@@ -76,13 +76,22 @@ class TestEstimateCfo:
 
     def test_short_record_rejected(self, narrowband):
         short = SampledSignal(np.ones(105, complex), narrowband.sample_rate)
-        with pytest.raises(ValueError, match="two reference periods"):
+        with pytest.raises(ValueError, match="two sequence periods"):
             estimate_cfo(short, narrowband)
 
     def test_rate_mismatch_rejected(self, narrowband):
         rx = SampledSignal(np.ones(420, complex), 2e6)
         with pytest.raises(ValueError, match="sample_rate"):
             estimate_cfo(rx, narrowband)
+
+    def test_rate_check_names_the_capture(self, narrowband):
+        """The one rate check: the caller names the file it read."""
+        with pytest.raises(ConfigError) as info:
+            rxproc._check_rate(2e6, narrowband, "standstill.dds1")
+        assert str(info.value) == (
+            "standstill.dds1: sample_rate 2000000.0 S/s differs from the "
+            "configured sample_rate 1250000.0 S/s"
+        )
 
     @pytest.mark.parametrize("periods", [2, 4, 20, 238])
     def test_exact_on_noise_free_parked_street(self, narrowband, signals, periods):

@@ -11,6 +11,7 @@ from ddsounder.params import ConfigError
 from ddsounder.sbl import (
     _GAMMA_INIT,
     _NOISE_VAR_INIT,
+    _UPSAMPLING,
     SBLConfig,
     SparseModel,
     _levinson,
@@ -18,7 +19,7 @@ from ddsounder.sbl import (
     sbl_fit,
 )
 
-K, M, U = 21, 32, 4
+K, M, U = 21, 32, _UPSAMPLING
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +65,7 @@ def _reference_fit(h, cfg):
     n_tones, n_snapshots = h.shape
     total = n_tones * n_snapshots
     energy = np.vdot(h, h).real
-    model = SparseModel(n_tones, n_snapshots, upsampling=cfg.upsampling)
+    model = SparseModel(n_tones, n_snapshots, upsampling=_UPSAMPLING)
     atoms = model.delay_atoms()
     h_hat = (np.fft.fft(h, axis=1) / np.sqrt(n_snapshots)).T
     h_vec = h.flatten(order="F")
@@ -100,12 +101,12 @@ class TestSparseModel:
         assert np.linalg.norm(col) == pytest.approx(1.0)
         assert col.size == K * M
 
-    def test_column_equals_forward_of_onehot(self, model):
-        coeffs = np.zeros((U * K, M), complex)
-        coeffs[17, 5] = 1.0
-        window = model.forward(coeffs)
-        direct = model.column(17, 5).reshape(M, K).T
-        np.testing.assert_allclose(window, direct, atol=1e-12)
+    def test_column_is_doppler_dft_times_delay_atom(self, model):
+        """A column is the Kronecker product that sbl_fit's least squares
+        builds from ``delay_atoms`` after its unitary Doppler FFT."""
+        doppler = np.exp(2j * np.pi * np.arange(M) * 5 / M) / np.sqrt(M)
+        expected = np.kron(doppler, model.delay_atoms()[:, 17])
+        np.testing.assert_allclose(model.column(17, 5), expected, atol=1e-12)
 
     def test_axes(self):
         m = SparseModel(K, M, upsampling=U, tone_spacing=47619.0, snapshot_time=168e-6)
@@ -197,23 +198,23 @@ class TestSblFit:
         assert error_db < 3.0
 
     def test_native_grid_reconstruction(self, model):
-        """U=1 fit: the active atoms reproduce the window within the noise."""
+        """Taps on native delay bins: the active atoms reproduce the window
+        within the noise."""
         rng = np.random.default_rng(7)
-        native = SparseModel(tone_count=K, window_length=M, upsampling=1)
-        taps = [(2.0, 4, 3), (1.5j, 9, 28), (0.8, 15, 0)]
-        clean = _window_from_atoms(native, taps)
+        taps = [(2.0, 4 * U, 3), (1.5j, 9 * U, 28), (0.8, 15 * U, 0)]
+        clean = _window_from_atoms(model, taps)
         nv = 1e-4
         noise = np.sqrt(nv / 2) * (
             rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M))
         )
         h = clean + noise
-        result = sbl_fit(h, cfg=SBLConfig(upsampling=1))
+        result = sbl_fit(h)
         # rebuild the fitted window from the reported peaks and amplitudes
         rebuilt = np.zeros_like(h)
         for amp, peak in zip(result.amplitudes, result.peaks.entries):
-            n = int(round(peak.delay * K))
+            n = int(round(peak.delay * U * K))
             j = int(round(peak.doppler * M)) % M
-            rebuilt += amp * native.column(n, j).reshape(M, K).T
+            rebuilt += amp * model.column(n, j).reshape(M, K).T
         residual = np.vdot(h - rebuilt, h - rebuilt).real
         noise_energy = np.vdot(noise, noise).real
         assert residual <= 2.0 * noise_energy
@@ -247,8 +248,6 @@ class TestSblFit:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SBLConfig(upsampling=0)
-        with pytest.raises(ValueError):
             SBLConfig(iterations=0)
 
     @pytest.mark.parametrize(
@@ -258,7 +257,6 @@ class TestSblFit:
             ({"iterations": 2.5}, "iterations"),
             ({"active_set_size": True}, "active_set_size"),
             ({"iterations": True}, "iterations"),
-            ({"upsampling": True}, "upsampling"),
         ],
     )
     def test_config_rejects_non_finite_and_non_integer(self, kwargs, named):
@@ -335,11 +333,12 @@ def _peak_indices(result, upsampling, n_snapshots, n_tones=K):
 class TestDenseOracle:
     """``sbl_fit``'s structured Toeplitz update against dense covariance blocks."""
 
+    # sbl_fit's one delay grid; the parameter keeps the cases' names
     @pytest.mark.parametrize("n_snapshots", [31, 32])
-    @pytest.mark.parametrize("upsampling", [1, 2, 4])
+    @pytest.mark.parametrize("upsampling", [U])
     def test_matches_dense_reference(self, upsampling, n_snapshots):
         h = _planted_window(upsampling, n_snapshots, snr_db=25.0)
-        cfg = SBLConfig(upsampling=upsampling)
+        cfg = SBLConfig()
         surface, selected, noise_var = _reference_fit(h, cfg)
         result = sbl_fit(h, cfg=cfg)
         # relative to the surface maximum: entries down at 1e-40 carry the
@@ -351,14 +350,14 @@ class TestDenseOracle:
         assert result.noise_var == pytest.approx(noise_var, rel=1e-9)
 
     @pytest.mark.parametrize("n_snapshots", [31, 32])
-    @pytest.mark.parametrize("upsampling", [1, 2, 4])
+    @pytest.mark.parametrize("upsampling", [U])
     @pytest.mark.parametrize("n_tones", [8, 20])
     def test_matches_dense_reference_other_tone_counts(
         self, n_tones, upsampling, n_snapshots
     ):
         """Even K, and lag correlations of 15 (= 2K - 1) and 40 points."""
         h = _planted_window(upsampling, n_snapshots, snr_db=25.0, n_tones=n_tones)
-        cfg = SBLConfig(upsampling=upsampling)
+        cfg = SBLConfig()
         surface, selected, noise_var = _reference_fit(h, cfg)
         result = sbl_fit(h, cfg=cfg)
         np.testing.assert_allclose(
@@ -367,12 +366,12 @@ class TestDenseOracle:
         assert _peak_indices(result, upsampling, n_snapshots, n_tones) == selected
         assert result.noise_var == pytest.approx(noise_var, rel=1e-9)
 
-    @pytest.mark.parametrize("upsampling,n_snapshots", [(1, 31), (4, 32)])
+    @pytest.mark.parametrize("upsampling,n_snapshots", [(U, 31), (U, 32)])
     def test_noise_free_window_at_floor(self, upsampling, n_snapshots):
         """At the noise floor cond(Sigma) ~ 1e11: the fast path's inverse lag
         sums round at ~eps/floor, so gamma agrees to ~1e-4, not 1e-9."""
         h = _planted_window(upsampling, n_snapshots)
-        cfg = SBLConfig(upsampling=upsampling)
+        cfg = SBLConfig()
         surface, selected, noise_var = _reference_fit(h, cfg)
         result = sbl_fit(h, cfg=cfg)
         floor = 1e-9 * np.vdot(h, h).real / h.size
