@@ -13,8 +13,10 @@ start terms times ``exp(j w_b m a)`` and the (term, r) matrix of
 comb costs one term per (path, tone).
 
 Both power tables are built by doubling, about ``log2(count)`` vectorised
-products each, into work arrays that a caller making many calls owns
-(:class:`_PowerTables`), so consecutive calls reuse them.
+products each.  A caller making many calls over one record owns a
+:class:`_RecordTables`: consecutive calls reuse its power-table work arrays,
+and its terms (the periods' spectrum, kept bins and frequencies), which
+depend only on the periods, the waveform of each path and the sample rate.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def synthesize_paths(
     carrier_frequency: float,
     block_length: int,
     *,
-    tables: _PowerTables | None = None,
+    tables: _RecordTables | None = None,
 ) -> np.ndarray:
     """Superimpose delayed, Doppler-rotated copies of periodic waveforms
     over ``B`` consecutive blocks of ``block_length`` samples.
@@ -63,8 +65,8 @@ def synthesize_paths(
         Sample rate (S/s) and RF carrier (Hz), whose phase carries the Doppler.
     block_length : int
         Samples per block.
-    tables : _PowerTables, optional
-        Work arrays for the power tables, reused across calls; the output
+    tables : _RecordTables, optional
+        Terms and power-table work arrays, reused across calls; the output
         does not depend on what they held before.  Fresh ones by default.
 
     Returns
@@ -78,28 +80,23 @@ def synthesize_paths(
         raise ValueError("delay slopes must be finite")
     length = periods.shape[1]
     n_blocks = gains.shape[1]
+    tables = tables or _RecordTables()
 
     # one term per (path, kept bin): rows are blocks, columns are terms
-    spectrum = np.fft.fft(periods) / length
-    magnitude = np.abs(spectrum)
-    # bins below 1e-12 of a period's largest are FFT round-off
-    kept = magnitude > 1e-12 * magnitude.max(axis=1, keepdims=True)
-    path, bin_index = np.nonzero(kept[wf_index])
-    bins = np.fft.fftfreq(length, 1.0 / length).astype(np.int64)[bin_index]
-    freq = bins * (sample_rate / length)
+    path, bins, freq, coefficient = tables.terms(periods, wf_index, sample_rate)
     tau, slope = tau0[path].T, dtau[path].T
     starts = (first_sample + np.arange(n_blocks) * block_length) % length
     # whole carrier cycles of the delay drop out before they cost precision
     carrier = carrier_frequency * tau
     cycles = np.multiply.outer(starts, bins) % length / length
     cycles -= freq * tau + (carrier - np.round(carrier))
-    start = gains[path].T * spectrum[wf_index[path], bin_index] * _expj(2 * np.pi * cycles)
+    start = gains[path].T * coefficient * _expj(2 * np.pi * cycles)
     rate = freq * (1.0 - slope) - carrier_frequency * slope  # Hz, in the block
     step = _expj((2 * np.pi / sample_rate) * rate)
 
     # u = a m + r: (B, a, term) start terms times step**(a m), (B, r, term) step**r
     m = math.isqrt(block_length)
-    head, tail = (tables or _PowerTables()).take(
+    head, tail = tables.take(
         (n_blocks, -(-block_length // m), step.shape[1]), (n_blocks, m, step.shape[1])
     )
     _powers(step, tail)
@@ -109,12 +106,37 @@ def synthesize_paths(
     return out[:, :block_length].reshape(-1)[:n_samples]
 
 
-class _PowerTables:
-    """Work arrays for the two power tables of consecutive
-    :func:`synthesize_paths` calls, grown to the largest call so far."""
+class _RecordTables:
+    """What consecutive :func:`synthesize_paths` calls over one record share:
+    the terms of its periods, and the work arrays of the two power tables,
+    grown to the largest call so far."""
 
     def __init__(self):
         self._flat = np.empty(0, dtype=np.complex128)
+        self._key = None
+        self._terms = None
+
+    def terms(self, periods, wf_index, sample_rate) -> tuple[np.ndarray, ...]:
+        """The path, signed bin, frequency (Hz) and spectrum coefficient of
+        every term, path-major; set up again only when the periods, the
+        waveform indices or the sample rate differ from the last call's."""
+        key = self._key
+        if key is None or not (
+            key[2] == sample_rate
+            and np.array_equal(key[1], wf_index)
+            and np.array_equal(key[0], periods)
+        ):
+            length = periods.shape[1]
+            spectrum = np.fft.fft(periods) / length
+            magnitude = np.abs(spectrum)
+            # bins below 1e-12 of a period's largest are FFT round-off
+            kept = magnitude > 1e-12 * magnitude.max(axis=1, keepdims=True)
+            path, bin_index = np.nonzero(kept[wf_index])
+            bins = np.fft.fftfreq(length, 1.0 / length).astype(np.int64)[bin_index]
+            freq = bins * (sample_rate / length)
+            self._terms = path, bins, freq, spectrum[wf_index[path], bin_index]
+            self._key = periods.copy(), np.array(wf_index), sample_rate
+        return self._terms
 
     def take(self, head_shape, tail_shape) -> tuple[np.ndarray, np.ndarray]:
         """Two disjoint C-contiguous arrays of the given shapes, contents undefined."""

@@ -375,16 +375,14 @@ def block_tracks(
     cfg: SounderConfig,
     block_count: int,
     tx_index: int,
-    *,
-    group: int = _GEOMETRY_BLOCKS,
 ) -> Iterator[RayTracks]:
     """:func:`ray_tracks` of one TX at the starts of the first ``block_count``
     snapshot blocks of the record, as consecutive :class:`RayTracks` of at
-    most ``group`` blocks each, so that memory stays bounded whatever the
-    record length."""
+    most ``_GEOMETRY_BLOCKS`` blocks each, so that memory stays bounded
+    whatever the record length."""
     starts = np.arange(block_count) * cfg.samples_per_snapshot / cfg.sample_rate
-    for first in range(0, block_count, group):
-        yield ray_tracks(scenario, cfg, starts[first : first + group], tx_index)
+    for first in range(0, block_count, _GEOMETRY_BLOCKS):
+        yield ray_tracks(scenario, cfg, starts[first : first + _GEOMETRY_BLOCKS], tx_index)
 
 
 def _record_length(scenario: ScenarioConfig, cfg: SounderConfig) -> int:
@@ -426,6 +424,13 @@ def record_chunks(
     (int, iterator of numpy.ndarray)
         The record length in samples, and its consecutive complex128 chunks.
     """
+    record = _record_groups(tx_signals, scenario, cfg, seed)
+    return record.length, (rx for first in record.groups for rx in record.chunks(first))
+
+
+def _record_groups(tx_signals, scenario, cfg, seed) -> _RecordGroups:
+    """The record of :func:`record_chunks`, its arguments checked, as
+    geometry groups."""
     if len(tx_signals) != cfg.tx_count:
         raise ConfigError(
             f"{len(tx_signals)} TX signals given, config expects {cfg.tx_count}"
@@ -449,41 +454,62 @@ def record_chunks(
     if n_total < 1:
         raise ConfigError("scenario duration yields an empty record")
     periods = np.stack([sig.samples for sig in tx_signals])
-    return n_total, _chunks(periods, scenario, cfg, seed, n_total)
+    return _RecordGroups(periods, scenario, cfg, seed, n_total)
 
 
-def _chunks(periods, scenario, cfg, seed, n_total) -> Iterator[np.ndarray]:
-    block = cfg.samples_per_snapshot
-    fs = cfg.sample_rate
-    fc = cfg.center_frequency
-    wf_index = np.repeat(np.arange(cfg.tx_count), 1 + len(scenario.reflectors))
-    blocks_per_call = max(1, _KERNEL_ROWS // (wf_index.size * cfg.averaging_count))
-    # whole kernel calls per geometry evaluation
-    blocks_per_group = blocks_per_call * -(-_GEOMETRY_BLOCKS // blocks_per_call)
+class _RecordGroups:
+    """The record of :func:`record_chunks` as consecutive geometry groups of
+    ``blocks_per_group`` snapshot blocks, each made on its own.
 
-    # work arrays of the whole record: the kernel's power tables, the
-    # noise draws and the CFO rotation of one kernel call's samples
-    tables = _kernels._PowerTables()
-    draws = np.empty(2 * blocks_per_call * block)
-    # Each block's noise is the start of its own Philox stream, keyed on
-    # (seed, block index); one generator serves every block of the record,
-    # its key rewritten and its counter and buffer reset per block.
-    philox = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    normal = np.random.Generator(philox)
-    state = philox.state
-    noise_scale = math.sqrt(scenario.noise_psd * fs / 2.0)
-    # exp(j 2 pi cfo (s + u) / fs) over block u of a block starting at s
-    in_block = np.exp(2j * np.pi * scenario.cfo * (np.arange(block) / fs))
-    rotation = np.empty((blocks_per_call, block), dtype=np.complex128)
+    A group's chunks depend only on its first block: the geometry is taken at
+    block starts, block ``b``'s noise is keyed on ``(seed, b)``, and the CFO
+    rotation on absolute sample indices.  So groups made in any order, or in
+    different processes, give the bytes of the whole stream.
+    """
 
-    block_count = -(-n_total // block)
-    # one geometry evaluation per TX and group; the rays of all TX side by
-    # side per block
-    groups = zip(*(
-        block_tracks(scenario, cfg, block_count, tx, group=blocks_per_group)
-        for tx in range(cfg.tx_count)
-    ))
-    for group, tracks in zip(range(0, block_count, blocks_per_group), groups):
+    def __init__(self, periods, scenario, cfg, seed, length):
+        self.periods, self.scenario, self.cfg, self.seed = periods, scenario, cfg, seed
+        self.length = length
+        self.wf_index = np.repeat(np.arange(cfg.tx_count), 1 + len(scenario.reflectors))
+        per_call = max(1, _KERNEL_ROWS // (self.wf_index.size * cfg.averaging_count))
+        self.blocks_per_call = per_call
+        # whole kernel calls per geometry evaluation
+        self.blocks_per_group = per_call * -(-_GEOMETRY_BLOCKS // per_call)
+        self.block_count = -(-length // cfg.samples_per_snapshot)
+
+    @property
+    def groups(self) -> range:
+        """The first block of each group."""
+        return range(0, self.block_count, self.blocks_per_group)
+
+    def chunks(self, first: int) -> Iterator[np.ndarray]:
+        """The consecutive chunks of the group that starts at block ``first``,
+        one per kernel call, from sample ``first * samples_per_snapshot`` on."""
+        scenario, cfg = self.scenario, self.cfg
+        block = cfg.samples_per_snapshot
+        fs = cfg.sample_rate
+        fc = cfg.center_frequency
+        blocks_per_call, n_total = self.blocks_per_call, self.length
+
+        # work arrays of the group: the kernel's tables, the noise draws and
+        # the CFO rotation of one kernel call's samples
+        tables = _kernels._RecordTables()
+        draws = np.empty(2 * blocks_per_call * block)
+        # Each block's noise is the start of its own Philox stream, keyed on
+        # (seed, block index); one generator serves every block of the group,
+        # its key rewritten and its counter and buffer reset per block.
+        philox = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
+        normal = np.random.Generator(philox)
+        state = philox.state
+        noise_scale = math.sqrt(scenario.noise_psd * fs / 2.0)
+        # exp(j 2 pi cfo (s + u) / fs) over block u of a block starting at s
+        in_block = np.exp(2j * np.pi * scenario.cfo * (np.arange(block) / fs))
+        rotation = np.empty((blocks_per_call, block), dtype=np.complex128)
+
+        # one geometry evaluation per TX; the rays of all TX side by side
+        stop = min(first + self.blocks_per_group, self.block_count)
+        times = np.arange(first, stop) * block / fs
+        tracks = [ray_tracks(scenario, cfg, times, tx) for tx in range(cfg.tx_count)]
         delay, doppler, gain, visible = (
             np.concatenate([getattr(t, name) for t in tracks], axis=1)
             for name in ("delay", "doppler", "gain", "visible")
@@ -492,16 +518,15 @@ def _chunks(periods, scenario, cfg, seed, n_total) -> Iterator[np.ndarray]:
         dtau = -doppler / fc
         for offset in range(0, delay.shape[0], blocks_per_call):
             chunk = slice(offset, offset + blocks_per_call)
-            first = group + offset
-            start = first * block
+            start = (first + offset) * block
             stop = min(start + blocks_per_call * block, n_total)
             rx = _kernels.synthesize_paths(
-                periods, wf_index, gain[chunk].T, delay[chunk].T, dtau[chunk].T,
+                self.periods, self.wf_index, gain[chunk].T, delay[chunk].T, dtau[chunk].T,
                 stop - start, start, fs, fc, block, tables=tables,
             )
             if scenario.noise_psd > 0:
                 noise = draws[: 2 * rx.size]
-                for index, at in enumerate(range(0, noise.size, 2 * block), start=first):
+                for index, at in enumerate(range(0, noise.size, 2 * block), start=first + offset):
                     state["state"]["key"][1] = index
                     philox.state = state
                     normal.standard_normal(out=noise[at : at + 2 * block])

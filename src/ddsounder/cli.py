@@ -9,32 +9,40 @@ any stage can be re-run in place::
     ddsounder analyze  --out-dir run --windows 4
     ddsounder run-all  --out-dir run --seed 7
 
-``simulate`` writes the record and the standstill capture to disk chunk by
-chunk as they are synthesized, and ``process`` reads the record back in
-chunks of whole snapshots, so neither stage holds a whole record in memory.
+``simulate`` and ``analyze`` run their jobs on one worker process per CPU
+they may run on (``os.sched_getaffinity``), at most one per job; there is no
+setting for it.  Simulate's jobs are the record's geometry groups, the
+standstill capture and one truth table per TX: the record's file is made at
+full size before the workers start, each group is written in place at its
+offset, and simulate reads the groups back in order to hash them for the
+manifest.  Analyze's jobs are its windows.  The workers are forked, so they
+inherit the loaded modules and the stage's data: a spawned or forkserver
+worker would import numpy and the package again, about 0.5 s, more than the
+pool saves on a desk-scale run.  Each worker runs OpenBLAS on one thread
+(``_one_blas_thread``).  Threads would share one interpreter lock
+through the Python-level SBL passes: on two CPUs the 32 windows of 21 tones
+x 360 snapshots take 1.44 s on two threads, 0.92 s on two forked workers and
+1.75 s in one process.  Every job writes its own bytes, and a group's bytes
+depend only on its first block, so the output bytes do not depend on the
+worker count.
 
-``analyze`` runs its windows on one worker process per CPU it may run on
-(``os.sched_getaffinity``), at most one per window; there is no setting for
-it.  The workers are forked, so they inherit the loaded grids and modules:
-a spawned or forkserver worker would import numpy and the package again,
-about 0.5 s, more than the pool saves on a desk-scale run.  Threads would
-share one interpreter lock through the Python-level SBL passes: on two CPUs
-the 32 windows of 21 tones x 360 snapshots take 1.44 s on two threads, 0.92 s
-on two forked workers and 1.75 s in one process.  Every window writes its
-own files, so the output bytes do not depend on the worker count.
+Neither simulate nor process holds a whole record in memory: a simulate
+job makes its group chunk by chunk, and ``process`` reads the record back
+in chunks of whole snapshots.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O error (also an analyze
-worker that died, killed by a signal or the out-of-memory killer), 3
-numerical failure.  ``simulate`` and ``run-all`` check that the scenario has
-one beam per TX and that the standstill holds 20 sequence periods before
-they write anything; ``run-all`` also checks the analyze flags and that the
-record holds at least one window.  It rewrites ``manifest.json`` after each
+Exit codes: 0 success, 1 validation failure, 2 I/O error (also a simulate
+or analyze worker that died, killed by a signal or the out-of-memory
+killer), 3 numerical failure.  ``simulate`` and ``run-all`` check that the
+scenario has one beam per TX and that the standstill holds 20 sequence
+periods before they write anything; ``run-all`` also checks the analyze
+flags and that the record holds at least one window.  It rewrites ``manifest.json`` after each
 stage, so a failed run's manifest lists the stages that finished.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import os
@@ -45,7 +53,13 @@ import numpy as np
 
 from . import __version__
 from . import io as ddio
-from .channel import _record_length, block_tracks, default_scenario, record_chunks
+from .channel import (
+    _record_groups,
+    _record_length,
+    block_tracks,
+    default_scenario,
+    record_chunks,
+)
 from .manifest import RunManifest
 from .params import ConfigError, narrowband_config, validate_config
 from .rxproc import (
@@ -144,37 +158,61 @@ def _check_scenario(cfg, scenario) -> None:
         )
 
 
-def _stage_simulate(cfg, scenario, seed: int, out_dir: str) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    ddio.save_sounder_config(os.path.join(out_dir, _CONFIG), cfg)
-    ddio.save_scenario(os.path.join(out_dir, _SCENARIO), scenario)
-    outputs = [_CONFIG, _SCENARIO]
+def _write_group(samples, record, first: int) -> tuple[int, int]:
+    """Write the record's geometry group from block ``first`` into its place
+    in ``samples``; its first sample and its sample count."""
+    start = sample = first * record.cfg.samples_per_snapshot
+    for rx in record.chunks(first):
+        samples.write(sample, rx)
+        sample += rx.size
+    return start, sample - start
 
-    _, signals = _waveforms(cfg)
-    record_length, chunks = record_chunks(signals, scenario, cfg, seed)
-    ddio.write_signal_chunks(
-        os.path.join(out_dir, _RECORD), chunks, record_length, cfg.sample_rate, seed
-    )
-    outputs.append(_RECORD)
 
-    still_length, chunks = record_chunks(
+def _write_standstill(out_dir: str, signals, scenario, cfg, seed: int) -> None:
+    length, chunks = record_chunks(
         signals, _parked(scenario), cfg, _derived_seed(seed, "standstill")
     )
     ddio.write_signal_chunks(
-        os.path.join(out_dir, _STILL), chunks, still_length, cfg.sample_rate, seed
+        os.path.join(out_dir, _STILL), chunks, length, cfg.sample_rate, seed
     )
-    outputs.append(_STILL)
 
-    # the rays of every complete snapshot block, at its start as in the record
-    q_count = record_length // cfg.samples_per_snapshot
-    for tx in range(cfg.tx_count):
-        name = f"truth_tx{tx}.csv"
-        ddio.write_paths_csv(
-            os.path.join(out_dir, name), block_tracks(scenario, cfg, q_count, tx)
-        )
-        outputs.append(name)
-    print(f"simulated {record_length} samples, {q_count} snapshots, seed {seed}")
-    return outputs
+
+def _write_truth(out_dir: str, scenario, cfg, q_count: int, tx: int) -> None:
+    """The rays of every complete snapshot block, at its start as in the record."""
+    ddio.write_paths_csv(
+        os.path.join(out_dir, f"truth_tx{tx}.csv"), block_tracks(scenario, cfg, q_count, tx)
+    )
+
+
+def _stage_simulate(cfg, scenario, seed: int, out_dir: str) -> tuple[list[str], dict[str, str]]:
+    """Write the record, the standstill and the truth tables; the files
+    written, and the digests of those hashed as they were written."""
+    os.makedirs(out_dir, exist_ok=True)
+    ddio.save_sounder_config(os.path.join(out_dir, _CONFIG), cfg)
+    ddio.save_scenario(os.path.join(out_dir, _SCENARIO), scenario)
+
+    _, signals = _waveforms(cfg)
+    record = _record_groups(signals, scenario, cfg, seed)
+    q_count = record.length // cfg.samples_per_snapshot
+    truth = [f"truth_tx{tx}.csv" for tx in range(cfg.tx_count)]
+    with ddio._signal_in_place(
+        os.path.join(out_dir, _RECORD), record.length, cfg.sample_rate, seed
+    ) as samples:
+        # longest first: a truth table covers the whole drive (0.2-0.3 s
+        # each on the 3.2 s desk drive), a group at most 0.1 s
+        jobs = [(_write_truth, out_dir, scenario, cfg, q_count, tx) for tx in range(cfg.tx_count)]
+        jobs.append((_write_standstill, out_dir, signals, scenario, cfg, seed))
+        jobs += [(_write_group, samples, record, first) for first in record.groups]
+        with _fork_map("simulate", out_dir, jobs) as (results, workers):
+            # the groups come back in record order, and are hashed as they do
+            for result in results:
+                if result is not None:
+                    samples.read_back(*result)
+    print(
+        f"simulated {record.length} samples, {q_count} snapshots, seed {seed}, "
+        f"on {workers} worker{'s' if workers > 1 else ''}"
+    )
+    return [_CONFIG, _SCENARIO, _RECORD, _STILL, *truth], {_RECORD: samples.digest}
 
 
 def _standstill_cfo(out_dir: str, cfg) -> float:
@@ -255,49 +293,91 @@ def _analyze_window(out_dir, cfg, lsf_cfg, sbl_cfg, peak_count, grid, seed, tx, 
     ]
 
 
-# The window jobs of the running analyze stage.  They are set before its pool
-# forks, so the workers inherit the grids and a task sends only an index.
+# The jobs of the running pooled stage, each a function and its arguments.
+# They are set before the pool forks, so the workers inherit their data and
+# a task sends only an index.
 _JOBS: list[tuple] = []
 
 
-def _run_window(index: int) -> list[str]:
-    return _analyze_window(*_JOBS[index])
+def _run_job(index: int):
+    function, *args = _JOBS[index]
+    return function(*args)
 
 
-def _map_windows(out_dir: str, jobs: list[tuple]) -> tuple[list[list[str]], int]:
-    """``_analyze_window(*job)`` for every job, on one forked worker per
-    available CPU (at most one per job); the file names in job order, and the
-    worker count.  With one worker the jobs run in this process.  The first
-    window that raises cancels the windows not yet started, and its exception
-    is raised once the started ones have finished.  A worker that dies
-    raises ``ChildProcessError`` naming the analyze stage, once the temp
-    files the pool's workers left in ``out_dir`` are removed."""
+def _one_blas_thread() -> None:
+    """Run every OpenBLAS loaded in this process on one thread; the
+    initializer of each pool worker.  Where ``/proc/self/maps`` or the
+    OpenBLAS entry points are missing, nothing changes.
+
+    The pool already runs one worker per CPU, and OpenBLAS's own threads on
+    top of it thrash: on a 0.2 s drive of the 100 MHz design, simulate took
+    5.2-5.8 s on two workers of two OpenBLAS threads each, 3.5-4.4 s in one
+    process and 2.1-2.9 s on two workers of one thread.  Setting the count
+    restarts the thread pool that the fork shut down, and its idle thread
+    then spins for about 0.1 s of CPU, so the pool is shut down again."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+        libraries = [ctypes.CDLL(path) for path in paths if path.startswith("/")]
+    except OSError:
+        return
+    for library in libraries:
+        setters = [
+            getattr(library, name)
+            for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                         "openblas_set_num_threads64_", "openblas_set_num_threads")
+            if hasattr(library, name)
+        ]
+        if setters and hasattr(library, "blas_thread_shutdown_"):
+            setters[0].argtypes, setters[0].restype = [ctypes.c_int], None
+            setters[0](1)
+            library.blas_thread_shutdown_.argtypes = []
+            library.blas_thread_shutdown_.restype = ctypes.c_int
+            library.blas_thread_shutdown_()
+
+
+@contextlib.contextmanager
+def _fork_map(stage: str, out_dir: str, jobs: list[tuple]):
+    """``function(*args)`` for every job ``(function, *args)``, on one forked
+    worker per available CPU (at most one per job), each on one OpenBLAS
+    thread.  Yields an iterator over
+    the results in job order, and the worker count.  With one worker the
+    jobs run in this process as the iterator is taken.  The first job that
+    raises cancels the jobs not yet started, and its exception is raised
+    once the started ones have finished.  A worker that dies raises
+    ``ChildProcessError`` naming ``stage``, once the temp files left in
+    ``out_dir`` are removed."""
     workers = min(len(os.sched_getaffinity(0)), len(jobs))
     _JOBS[:] = jobs
     try:
         if workers == 1:
-            return list(map(_run_window, range(len(jobs)))), 1
+            yield map(_run_job, range(len(jobs))), 1
+            return
         # imported here, so that the commands without a pool do not load it
         # (0.5 MB of peak RSS on process alone)
         import multiprocessing
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         fork = multiprocessing.get_context("fork")
-        pool = ProcessPoolExecutor(workers, mp_context=fork)
+        pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_one_blas_thread)
         try:
-            return list(pool.map(_run_window, range(len(jobs)))), workers
+            yield pool.map(_run_job, range(len(jobs))), workers
+            return
         except BrokenProcessPool as exc:
             broken = exc
         finally:
             pool.shutdown(cancel_futures=True)
         # a broken pool terminates its other workers wherever they are, maybe
         # inside io.atomic_write; now none is alive, and this process writes
-        # nothing in the run directory meanwhile, so its temp files are theirs
+        # nothing in the run directory meanwhile, so every temp file there is
+        # theirs or the one this process drops on failure (simulate's record)
         for name in os.listdir(out_dir):
             if name.rpartition(".tmp.")[2].isdigit():
                 os.unlink(os.path.join(out_dir, name))
         raise ChildProcessError(
-            "analyze: a window worker died (killed by a signal or the "
+            f"{stage}: a worker died (killed by a signal or the "
             f"out-of-memory killer?): {broken}"
         ) from broken
     finally:
@@ -328,9 +408,10 @@ def _stage_analyze(args) -> list[str]:
             )
         if window_limit is not None:
             count = min(count, window_limit)
-        jobs += [common + (grid, seed, tx, w) for w in range(count)]
+        jobs += [(_analyze_window, *common, grid, seed, tx, w) for w in range(count)]
 
-    names, workers = _map_windows(out_dir, jobs)
+    with _fork_map("analyze", out_dir, jobs) as (results, workers):
+        names = list(results)
     print(
         f"analyzed {len(jobs)} windows of {window_length} snapshots "
         f"on {workers} worker{'s' if workers > 1 else ''}"
@@ -387,8 +468,9 @@ def cmd_run_all(args) -> int:
         config_paths=[_CONFIG, _SCENARIO],
     )
 
-    def finish(name, inputs, outputs, start):
-        manifest.add_stage(name, inputs, outputs, time.perf_counter() - start, out_dir)
+    def finish(name, inputs, outputs, start, digests=None):
+        wall = time.perf_counter() - start
+        manifest.add_stage(name, inputs, outputs, wall, out_dir, digests)
         manifest.save(os.path.join(out_dir, _MANIFEST))
 
     start = time.perf_counter()
@@ -398,8 +480,8 @@ def cmd_run_all(args) -> int:
         return 1
 
     start = time.perf_counter()
-    outputs = _stage_simulate(cfg, scenario, args.seed, out_dir)
-    finish("simulate", [], outputs, start)
+    outputs, digests = _stage_simulate(cfg, scenario, args.seed, out_dir)
+    finish("simulate", [], outputs, start, digests)
 
     start = time.perf_counter()
     outputs = _stage_process(out_dir)

@@ -6,8 +6,9 @@ can derive their own streams.  All writers go through an atomic
 write-then-rename so a crashed run never leaves a truncated file behind.
 
 A raw record need never be whole in memory: :func:`write_signal_chunks`
-streams it to disk chunk by chunk, and :class:`SignalReader` reads it back
-in chunks into one reused buffer.  :func:`write_signal` and
+streams it to disk chunk by chunk, :func:`_signal_in_place` lets several
+processes write its parts at their offsets, and :class:`SignalReader` reads
+it back in chunks into one reused buffer.  :func:`write_signal` and
 :func:`read_signal` are their one-chunk cases.
 
 ``FileFormatError`` means the bytes were read but do not form a valid file;
@@ -20,6 +21,7 @@ import configparser
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import inspect
 import io as _stdio
 import json
@@ -66,12 +68,13 @@ class FileFormatError(ValueError):
 
 @contextlib.contextmanager
 def _atomic_file(path: str):
-    """Binary file handle on a same-directory temp file that replaces ``path``
-    (after an fsync) only if the ``with`` body completes; otherwise the temp
-    file is removed and ``path`` is left as it was."""
+    """Binary file handle, open for reading too, on a same-directory temp
+    file that replaces ``path`` (after an fsync) only if the ``with`` body
+    completes; otherwise the temp file is removed and ``path`` is left as it
+    was."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "w+b") as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
@@ -159,6 +162,12 @@ def _signal_layout(seed, rate, length, t0):
     return [("<c16", (length,))]
 
 
+def _signal_header(length: int, sample_rate: float, seed: int, t0: float) -> bytes:
+    return _HEADERS[b"DDS1"].pack(
+        b"DDS1", seed & 0xFFFFFFFF, float(sample_rate), length, float(t0)
+    )
+
+
 def write_signal_chunks(
     path: str, chunks, length: int, sample_rate: float, seed: int, t0: float = 0.0
 ) -> None:
@@ -171,9 +180,7 @@ def write_signal_chunks(
     sample count other than ``length`` (``ValueError``), leaves neither
     ``path`` nor the temp file behind.
     """
-    header = _HEADERS[b"DDS1"].pack(
-        b"DDS1", seed & 0xFFFFFFFF, float(sample_rate), length, float(t0)
-    )
+    header = _signal_header(length, sample_rate, seed, t0)
     with _atomic_file(path) as fh:
         fh.write(header)
         written = 0
@@ -183,6 +190,73 @@ def write_signal_chunks(
             written += chunk.size
         if written != length:
             raise ValueError(f"{path}: {written} samples written, header promises {length}")
+
+
+# bytes read back at a time while a record written in place is hashed
+_READ_BACK = 1 << 20
+
+
+class _SamplesInPlace:
+    """The sample payload of a DDS1 temp file opened by :func:`_signal_in_place`."""
+
+    def __init__(self, fd: int, path: str, header: bytes):
+        self._fd, self._path = fd, path
+        self._digest = hashlib.sha256(header)
+        self.count = 0
+
+    def write(self, first: int, samples: np.ndarray) -> None:
+        """Store ``samples`` as samples ``first`` on; from any process that
+        inherited the file."""
+        data = np.ascontiguousarray(samples, dtype="<c16").view(np.uint8)
+        offset = _HEADERS[b"DDS1"].size + 16 * first
+        while data.size:
+            done = os.pwrite(self._fd, data, offset)
+            data, offset = data[done:], offset + done
+
+    def read_back(self, first: int, count: int) -> None:
+        """Read ``count`` written samples from ``first`` on back into the
+        digest; in the opening process, in sample order."""
+        if first != self.count:
+            raise ValueError(f"{self._path}: sample {first} read back after {self.count}")
+        offset = _HEADERS[b"DDS1"].size + 16 * first
+        end = offset + 16 * count
+        buf = memoryview(bytearray(min(_READ_BACK, end - offset)))
+        while offset < end:
+            got = os.preadv(self._fd, [buf[: end - offset]], offset)
+            if not got:
+                raise FileFormatError(f"{self._path}: file shrank while being written")
+            self._digest.update(buf[:got])
+            offset += got
+        self.count += count
+
+    @property
+    def digest(self) -> str:
+        """Hex SHA-256 of the header and every sample read back so far."""
+        return self._digest.hexdigest()
+
+
+@contextlib.contextmanager
+def _signal_in_place(path: str, length: int, sample_rate: float, seed: int, t0: float = 0.0):
+    """A DDS1 record of ``length`` samples whose parts are written at their
+    offsets, in any order and by any process that inherits the open file.
+
+    Yields a :class:`_SamplesInPlace` on a temp file that already holds the
+    header and is sized for every sample.  Once the ``with`` body completes,
+    every sample must have been read back (``ValueError`` otherwise); the file
+    then replaces ``path`` as in :func:`atomic_write`, and the digest is the
+    file's.  An exception leaves neither ``path`` nor the temp file behind,
+    as in :func:`write_signal_chunks`.
+    """
+    header = _signal_header(length, sample_rate, seed, t0)
+    with _atomic_file(path) as fh:
+        os.pwrite(fh.fileno(), header, 0)
+        os.ftruncate(fh.fileno(), len(header) + 16 * length)
+        samples = _SamplesInPlace(fh.fileno(), path, header)
+        yield samples
+        if samples.count != length:
+            raise ValueError(
+                f"{path}: {samples.count} samples written, header promises {length}"
+            )
 
 
 def write_signal(path: str, signal: SampledSignal, seed: int) -> None:

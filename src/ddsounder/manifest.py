@@ -3,7 +3,8 @@
 The manifest is the one output that is allowed to differ between otherwise
 identical runs (it records wall-clock times); everything it points at must
 be byte-identical for equal seeds.  A run hashes each of its files once: an
-input that an earlier stage wrote takes the digest recorded for it there.
+input that an earlier stage wrote takes the digest recorded for it there, and
+an output whose writer hashed it as it wrote takes that digest.
 """
 
 from __future__ import annotations
@@ -54,12 +55,15 @@ class RunManifest:
         output_paths: list[str],
         wall_clock_s: float,
         base_dir: str = ".",
+        digests: dict[str, str] | None = None,
     ) -> StageRecord:
         """Record a completed stage, hashing its files relative to ``base_dir``.
 
         An input that an earlier stage recorded as an output takes the digest
-        of its latest such record; only the other inputs are read from disk.
+        of its latest such record, and an output in ``digests`` (path -> known
+        sha256) takes that one; only the other files are read from disk.
         """
+        digests = digests or {}
         written = {p: d for stage in self.stages for p, d in stage.outputs.items()}
         record = StageRecord(
             name=name,
@@ -67,7 +71,10 @@ class RunManifest:
                 p: written.get(p) or file_digest(os.path.join(base_dir, p))
                 for p in input_paths
             },
-            outputs={p: file_digest(os.path.join(base_dir, p)) for p in output_paths},
+            outputs={
+                p: digests.get(p) or file_digest(os.path.join(base_dir, p))
+                for p in output_paths
+            },
             wall_clock_s=wall_clock_s,
         )
         self.stages.append(record)

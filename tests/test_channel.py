@@ -491,6 +491,18 @@ class TestRecordChunks:
         whole = apply_channel(signals, scn, narrowband, seed=4)
         np.testing.assert_array_equal(grouped, whole.samples)
 
+    def test_groups_made_in_reverse_are_the_stream(self, narrowband, signals):
+        """Each geometry group depends only on its first block: made last to
+        first, the groups of a 0.2 s record (three groups, a partial last
+        block) are bit for bit the chunks of ``record_chunks``."""
+        scn = default_scenario(duration=0.2)
+        record = channel._record_groups(signals, scn, narrowband, seed=4)
+        assert len(record.groups) == 3 and record.length % narrowband.samples_per_snapshot
+        parts = [list(record.chunks(first)) for first in reversed(record.groups)]
+        made = np.concatenate([rx for part in reversed(parts) for rx in part])
+        _, chunks = record_chunks(signals, scn, narrowband, seed=4)
+        np.testing.assert_array_equal(made, np.concatenate(list(chunks)))
+
     def test_block_tracks_are_ray_tracks_in_groups(self, scenario, narrowband):
         count = 2 * channel._GEOMETRY_BLOCKS + 7
         parts = list(block_tracks(scenario, narrowband, count, 1))

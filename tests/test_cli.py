@@ -5,6 +5,7 @@ full-length scenario statistics live in the acceptance suite.  Exit codes:
 0 success, 1 validation, 2 I/O, 3 numerical.
 """
 
+import ctypes
 import dataclasses
 import json
 import multiprocessing
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ddsounder import cli
+from ddsounder import channel, cli
 from ddsounder import io as ddio
 from ddsounder import manifest
 from ddsounder.channel import _record_length, default_scenario
@@ -391,7 +392,9 @@ class TestRunAll:
 
     def test_manifest_hashes_each_file_once(self, tmp_path, monkeypatch):
         """Every digest in the manifest is that of the file on disk, and no
-        path is hashed twice: an input takes its producer's digest."""
+        path is hashed twice: an input takes its producer's digest.  The
+        record is never read back through ``file_digest``: simulate hashes it
+        as it is written."""
         cfg_path, scn_path = _mini_configs(str(tmp_path))
         out = str(tmp_path / "once")
         hashed = []
@@ -412,7 +415,8 @@ class TestRunAll:
             for rel, value in {**stage.inputs, **stage.outputs}.items():
                 assert value == digest(os.path.join(out, rel)), rel
                 listed.add(rel)
-        assert set(hashed) == listed
+        assert "rx_record.dds1" not in hashed
+        assert set(hashed) == listed - {"rx_record.dds1"}
         assert "rx_record.dds1" in recorded.stages[2].inputs
 
     def test_failed_run_keeps_manifest_of_finished_stages(
@@ -646,10 +650,146 @@ class TestWindowPool:
         rc = main(["analyze", "--out-dir", out, "--window-length", self.WINDOW])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "error: analyze: a window worker died" in err
+        assert "error: analyze: a worker died" in err
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
         assert not [name for name in os.listdir(out) if ".tmp." in name]
+
+
+class TestSimulatePool:
+    """simulate runs the record's groups, the standstill and the truth tables
+    on one forked worker per available CPU."""
+
+    @staticmethod
+    def _configs(root, tx_count):
+        """A 0.2 s drive: three geometry groups and a partial last block."""
+        cfg = dataclasses.replace(narrowband_config(), tx_count=tx_count)
+        assert validate_config(cfg).passed
+        scenario = default_scenario(
+            duration=0.2, beam_elevation_deg=[7.5 * tx for tx in range(tx_count)]
+        )
+        record = channel._record_groups(cli._waveforms(cfg)[1], scenario, cfg, 0)
+        assert len(record.groups) == 3 and record.length % cfg.samples_per_snapshot
+        cfg_path, scn_path = os.path.join(root, "config.ini"), os.path.join(root, "scenario.ini")
+        ddio.save_sounder_config(cfg_path, cfg)
+        ddio.save_scenario(scn_path, scenario)
+        return ["simulate", "--config", cfg_path, "--scenario", scn_path, "--seed", "11"]
+
+    @staticmethod
+    def _files(out):
+        return {
+            name: open(os.path.join(out, name), "rb").read()
+            for name in sorted(os.listdir(out))
+        }
+
+    @staticmethod
+    def _cpus(monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    @pytest.mark.parametrize("tx_count", [1, 3])
+    def test_pool_and_single_worker_write_the_same_bytes(
+        self, tmp_path, monkeypatch, capsys, tx_count
+    ):
+        argv = self._configs(str(tmp_path), tx_count)
+        files = {}
+        for cpus, says in ((1, "on 1 worker\n"), (2, "on 2 workers\n")):
+            self._cpus(monkeypatch, cpus)
+            out = str(tmp_path / f"cpus{cpus}")
+            assert main(argv + ["--out-dir", out]) == 0
+            assert says in capsys.readouterr().out
+            files[cpus] = self._files(out)
+        truth = [f"truth_tx{tx}.csv" for tx in range(tx_count)]
+        assert sorted(files[2]) == sorted(
+            ["config.ini", "scenario.ini", "rx_record.dds1", "standstill.dds1", *truth]
+        )
+        assert files[2] == files[1]
+        assert multiprocessing.active_children() == []
+
+    def test_failing_job_fails_with_the_serial_message(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The record's last group raises: exit 3 with the message a serial
+        run gives, and no record, temp file or worker left behind."""
+        argv = self._configs(str(tmp_path), 2)
+        write_group = cli._write_group
+
+        def failing_last_group(samples, record, first):
+            if first == record.groups[-1]:
+                raise ValueError("delay slopes must be finite")
+            return write_group(samples, record, first)
+
+        monkeypatch.setattr(cli, "_write_group", failing_last_group)
+        messages = {}
+        for cpus in (1, 2):
+            self._cpus(monkeypatch, cpus)
+            out = str(tmp_path / f"cpus{cpus}")
+            assert main(argv + ["--out-dir", out]) == 3
+            messages[cpus] = capsys.readouterr().err
+            names = os.listdir(out)
+            assert "rx_record.dds1" not in names
+            assert not [name for name in names if ".tmp." in name]
+        assert messages[2] == messages[1] == "numerical failure: delay slopes must be finite\n"
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _blas_threads():
+        """The thread count of each OpenBLAS loaded in this process."""
+        counts = []
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        for path in paths:
+            library = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                         "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                if hasattr(library, name):
+                    getattr(library, name).restype = ctypes.c_int
+                    counts.append(getattr(library, name)())
+                    break
+        return counts
+
+    def test_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
+        """Each worker runs every OpenBLAS on one thread; this process keeps
+        its own counts."""
+        own = self._blas_threads()
+        if not own:
+            pytest.skip("no OpenBLAS loaded")
+        self._cpus(monkeypatch, 2)
+        jobs = [(self._blas_threads,)] * 4
+        with cli._fork_map("simulate", str(tmp_path), jobs) as (results, workers):
+            counts = list(results)
+        assert workers == 2
+        assert counts == [[1] * len(own)] * 4
+        assert self._blas_threads() == own
+
+    def test_dead_worker_is_io_error_naming_simulate(self, tmp_path, monkeypatch, capsys):
+        """The first group kills its worker while the other worker waits
+        inside ``io._atomic_file`` on TX0's truth table: exit 2, and neither
+        the record nor a temp file is left."""
+        argv = self._configs(str(tmp_path), 2)
+        out = str(tmp_path / "dead")
+        write_truth = cli._write_truth
+
+        def stuck_truth(out_dir, scenario, cfg, q_count, tx):
+            if tx == 0:
+                with ddio._atomic_file(os.path.join(out_dir, "truth_tx0.csv")):
+                    time.sleep(60)
+            return write_truth(out_dir, scenario, cfg, q_count, tx)
+
+        def dying_group(samples, record, first):
+            time.sleep(0.5)
+            os._exit(1)
+
+        monkeypatch.setattr(cli, "_write_truth", stuck_truth)
+        monkeypatch.setattr(cli, "_write_group", dying_group)
+        self._cpus(monkeypatch, 2)
+        assert main(argv + ["--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert "error: simulate: a worker died" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+        names = os.listdir(out)
+        assert "rx_record.dds1" not in names and "truth_tx0.csv" not in names
+        assert not [name for name in names if ".tmp." in name]
 
 
 class TestExitCodes:
@@ -820,11 +960,11 @@ class TestBoundedMemory:
     """simulate and process hold chunks of the record, never all of it."""
 
     @staticmethod
-    def _traced_peaks(out, duration):
-        """Traced peak bytes of simulate, then of process, on a ``duration`` s
-        drive.  The design averages eight periods per snapshot (the paper's
-        averages 212), so the per-snapshot tone grids that process keeps are
-        a small share of the record; 0.25 s already spans more than one
+    def _traced_peaks(out, duration, stages=("simulate", "process")):
+        """Traced peak bytes of each of ``stages`` on a ``duration`` s drive.
+        The design averages eight periods per snapshot (the paper's averages
+        212), so the per-snapshot tone grids that process keeps are a small
+        share of the record; 0.25 s already spans more than one
         262,144-sample chunk of coherent_average."""
         cfg = SounderConfig(
             bandwidth=1e6, sample_rate=1.25e6, averaging_count=8,
@@ -832,24 +972,41 @@ class TestBoundedMemory:
         )
         assert validate_config(cfg).passed
         scenario = default_scenario(duration=duration, tx_velocity=(3.5, 0.0, 0.0))
+        run = {
+            "simulate": lambda: cli._stage_simulate(cfg, scenario, 7, out),
+            "process": lambda: cli._stage_process(out),
+        }
         peaks = []
-        for stage in (
-            lambda: cli._stage_simulate(cfg, scenario, 7, out),
-            lambda: cli._stage_process(out),
-        ):
+        for stage in stages:
             tracemalloc.start()
             try:
-                stage()
+                run[stage]()
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         return peaks
 
-    def test_peak_flat_in_record_length(self, tmp_path, capsys):
+    def test_peak_flat_in_record_length(self, tmp_path, monkeypatch, capsys):
         """A 4x longer record (1 s, 20 MB on disk) stays within 1.25x of the
-        0.25 s record's peak in both stages."""
+        0.25 s record's peak in both stages.  Simulate runs on one CPU, so
+        its jobs run in this process, where tracemalloc sees them."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         short = self._traced_peaks(str(tmp_path / "short"), 0.25)
         long = self._traced_peaks(str(tmp_path / "long"), 1.0)
+        assert "on 1 worker\n" in capsys.readouterr().out
         assert os.path.getsize(str(tmp_path / "long" / "rx_record.dds1")) == 32 + 16 * 1_250_000
         for stage, a, b in zip(("simulate", "process"), short, long):
             assert b <= 1.25 * a, f"{stage}: {b / 2**20:.2f} MB vs {a / 2**20:.2f} MB"
+
+    def test_pooled_parent_peak_flat_in_record_length(self, tmp_path, monkeypatch, capsys):
+        """On two workers, simulate's own process, which reads every group
+        back to hash it, stays within 1.25x of its 0.25 s peak on a 4x longer
+        record.  The pool's modules are loaded first, so that neither run
+        counts their import."""
+        import concurrent.futures.process  # noqa: F401
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        (short,) = self._traced_peaks(str(tmp_path / "short"), 0.25, ["simulate"])
+        (long,) = self._traced_peaks(str(tmp_path / "long"), 1.0, ["simulate"])
+        assert capsys.readouterr().out.count("on 2 workers\n") == 2
+        assert long <= 1.25 * short, f"{long / 2**20:.2f} MB vs {short / 2**20:.2f} MB"

@@ -12,6 +12,7 @@ import struct
 import numpy as np
 import pytest
 
+from ddsounder import io as ddio
 from ddsounder.channel import RayTracks, default_scenario
 from ddsounder.io import (
     _SCENARIO_KEYS,
@@ -37,6 +38,7 @@ from ddsounder.io import (
     write_snr_csv,
     write_surface,
 )
+from ddsounder.manifest import file_digest
 from ddsounder.params import ConfigError, SounderConfig
 from ddsounder.rxproc import TransferFunctionGrid
 from ddsounder.tfanalysis import DelayDopplerGrid, Peak, PeakList
@@ -226,6 +228,37 @@ class TestSignalStream:
             write_signal_chunks(
                 str(tmp_path / "a.dds1"), [self._samples(count)], 100, 1.25e6, seed=0
             )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_in_place_parts_in_any_order(self, tmp_path):
+        """Parts written last to first, read back in order: the bytes of one
+        write_signal, and the digest of the file on disk."""
+        path, whole = str(tmp_path / "a.dds1"), str(tmp_path / "b.dds1")
+        data = self._samples()
+        starts = range(0, data.size, 300)
+        with ddio._signal_in_place(path, data.size, 1.25e6, seed=9, t0=0.25) as samples:
+            for first in reversed(starts):
+                samples.write(first, data[first : first + 300])
+            for first in starts:
+                samples.read_back(first, data[first : first + 300].size)
+        write_signal(whole, SampledSignal(data, 1.25e6, t0=0.25), seed=9)
+        assert open(path, "rb").read() == open(whole, "rb").read()
+        assert samples.digest == file_digest(path)
+
+    @pytest.mark.parametrize("failure", ["raises", "short", "out of order"])
+    def test_in_place_failure_leaves_nothing(self, tmp_path, failure):
+        data = self._samples(200)
+        with pytest.raises((RuntimeError, ValueError)) as caught:
+            with ddio._signal_in_place(str(tmp_path / "a.dds1"), 200, 1.25e6, seed=0) as samples:
+                samples.write(0, data)
+                if failure == "raises":
+                    raise RuntimeError("synthesis failed")
+                samples.read_back(100 if failure == "out of order" else 0, 100)
+        assert {
+            "raises": "synthesis failed",
+            "short": "100 samples written, header promises 200",
+            "out of order": "sample 100 read back after 0",
+        }[failure] in str(caught.value)
         assert list(tmp_path.iterdir()) == []
 
 

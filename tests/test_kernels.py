@@ -211,7 +211,7 @@ class TestPowerTables:
         cfg = make_config()
         block = cfg.samples_per_snapshot
         rng = np.random.default_rng(21)
-        tables = _kernels._PowerTables()
+        tables = _kernels._RecordTables()
         first = 0
         for n_blocks, blocks_out in calls:
             args = _kernel_inputs(rng, cfg, n_blocks)
@@ -223,6 +223,34 @@ class TestPowerTables:
             assert reused.size == n
             np.testing.assert_array_equal(reused, fresh)
             first += n_blocks * block
+
+    def test_reused_terms_match_fresh_calls(self):
+        """One set of tables through calls at unaligned first samples, with
+        the periods, the waveform of each path and the sample rate changed in
+        between (the periods in place, too): every call equals, bit for bit,
+        the same call with fresh tables."""
+        cfg = narrowband_config()
+        block = cfg.samples_per_snapshot
+        rng = np.random.default_rng(23)
+        periods, wf_index, gains, tau0, dtau = _kernel_inputs(rng, cfg, 4)
+        tables = _kernels._RecordTables()
+        for first, change in [
+            (0, None), (7, None), (123_457, None), (block * 1000 + 1, None),
+            (5, "wf_index"), (99, "periods"), (3, "in place"), (41, "sample_rate"), (2, None),
+        ]:
+            fs = cfg.sample_rate
+            if change == "wf_index":
+                wf_index = wf_index[::-1].copy()
+            elif change == "periods":
+                periods = np.roll(periods, 3, axis=1)
+            elif change == "in place":
+                periods[:, 0] *= 2.0
+            elif change == "sample_rate":
+                fs = 2 * cfg.sample_rate
+            args = (periods, wf_index, gains, tau0, dtau, 3 * block + 17, first, fs,
+                    cfg.center_frequency, block)
+            reused = _kernels.synthesize_paths(*args, tables=tables)
+            np.testing.assert_array_equal(reused, _kernels.synthesize_paths(*args))
 
     def test_doubling_no_worse_than_cumprod(self):
         """Against the exact powers of the rounded base, the doubled tables are
