@@ -5,9 +5,10 @@ transmitter-carrying car approaching along the street, vertical reflecting
 planes for the canyon walls and (optionally) a parked truck.  Paths are LOS
 plus single-bounce image-source reflections; per-path Doppler follows from
 the geometry time derivative, and directivity from a Gaussian main-lobe horn
-model.  ``record_chunks`` makes the record chunk by chunk, with the ray
-geometry evaluated a bounded number of snapshot blocks at a time, so a
-record of any length can be written to disk without being whole in memory.
+model.  The record is made in geometry groups of a bounded number of
+snapshot blocks, each on its own and chunk by chunk, so a record of any
+length can be written to disk without being whole in memory, and its groups
+by several processes at once.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "horn_gain",
     "ray_tracks",
     "block_tracks",
-    "record_chunks",
     "apply_channel",
     "transfer_function",
 ]
@@ -390,13 +390,9 @@ def _record_length(scenario: ScenarioConfig, cfg: SounderConfig) -> int:
     return round(scenario.duration * cfg.sample_rate)
 
 
-def record_chunks(
-    tx_signals: list[SampledSignal],
-    scenario: ScenarioConfig,
-    cfg: SounderConfig,
-    seed: int,
-) -> tuple[int, Iterator[np.ndarray]]:
-    """The RX record of a drive-by capture as a stream of finished chunks.
+class _RecordGroups:
+    """The RX record of a drive-by capture as consecutive geometry groups of
+    ``blocks_per_group`` snapshot blocks, each made on its own.
 
     Every ray of every TX, evaluated at each snapshot block's start,
     contributes a delayed, carrier-phase-rotated copy of that TX's periodic
@@ -406,76 +402,49 @@ def record_chunks(
     then counter-seeded complex white noise per block, then the CFO rotation.
     Block ``b``'s noise is ``sqrt(noise_psd fs / 2) (w[0::2] + j w[1::2])``
     for the first standard normals ``w`` of
-    ``Generator(Philox(key=[seed, b]))``, so each block owns an independent
-    stream whatever the chunking.
-
-    The arguments are checked here; the chunks are made as they are taken.
-
-    Parameters
-    ----------
-    tx_signals : list of SampledSignal
-        One sequence period of ``cfg.samples_per_period`` samples per TX,
-        all at the configured sample rate.
-    seed : int
-        Noise stream key, [0, 2**32).
-
-    Returns
-    -------
-    (int, iterator of numpy.ndarray)
-        The record length in samples, and its consecutive complex128 chunks.
-    """
-    record = _record_groups(tx_signals, scenario, cfg, seed)
-    return record.length, (rx for first in record.groups for rx in record.chunks(first))
-
-
-def _record_groups(tx_signals, scenario, cfg, seed) -> _RecordGroups:
-    """The record of :func:`record_chunks`, its arguments checked, as
-    geometry groups."""
-    if len(tx_signals) != cfg.tx_count:
-        raise ConfigError(
-            f"{len(tx_signals)} TX signals given, config expects {cfg.tx_count}"
-        )
-    if len(scenario.tx_beams) != cfg.tx_count:
-        raise ConfigError("scenario must configure one beam per TX")
-    if not 0 <= seed < 2**32:
-        raise ConfigError("seed must fit an unsigned 32-bit integer")
-    for sig in tx_signals:
-        if sig.samples.size != cfg.samples_per_period:
-            raise ConfigError(
-                f"TX period of {sig.samples.size} samples, "
-                f"samples_per_period = {cfg.samples_per_period}"
-            )
-        if not math.isclose(sig.sample_rate, cfg.sample_rate, rel_tol=1e-12):
-            raise ConfigError(
-                f"TX sample rate {sig.sample_rate} != configured {cfg.sample_rate}"
-            )
-
-    n_total = _record_length(scenario, cfg)
-    if n_total < 1:
-        raise ConfigError("scenario duration yields an empty record")
-    periods = np.stack([sig.samples for sig in tx_signals])
-    return _RecordGroups(periods, scenario, cfg, seed, n_total)
-
-
-class _RecordGroups:
-    """The record of :func:`record_chunks` as consecutive geometry groups of
-    ``blocks_per_group`` snapshot blocks, each made on its own.
+    ``Generator(Philox(key=[seed, b]))``.
 
     A group's chunks depend only on its first block: the geometry is taken at
-    block starts, block ``b``'s noise is keyed on ``(seed, b)``, and the CFO
+    block starts, the noise is keyed on the block index, and the CFO
     rotation on absolute sample indices.  So groups made in any order, or in
-    different processes, give the bytes of the whole stream.
+    different processes, give the same bytes.
+
+    ``tx_signals`` holds one sequence period of ``cfg.samples_per_period``
+    samples per TX, all at the configured sample rate, and ``seed`` is the
+    noise key, [0, 2**32); they are checked here, before anything is made.
     """
 
-    def __init__(self, periods, scenario, cfg, seed, length):
-        self.periods, self.scenario, self.cfg, self.seed = periods, scenario, cfg, seed
-        self.length = length
+    def __init__(self, tx_signals, scenario, cfg, seed):
+        if len(tx_signals) != cfg.tx_count:
+            raise ConfigError(
+                f"{len(tx_signals)} TX signals given, config expects {cfg.tx_count}"
+            )
+        if len(scenario.tx_beams) != cfg.tx_count:
+            raise ConfigError("scenario must configure one beam per TX")
+        if not 0 <= seed < 2**32:
+            raise ConfigError("seed must fit an unsigned 32-bit integer")
+        for sig in tx_signals:
+            if sig.samples.size != cfg.samples_per_period:
+                raise ConfigError(
+                    f"TX period of {sig.samples.size} samples, "
+                    f"samples_per_period = {cfg.samples_per_period}"
+                )
+            if not math.isclose(sig.sample_rate, cfg.sample_rate, rel_tol=1e-12):
+                raise ConfigError(
+                    f"TX sample rate {sig.sample_rate} != configured {cfg.sample_rate}"
+                )
+        self.length = _record_length(scenario, cfg)
+        if self.length < 1:
+            raise ConfigError("scenario duration yields an empty record")
+
+        self.periods = np.stack([sig.samples for sig in tx_signals])
+        self.scenario, self.cfg, self.seed = scenario, cfg, seed
         self.wf_index = np.repeat(np.arange(cfg.tx_count), 1 + len(scenario.reflectors))
         per_call = max(1, _KERNEL_ROWS // (self.wf_index.size * cfg.averaging_count))
         self.blocks_per_call = per_call
         # whole kernel calls per geometry evaluation
         self.blocks_per_group = per_call * -(-_GEOMETRY_BLOCKS // per_call)
-        self.block_count = -(-length // cfg.samples_per_snapshot)
+        self.block_count = -(-self.length // cfg.samples_per_snapshot)
 
     @property
     def groups(self) -> range:
@@ -546,13 +515,14 @@ def apply_channel(
     seed: int,
 ) -> SampledSignal:
     """Synthesize the whole RX record of a drive-by capture in memory: the
-    chunks of :func:`record_chunks`, concatenated."""
-    n_total, chunks = record_chunks(tx_signals, scenario, cfg, seed)
-    out = np.empty(n_total, dtype=np.complex128)
+    chunks of every geometry group of :class:`_RecordGroups`, in order."""
+    record = _RecordGroups(tx_signals, scenario, cfg, seed)
+    out = np.empty(record.length, dtype=np.complex128)
     start = 0
-    for rx in chunks:
-        out[start : start + rx.size] = rx
-        start += rx.size
+    for first in record.groups:
+        for rx in record.chunks(first):
+            out[start : start + rx.size] = rx
+            start += rx.size
     return SampledSignal(out, cfg.sample_rate, t0=0.0)
 
 

@@ -11,15 +11,15 @@ any stage can be re-run in place::
 
 ``simulate`` and ``analyze`` run their jobs on one worker process per CPU
 they may run on (``os.sched_getaffinity``), at most one per job; there is no
-setting for it.  Simulate's jobs are the record's geometry groups, the
-standstill capture and one truth table per TX: the record's file is made at
-full size before the workers start, each group is written in place at its
-offset, and simulate reads the groups back in order to hash them for the
-manifest.  Analyze's jobs are its windows.  The workers are forked, so they
-inherit the loaded modules and the stage's data: a spawned or forkserver
-worker would import numpy and the package again, about 0.5 s, more than the
-pool saves on a desk-scale run.  Each worker runs OpenBLAS on one thread
-(``_one_blas_thread``).  Threads would share one interpreter lock
+setting for it.  Simulate's jobs are the geometry groups of its two records,
+the drive and the standstill, and one truth table per TX: each record's file
+is made at full size before the workers start, each group is written in place
+at its offset, and simulate reads each file's groups back in order to hash
+them for the manifest.  Analyze's jobs are its windows.  The workers are
+forked, so they inherit the loaded modules and the stage's data: a spawned
+or forkserver worker would import numpy and the package again, about 0.5 s,
+more than the pool saves on a desk-scale run.  Each worker runs OpenBLAS on
+one thread (``_one_blas_thread``).  Threads would share one interpreter lock
 through the Python-level SBL passes: on two CPUs the 32 windows of 21 tones
 x 360 snapshots take 1.44 s on two threads, 0.92 s on two forked workers and
 1.75 s in one process.  Every job writes its own bytes, and a group's bytes
@@ -53,13 +53,7 @@ import numpy as np
 
 from . import __version__
 from . import io as ddio
-from .channel import (
-    _record_groups,
-    _record_length,
-    block_tracks,
-    default_scenario,
-    record_chunks,
-)
+from .channel import _RecordGroups, _record_length, block_tracks, default_scenario
 from .manifest import RunManifest
 from .params import ConfigError, narrowband_config, validate_config
 from .rxproc import (
@@ -168,15 +162,6 @@ def _write_group(samples, record, first: int) -> tuple[int, int]:
     return start, sample - start
 
 
-def _write_standstill(out_dir: str, signals, scenario, cfg, seed: int) -> None:
-    length, chunks = record_chunks(
-        signals, _parked(scenario), cfg, _derived_seed(seed, "standstill")
-    )
-    ddio.write_signal_chunks(
-        os.path.join(out_dir, _STILL), chunks, length, cfg.sample_rate, seed
-    )
-
-
 def _write_truth(out_dir: str, scenario, cfg, q_count: int, tx: int) -> None:
     """The rays of every complete snapshot block, at its start as in the record."""
     ddio.write_paths_csv(
@@ -192,27 +177,36 @@ def _stage_simulate(cfg, scenario, seed: int, out_dir: str) -> tuple[list[str], 
     ddio.save_scenario(os.path.join(out_dir, _SCENARIO), scenario)
 
     _, signals = _waveforms(cfg)
-    record = _record_groups(signals, scenario, cfg, seed)
+    record = _RecordGroups(signals, scenario, cfg, seed)
+    still = _RecordGroups(signals, _parked(scenario), cfg, _derived_seed(seed, "standstill"))
     q_count = record.length // cfg.samples_per_snapshot
     truth = [f"truth_tx{tx}.csv" for tx in range(cfg.tx_count)]
-    with ddio._signal_in_place(
-        os.path.join(out_dir, _RECORD), record.length, cfg.sample_rate, seed
-    ) as samples:
+    # both records carry the run's seed in their headers
+    with (
+        ddio._signal_in_place(
+            os.path.join(out_dir, _RECORD), record.length, cfg.sample_rate, seed
+        ) as samples,
+        ddio._signal_in_place(
+            os.path.join(out_dir, _STILL), still.length, cfg.sample_rate, seed
+        ) as still_samples,
+    ):
         # longest first: a truth table covers the whole drive (0.2-0.3 s
         # each on the 3.2 s desk drive), a group at most 0.1 s
         jobs = [(_write_truth, out_dir, scenario, cfg, q_count, tx) for tx in range(cfg.tx_count)]
-        jobs.append((_write_standstill, out_dir, signals, scenario, cfg, seed))
+        jobs += [(_write_group, still_samples, still, first) for first in still.groups]
         jobs += [(_write_group, samples, record, first) for first in record.groups]
         with _fork_map("simulate", out_dir, jobs) as (results, workers):
-            # the groups come back in record order, and are hashed as they do
-            for result in results:
+            # the results come back in job order, so each file's groups in
+            # its own order, and each group is hashed into its file's digest
+            for (_, into, *_), result in zip(jobs, results):
                 if result is not None:
-                    samples.read_back(*result)
+                    into.read_back(*result)
     print(
         f"simulated {record.length} samples, {q_count} snapshots, seed {seed}, "
         f"on {workers} worker{'s' if workers > 1 else ''}"
     )
-    return [_CONFIG, _SCENARIO, _RECORD, _STILL, *truth], {_RECORD: samples.digest}
+    digests = {_RECORD: samples.digest, _STILL: still_samples.digest}
+    return [_CONFIG, _SCENARIO, _RECORD, _STILL, *truth], digests
 
 
 def _standstill_cfo(out_dir: str, cfg) -> float:

@@ -5,11 +5,10 @@ is the format version, and carry the generating seed so downstream stages
 can derive their own streams.  All writers go through an atomic
 write-then-rename so a crashed run never leaves a truncated file behind.
 
-A raw record need never be whole in memory: :func:`write_signal_chunks`
-streams it to disk chunk by chunk, :func:`_signal_in_place` lets several
-processes write its parts at their offsets, and :class:`SignalReader` reads
-it back in chunks into one reused buffer.  :func:`write_signal` and
-:func:`read_signal` are their one-chunk cases.
+A raw record need never be whole in memory: :func:`_signal_in_place` lets
+several processes write its parts at their offsets, and
+:class:`SignalReader` reads it back in chunks into one reused buffer.
+:func:`write_signal` and :func:`read_signal` store and read a whole record.
 
 ``FileFormatError`` means the bytes were read but do not form a valid file;
 plain ``OSError`` means the file could not be read at all.
@@ -40,7 +39,6 @@ from .waveform import SampledSignal
 __all__ = [
     "FileFormatError",
     "atomic_write",
-    "write_signal_chunks",
     "write_signal",
     "SignalReader",
     "read_signal",
@@ -168,30 +166,6 @@ def _signal_header(length: int, sample_rate: float, seed: int, t0: float) -> byt
     )
 
 
-def write_signal_chunks(
-    path: str, chunks, length: int, sample_rate: float, seed: int, t0: float = 0.0
-) -> None:
-    """Store a complex baseband record of ``length`` samples given as an
-    iterable of consecutive chunks (32-byte header + complex128 I/Q).
-
-    The header goes down first, then each chunk as it is made, into a temp
-    file that replaces ``path`` only once every sample is written, as in
-    :func:`atomic_write`.  An exception while the chunks are made, or a
-    sample count other than ``length`` (``ValueError``), leaves neither
-    ``path`` nor the temp file behind.
-    """
-    header = _signal_header(length, sample_rate, seed, t0)
-    with _atomic_file(path) as fh:
-        fh.write(header)
-        written = 0
-        for chunk in chunks:
-            chunk = np.ascontiguousarray(chunk, dtype="<c16")
-            fh.write(chunk)
-            written += chunk.size
-        if written != length:
-            raise ValueError(f"{path}: {written} samples written, header promises {length}")
-
-
 # bytes read back at a time while a record written in place is hashed
 _READ_BACK = 1 << 20
 
@@ -245,7 +219,7 @@ def _signal_in_place(path: str, length: int, sample_rate: float, seed: int, t0: 
     every sample must have been read back (``ValueError`` otherwise); the file
     then replaces ``path`` as in :func:`atomic_write`, and the digest is the
     file's.  An exception leaves neither ``path`` nor the temp file behind,
-    as in :func:`write_signal_chunks`.
+    and a file already at ``path`` as it was.
     """
     header = _signal_header(length, sample_rate, seed, t0)
     with _atomic_file(path) as fh:
@@ -260,9 +234,13 @@ def _signal_in_place(path: str, length: int, sample_rate: float, seed: int, t0: 
 
 
 def write_signal(path: str, signal: SampledSignal, seed: int) -> None:
-    """Store a whole record: :func:`write_signal_chunks` with one chunk."""
-    samples = signal.samples
-    write_signal_chunks(path, [samples], samples.size, signal.sample_rate, seed, signal.t0)
+    """Store a whole complex baseband record: the 32-byte header, then the
+    complex128 I/Q samples, as in :func:`atomic_write` but with no copy of
+    the samples into one buffer."""
+    samples = np.ascontiguousarray(signal.samples, dtype="<c16")
+    with _atomic_file(path) as fh:
+        fh.write(_signal_header(samples.size, signal.sample_rate, seed, signal.t0))
+        fh.write(samples)
 
 
 class SignalReader:
@@ -312,11 +290,9 @@ class SignalReader:
 
 
 def read_signal(path: str) -> tuple[SampledSignal, int]:
-    """A whole record: :class:`SignalReader` with one chunk of every sample."""
-    with SignalReader(path) as reader:
-        samples = next(reader.chunks(max(reader.length, 1)), np.empty(0, "<c16"))
-    signal = SampledSignal(samples=samples, sample_rate=reader.sample_rate, t0=reader.t0)
-    return signal, reader.seed
+    """A whole record, and the seed in its header."""
+    (seed, sample_rate, _, t0), (samples,) = _read_binary(path, b"DDS1", _signal_layout)
+    return SampledSignal(samples=samples, sample_rate=sample_rate, t0=t0), int(seed)
 
 
 def write_grid(path: str, grid: TransferFunctionGrid, seed: int) -> None:

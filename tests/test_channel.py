@@ -23,7 +23,6 @@ from ddsounder.channel import (
     default_scenario,
     horn_gain,
     ray_tracks,
-    record_chunks,
     transfer_function,
     tx_position,
 )
@@ -473,35 +472,46 @@ class TestApplyChannel:
 
 
 class TestRecordChunks:
-    def test_arguments_checked_before_any_chunk(self, narrowband, signals, short_scenario):
+    def test_arguments_checked_before_any_synthesis(
+        self, narrowband, signals, short_scenario, monkeypatch
+    ):
+        """A bad TX period fails in ``_RecordGroups`` itself, before any ray
+        is traced or any sample made."""
         short = [SampledSignal(sig.samples[:104], sig.sample_rate) for sig in signals]
-        with pytest.raises(ConfigError, match="samples_per_period = 105"):
-            record_chunks(short, short_scenario, narrowband, seed=0)
 
-    def test_geometry_groups_do_not_change_the_record(
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesis ran before the arguments were checked")
+
+        monkeypatch.setattr(channel, "ray_tracks", no_synthesis)
+        monkeypatch.setattr(channel._kernels, "synthesize_paths", no_synthesis)
+        for make in (channel._RecordGroups, apply_channel):
+            with pytest.raises(ConfigError, match="samples_per_period = 105"):
+                make(short, short_scenario, narrowband, 0)
+
+    def test_geometry_group_size_does_not_change_the_record(
         self, narrowband, signals, monkeypatch
     ):
-        """0.2 s is 1,190 blocks, three geometry groups: the chunks are bit for
-        bit the record made with one geometry evaluation for all blocks."""
+        """0.2 s is 1,190 blocks, three geometry groups: the record is bit for
+        bit the one made with one geometry evaluation for all blocks."""
         scn = default_scenario(duration=0.2)
-        length, chunks = record_chunks(signals, scn, narrowband, seed=4)
-        grouped = np.concatenate(list(chunks))
-        assert length == grouped.size == 250_000
+        assert len(channel._RecordGroups(signals, scn, narrowband, 4).groups) == 3
+        grouped = apply_channel(signals, scn, narrowband, seed=4)
         monkeypatch.setattr(channel, "_GEOMETRY_BLOCKS", 10**6)
+        assert len(channel._RecordGroups(signals, scn, narrowband, 4).groups) == 1
         whole = apply_channel(signals, scn, narrowband, seed=4)
-        np.testing.assert_array_equal(grouped, whole.samples)
+        assert grouped.samples.size == 250_000
+        np.testing.assert_array_equal(grouped.samples, whole.samples)
 
-    def test_groups_made_in_reverse_are_the_stream(self, narrowband, signals):
+    def test_groups_made_in_reverse_are_apply_channel(self, narrowband, signals):
         """Each geometry group depends only on its first block: made last to
         first, the groups of a 0.2 s record (three groups, a partial last
-        block) are bit for bit the chunks of ``record_chunks``."""
+        block) are bit for bit the record of ``apply_channel``."""
         scn = default_scenario(duration=0.2)
-        record = channel._record_groups(signals, scn, narrowband, seed=4)
+        record = channel._RecordGroups(signals, scn, narrowband, 4)
         assert len(record.groups) == 3 and record.length % narrowband.samples_per_snapshot
         parts = [list(record.chunks(first)) for first in reversed(record.groups)]
         made = np.concatenate([rx for part in reversed(parts) for rx in part])
-        _, chunks = record_chunks(signals, scn, narrowband, seed=4)
-        np.testing.assert_array_equal(made, np.concatenate(list(chunks)))
+        np.testing.assert_array_equal(made, apply_channel(signals, scn, narrowband, 4).samples)
 
     def test_block_tracks_are_ray_tracks_in_groups(self, scenario, narrowband):
         count = 2 * channel._GEOMETRY_BLOCKS + 7

@@ -392,9 +392,9 @@ class TestRunAll:
 
     def test_manifest_hashes_each_file_once(self, tmp_path, monkeypatch):
         """Every digest in the manifest is that of the file on disk, and no
-        path is hashed twice: an input takes its producer's digest.  The
-        record is never read back through ``file_digest``: simulate hashes it
-        as it is written."""
+        path is hashed twice: an input takes its producer's digest.  Neither
+        the record nor the standstill is read back through ``file_digest``:
+        simulate hashes each as it is written."""
         cfg_path, scn_path = _mini_configs(str(tmp_path))
         out = str(tmp_path / "once")
         hashed = []
@@ -415,9 +415,10 @@ class TestRunAll:
             for rel, value in {**stage.inputs, **stage.outputs}.items():
                 assert value == digest(os.path.join(out, rel)), rel
                 listed.add(rel)
-        assert "rx_record.dds1" not in hashed
-        assert set(hashed) == listed - {"rx_record.dds1"}
-        assert "rx_record.dds1" in recorded.stages[2].inputs
+        records = {"rx_record.dds1", "standstill.dds1"}
+        assert not records & set(hashed)
+        assert set(hashed) == listed - records
+        assert records <= set(recorded.stages[2].inputs)
 
     def test_failed_run_keeps_manifest_of_finished_stages(
         self, mini_run, tmp_path, monkeypatch
@@ -668,7 +669,7 @@ class TestSimulatePool:
         scenario = default_scenario(
             duration=0.2, beam_elevation_deg=[7.5 * tx for tx in range(tx_count)]
         )
-        record = channel._record_groups(cli._waveforms(cfg)[1], scenario, cfg, 0)
+        record = channel._RecordGroups(cli._waveforms(cfg)[1], scenario, cfg, 0)
         assert len(record.groups) == 3 and record.length % cfg.samples_per_snapshot
         cfg_path, scn_path = os.path.join(root, "config.ini"), os.path.join(root, "scenario.ini")
         ddio.save_sounder_config(cfg_path, cfg)
@@ -703,6 +704,35 @@ class TestSimulatePool:
             ["config.ini", "scenario.ini", "rx_record.dds1", "standstill.dds1", *truth]
         )
         assert files[2] == files[1]
+        assert multiprocessing.active_children() == []
+
+    def test_standstill_of_three_groups(self, tmp_path, monkeypatch, capsys):
+        """A 0.2 s standstill (1,191 blocks, the last one partial) is three
+        geometry groups, read back in the same pass as the drive's groups,
+        each into its own file's digest.  On 1 and on 2 CPUs simulate writes
+        the same bytes, each digest is that of the file on disk, and the
+        standstill is ``write_signal`` of ``apply_channel`` on the parked
+        scenario with its derived noise key."""
+        cfg = narrowband_config()
+        scenario = default_scenario(duration=0.1, standstill_duration=0.2)
+        parked = cli._parked(scenario)
+        signals = cli._waveforms(cfg)[1]
+        still = channel._RecordGroups(signals, parked, cfg, 0)
+        assert len(still.groups) == 3 and still.length % cfg.samples_per_snapshot
+        files = {}
+        for cpus in (1, 2):
+            self._cpus(monkeypatch, cpus)
+            out = str(tmp_path / f"cpus{cpus}")
+            _, digests = cli._stage_simulate(cfg, scenario, 11, out)
+            assert f"on {cpus} worker" in capsys.readouterr().out
+            for name in ("rx_record.dds1", "standstill.dds1"):
+                assert digests[name] == manifest.file_digest(os.path.join(out, name))
+            files[cpus] = self._files(out)
+        assert files[2] == files[1]
+        expected = str(tmp_path / "expected.dds1")
+        rx = channel.apply_channel(signals, parked, cfg, cli._derived_seed(11, "standstill"))
+        ddio.write_signal(expected, rx, 11)
+        assert files[1]["standstill.dds1"] == open(expected, "rb").read()
         assert multiprocessing.active_children() == []
 
     def test_failing_job_fails_with_the_serial_message(

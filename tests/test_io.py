@@ -34,7 +34,6 @@ from ddsounder.io import (
     write_paths_csv,
     write_peaks_json,
     write_signal,
-    write_signal_chunks,
     write_snr_csv,
     write_surface,
 )
@@ -137,20 +136,21 @@ class TestSignalFormat:
 
 
 class TestSignalStream:
-    """The DDS1 stream writer and chunk reader."""
+    """The DDS1 in-place writer and chunk reader."""
 
     def _samples(self, count=1000):
         rng = np.random.default_rng(2)
         return rng.standard_normal(count) + 1j * rng.standard_normal(count)
 
-    def test_chunks_round_trip(self, tmp_path):
-        """Chunks of 300 in, chunks of 256 out: the bytes of one write_signal."""
-        path, whole = str(tmp_path / "a.dds1"), str(tmp_path / "b.dds1")
+    def test_in_place_chunks_round_trip_through_reader(self, tmp_path):
+        """Chunks of 300 written in place, chunks of 256 read back through
+        ``SignalReader``: the header's fields and every sample."""
+        path = str(tmp_path / "a.dds1")
         data = self._samples()
-        pieces = (data[i : i + 300] for i in range(0, data.size, 300))
-        write_signal_chunks(path, pieces, data.size, 1.25e6, seed=9, t0=0.25)
-        write_signal(whole, SampledSignal(data, 1.25e6, t0=0.25), seed=9)
-        assert open(path, "rb").read() == open(whole, "rb").read()
+        with ddio._signal_in_place(path, data.size, 1.25e6, seed=9, t0=0.25) as samples:
+            for first in range(0, data.size, 300):
+                samples.write(first, data[first : first + 300])
+                samples.read_back(first, data[first : first + 300].size)
         with SignalReader(path) as reader:
             assert (reader.seed, reader.sample_rate, reader.length, reader.t0) == (
                 9, 1.25e6, 1000, 0.25,
@@ -197,38 +197,16 @@ class TestSignalStream:
             with pytest.raises(FileFormatError, match="shrank"):
                 list(chunks)
 
-    def test_interrupted_write_leaves_nothing(self, tmp_path):
-        path = tmp_path / "a.dds1"
-
-        def failing():
-            yield self._samples(100)
-            raise RuntimeError("synthesis failed")
-
-        with pytest.raises(RuntimeError, match="synthesis failed"):
-            write_signal_chunks(str(path), failing(), 200, 1.25e6, seed=0)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_interrupted_write_keeps_previous_file(self, tmp_path):
+    def test_in_place_failure_keeps_previous_file(self, tmp_path):
         path = tmp_path / "a.dds1"
         write_signal(str(path), SampledSignal(self._samples(10), 1.25e6), seed=0)
         before = path.read_bytes()
-
-        def failing():
-            yield self._samples(100)
-            raise RuntimeError("synthesis failed")
-
-        with pytest.raises(RuntimeError):
-            write_signal_chunks(str(path), failing(), 200, 1.25e6, seed=0)
+        with pytest.raises(RuntimeError, match="synthesis failed"):
+            with ddio._signal_in_place(str(path), 200, 1.25e6, seed=0) as samples:
+                samples.write(0, self._samples(100))
+                raise RuntimeError("synthesis failed")
         assert [p.name for p in tmp_path.iterdir()] == ["a.dds1"]
         assert path.read_bytes() == before
-
-    @pytest.mark.parametrize("count", [99, 101])
-    def test_sample_count_must_match_header(self, tmp_path, count):
-        with pytest.raises(ValueError, match="header promises 100"):
-            write_signal_chunks(
-                str(tmp_path / "a.dds1"), [self._samples(count)], 100, 1.25e6, seed=0
-            )
-        assert list(tmp_path.iterdir()) == []
 
     def test_in_place_parts_in_any_order(self, tmp_path):
         """Parts written last to first, read back in order: the bytes of one
