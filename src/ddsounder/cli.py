@@ -33,9 +33,10 @@ in chunks of whole snapshots.
 Exit codes: 0 success, 1 validation failure, 2 I/O error (also a simulate
 or analyze worker that died, killed by a signal or the out-of-memory
 killer), 3 numerical failure.  ``simulate`` and ``run-all`` check that the
-scenario has one beam per TX and that the standstill holds 20 sequence
-periods before they write anything; ``run-all`` also checks the analyze
-flags and that the record holds at least one window.  It rewrites ``manifest.json`` after each
+scenario has one beam per TX, that the standstill holds 20 sequence periods
+and that the car drives no faster than the design's ``max_speed`` before
+they write anything; ``run-all`` also checks the analyze flags and that the
+record holds at least one window.  It rewrites ``manifest.json`` after each
 stage, so a failed run's manifest lists the stages that finished.
 """
 
@@ -55,7 +56,7 @@ from . import __version__
 from . import io as ddio
 from .channel import _RecordGroups, _record_length, block_tracks, default_scenario
 from .manifest import RunManifest
-from .params import ConfigError, narrowband_config, validate_config
+from .params import LSF_TIME_BANDWIDTH, ConfigError, dpss_fits, narrowband_config, validate_config
 from .rxproc import (
     NoSignalError,
     _check_rate,
@@ -64,7 +65,7 @@ from .rxproc import (
     snr_per_tx,
 )
 from .sbl import SBLConfig, sbl_fit
-from .tfanalysis import LSFConfig, dsd, lsf_estimate, top_peaks_2d
+from .tfanalysis import dsd, lsf_estimate, top_peaks_2d
 from .waveform import multitone_waveform, tone_plan
 
 _CONFIG = "config.ini"
@@ -134,9 +135,12 @@ _MIN_STANDSTILL_PERIODS = 20
 
 
 def _check_scenario(cfg, scenario) -> None:
-    """``ConfigError`` unless the scenario has one beam per TX and a
-    standstill of at least ``_MIN_STANDSTILL_PERIODS`` sequence periods: the
-    CFO estimate compares the standstill's periods with each other."""
+    """``ConfigError`` unless the scenario has one beam per TX, a standstill
+    of at least ``_MIN_STANDSTILL_PERIODS`` sequence periods (the CFO
+    estimate compares the standstill's periods with each other) and a speed
+    of at most ``cfg.max_speed``.  The speed is compared, not its Doppler:
+    14 m/s at 60.15 GHz is 2,808.9 Hz, above the rounded 2,800 Hz that the
+    desk and full designs store as ``max_doppler``."""
     if len(scenario.tx_beams) != cfg.tx_count:
         raise ConfigError(
             f"the scenario configures {len(scenario.tx_beams)} beams for "
@@ -149,6 +153,12 @@ def _check_scenario(cfg, scenario) -> None:
             f"{periods:.1f} periods of the sequence period "
             f"{cfg.sequence_period:g} s; the CFO estimate needs at least "
             f"{_MIN_STANDSTILL_PERIODS} to tell the standstill's signal from noise"
+        )
+    speed = float(np.linalg.norm(scenario.tx_velocity))
+    if speed > cfg.max_speed:
+        raise ConfigError(
+            f"the scenario drives at {speed:g} m/s, faster than the design's "
+            f"max_speed of {cfg.max_speed:g} m/s; its Doppler may alias"
         )
 
 
@@ -223,8 +233,7 @@ def _stage_process(out_dir: str) -> list[str]:
         _check_rate(record.sample_rate, cfg, _RECORD)
         cfo = _standstill_cfo(out_dir, cfg)
         print(f"carrier frequency offset: {cfo:+.3f} Hz")
-        plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
-        grids, noise_power = demultiplex_record(record, cfg, cfo, plans)
+        grids, noise_power = demultiplex_record(record, cfg, cfo)
     outputs = []
     for grid in grids:
         tx = grid.tx_index
@@ -241,20 +250,19 @@ def _stage_process(out_dir: str) -> list[str]:
     return outputs
 
 
-def _analyze_window(out_dir, cfg, lsf_cfg, sbl_cfg, peak_count, grid, seed, tx, w):
-    m = lsf_cfg.window_length
+def _analyze_window(out_dir, cfg, m, sbl_cfg, grid, seed, tx, w):
+    """LSF, DSD and SBL fit of window ``w`` of ``m`` snapshots of TX ``tx``;
+    both peak lists keep ``sbl_cfg.active_set_size`` peaks."""
     window = grid.values[w * m : (w + 1) * m].T.copy()
     start = float(grid.snapshot_times[w * m])
     tag = f"tx{tx}_w{w:03d}"
 
-    surface = lsf_estimate(
-        window, lsf_cfg, cfg.tone_spacing, cfg.snapshot_time, start
-    )
+    surface = lsf_estimate(window, cfg.tone_spacing, cfg.snapshot_time, start)
     ddio.write_surface(os.path.join(out_dir, f"lsf_{tag}.ddg2"), surface, seed)
     ddio.write_dsd_csv(
         os.path.join(out_dir, f"dsd_{tag}.csv"), surface.doppler_axis, dsd(surface)
     )
-    peaks = top_peaks_2d(surface, peak_count)
+    peaks = top_peaks_2d(surface, sbl_cfg.active_set_size)
     ddio.write_peaks_json(
         os.path.join(out_dir, f"peaks_{tag}.json"),
         peaks,
@@ -378,19 +386,23 @@ def _fork_map(stage: str, out_dir: str, jobs: list[tuple]):
         _JOBS.clear()
 
 
-def _analysis_configs(cfg, args):
-    """LSF and SBL settings from the analyze flags; ``ConfigError`` names a bad flag."""
+def _analysis_configs(args) -> SBLConfig:
+    """SBL settings from the analyze flags, once ``--windows`` and
+    ``--window-length`` are checked; ``ConfigError`` names a bad flag."""
     if args.windows is not None and args.windows < 1:
         raise ConfigError(f"--windows must be at least 1, got {args.windows}")
-    lsf_cfg = LSFConfig(window_length=args.window_length, tone_count=cfg.tone_count)
-    return lsf_cfg, SBLConfig(iterations=args.sbl_iters, active_set_size=args.peaks)
+    if not dpss_fits(args.window_length, LSF_TIME_BANDWIDTH):
+        raise ConfigError(
+            f"window_length = {args.window_length} must exceed 2*time_bandwidth = "
+            f"{2 * LSF_TIME_BANDWIDTH:g} for the Slepian tapers"
+        )
+    return SBLConfig(iterations=args.sbl_iters, active_set_size=args.peaks)
 
 
 def _stage_analyze(args) -> list[str]:
     out_dir, window_length, window_limit = args.out_dir, args.window_length, args.windows
     cfg = ddio.load_sounder_config(os.path.join(out_dir, _CONFIG))
-    lsf_cfg, sbl_cfg = _analysis_configs(cfg, args)
-    common = (out_dir, cfg, lsf_cfg, sbl_cfg, args.peaks)
+    common = (out_dir, cfg, window_length, _analysis_configs(args))
     jobs = []
     for tx in range(cfg.tx_count):
         grid, seed = ddio.read_grid(os.path.join(out_dir, f"h_tx{tx}.ddg1"))
@@ -448,7 +460,7 @@ def cmd_run_all(args) -> int:
     # a bad scenario, a bad analyze flag or a window longer than the record
     # fails before anything is written
     _check_scenario(cfg, scenario)
-    _analysis_configs(cfg, args)
+    _analysis_configs(args)
     snapshots = _record_length(scenario, cfg) // cfg.samples_per_snapshot
     if snapshots < args.window_length:
         raise ConfigError(

@@ -41,8 +41,8 @@ SPEED_OF_LIGHT = 299_792_458.0
 _REL_TOL = 1e-9
 
 
-# Time-bandwidth product NW of the multitaper LSF's Slepian tapers (the
-# ``tfanalysis.LSFConfig`` default); it bounds the design's tone count.
+# Time-bandwidth product NW of the multitaper LSF's Slepian tapers; it bounds
+# the design's tone count and the analyze window length.
 LSF_TIME_BANDWIDTH = 2.0
 
 
@@ -211,20 +211,16 @@ def default_config() -> SounderConfig:
     return SounderConfig()
 
 
-def narrowband_config(
-    bandwidth_scale: float = 0.01,
-    averaging_count: int = 2,
-) -> SounderConfig:
+def narrowband_config(averaging_count: int = 2) -> SounderConfig:
     """Narrowband variant of the reference design for fast simulation.
 
-    Scaling the bandwidth down stretches the sequence period, so the
-    averaging count must shrink to keep the snapshot time inside the Doppler
-    bound; carrier, geometry and speeds are unchanged.
+    The bandwidth and sample rate are 1 % of the reference design's, which
+    stretches the sequence period a hundredfold, so the averaging count must
+    shrink to keep the snapshot time inside the Doppler bound; carrier,
+    geometry and speeds are unchanged.
     """
     return SounderConfig(
-        bandwidth=100e6 * bandwidth_scale,
-        sample_rate=125e6 * bandwidth_scale,
-        averaging_count=averaging_count,
+        bandwidth=1e6, sample_rate=1.25e6, averaging_count=averaging_count
     )
 
 

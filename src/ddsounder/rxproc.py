@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ConfigError, SounderConfig, _smooth_length
-from .waveform import SampledSignal, TonePlan, tone_plan
+from .waveform import SampledSignal, tone_plan
 
 __all__ = [
     "NoSignalError",
@@ -299,10 +299,10 @@ def _free_slot_bins(cfg: SounderConfig) -> np.ndarray:
 
 
 def demultiplex_record(
-    record, cfg: SounderConfig, cfo: float, plans: list[TonePlan]
+    record, cfg: SounderConfig, cfo: float
 ) -> tuple[list[TransferFunctionGrid], float]:
-    """Tone grids of every TX in ``plans`` and the receiver's noise power,
-    from a record read chunk by chunk.
+    """Tone grids of every TX of ``cfg``, in TX order, and the receiver's
+    noise power, from a record read chunk by chunk.
 
     ``record`` carries the record's ``sample_rate``, ``length`` (samples)
     and ``t0``, and ``record.chunks(size)`` yields its samples in order,
@@ -310,13 +310,14 @@ def demultiplex_record(
     holds the whole snapshots that :func:`coherent_average` takes at once and
     is averaged once, as it averages them, on one offset per snapshot from
     every comb of the design.  One DFT of each averaged period at tone scale,
-    ``fft / L``, gives every TX's tone values, each coefficient over its
-    transmit weight, so a distortion-free channel of gain ``g`` yields ``g``
-    everywhere.  The first tone-offset slot past the configured TXs is
-    guaranteed free, and the mean power of its bins over the record is the
-    noise power after averaging, at tone scale.  Work arrays are allocated
-    once per record; only the (Q, K) tone values of each TX and the free-slot
-    powers are kept.  A trailing partial snapshot is ignored.
+    ``fft / L``, gives every TX's tone values at its own comb's slice of the
+    design's bins, each coefficient over its transmit weight, so a
+    distortion-free channel of gain ``g`` yields ``g`` everywhere.  The first
+    tone-offset slot past the configured TXs is guaranteed free, and the mean
+    power of its bins over the record is the noise power after averaging, at
+    tone scale.  Work arrays are allocated once per record; only the (Q, K)
+    tone values of each TX and the free-slot powers are kept.  A trailing
+    partial snapshot is ignored.
 
     Raises
     ------
@@ -333,8 +334,9 @@ def demultiplex_record(
     q_count = record.length // per_snapshot
     if q_count < 1:
         raise ValueError("record shorter than one snapshot")
+    plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
     comb_bins = _comb_bins(cfg)
-    bins = [_tone_bins(cfg, plan.tone_frequencies) for plan in plans]
+    bins = np.split(comb_bins, cfg.tx_count)
     free_bins = _free_slot_bins(cfg)
     # (Q, K) in the column-major layout of ``spectra[:, bins]``, so that
     # reductions over them add in the order they do over whole-record arrays

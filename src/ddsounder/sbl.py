@@ -2,10 +2,11 @@
 
 The tone-time window is modelled as a sparse superposition of dictionary
 atoms on a delay-Doppler grid whose delay axis is upsampled by a fixed
-``U = 4`` beyond the native ``1/(K tone_spacing)`` resolution.  A
-multiplicative fixed-point update sharpens one variance weight per atom; the
-surviving local maxima of the variance surface form the active set and
-calibrate the noise floor.
+``U = 4`` beyond the native ``1/(K tone_spacing)`` resolution.  K and M
+come from the window's shape, so every U-th delay bin and every Doppler bin
+is a bin of the same window's multitaper LSF.  A multiplicative fixed-point
+update sharpens one variance weight per atom; the surviving local maxima of
+the variance surface form the active set and calibrate the noise floor.
 
 No pass builds a covariance matrix or a full-length basis.  The dictionary
 is a Kronecker product of a Doppler DFT and an upsampled delay comb, so
@@ -50,18 +51,18 @@ class SparseModel:
     Atoms are unit-norm Kronecker products: delay index ``n`` contributes
     ``exp(-2j pi k n / (U K)) / sqrt(K)`` across tones and Doppler index
     ``m`` contributes ``exp(+2j pi l m / M) / sqrt(M)`` across snapshots,
-    with U the delay upsampling factor.  Doppler indices are in FFT order
-    (non-negative first); windows are vectorized snapshot-major.
+    with ``U = _UPSAMPLING``, the one delay grid that :func:`sbl_fit` fits.
+    Doppler indices are in FFT order (non-negative first); windows are
+    vectorized snapshot-major.
     """
 
     tone_count: int
     window_length: int
-    upsampling: int = _UPSAMPLING
     tone_spacing: float = 1.0
     snapshot_time: float = 1.0
 
     def __post_init__(self):
-        for name in ("tone_count", "window_length", "upsampling"):
+        for name in ("tone_count", "window_length"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -72,7 +73,7 @@ class SparseModel:
 
     @property
     def delay_bins(self) -> int:
-        return self.upsampling * self.tone_count
+        return _UPSAMPLING * self.tone_count
 
     @property
     def delay_axis(self) -> np.ndarray:

@@ -4,7 +4,8 @@ A window of the tone-time channel grid is mapped into the delay-Doppler
 plane by the symplectic finite Fourier transform (inverse DFT across tones,
 forward DFT across snapshots, both unitary).  The local scattering function
 is the average periodogram over a small set of 2-D Slepian taper pairs; the
-Doppler spectral density is its delay marginal.
+Doppler spectral density is its delay marginal.  Both the transform and
+the LSF take the window's tone and snapshot counts from its shape.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .params import LSF_TIME_BANDWIDTH, ConfigError, dpss_fits
 
 __all__ = [
     "DelayDopplerGrid",
-    "LSFConfig",
     "Peak",
     "PeakList",
     "sfft",
@@ -56,25 +56,6 @@ class DelayDopplerGrid:
 # Slepian tapers per dimension of the LSF window, each of time-bandwidth
 # product LSF_TIME_BANDWIDTH
 _TAPERS = 3
-
-
-@dataclass
-class LSFConfig:
-    """Multitaper estimator settings: the window size."""
-
-    window_length: int = 360
-    tone_count: int = 21
-
-    def __post_init__(self):
-        if self.window_length < 2 or self.tone_count < 2:
-            raise ConfigError("window_length and tone_count must be at least 2")
-        for name in ("window_length", "tone_count"):
-            length = getattr(self, name)
-            if not dpss_fits(length, LSF_TIME_BANDWIDTH):
-                raise ConfigError(
-                    f"{name} = {length} must exceed 2*time_bandwidth = "
-                    f"{2 * LSF_TIME_BANDWIDTH:g} for the Slepian tapers"
-                )
 
 
 @dataclass
@@ -166,8 +147,6 @@ def dpss_tapers(length: int, time_bandwidth: float, count: int) -> np.ndarray:
         If ``length`` does not exceed ``2*time_bandwidth``
         (:func:`params.dpss_fits`).
     """
-    if length < 2:
-        raise ValueError("taper length must be at least 2")
     if not dpss_fits(length, time_bandwidth):
         raise ConfigError(f"taper length {length} must exceed 2*NW = {2 * time_bandwidth:g}")
     if count < 1:
@@ -200,7 +179,6 @@ def dpss_tapers(length: int, time_bandwidth: float, count: int) -> np.ndarray:
 
 def lsf_estimate(
     h: np.ndarray,
-    cfg: LSFConfig,
     tone_spacing: float = 1.0,
     snapshot_time: float = 1.0,
     window_start_time: float = 0.0,
@@ -209,25 +187,30 @@ def lsf_estimate(
 
     Averages ``|SFFT(H tapered by u_j (x) u_i)|^2`` over all pairs of
     frequency tapers ``u_j`` (length K) and time tapers ``u_i`` (length M).
-    The result is real and non-negative, on the same grid as :func:`sfft`.
+    K and M are the window's shape.  The result is real and non-negative, on
+    the same grid as :func:`sfft`.
+
+    Raises
+    ------
+    ValueError
+        If ``h`` is not 2-D.
+    ConfigError
+        If K or M does not exceed ``2*LSF_TIME_BANDWIDTH``, too few points
+        for the Slepian tapers (:func:`dpss_tapers`).
     """
     h = np.asarray(h, dtype=np.complex128)
-    if h.shape != (cfg.tone_count, cfg.window_length):
-        raise ValueError(
-            f"window shape {h.shape} does not match configured "
-            f"({cfg.tone_count}, {cfg.window_length})"
-        )
-    freq_tapers = dpss_tapers(cfg.tone_count, LSF_TIME_BANDWIDTH, _TAPERS)
-    time_tapers = dpss_tapers(cfg.window_length, LSF_TIME_BANDWIDTH, _TAPERS)
+    if h.ndim != 2:
+        raise ValueError("lsf_estimate expects a 2-D tone-time window")
+    n_tones, n_snapshots = h.shape
+    freq_tapers = dpss_tapers(n_tones, LSF_TIME_BANDWIDTH, _TAPERS)
+    time_tapers = dpss_tapers(n_snapshots, LSF_TIME_BANDWIDTH, _TAPERS)
     accum = np.zeros(h.shape, dtype=np.float64)
     for u_freq in freq_tapers:
         for u_time in time_tapers:
             tapered = h * np.outer(u_freq, u_time)
             accum += np.abs(sfft(tapered).values) ** 2
     accum /= _TAPERS**2
-    delay, doppler = _axes(
-        cfg.tone_count, cfg.window_length, tone_spacing, snapshot_time
-    )
+    delay, doppler = _axes(n_tones, n_snapshots, tone_spacing, snapshot_time)
     return DelayDopplerGrid(
         values=accum,
         delay_axis=delay,

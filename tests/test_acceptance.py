@@ -26,7 +26,7 @@ from ddsounder.params import (
 )
 from ddsounder.rxproc import coherent_average
 from ddsounder.sbl import SparseModel, sbl_fit
-from ddsounder.tfanalysis import LSFConfig, dsd, isfft, lsf_estimate, sfft, top_peaks_2d
+from ddsounder.tfanalysis import dsd, isfft, lsf_estimate, sfft, top_peaks_2d
 from ddsounder.waveform import multitone_waveform, tone_plan
 
 
@@ -140,7 +140,6 @@ def test_acceptance_4_processing_gain(announce):
 def test_acceptance_5_lsf_recovery(announce):
     k_count, m_count, trials = 21, 360, 50
     rng = np.random.default_rng(11)
-    lsf_cfg = LSFConfig()
     hit_clean = hit_noisy = hit_dsd = 0
     for _ in range(trials):
         n0 = rng.integers(0, k_count)
@@ -152,13 +151,13 @@ def test_acceptance_5_lsf_recovery(announce):
         )
         target = (int(n0), (int(m0) + m_count // 2) % m_count)
 
-        grid = lsf_estimate(h, lsf_cfg)
+        grid = lsf_estimate(h)
         hit_clean += np.unravel_index(np.argmax(grid.values), grid.values.shape) == target
 
         noise = np.sqrt(0.1 / 2) * (
             rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
         )
-        noisy_grid = lsf_estimate(h + noise, lsf_cfg)
+        noisy_grid = lsf_estimate(h + noise)
         hit_noisy += (
             np.unravel_index(np.argmax(noisy_grid.values), noisy_grid.values.shape)
             == target
@@ -176,7 +175,7 @@ def test_acceptance_5_lsf_recovery(announce):
 
 def test_acceptance_6_sbl_super_resolution(announce):
     k_count, m_count, up = 21, 32, 4
-    model = SparseModel(tone_count=k_count, window_length=m_count, upsampling=up)
+    model = SparseModel(tone_count=k_count, window_length=m_count)
     # 5 ns at the 100 MHz design = half a native delay bin = 2 upsampled bins
     resolved = 0
     for i in range(20):
@@ -234,9 +233,7 @@ def test_acceptance_7_lsf_sbl_agreement(announce):
         h = h + np.sqrt(nv / 2) * (
             rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
         )
-        lsf = lsf_estimate(
-            h, LSFConfig(window_length=m_count), cfg.tone_spacing, cfg.snapshot_time
-        )
+        lsf = lsf_estimate(h, cfg.tone_spacing, cfg.snapshot_time)
         top_lsf = top_peaks_2d(lsf, 1).entries[0]
         top_sbl = sbl_fit(h, cfg.tone_spacing, cfg.snapshot_time).peaks.entries[0]
         d_err = abs(top_sbl.delay - top_lsf.delay)

@@ -496,6 +496,57 @@ class TestRunAll:
         assert "standstill_duration 0.001 s holds 11.9 periods" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "run-all"])
+    def test_scenario_faster_than_design_fails_before_writing(
+        self, tmp_path, capsys, command
+    ):
+        """100 km/h on the desk design, built for 14 m/s: its LOS Doppler of
+        about 5.5 kHz would alias past the +-2,976 Hz its 168 us snapshots
+        resolve.  The command exits 1 naming both speeds and writes no file."""
+        cfg_path = str(tmp_path / "config.ini")
+        scn_path = str(tmp_path / "scenario.ini")
+        ddio.save_sounder_config(cfg_path, narrowband_config())
+        ddio.save_scenario(scn_path, default_scenario(duration=0.1, tx_velocity=(27.8, 0, 0)))
+        out = tmp_path / "x"
+        rc = main([command, "--config", cfg_path, "--scenario", scn_path,
+                   "--seed", "1", "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "27.8 m/s" in err and "max_speed of 14 m/s" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("speed,admitted", [(14.0, True), (14.01, False)])
+    def test_speed_bound_is_max_speed(self, speed, admitted):
+        """The bound is the design speed itself, not max_doppler: 14 m/s at
+        60.15 GHz is 2,808.9 Hz, above the desk design's 2,800 Hz."""
+        cfg = narrowband_config()
+        scenario = default_scenario(tx_velocity=(speed, 0.0, 0.0))
+        if admitted:
+            cli._check_scenario(cfg, scenario)
+        else:
+            with pytest.raises(ConfigError, match="14.01 m/s"):
+                cli._check_scenario(cfg, scenario)
+
+    def test_design_for_100_kmh_runs_at_100_kmh(self, tmp_path, capsys):
+        """One period per snapshot (84 us) resolves +-5,952 Hz: a design with
+        max_speed 27.8 m/s and max_doppler 5,600 Hz passes plan, and run-all
+        at 27.78 m/s exits 0 with the first DSD peak near the +5.5 kHz LOS
+        Doppler, not aliased."""
+        cfg = dataclasses.replace(
+            narrowband_config(averaging_count=1), max_speed=27.8, max_doppler=5600.0
+        )
+        assert validate_config(cfg).passed
+        cfg_path = str(tmp_path / "config.ini")
+        scn_path = str(tmp_path / "scenario.ini")
+        ddio.save_sounder_config(cfg_path, cfg)
+        ddio.save_scenario(scn_path, default_scenario(duration=0.1, tx_velocity=(27.78, 0, 0)))
+        out = str(tmp_path / "run")
+        rc = main(["run-all", "--config", cfg_path, "--scenario", scn_path, "--seed", "1",
+                   "--out-dir", out, "--window-length", "128", "--windows", "1"])
+        assert rc == 0
+        doppler, power = ddio.read_dsd_csv(os.path.join(out, "dsd_tx0_w000.csv"))
+        assert doppler[np.argmax(power)] > 5000.0
+
     @pytest.mark.parametrize("periods,admitted", [(19, False), (20, True)])
     def test_standstill_needs_twenty_periods(self, periods, admitted):
         cfg = narrowband_config()

@@ -197,7 +197,11 @@ class TestConstruction:
             cfg.tone_count = 5
 
     def test_narrowband_default_equivalent(self):
-        assert narrowband_config() == narrowband_config(bandwidth_scale=0.01)
+        """The desk design is the reference design at 1 % of its bandwidth
+        and sample rate, averaging two periods."""
+        assert narrowband_config() == SounderConfig(
+            bandwidth=1e6, sample_rate=1.25e6, averaging_count=2
+        )
 
     def test_grid_ratio_property(self, fullscale, narrowband):
         assert fullscale.grid_ratio == 4

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ddsounder.channel import apply_channel, default_scenario, transfer_function
-from ddsounder.params import ConfigError, SounderConfig, narrowband_config
+from ddsounder.params import ConfigError, SounderConfig, narrowband_config, validate_config
 from ddsounder import rxproc
 from ddsounder.rxproc import (
     NoSignalError,
@@ -24,7 +24,7 @@ from ddsounder.rxproc import (
     estimate_cfo,
     snr_per_tx,
 )
-from ddsounder.waveform import SampledSignal, TonePlan, multitone_waveform, tone_plan
+from ddsounder.waveform import SampledSignal, multitone_waveform, tone_plan
 
 
 @pytest.fixture(scope="module")
@@ -401,7 +401,7 @@ class TestDemultiplexRecord:
         the record is handed out in whole-snapshot chunks of coherent_average."""
         rx = _chirped_record(narrowband, 2.6, t0)
         record = _InMemoryRecord(rx)
-        grids, power = demultiplex_record(record, narrowband, 37.25, nb_plans)
+        grids, power = demultiplex_record(record, narrowband, 37.25)
         chunk = (rxproc._CHUNK_SAMPLES // narrowband.samples_per_snapshot) * (
             narrowband.samples_per_snapshot
         )
@@ -420,29 +420,18 @@ class TestDemultiplexRecord:
                 snr_per_tx(grid, power), snr_per_tx(expected, power)
             )
 
-    def test_offsets_do_not_depend_on_the_plans_asked_for(self, narrowband, nb_plans):
-        """TX1's grid alone is bit for bit its grid beside TX0's: the offsets
-        come from every comb of the design, not from the plans passed."""
-        rx = _chirped_record(narrowband, 0.5, 0.0)
-        both, power = demultiplex_record(_InMemoryRecord(rx), narrowband, 37.25, nb_plans)
-        (alone,), alone_power = demultiplex_record(
-            _InMemoryRecord(rx), narrowband, 37.25, nb_plans[1:]
-        )
-        np.testing.assert_array_equal(alone.values, both[1].values)
-        assert alone_power == power
-
     def test_record_shorter_than_snapshot_rejected(self, narrowband, nb_plans):
         short = SampledSignal(np.ones(narrowband.samples_per_snapshot - 1, complex),
                               narrowband.sample_rate)
         with pytest.raises(ValueError, match="shorter than one snapshot"):
-            demultiplex_record(_InMemoryRecord(short), narrowband, 0.0, nb_plans)
+            demultiplex_record(_InMemoryRecord(short), narrowband, 0.0)
 
 
 class TestDemultiplex:
     def test_static_channel_matches_transfer_function(self, narrowband, signals, nb_plans):
         scn = _parked(0.005)
         rx = apply_channel(signals, scn, narrowband, seed=1)
-        grids, _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0, nb_plans)
+        grids, _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0)
         for plan, grid in zip(nb_plans, grids):
             want = transfer_function(scn, narrowband, plan, grid.snapshot_times)
             err = np.max(np.abs(grid.values - want)) / np.max(np.abs(want))
@@ -452,7 +441,7 @@ class TestDemultiplex:
         """Moving TX: agreement is limited by intra-snapshot Doppler drift."""
         scn = default_scenario(duration=0.01, cfo=0.0, noise_psd=0.0)
         rx = apply_channel(signals, scn, narrowband, seed=1)
-        grids, _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0, nb_plans)
+        grids, _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0)
         for plan, grid in zip(nb_plans, grids):
             want = transfer_function(scn, narrowband, plan, grid.snapshot_times)
             err = np.linalg.norm(grid.values - want) / np.linalg.norm(want)
@@ -462,20 +451,21 @@ class TestDemultiplex:
         """Feeding the TX period straight through must give H = 1."""
         periods = 3 * narrowband.averaging_count
         rx = SampledSignal(np.tile(signals[0].samples, periods), narrowband.sample_rate)
-        (grid,), _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0, nb_plans[:1])
+        grids, _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0)
+        grid = grids[0]
         assert grid.values.shape == (3, narrowband.tone_count)
         np.testing.assert_allclose(grid.values, 1.0, atol=1e-12)
 
     def test_off_grid_plan_rejected(self, narrowband):
-        bad = TonePlan(
-            tx_index=0,
-            tone_frequencies=np.array([1000.0]),  # not on the offset grid
-            tone_weights=np.array([1.0 + 0j]),
-        )
-        rx = SampledSignal(np.ones(narrowband.samples_per_snapshot, complex),
-                           narrowband.sample_rate)
+        """20 tones at a grid ratio of 3 sit at half-integer multiples of the
+        tone spacing, between the bins of the 75-sample period: the design
+        fails plan's period-grid check, and demultiplex_record refuses it."""
+        bad = dataclasses.replace(narrowband, tone_count=20, grid_ratio=3)
+        check = {c.name: c for c in validate_config(bad).checks}
+        assert not check["tones_on_period_grid"].passed
+        rx = SampledSignal(np.ones(bad.samples_per_snapshot, complex), bad.sample_rate)
         with pytest.raises(ConfigError, match="off the period DFT grid"):
-            demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0, [bad])
+            demultiplex_record(_InMemoryRecord(rx), bad, 0.0)
 
 
 class TestCrosstalk:
@@ -485,7 +475,7 @@ class TestCrosstalk:
         wave0 = multitone_waveform(narrowband, nb_plans[0])
         silent = SampledSignal(np.zeros(105, complex), narrowband.sample_rate)
         rx = apply_channel([wave0, silent], scenario, narrowband, seed=seed)
-        (own, leak), _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0, nb_plans)
+        (own, leak), _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0)
         return 10 * np.log10(
             np.mean(np.abs(leak.values) ** 2) / np.mean(np.abs(own.values) ** 2)
         )
@@ -510,7 +500,7 @@ class TestNoisePath:
             rng.standard_normal(n) + 1j * rng.standard_normal(n)
         )
         rx = SampledSignal(noise, narrowband.sample_rate)
-        _, est = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0, nb_plans[:1])
+        _, est = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0)
         expected = sigma2 / (narrowband.averaging_count * narrowband.samples_per_period)
         assert est == pytest.approx(expected, rel=0.1)
 

@@ -24,7 +24,7 @@ K, M, U = 21, 32, _UPSAMPLING
 
 @pytest.fixture(scope="module")
 def model():
-    return SparseModel(tone_count=K, window_length=M, upsampling=U)
+    return SparseModel(tone_count=K, window_length=M)
 
 
 def _window_from_atoms(model, entries, noise=None):
@@ -65,7 +65,7 @@ def _reference_fit(h, cfg):
     n_tones, n_snapshots = h.shape
     total = n_tones * n_snapshots
     energy = np.vdot(h, h).real
-    model = SparseModel(n_tones, n_snapshots, upsampling=_UPSAMPLING)
+    model = SparseModel(n_tones, n_snapshots)
     atoms = model.delay_atoms()
     h_hat = (np.fft.fft(h, axis=1) / np.sqrt(n_snapshots)).T
     h_vec = h.flatten(order="F")
@@ -109,7 +109,7 @@ class TestSparseModel:
         np.testing.assert_allclose(model.column(17, 5), expected, atol=1e-12)
 
     def test_axes(self):
-        m = SparseModel(K, M, upsampling=U, tone_spacing=47619.0, snapshot_time=168e-6)
+        m = SparseModel(K, M, tone_spacing=47619.0, snapshot_time=168e-6)
         assert m.delay_bins == U * K
         assert m.delay_axis[1] == pytest.approx(1 / (U * K * 47619.0))
         assert m.doppler_axis[M // 2] == 0.0
@@ -119,7 +119,7 @@ class TestSparseModel:
         "kwargs",
         [
             {"tone_count": 1, "window_length": M},
-            {"tone_count": K, "window_length": M, "upsampling": 0},
+            {"tone_count": K, "window_length": 0},
             {"tone_count": K, "window_length": M, "tone_spacing": -1.0},
         ],
     )
@@ -303,7 +303,7 @@ class TestSblFit:
 
 def _planted_window(upsampling, n_snapshots, snr_db=None, n_tones=K):
     """Three on-grid taps, plus white noise at ``snr_db`` unless it is None."""
-    native = SparseModel(n_tones, n_snapshots, upsampling=upsampling)
+    native = SparseModel(n_tones, n_snapshots)
     taps = [
         (2.0, 3, 4),
         (1.0j, 5 * upsampling + 1, 4),
@@ -394,7 +394,7 @@ def _toeplitz_blocks(rng, n_tones, n_blocks, cond):
     ``gamma`` holds ``K/2`` random atoms per block, so ``A diag(gamma) A^H``
     is singular and ``s`` sets the condition number.
     """
-    atoms = SparseModel(n_tones, 2, upsampling=4).delay_atoms()
+    atoms = SparseModel(n_tones, 2).delay_atoms()
     gamma = np.zeros((n_blocks, atoms.shape[1]))
     for m in range(n_blocks):
         picked = rng.choice(atoms.shape[1], size=n_tones // 2, replace=False)

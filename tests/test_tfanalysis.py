@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from ddsounder.params import ConfigError
-from ddsounder.sbl import peak_select_2d
+from ddsounder.sbl import _UPSAMPLING, peak_select_2d, sbl_fit
 from ddsounder.tfanalysis import (
     DelayDopplerGrid,
-    LSFConfig,
     dpss_tapers,
     dsd,
     isfft,
@@ -169,13 +168,13 @@ class TestDpss:
 class TestLsf:
     def test_planted_tap_recovered(self):
         h = _planted_tap(21, 360, delay_bin=4, doppler_bin=10)
-        grid = lsf_estimate(h, LSFConfig())
+        grid = lsf_estimate(h)
         row, col = np.unravel_index(np.argmax(grid.values), grid.values.shape)
         assert (row, col) == (4, 10 + 180)
 
     def test_output_real_nonnegative(self):
         rng = np.random.default_rng(6)
-        grid = lsf_estimate(_rand_h(rng, 21, 360), LSFConfig())
+        grid = lsf_estimate(_rand_h(rng, 21, 360))
         assert grid.values.dtype == np.float64
         assert np.all(grid.values >= 0)
 
@@ -183,7 +182,7 @@ class TestLsf:
         """Multitaper smears a tap over a few bins but keeps >=87% of the
         mass within +-1 bin (frozen against the 3x3 taper pair set)."""
         h = _planted_tap(21, 360, delay_bin=10, doppler_bin=0)
-        grid = lsf_estimate(h, LSFConfig())
+        grid = lsf_estimate(h)
         power = grid.values / grid.values.sum()
         row, col = 10, 180
         joint = power[row - 1 : row + 2, col - 1 : col + 2].sum()
@@ -191,19 +190,32 @@ class TestLsf:
         delay_marginal = power.sum(axis=1)
         assert delay_marginal[row - 1 : row + 2].sum() > 0.93
 
-    def test_window_length_must_match(self):
-        with pytest.raises(ValueError):
-            lsf_estimate(np.ones((21, 100), complex), LSFConfig(window_length=360))
+    @pytest.mark.parametrize("shape", [(21, 4), (4, 360)])
+    def test_side_too_short_for_tapers_is_config_error(self, shape):
+        """Either side of 4 points is at most 2 NW: no Slepian tapers."""
+        with pytest.raises(ConfigError, match="taper length 4"):
+            lsf_estimate(np.ones(shape, complex))
 
-    def test_tone_count_must_match(self):
-        with pytest.raises(ValueError):
-            lsf_estimate(np.ones((20, 360), complex), LSFConfig())
+    def test_non_2d_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            lsf_estimate(np.ones(360, complex))
+
+    def test_shares_the_sbl_grid(self, narrowband):
+        """On one 21 x 32 desk window the LSF and the SBL fit lay out one
+        grid: the same Doppler axis, and every U-th SBL delay bin is an LSF
+        delay bin, bit for bit."""
+        h = _rand_h(np.random.default_rng(8), 21, 32)
+        spacings = (narrowband.tone_spacing, narrowband.snapshot_time)
+        lsf = lsf_estimate(h, *spacings)
+        gamma = sbl_fit(h, *spacings).gamma
+        np.testing.assert_array_equal(gamma.doppler_axis, lsf.doppler_axis)
+        np.testing.assert_array_equal(gamma.delay_axis[::_UPSAMPLING], lsf.delay_axis)
 
 
 class TestDsdAndPeaks:
     def test_dsd_is_delay_marginal(self):
         rng = np.random.default_rng(7)
-        grid = lsf_estimate(_rand_h(rng, 21, 360), LSFConfig())
+        grid = lsf_estimate(_rand_h(rng, 21, 360))
         np.testing.assert_allclose(dsd(grid), grid.values.sum(axis=0))
 
     def test_top_peaks_strict_local_maxima(self):
