@@ -18,13 +18,14 @@ at its offset, and simulate reads each file's groups back in order to hash
 them for the manifest.  Analyze's jobs are its windows.  The workers are
 forked, so they inherit the loaded modules and the stage's data: a spawned
 or forkserver worker would import numpy and the package again, about 0.5 s,
-more than the pool saves on a desk-scale run.  Each worker runs OpenBLAS on
-one thread (``_one_blas_thread``).  Threads would share one interpreter lock
-through the Python-level SBL passes: on two CPUs the 32 windows of 21 tones
-x 360 snapshots take 1.44 s on two threads, 0.92 s on two forked workers and
-1.75 s in one process.  Every job writes its own bytes, and a group's bytes
-depend only on its first block, so the output bytes do not depend on the
-worker count.
+more than the pool saves on a desk-scale run.  ``main`` runs OpenBLAS on
+one thread before any stage (``_one_blas_thread``), and the workers inherit
+that.  Threads would share one interpreter lock through the Python-level SBL
+passes: on two CPUs the 32 windows of 21 tones x 360 snapshots take 1.44 s
+on two threads, 0.92 s on two forked workers and 1.75 s in one process.
+Every job writes its own bytes, a group's bytes depend only on its first
+block, and every process runs OpenBLAS on one thread, so the output bytes do
+not depend on the worker count at either design.
 
 Neither simulate nor process holds a whole record in memory: a simulate
 job makes its group chunk by chunk, and ``process`` reads the record back
@@ -307,16 +308,20 @@ def _run_job(index: int):
 
 
 def _one_blas_thread() -> None:
-    """Run every OpenBLAS loaded in this process on one thread; the
-    initializer of each pool worker.  Where ``/proc/self/maps`` or the
-    OpenBLAS entry points are missing, nothing changes.
+    """Run every OpenBLAS loaded in this process on one thread; ``main``
+    calls it before any stage, and the forked workers inherit the count.
+    Where ``/proc/self/maps`` or the OpenBLAS entry points are missing,
+    nothing changes.
 
     The pool already runs one worker per CPU, and OpenBLAS's own threads on
     top of it thrash: on a 0.2 s drive of the 100 MHz design, simulate took
     5.2-5.8 s on two workers of two OpenBLAS threads each, 3.5-4.4 s in one
-    process and 2.1-2.9 s on two workers of one thread.  Setting the count
-    restarts the thread pool that the fork shut down, and its idle thread
-    then spins for about 0.1 s of CPU, so the pool is shut down again."""
+    process and 2.1-2.9 s on two workers of one thread.  Products on two
+    threads also round otherwise (process's 100 MHz grids by up to 5.1e-16
+    of their peak), so one count everywhere keeps the bytes independent of
+    the CPU count.  Setting the count restarts OpenBLAS's thread pool, whose
+    idle thread then spins for about 0.1 s of CPU, so the pool is shut down
+    again."""
     import ctypes
 
     try:
@@ -343,9 +348,9 @@ def _one_blas_thread() -> None:
 @contextlib.contextmanager
 def _fork_map(stage: str, out_dir: str, jobs: list[tuple]):
     """``function(*args)`` for every job ``(function, *args)``, on one forked
-    worker per available CPU (at most one per job), each on one OpenBLAS
-    thread.  Yields an iterator over
-    the results in job order, and the worker count.  With one worker the
+    worker per available CPU (at most one per job); the workers inherit this
+    process's OpenBLAS thread count, one under ``main``.  Yields an iterator
+    over the results in job order, and the worker count.  With one worker the
     jobs run in this process as the iterator is taken.  The first job that
     raises cancels the jobs not yet started, and its exception is raised
     once the started ones have finished.  A worker that dies raises
@@ -363,7 +368,7 @@ def _fork_map(stage: str, out_dir: str, jobs: list[tuple]):
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         fork = multiprocessing.get_context("fork")
-        pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_one_blas_thread)
+        pool = ProcessPoolExecutor(workers, mp_context=fork)
         try:
             yield pool.map(_run_job, range(len(jobs))), workers
             return
@@ -568,6 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _one_blas_thread()
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = ["StageRecord", "RunManifest", "file_digest"]
 
@@ -81,21 +81,7 @@ class RunManifest:
         return record
 
     def to_json(self) -> str:
-        obj = {
-            "seed": self.seed,
-            "version": self.version,
-            "config_paths": list(self.config_paths),
-            "stages": [
-                {
-                    "name": s.name,
-                    "inputs": dict(sorted(s.inputs.items())),
-                    "outputs": dict(sorted(s.outputs.items())),
-                    "wall_clock_s": s.wall_clock_s,
-                }
-                for s in self.stages
-            ],
-        }
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     def save(self, path: str) -> None:
         from .io import atomic_write

@@ -3,10 +3,12 @@
 The tone-time window is modelled as a sparse superposition of dictionary
 atoms on a delay-Doppler grid whose delay axis is upsampled by a fixed
 ``U = 4`` beyond the native ``1/(K tone_spacing)`` resolution.  K and M
-come from the window's shape, so every U-th delay bin and every Doppler bin
-is a bin of the same window's multitaper LSF.  A multiplicative fixed-point
-update sharpens one variance weight per atom; the surviving local maxima of
-the variance surface form the active set and calibrate the noise floor.
+come from the window's shape, and the surface's axes and peaks come from
+the grid and peak builders of :mod:`ddsounder.tfanalysis`, so every U-th
+delay bin and every Doppler bin is a bin of the same window's multitaper
+LSF.  A multiplicative fixed-point update sharpens one variance weight per
+atom; the surviving local maxima of the variance surface form the active set
+and calibrate the noise floor.
 
 No pass builds a covariance matrix or a full-length basis.  The dictionary
 is a Kronecker product of a Doppler DFT and an upsampled delay comb, so
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import ConfigError, _smooth_length
-from .tfanalysis import DelayDopplerGrid, Peak, PeakList, _ranked_maxima
+from .tfanalysis import DelayDopplerGrid, PeakList, _grid, _peak_list, _ranked_maxima
 
 __all__ = [
     "SparseModel",
@@ -58,8 +60,6 @@ class SparseModel:
 
     tone_count: int
     window_length: int
-    tone_spacing: float = 1.0
-    snapshot_time: float = 1.0
 
     def __post_init__(self):
         for name in ("tone_count", "window_length"):
@@ -68,22 +68,10 @@ class SparseModel:
                 raise ValueError(f"{name} must be a positive integer")
         if self.tone_count < 2 or self.window_length < 2:
             raise ValueError("model needs at least 2 tones and 2 snapshots")
-        if self.tone_spacing <= 0 or self.snapshot_time <= 0:
-            raise ValueError("grid spacings must be positive")
 
     @property
     def delay_bins(self) -> int:
         return _UPSAMPLING * self.tone_count
-
-    @property
-    def delay_axis(self) -> np.ndarray:
-        return np.arange(self.delay_bins) / (self.delay_bins * self.tone_spacing)
-
-    @property
-    def doppler_axis(self) -> np.ndarray:
-        """Centered physical Doppler axis (matches a shifted variance grid)."""
-        m = self.window_length
-        return (np.arange(m) - m // 2) / (m * self.snapshot_time)
 
     def delay_atoms(self) -> np.ndarray:
         """``(K, U*K)`` matrix of per-tone delay responses, unit columns."""
@@ -324,8 +312,9 @@ def sbl_fit(
     Raises
     ------
     ValueError
-        On non-finite input, an identically zero window, or a window with
-        fewer samples than the requested active set.
+        On non-finite input, an identically zero window, a window with
+        fewer samples than the requested active set, or a non-positive
+        spacing, each before the first pass.
     """
     if cfg is None:
         cfg = SBLConfig()
@@ -345,15 +334,14 @@ def sbl_fit(
             f"{cfg.active_set_size}"
         )
 
-    model = SparseModel(
-        tone_count=n_tones,
-        window_length=n_snapshots,
-        tone_spacing=tone_spacing,
-        snapshot_time=snapshot_time,
-    )
+    model = SparseModel(tone_count=n_tones, window_length=n_snapshots)
     atoms = model.delay_atoms()
 
     gamma = np.full((model.delay_bins, n_snapshots), _GAMMA_INIT)
+    # the returned surface, fftshift(gamma, axes=1), which every pass writes
+    # in place
+    grid = _grid(np.empty_like(gamma), tone_spacing, snapshot_time, window_start_time)
+    surface = grid.values
     noise_var = _NOISE_VAR_INIT
     # floor keeps the covariance blocks invertible on noise-free windows:
     # cond(Sigma) <= gamma_max/floor must stay well below 1/eps
@@ -375,8 +363,6 @@ def sbl_fit(
     residual_trace = np.empty(cfg.iterations)
     churn_trace = np.empty(cfg.iterations, dtype=int)
     work = _PassBuffers(n_tones, model.delay_bins, n_snapshots)
-    # the returned surface: fftshift(gamma, axes=1), written in place
-    surface = np.empty_like(gamma)
     center = n_snapshots // 2
     for it in range(cfg.iterations):
         filtered, self_response = _atom_responses(gamma, noise_var, spectrum, work)
@@ -415,23 +401,9 @@ def sbl_fit(
         noise_trace[it] = noise_var
         residual_trace[it] = residual_power
 
-    grid = DelayDopplerGrid(
-        values=surface,
-        delay_axis=model.delay_axis,
-        doppler_axis=model.doppler_axis,
-        window_start_time=window_start_time,
-    )
-    entries = [
-        Peak(
-            delay=float(grid.delay_axis[n]),
-            doppler=float(grid.doppler_axis[j]),
-            power=float(surface[n, j]),
-        )
-        for n, j in selected
-    ]
     return SBLResult(
         gamma=grid,
-        peaks=PeakList(entries=entries),
+        peaks=_peak_list(grid, selected),
         amplitudes=np.asarray(amplitudes),
         noise_var=float(noise_var),
         residual_power=residual_power,

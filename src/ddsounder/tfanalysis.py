@@ -6,6 +6,10 @@ forward DFT across snapshots, both unitary).  The local scattering function
 is the average periodogram over a small set of 2-D Slepian taper pairs; the
 Doppler spectral density is its delay marginal.  Both the transform and
 the LSF take the window's tone and snapshot counts from its shape.
+
+One private builder lays out every delay-Doppler grid (the transform's, the
+LSF's and the SBL variance surface) from its values' shape and the two
+spacings, and one turns the cells a peak picker chose into a ``PeakList``.
 """
 
 from __future__ import annotations
@@ -78,15 +82,38 @@ class PeakList:
         return len(self.entries)
 
 
-def _axes(
-    n_delay: int,
-    n_doppler: int,
+def _grid(
+    values: np.ndarray,
     tone_spacing: float,
     snapshot_time: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    delay = np.arange(n_delay) / (n_delay * tone_spacing)
-    doppler = (np.arange(n_doppler) - n_doppler // 2) / (n_doppler * snapshot_time)
-    return delay, doppler
+    window_start_time: float,
+) -> DelayDopplerGrid:
+    """``values`` (delay rows from zero by centered Doppler columns) on the
+    axes that their shape and the two spacings fix; ``ValueError`` if a
+    spacing is not positive."""
+    if tone_spacing <= 0 or snapshot_time <= 0:
+        raise ValueError("grid spacings must be positive")
+    n_delay, n_doppler = values.shape
+    return DelayDopplerGrid(
+        values=values,
+        delay_axis=np.arange(n_delay) / (n_delay * tone_spacing),
+        doppler_axis=(np.arange(n_doppler) - n_doppler // 2) / (n_doppler * snapshot_time),
+        window_start_time=window_start_time,
+    )
+
+
+def _peak_list(grid: DelayDopplerGrid, cells) -> PeakList:
+    """The ``(row, column)`` cells of ``grid``, in their order, as peaks."""
+    return PeakList(
+        entries=[
+            Peak(
+                delay=float(grid.delay_axis[r]),
+                doppler=float(grid.doppler_axis[c]),
+                power=float(grid.values[r, c]),
+            )
+            for r, c in cells
+        ]
+    )
 
 
 def sfft(
@@ -115,13 +142,7 @@ def sfft(
     n_tones, n_snapshots = h.shape
     delay_side = np.fft.ifft(h, axis=0) * np.sqrt(n_tones)
     s = np.fft.fft(delay_side, axis=1) / np.sqrt(n_snapshots)
-    delay, doppler = _axes(n_tones, n_snapshots, tone_spacing, snapshot_time)
-    return DelayDopplerGrid(
-        values=np.fft.fftshift(s, axes=1),
-        delay_axis=delay,
-        doppler_axis=doppler,
-        window_start_time=window_start_time,
-    )
+    return _grid(np.fft.fftshift(s, axes=1), tone_spacing, snapshot_time, window_start_time)
 
 
 def isfft(grid: DelayDopplerGrid) -> np.ndarray:
@@ -210,13 +231,7 @@ def lsf_estimate(
             tapered = h * np.outer(u_freq, u_time)
             accum += np.abs(sfft(tapered).values) ** 2
     accum /= _TAPERS**2
-    delay, doppler = _axes(n_tones, n_snapshots, tone_spacing, snapshot_time)
-    return DelayDopplerGrid(
-        values=accum,
-        delay_axis=delay,
-        doppler_axis=doppler,
-        window_start_time=window_start_time,
-    )
+    return _grid(accum, tone_spacing, snapshot_time, window_start_time)
 
 
 def dsd(grid: DelayDopplerGrid) -> np.ndarray:
@@ -284,16 +299,7 @@ def top_peaks_2d(grid: DelayDopplerGrid, count: int) -> PeakList:
     smaller absolute Doppler.  Plateaus have no strict maximum, so a constant
     surface yields an empty list; fewer maxima than requested returns all.
     """
-    values = np.asarray(grid.values)
     rows, cols = _ranked_maxima(
-        values, count, grid.delay_axis, np.abs(grid.doppler_axis)
+        grid.values, count, grid.delay_axis, np.abs(grid.doppler_axis)
     )
-    entries = [
-        Peak(
-            delay=float(grid.delay_axis[r]),
-            doppler=float(grid.doppler_axis[c]),
-            power=float(values[r, c]),
-        )
-        for r, c in zip(rows, cols)
-    ]
-    return PeakList(entries=entries)
+    return _peak_list(grid, zip(rows, cols))

@@ -5,7 +5,6 @@ full-length scenario statistics live in the acceptance suite.  Exit codes:
 0 success, 1 validation, 2 I/O, 3 numerical.
 """
 
-import ctypes
 import dataclasses
 import json
 import multiprocessing
@@ -13,6 +12,7 @@ import os
 import shutil
 import struct
 import tempfile
+import textwrap
 import time
 import tracemalloc
 
@@ -27,7 +27,13 @@ from ddsounder import manifest
 from ddsounder.channel import _record_length, default_scenario
 from ddsounder.cli import main
 from ddsounder.manifest import RunManifest
-from ddsounder.params import ConfigError, SounderConfig, narrowband_config, validate_config
+from ddsounder.params import (
+    ConfigError,
+    SounderConfig,
+    default_config,
+    narrowband_config,
+    validate_config,
+)
 from ddsounder.waveform import SampledSignal
 
 
@@ -812,35 +818,86 @@ class TestSimulatePool:
         assert messages[2] == messages[1] == "numerical failure: delay slopes must be finite\n"
         assert multiprocessing.active_children() == []
 
-    @staticmethod
-    def _blas_threads():
-        """The thread count of each OpenBLAS loaded in this process."""
-        counts = []
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-        for path in paths:
-            library = ctypes.CDLL(path)
-            for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                         "openblas_get_num_threads64_", "openblas_get_num_threads"):
-                if hasattr(library, name):
-                    getattr(library, name).restype = ctypes.c_int
-                    counts.append(getattr(library, name)())
-                    break
-        return counts
+    def test_full_scale_run_all_does_not_depend_on_the_cpu_count(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """At the 100 MHz design a stage on the machine's OpenBLAS thread
+        count rounds its matrix products otherwise than one on one thread.
+        ``main`` runs every stage, in its own process or on a forked worker,
+        on one thread, so a 0.05 s drive writes the same bytes on one CPU
+        (every stage in this process) and on two (simulate and analyze on
+        workers)."""
+        cfg_path, scn_path = str(tmp_path / "config.ini"), str(tmp_path / "scenario.ini")
+        ddio.save_sounder_config(cfg_path, default_config())
+        ddio.save_scenario(scn_path, default_scenario(duration=0.05))
+        files = {}
+        for cpus in (1, 2):
+            self._cpus(monkeypatch, cpus)
+            out = str(tmp_path / f"cpus{cpus}")
+            argv = ["run-all", "--config", cfg_path, "--scenario", scn_path,
+                    "--seed", "42", "--window-length", "100", "--out-dir", out]
+            assert main(argv) == 0
+            assert f"on {cpus} worker" in capsys.readouterr().out
+            files[cpus] = self._files(out)
+            del files[cpus]["manifest.json"]
+        assert len(files[1]) == 31
+        assert files[2] == files[1]
+        assert multiprocessing.active_children() == []
 
-    def test_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
-        """Each worker runs every OpenBLAS on one thread; this process keeps
-        its own counts."""
-        own = self._blas_threads()
-        if not own:
+    def test_workers_run_one_blas_thread(self, tmp_path):
+        """In a fresh interpreter, ``main`` leaves every loaded OpenBLAS on
+        one thread before its stage runs, and a job forked from the stage
+        inherits that count."""
+        import subprocess
+        import sys
+
+        import ddsounder
+
+        code = textwrap.dedent(
+            """
+            import ctypes, json, os
+            from ddsounder import cli
+
+            def blas_threads():
+                counts = []
+                with open("/proc/self/maps") as fh:
+                    paths = sorted({line.split()[-1] for line in fh
+                                    if "openblas" in line.lower()})
+                for path in paths:
+                    library = ctypes.CDLL(path)
+                    for name in ("scipy_openblas_get_num_threads64_",
+                                 "scipy_openblas_get_num_threads",
+                                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                        if hasattr(library, name):
+                            getattr(library, name).restype = ctypes.c_int
+                            counts.append(getattr(library, name)())
+                            break
+                return counts
+
+            def stage(cfg, out_dir):
+                os.sched_getaffinity = lambda pid: {0, 1}
+                with cli._fork_map("plan", ".", [(blas_threads,)] * 2) as (results, workers):
+                    print(json.dumps({"process": blas_threads(), "jobs": list(results),
+                                      "workers": workers}))
+                return True, []
+
+            cli._stage_plan = stage
+            cli.main(["plan"])
+            """
+        )
+        src = os.path.dirname(os.path.dirname(ddsounder.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        )
+        seen = json.loads(done.stdout)
+        if not seen["process"]:
             pytest.skip("no OpenBLAS loaded")
-        self._cpus(monkeypatch, 2)
-        jobs = [(self._blas_threads,)] * 4
-        with cli._fork_map("simulate", str(tmp_path), jobs) as (results, workers):
-            counts = list(results)
-        assert workers == 2
-        assert counts == [[1] * len(own)] * 4
-        assert self._blas_threads() == own
+        one = [1] * len(seen["process"])
+        assert seen["workers"] == 2
+        assert seen["process"] == one
+        assert seen["jobs"] == [one, one]
 
     def test_dead_worker_is_io_error_naming_simulate(self, tmp_path, monkeypatch, capsys):
         """The first group kills its worker while the other worker waits

@@ -1,20 +1,42 @@
-"""The README's library examples run as written.
+"""The README's library examples run as written, and its tables follow the code.
 
 Each ```python block of ``README.md`` runs in a fresh namespace with a
 temporary directory as the working directory, so an example that names a
 function the package no longer has, or passes it the wrong arguments, fails
-here.
+here.  The ``[sounder]``, ``[scenario]`` and plan-check tables list, in
+order, the fields, keywords and checks that the code has.
 """
 
+import dataclasses
+import inspect
 import os
 import re
 
 import pytest
 
+from ddsounder.channel import default_scenario
+from ddsounder.params import SounderConfig, default_config, validate_config
+
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 with open(README) as fh:
-    BLOCKS = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    TEXT = fh.read()
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", TEXT, re.M | re.S)
+
+
+def _first_column(marker):
+    """The backticked first cells of the first table at or after the first
+    line that starts with ``marker``."""
+    lines = TEXT.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(marker))
+    while not lines[start].startswith("|"):
+        start += 1
+    names = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        names += re.findall(r"^\| `(\w+)` \|", line)
+    return names
 
 
 def test_readme_has_python_examples():
@@ -25,3 +47,22 @@ def test_readme_has_python_examples():
 def test_readme_example_runs(index, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_sounder_table_lists_the_config_fields():
+    fields = [f.name for f in dataclasses.fields(SounderConfig)]
+    assert _first_column("### `[sounder]`") == fields
+
+
+def test_scenario_table_lists_the_scenario_keywords():
+    keywords = [
+        name
+        for name, parameter in inspect.signature(default_scenario).parameters.items()
+        if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+    ]
+    assert _first_column("### `[scenario]`") == keywords
+
+
+def test_check_table_lists_the_plan_checks():
+    checks = [check.name for check in validate_config(default_config()).checks]
+    assert _first_column("| check |") == checks

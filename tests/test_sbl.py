@@ -7,6 +7,7 @@ super-resolution statistics live in the acceptance suite.
 import numpy as np
 import pytest
 
+from ddsounder import sbl
 from ddsounder.params import ConfigError
 from ddsounder.sbl import (
     _GAMMA_INIT,
@@ -109,18 +110,13 @@ class TestSparseModel:
         np.testing.assert_allclose(model.column(17, 5), expected, atol=1e-12)
 
     def test_axes(self):
-        m = SparseModel(K, M, tone_spacing=47619.0, snapshot_time=168e-6)
-        assert m.delay_bins == U * K
-        assert m.delay_axis[1] == pytest.approx(1 / (U * K * 47619.0))
-        assert m.doppler_axis[M // 2] == 0.0
-        assert m.doppler_axis[0] == pytest.approx(-(M // 2) / (M * 168e-6))
+        assert SparseModel(K, M).delay_bins == U * K
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"tone_count": 1, "window_length": M},
             {"tone_count": K, "window_length": 0},
-            {"tone_count": K, "window_length": M, "tone_spacing": -1.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -227,6 +223,7 @@ class TestSblFit:
         assert grid.values.shape == (U * K, M)
         assert grid.delay_axis[1] == pytest.approx(1 / (U * K * 47619.0))
         assert grid.doppler_axis[M // 2] == 0.0
+        assert grid.doppler_axis[0] == pytest.approx(-(M // 2) / (M * 168e-6))
 
     def test_runs_configured_iterations(self):
         h = np.ones((K, M), complex)
@@ -245,6 +242,17 @@ class TestSblFit:
     def test_input_guards(self, window, err):
         with pytest.raises(ValueError, match=err):
             sbl_fit(window)
+
+    @pytest.mark.parametrize(
+        "spacings", [{"tone_spacing": -1.0}, {"snapshot_time": 0.0}]
+    )
+    def test_non_positive_spacing_rejected_before_any_pass(self, monkeypatch, spacings):
+        def no_pass(*args):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(sbl, "_atom_responses", no_pass)
+        with pytest.raises(ValueError, match="spacings must be positive"):
+            sbl_fit(np.ones((K, M), complex), **spacings)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

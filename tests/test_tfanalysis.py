@@ -323,3 +323,7 @@ class TestGridType:
             DelayDopplerGrid(np.ones((3, 4)), np.arange(5.0), np.arange(4.0))
         with pytest.raises(ValueError):
             DelayDopplerGrid(np.ones(4), np.arange(4.0), np.arange(4.0))
+        for transform in (sfft, lsf_estimate):
+            for spacings in ({"tone_spacing": 0.0}, {"snapshot_time": -1.0}):
+                with pytest.raises(ValueError, match="spacings must be positive"):
+                    transform(np.ones((21, 32), complex), **spacings)
