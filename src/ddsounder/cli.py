@@ -98,8 +98,8 @@ def _resolve_configs(args):
 
 
 def _waveforms(cfg):
-    plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
-    return plans, [multitone_waveform(cfg, plan) for plan in plans]
+    """One TX period of each TX's multitone waveform."""
+    return [multitone_waveform(cfg, tone_plan(cfg, tx)) for tx in range(cfg.tx_count)]
 
 
 # -- stages -------------------------------------------------------------------
@@ -187,7 +187,7 @@ def _stage_simulate(cfg, scenario, seed: int, out_dir: str) -> tuple[list[str], 
     ddio.save_sounder_config(os.path.join(out_dir, _CONFIG), cfg)
     ddio.save_scenario(os.path.join(out_dir, _SCENARIO), scenario)
 
-    _, signals = _waveforms(cfg)
+    signals = _waveforms(cfg)
     record = _RecordGroups(signals, scenario, cfg, seed)
     still = _RecordGroups(signals, _parked(scenario), cfg, _derived_seed(seed, "standstill"))
     q_count = record.length // cfg.samples_per_snapshot

@@ -354,7 +354,27 @@ def read_surface(path: str) -> tuple[DelayDopplerGrid, int]:
     return grid, int(seed)
 
 
-# -- CSV columns --------------------------------------------------------------
+# -- text files ---------------------------------------------------------------
+
+
+def _text(path: str, error: type[Exception] = FileFormatError, newline: str | None = None):
+    """``path``'s UTF-8 text as a stream that reads as :func:`open` with
+    ``newline`` would; ``error`` naming ``path`` if the bytes are not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return _stdio.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _read_json(path: str):
+    """The JSON value in ``path``; ``FileFormatError`` naming ``path`` if its
+    bytes are not UTF-8 JSON (or hold an integer too long to convert)."""
+    try:
+        return json.load(_text(path))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def _format_float(x: float) -> str:
@@ -381,7 +401,7 @@ def _write_rows(path, header, row_format, batches) -> None:
 
 
 def _read_two_column_csv(path, header):
-    with open(path, newline="") as fh:
+    with _text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader)
@@ -477,11 +497,7 @@ def write_peaks_json(
 
 
 def read_peaks_json(path: str) -> tuple[PeakList, dict]:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: {exc}") from None
+    obj = _read_json(path)
     try:
         entries = [
             Peak(
@@ -491,7 +507,7 @@ def read_peaks_json(path: str) -> tuple[PeakList, dict]:
             )
             for p in obj["peaks"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: malformed peak list ({exc})") from None
     return PeakList(entries=entries), obj
 
@@ -513,8 +529,7 @@ def _read_ini(path: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        with open(path) as fh:
-            parser.read_file(fh, source=path)
+        parser.read_file(_text(path, ConfigError), source=path)
     except configparser.Error as exc:
         # configparser already embeds the source name and line number
         raise ConfigError(str(exc)) from None

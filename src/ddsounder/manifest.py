@@ -90,13 +90,9 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":
-        from .io import FileFormatError
+        from .io import FileFormatError, _read_json
 
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(f"{path}: {exc}") from None
+        obj = _read_json(path)
         try:
             stages = [
                 StageRecord(
@@ -113,5 +109,5 @@ class RunManifest:
                 config_paths=list(obj["config_paths"]),
                 stages=stages,
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FileFormatError(f"{path}: malformed manifest ({exc})") from None

@@ -8,7 +8,9 @@ the grid and peak builders of :mod:`ddsounder.tfanalysis`, so every U-th
 delay bin and every Doppler bin is a bin of the same window's multitaper
 LSF.  A multiplicative fixed-point update sharpens one variance weight per
 atom; the surviving local maxima of the variance surface form the active set
-and calibrate the noise floor.
+and calibrate the noise floor.  The active set is picked by the ranking that
+orders the LSF's peaks (:func:`ddsounder.tfanalysis.top_peaks_2d`), so the
+two peak lists are ordered by one rule.
 
 No pass builds a covariance matrix or a full-length basis.  The dictionary
 is a Kronecker product of a Doppler DFT and an upsampled delay comb, so
@@ -36,7 +38,6 @@ __all__ = [
     "SparseModel",
     "SBLConfig",
     "SBLResult",
-    "peak_select_2d",
     "sbl_fit",
 ]
 
@@ -87,15 +88,11 @@ class SparseModel:
             raise ValueError("delay index out of range")
         if not 0 <= doppler_index < self.window_length:
             raise ValueError("Doppler index out of range")
-        k = np.arange(self.tone_count)
         l = np.arange(self.window_length)
-        g = np.exp(-2j * np.pi * k * delay_index / self.delay_bins) / np.sqrt(
-            self.tone_count
-        )
         b = np.exp(2j * np.pi * l * doppler_index / self.window_length) / np.sqrt(
             self.window_length
         )
-        return np.outer(b, g).ravel()
+        return np.outer(b, self.delay_atoms()[:, delay_index]).ravel()
 
 
 # Every fit starts from a flat variance surface and this noise variance.
@@ -144,23 +141,6 @@ class SBLResult:
     noise_var_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
     residual_power_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
     churn_trace: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-
-
-def peak_select_2d(values: np.ndarray, count: int) -> list[tuple[int, int]]:
-    """Row/column indices of the largest strict 2-D local maxima.
-
-    Same ordering contract as :func:`ddsounder.tfanalysis.top_peaks_2d`;
-    column tie-breaks treat the middle column as zero offset (centered
-    grids), preferring the smaller absolute offset.
-    """
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise ValueError("expected a 2-D surface")
-    rows, cols = values.shape
-    picked_rows, picked_cols = _ranked_maxima(
-        values, count, np.arange(rows), np.abs(np.arange(cols) - cols // 2)
-    )
-    return [(int(r), int(c)) for r, c in zip(picked_rows, picked_cols)]
 
 
 def _levinson(col: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,7 +354,7 @@ def sbl_fit(
         surface[:, center:] = gamma[:, : n_snapshots - center]
         surface[:, :center] = gamma[:, n_snapshots - center :]
         previous = set(selected)
-        selected = peak_select_2d(surface, cfg.active_set_size)
+        selected = _ranked_maxima(grid, cfg.active_set_size)
         churn_trace[it] = len(set(selected) - previous)
         if selected:
             delays = [n for n, _ in selected]

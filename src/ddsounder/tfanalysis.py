@@ -9,7 +9,9 @@ the LSF take the window's tone and snapshot counts from its shape.
 
 One private builder lays out every delay-Doppler grid (the transform's, the
 LSF's and the SBL variance surface) from its values' shape and the two
-spacings, and one turns the cells a peak picker chose into a ``PeakList``.
+spacings, one ranking picks the largest local maxima of any such grid (the
+LSF's peaks and SBL's active set), and one turns the picked cells into a
+``PeakList``.
 """
 
 from __future__ import annotations
@@ -262,18 +264,14 @@ def _strict_local_maxima(values: np.ndarray) -> np.ndarray:
     return mask.reshape(rows, stride)[:, :cols]
 
 
-def _ranked_maxima(
-    values: np.ndarray,
-    count: int,
-    delay_key: np.ndarray,
-    doppler_key: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the ``count`` largest strict local maxima.
+def _ranked_maxima(grid: DelayDopplerGrid, count: int) -> list[tuple[int, int]]:
+    """``(row, column)`` cells of the ``count`` largest strict local maxima.
 
-    Orders by descending value, then ascending ``delay_key[row]``, then
-    ascending ``doppler_key[col]``; the sort is stable, so exact ties on all
-    three keep row-major order.
+    Orders by descending value, then ascending delay, then ascending
+    absolute Doppler; the sort is stable, so exact ties on all three keep
+    row-major order.
     """
+    values = grid.values
     if count < 0:
         raise ValueError("count must be non-negative")
     if np.iscomplexobj(values):
@@ -287,9 +285,9 @@ def _ranked_maxima(
         cut = np.partition(peaks, peaks.size - count)[peaks.size - count]
         keep = peaks >= cut
         rows, cols, peaks = rows[keep], cols[keep], peaks[keep]
-    order = np.lexsort((doppler_key[cols], delay_key[rows], -peaks))
+    order = np.lexsort((np.abs(grid.doppler_axis[cols]), grid.delay_axis[rows], -peaks))
     keep = order[:count]
-    return rows[keep], cols[keep]
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
 def top_peaks_2d(grid: DelayDopplerGrid, count: int) -> PeakList:
@@ -299,7 +297,4 @@ def top_peaks_2d(grid: DelayDopplerGrid, count: int) -> PeakList:
     smaller absolute Doppler.  Plateaus have no strict maximum, so a constant
     surface yields an empty list; fewer maxima than requested returns all.
     """
-    rows, cols = _ranked_maxima(
-        grid.values, count, grid.delay_axis, np.abs(grid.doppler_axis)
-    )
-    return _peak_list(grid, zip(rows, cols))
+    return _peak_list(grid, _ranked_maxima(grid, count))

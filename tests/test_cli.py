@@ -258,6 +258,23 @@ class TestStages:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["plan", "simulate", "process"])
+    def test_ini_not_utf8_exits_1_naming_the_file(self, tmp_path, capsys, command):
+        """An INI file that is not UTF-8 is a validation failure that names
+        the file, not a numerical failure."""
+        name = "scenario.ini" if command == "simulate" else "config.ini"
+        bad = tmp_path / name
+        ddio.save_sounder_config(str(tmp_path / "config.ini"), narrowband_config())
+        ddio.save_scenario(str(tmp_path / "scenario.ini"), default_scenario())
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        argv = {
+            "plan": ["plan", "--config", str(bad)],
+            "simulate": ["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path / "x")],
+            "process": ["process", "--out-dir", str(tmp_path)],
+        }[command]
+        assert main(argv) == 1
+        assert f"{name}: not UTF-8 text" in capsys.readouterr().err
+
     def test_noise_blocks_are_keyed_philox_draws(self, tmp_path, monkeypatch):
         """With silent TXs and no CFO, snapshot block b of the record is the
         start of ``Generator(Philox(key=[seed, b]))``'s standard normals, bit
@@ -271,8 +288,7 @@ class TestStages:
         waveforms = cli._waveforms
 
         def silent(cfg):
-            plans, signals = waveforms(cfg)
-            return plans, [SampledSignal(0 * s.samples, s.sample_rate) for s in signals]
+            return [SampledSignal(0 * s.samples, s.sample_rate) for s in waveforms(cfg)]
 
         monkeypatch.setattr(cli, "_waveforms", silent)
         out = tmp_path / "sim"
@@ -726,7 +742,7 @@ class TestSimulatePool:
         scenario = default_scenario(
             duration=0.2, beam_elevation_deg=[7.5 * tx for tx in range(tx_count)]
         )
-        record = channel._RecordGroups(cli._waveforms(cfg)[1], scenario, cfg, 0)
+        record = channel._RecordGroups(cli._waveforms(cfg), scenario, cfg, 0)
         assert len(record.groups) == 3 and record.length % cfg.samples_per_snapshot
         cfg_path, scn_path = os.path.join(root, "config.ini"), os.path.join(root, "scenario.ini")
         ddio.save_sounder_config(cfg_path, cfg)
@@ -773,7 +789,7 @@ class TestSimulatePool:
         cfg = narrowband_config()
         scenario = default_scenario(duration=0.1, standstill_duration=0.2)
         parked = cli._parked(scenario)
-        signals = cli._waveforms(cfg)[1]
+        signals = cli._waveforms(cfg)
         still = channel._RecordGroups(signals, parked, cfg, 0)
         assert len(still.groups) == 3 and still.length % cfg.samples_per_snapshot
         files = {}

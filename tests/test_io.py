@@ -374,6 +374,13 @@ class TestCsv:
         with pytest.raises(FileFormatError, match="empty"):
             read_snr_csv(path)
 
+    @pytest.mark.parametrize("read", [read_snr_csv, read_dsd_csv])
+    def test_bytes_not_utf8_named(self, tmp_path, read):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"time_s,snr_db\n0.0,1.0\n\xff,2.0\n")
+        with pytest.raises(FileFormatError, match=r"x\.csv: not UTF-8"):
+            read(str(path))
+
 
 class TestPathsCsv:
     def test_byte_fixture(self, tmp_path):
@@ -445,6 +452,22 @@ class TestPeaksJson:
         with pytest.raises(FileFormatError, match="malformed"):
             read_peaks_json(path)
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b'\xff{"peaks": []}',
+            b'{"peaks": [{"delay_s": "abc", "doppler_hz": 0.0, "power": 1.0}]}',
+            b'{"peaks": [{"delay_s": 1' + b"0" * 400 + b', "doppler_hz": 0.0, "power": 1.0}]}',
+            b'{"peaks": [{"delay_s": 1' + b"0" * 5000 + b', "doppler_hz": 0.0, "power": 1.0}]}',
+        ],
+        ids=["not-utf8", "text-delay", "delay-beyond-float", "delay-beyond-int-digits"],
+    )
+    def test_unreadable_file_named(self, tmp_path, blob):
+        path = tmp_path / "p.json"
+        path.write_bytes(blob)
+        with pytest.raises(FileFormatError, match=r"p\.json: "):
+            read_peaks_json(str(path))
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         write_peaks_json(a, self._peaks(), extra={"z": 1, "a": 2})
@@ -500,6 +523,13 @@ class TestSounderConfigIni:
             fh.write("[sounder]\nkey_without_value\n")
         with pytest.raises(ConfigError, match="line"):
             load_sounder_config(path)
+
+    @pytest.mark.parametrize("load", [load_sounder_config, load_scenario])
+    def test_bytes_not_utf8_named(self, tmp_path, load):
+        path = tmp_path / "x.ini"
+        path.write_bytes(b"\xff[sounder]\n")
+        with pytest.raises(ConfigError, match=r"x\.ini: not UTF-8"):
+            load(str(path))
 
     def test_missing_section(self, tmp_path):
         path = str(tmp_path / "config.ini")

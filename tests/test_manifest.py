@@ -91,6 +91,23 @@ class TestSerialization:
         with pytest.raises(FileFormatError):
             RunManifest.load(str(path))
 
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            (b"{", b"\xff{"),
+            (b'"seed": 42', b'"seed": "x"'),
+            (b'"wall_clock_s": 1.0', b'"wall_clock_s": "slow"'),
+        ],
+        ids=["not-utf8", "seed", "wall-clock"],
+    )
+    def test_load_names_the_bad_file(self, tree, tmp_path, old, new):
+        path = tmp_path / "manifest.json"
+        text = _chain(tree).to_json().encode()
+        assert old in text
+        path.write_bytes(text.replace(old, new, 1))
+        with pytest.raises(FileFormatError, match=r"manifest\.json: "):
+            RunManifest.load(str(path))
+
     def test_stage_order_preserved(self, tree):
         m = _chain(tree)
         names = [s.name for s in m.stages]

@@ -1,12 +1,16 @@
-"""The README's library examples run as written, and its tables follow the code.
+"""The README's library examples run as written, and its tables and CLI
+usage follow the code.
 
 Each ```python block of ``README.md`` runs in a fresh namespace with a
 temporary directory as the working directory, so an example that names a
 function the package no longer has, or passes it the wrong arguments, fails
 here.  The ``[sounder]``, ``[scenario]`` and plan-check tables list, in
-order, the fields, keywords and checks that the code has.
+order, the fields, keywords and checks that the code has, and each
+``ddsounder <command>`` line of the CLI block names that command's flags and
+shows their defaults.
 """
 
+import argparse
 import dataclasses
 import inspect
 import os
@@ -14,6 +18,7 @@ import re
 
 import pytest
 
+from ddsounder import cli
 from ddsounder.channel import default_scenario
 from ddsounder.params import SounderConfig, default_config, validate_config
 
@@ -66,3 +71,46 @@ def test_scenario_table_lists_the_scenario_keywords():
 def test_check_table_lists_the_plan_checks():
     checks = [check.name for check in validate_config(default_config()).checks]
     assert _first_column("| check |") == checks
+
+
+def _cli_usage():
+    """Each ``ddsounder <command>`` line of the CLI ``sh`` block, by command."""
+    (block,) = [
+        b for b in re.findall(r"^```sh\n(.*?)^```$", TEXT, re.M | re.S) if "ddsounder plan" in b
+    ]
+    return {line.split()[1]: line for line in block.splitlines() if line.startswith("ddsounder ")}
+
+
+def _subparsers():
+    (commands,) = [
+        a.choices for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return commands
+
+
+def _flags(parser):
+    return {s for a in parser._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+
+
+def test_cli_usage_names_every_flag():
+    usage, commands = _cli_usage(), _subparsers()
+    assert sorted(usage) == sorted(commands)
+    for command, line in usage.items():
+        named = set(re.findall(r"--[\w-]+", line.split("#")[0]))
+        if "plus analyze flags" in line:
+            named |= _flags(commands["analyze"])
+        assert named == _flags(commands[command]), command
+
+
+def test_cli_usage_shows_the_parser_defaults():
+    commands = _subparsers()
+    shown = [
+        (command, flag, int(value))
+        for command, line in _cli_usage().items()
+        for flag, value in re.findall(r"\[(--[\w-]+) (\d+)\]", line)
+    ]
+    assert [flag for _, flag, _ in shown] == [
+        "--window-length", "--sbl-iters", "--peaks", "--seed"
+    ]
+    for command, flag, value in shown:
+        assert commands[command].get_default(flag[2:].replace("-", "_")) == value, flag

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ddsounder import sbl
+from ddsounder.channel import default_scenario, transfer_function
 from ddsounder.params import ConfigError
 from ddsounder.sbl import (
     _GAMMA_INIT,
@@ -16,9 +17,10 @@ from ddsounder.sbl import (
     SBLConfig,
     SparseModel,
     _levinson,
-    peak_select_2d,
     sbl_fit,
 )
+from ddsounder.tfanalysis import _grid, _ranked_maxima, top_peaks_2d
+from ddsounder.waveform import tone_plan
 
 K, M, U = 21, 32, _UPSAMPLING
 
@@ -76,7 +78,7 @@ def _reference_fit(h, cfg):
     for _ in range(cfg.iterations):
         gamma = _dense_gamma_update(atoms, gamma, noise_var, h_hat)
         surface = np.fft.fftshift(gamma.T, axes=1)
-        selected = peak_select_2d(surface, cfg.active_set_size)
+        selected = _ranked_maxima(_grid(surface, 1.0, 1.0, 0.0), cfg.active_set_size)
         basis = np.stack(
             [
                 model.column(n, (j - n_snapshots // 2) % n_snapshots)
@@ -135,7 +137,7 @@ class TestPeakSelect:
         values = np.zeros((6, 8))
         values[2, 3] = 4.0
         values[4, 6] = 9.0
-        assert peak_select_2d(values, 5) == [(4, 6), (2, 3)]
+        assert _ranked_maxima(_grid(values, 1.0, 1.0, 0.0), 5) == [(4, 6), (2, 3)]
 
     def test_tie_prefers_center_column(self):
         # equal peaks symmetric around the center column: the one closer
@@ -143,12 +145,8 @@ class TestPeakSelect:
         values = np.zeros((5, 8))
         values[2, 3] = 1.0
         values[2, 6] = 1.0
-        first = peak_select_2d(values, 1)[0]
+        first = _ranked_maxima(_grid(values, 1.0, 1.0, 0.0), 1)[0]
         assert first == (2, 3)  # offset -1 beats offset +2
-
-    def test_non_2d_rejected(self):
-        with pytest.raises(ValueError):
-            peak_select_2d(np.zeros(5), 1)
 
 
 class TestSblFit:
@@ -224,6 +222,26 @@ class TestSblFit:
         assert grid.delay_axis[1] == pytest.approx(1 / (U * K * 47619.0))
         assert grid.doppler_axis[M // 2] == 0.0
         assert grid.doppler_axis[0] == pytest.approx(-(M // 2) / (M * 168e-6))
+
+    @pytest.mark.parametrize("window", ["pass-by", "noise"])
+    def test_active_set_is_the_ranked_peaks_of_gamma(self, narrowband, window):
+        """The fit's peaks are ``top_peaks_2d`` of its own variance surface:
+        SBL and the LSF rank their surfaces by one rule."""
+        shape = (narrowband.tone_count, 64)
+        rng = np.random.default_rng(302)
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if window == "pass-by":
+            times = 2.5 + np.arange(64) * narrowband.snapshot_time
+            plan = tone_plan(narrowband, 0)
+            h = transfer_function(default_scenario(), narrowband, plan, times).T
+            h = h + 0.1 * np.sqrt(np.mean(np.abs(h) ** 2) / 2) * noise
+            cfg = SBLConfig()
+        else:
+            h, cfg = noise, SBLConfig(iterations=1)
+        spacings = (narrowband.tone_spacing, narrowband.snapshot_time)
+        fit = sbl_fit(h, *spacings, cfg=cfg)
+        assert fit.peaks.count == cfg.active_set_size
+        assert fit.peaks.entries == top_peaks_2d(fit.gamma, cfg.active_set_size).entries
 
     def test_runs_configured_iterations(self):
         h = np.ones((K, M), complex)

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from ddsounder.params import ConfigError
-from ddsounder.sbl import _UPSAMPLING, peak_select_2d, sbl_fit
+from ddsounder.sbl import _UPSAMPLING, sbl_fit
 from ddsounder.tfanalysis import (
     DelayDopplerGrid,
+    _grid,
+    _ranked_maxima,
     dpss_tapers,
     dsd,
     isfft,
@@ -308,8 +310,9 @@ class TestDsdAndPeaks:
         maxima = _strict_maxima(values)
         oracle = sorted(maxima, key=lambda ij: (-values[ij], ij[0], abs(ij[1] - 180)))
         assert len(oracle) > 500
+        grid = _grid(values, 1.0, 1.0, 0.0)
         for count in range(1, len(maxima) + 2):
-            assert peak_select_2d(values, count) == oracle[:count]
+            assert _ranked_maxima(grid, count) == oracle[:count]
 
     def test_complex_values_rejected(self):
         grid = sfft(np.ones((3, 4), complex))
