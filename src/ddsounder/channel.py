@@ -58,7 +58,8 @@ class BeamPattern:
     """Gaussian main-lobe horn: gain rolls off 3 dB at half the beamwidth.
 
     ``gain(psi) = gain_dbi - 3 (psi / (beamwidth/2))^2`` clipped at
-    ``floor_dbi``, with ``psi`` the great-circle offset from boresight.
+    ``floor_dbi``, with ``psi`` the great-circle offset from boresight.  The
+    boresight points in the street frame, as :func:`horn_gain` measures.
     """
 
     boresight_elevation_deg: float = 0.0
@@ -113,7 +114,7 @@ class PlanarReflector:
 class ScenarioConfig:
     """Drive-by measurement geometry and impairments.
 
-    Coordinates: x along the street (driving direction), y across it, z up;
+    Coordinates (the street frame): x along the street, y across it, z up;
     units are meters, seconds, Hz.  ``noise_psd`` is the one-sided complex
     noise power spectral density on a linear scale (total noise power is
     ``noise_psd * sample_rate``).
@@ -199,9 +200,10 @@ def default_scenario(
     builds its street here too.  The car starts where the slant range to the
     receiver is the trigger distance (the light barrier), driving along the
     horizontal ``tx_velocity``.  One horn per elevation, all with the same
-    gain, width and floor.  The street reflection departs below the horizon,
-    so the up-tilted beam suppresses it far more than the horizontal beam;
-    the truck's canvas side (y = 4 m) is lossier than the building walls.
+    gain, width and floor, each pointing along ``tx_velocity`` in the street
+    frame.  The street reflection departs below the horizon, so the
+    up-tilted beam suppresses it far more than the horizontal beam; the
+    truck's canvas side (y = 4 m) is lossier than the building walls.
     """
     # every argument but the two flags is numeric
     _require_finite(**{k: v for k, v in locals().items() if k not in ("truck", "ground")})
@@ -241,6 +243,7 @@ def default_scenario(
     beams = [
         BeamPattern(
             boresight_elevation_deg=elevation,
+            boresight_azimuth_deg=math.degrees(math.atan2(velocity[1], velocity[0])),
             gain_dbi=beam_gain_dbi,
             beamwidth_3db_deg=beam_width_deg,
             floor_dbi=beam_floor_dbi,
@@ -275,8 +278,8 @@ def tx_position(scenario: ScenarioConfig, t: float) -> np.ndarray:
 def horn_gain(beam: BeamPattern, azimuth_deg: float, elevation_deg: float) -> float:
     """Directive gain (dBi) toward the given departure direction.
 
-    Azimuth is measured in the horizontal plane from the driving direction,
-    elevation from the horizon.  Array arguments broadcast against each other.
+    Azimuth is measured in the street frame from +x toward +y, elevation
+    from the horizon.  Array arguments broadcast against each other.
     """
     el = np.radians(elevation_deg)
     el0 = math.radians(beam.boresight_elevation_deg)
@@ -285,13 +288,6 @@ def horn_gain(beam: BeamPattern, azimuth_deg: float, elevation_deg: float) -> fl
     psi = np.degrees(np.arccos(np.clip(cos_psi, -1.0, 1.0)))
     gain = beam.gain_dbi - 3.0 * (psi / (beam.beamwidth_3db_deg / 2.0)) ** 2
     return np.maximum(gain, beam.floor_dbi)
-
-
-def _heading(scenario: ScenarioConfig) -> np.ndarray:
-    """Horizontal (x, y) unit vector of the driving direction (+x at standstill)."""
-    h = scenario.tx_velocity[:2]
-    norm = np.linalg.norm(h)
-    return h / norm if norm > 0 else np.array([1.0, 0.0])
 
 
 def ray_tracks(
@@ -347,12 +343,9 @@ def ray_tracks(
     elevation = np.degrees(np.arcsin(np.clip(direction[..., 2], -1.0, 1.0)))
     horizontal = np.linalg.norm(direction[..., :2], axis=-1)
     cos_az = np.divide(
-        direction[..., :2] @ _heading(scenario),
-        horizontal,
-        out=np.ones_like(horizontal),
-        where=horizontal > 0,
+        direction[..., 0], horizontal, out=np.ones_like(horizontal), where=horizontal > 0
     )
-    azimuth = np.degrees(np.arccos(np.clip(cos_az, -1.0, 1.0)))
+    azimuth = np.copysign(np.degrees(np.arccos(np.clip(cos_az, -1.0, 1.0))), direction[..., 1])
     fc = cfg.center_frequency
     level_db = (
         -free_space_path_loss(distance, fc)

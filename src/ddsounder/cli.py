@@ -391,9 +391,10 @@ def _fork_map(stage: str, out_dir: str, jobs: list[tuple]):
         _JOBS.clear()
 
 
-def _analysis_configs(args) -> SBLConfig:
-    """SBL settings from the analyze flags, once ``--windows`` and
-    ``--window-length`` are checked; ``ConfigError`` names a bad flag."""
+def _analysis_configs(args, cfg) -> SBLConfig:
+    """SBL settings from the analyze flags, once ``--windows``,
+    ``--window-length`` and ``--peaks`` are checked against each other and
+    the design's ``tone_count``; ``ConfigError`` names a bad flag."""
     if args.windows is not None and args.windows < 1:
         raise ConfigError(f"--windows must be at least 1, got {args.windows}")
     if not dpss_fits(args.window_length, LSF_TIME_BANDWIDTH):
@@ -401,13 +402,18 @@ def _analysis_configs(args) -> SBLConfig:
             f"window_length = {args.window_length} must exceed 2*time_bandwidth = "
             f"{2 * LSF_TIME_BANDWIDTH:g} for the Slepian tapers"
         )
+    if args.peaks >= cfg.tone_count * args.window_length:
+        raise ConfigError(
+            f"--peaks {args.peaks} must be below the {cfg.tone_count * args.window_length} "
+            f"samples of a window ({cfg.tone_count} tones x {args.window_length} snapshots)"
+        )
     return SBLConfig(iterations=args.sbl_iters, active_set_size=args.peaks)
 
 
 def _stage_analyze(args) -> list[str]:
     out_dir, window_length, window_limit = args.out_dir, args.window_length, args.windows
     cfg = ddio.load_sounder_config(os.path.join(out_dir, _CONFIG))
-    common = (out_dir, cfg, window_length, _analysis_configs(args))
+    common = (out_dir, cfg, window_length, _analysis_configs(args, cfg))
     jobs = []
     for tx in range(cfg.tx_count):
         grid, seed = ddio.read_grid(os.path.join(out_dir, f"h_tx{tx}.ddg1"))
@@ -465,7 +471,7 @@ def cmd_run_all(args) -> int:
     # a bad scenario, a bad analyze flag or a window longer than the record
     # fails before anything is written
     _check_scenario(cfg, scenario)
-    _analysis_configs(args)
+    _analysis_configs(args, cfg)
     snapshots = _record_length(scenario, cfg) // cfg.samples_per_snapshot
     if snapshots < args.window_length:
         raise ConfigError(

@@ -32,7 +32,6 @@ import numpy as np
 
 from .channel import RayTracks, ScenarioConfig, default_scenario
 from .params import ConfigError, SounderConfig
-from .tfanalysis import DelayDopplerGrid, Peak, PeakList
 from .rxproc import TransferFunctionGrid
 from .waveform import SampledSignal
 
@@ -298,11 +297,14 @@ def read_signal(path: str) -> tuple[SampledSignal, int]:
 def write_grid(path: str, grid: TransferFunctionGrid, seed: int) -> None:
     """Store a snapshot-by-tone transfer-function grid.
 
-    Snapshot times are assumed uniformly spaced (they are for demultiplexed
-    records) and stored as start + spacing only.
+    Snapshot times are stored as start + spacing only, so they must be
+    uniform: ``ValueError`` naming ``path``, before anything is written,
+    unless each lies within 1e-6 of the spacing of ``t0 + spacing * q``.
     """
     times = grid.snapshot_times
     spacing = float(times[1] - times[0]) if times.size > 1 else 0.0
+    if np.any(np.abs(times - (times[0] + spacing * np.arange(times.size))) > 1e-6 * abs(spacing)):
+        raise ValueError(f"{path}: snapshot times are not uniform; DDG1 stores start + spacing")
     values = np.asarray(grid.values, dtype="<c16")
     fields = (*values.shape, grid.tx_index, 0, float(times[0]), spacing)
     freqs = np.asarray(grid.tone_frequencies, dtype="<f8")
@@ -339,6 +341,8 @@ def write_surface(path: str, grid: DelayDopplerGrid, seed: int) -> None:
 
 
 def read_surface(path: str) -> tuple[DelayDopplerGrid, int]:
+    from .tfanalysis import DelayDopplerGrid  # loads scipy.linalg
+
     (seed, _, _, start), (delay, doppler, values) = _read_binary(
         path,
         b"DDG2",
@@ -497,6 +501,8 @@ def write_peaks_json(
 
 
 def read_peaks_json(path: str) -> tuple[PeakList, dict]:
+    from .tfanalysis import Peak, PeakList  # loads scipy.linalg
+
     obj = _read_json(path)
     try:
         entries = [

@@ -27,6 +27,7 @@ from ddsounder.channel import (
     tx_position,
 )
 from ddsounder import channel
+from ddsounder.cli import _parked
 from ddsounder.params import ConfigError, free_space_path_loss, narrowband_config
 from ddsounder.waveform import SampledSignal, multitone_waveform, tone_plan
 
@@ -85,9 +86,6 @@ def _reference_horn_gain(beam, azimuth_deg, elevation_deg):
 def _reference_paths(scenario, cfg, t, tx_index):
     """Scalar per-ray image-source tracer: one instant, one ray at a time."""
     beam = scenario.tx_beams[tx_index]
-    heading = scenario.tx_velocity * [1.0, 1.0, 0.0]
-    norm = np.linalg.norm(heading)
-    heading = heading / norm if norm > 0 else np.array([1.0, 0.0, 0.0])
     tx = scenario.tx_start_position + scenario.tx_velocity * t
     fc = cfg.center_frequency
 
@@ -97,12 +95,7 @@ def _reference_paths(scenario, cfg, t, tx_index):
         radial_speed = float(np.dot(-separation, scenario.tx_velocity)) / distance
         d = separation / distance
         elevation = math.degrees(math.asin(min(1.0, max(-1.0, d[2]))))
-        horizontal = np.array([d[0], d[1], 0.0])
-        h_norm = np.linalg.norm(horizontal)
-        azimuth = 0.0
-        if h_norm > 0:
-            cos_az = float(np.clip(np.dot(horizontal / h_norm, heading), -1.0, 1.0))
-            azimuth = math.degrees(math.acos(cos_az))
+        azimuth = math.degrees(math.atan2(d[1], d[0]))  # street frame; 0 for a vertical ray
         fspl = 20.0 * math.log10(4.0 * math.pi * distance * fc / C0)
         level_db = (
             -fspl
@@ -135,6 +128,16 @@ def _reference_paths(scenario, cfg, t, tx_index):
             continue
         paths.append(ray(image, reflector.kind, reflector.loss_db))
     return paths
+
+
+# drives of 14 m/s along the street, back, across it and diagonally back,
+# by heading in degrees from +x toward +y
+_DRIVES = {
+    0: (14.0, 0.0, 0.0),
+    180: (-14.0, 0.0, 0.0),
+    90: (0.0, 14.0, 0.0),
+    -135: (-7.0 * math.sqrt(2.0), -7.0 * math.sqrt(2.0), 0.0),
+}
 
 
 def _assert_matches_reference(scenario, cfg, times, tx_index):
@@ -329,6 +332,20 @@ class TestScenarioPaths:
         ]
         assert rel[0] > 10 * rel[1]
 
+    @pytest.mark.parametrize("heading", list(_DRIVES))
+    def test_standstill_horns_point_along_the_drive(self, narrowband, heading):
+        """The standstill keeps the drive's beams, so at the trigger position
+        its rays have the drive's gains and delays, bit for bit, whichever
+        way the car is about to drive."""
+        drive = default_scenario(tx_velocity=_DRIVES[heading])
+        for tx_index in (0, 1):
+            moving = ray_tracks(drive, narrowband, 0.0, tx_index)
+            parked = ray_tracks(_parked(drive), narrowband, 0.0, tx_index)
+            for field in ("visible", "delay", "gain"):
+                np.testing.assert_array_equal(
+                    getattr(parked, field), getattr(moving, field), err_msg=field
+                )
+
     def test_time_bounds_checked(self, scenario, narrowband):
         with pytest.raises(ValueError):
             ray_tracks(scenario, narrowband, scenario.duration + 1.0, 0)
@@ -363,7 +380,17 @@ class TestScalarReference:
         assert times.size == 19048
         _assert_matches_reference(scenario, narrowband, times, tx_index)
 
-    def test_parked_car_heads_along_x(self, scenario, narrowband):
+    @pytest.mark.parametrize("tx_index", [0, 1])
+    @pytest.mark.parametrize("heading", [180, 90, -135])
+    def test_drives_in_other_directions(self, narrowband, heading, tx_index):
+        """The horns point along the drive: every fourth snapshot of a drive
+        back along the street, across it and diagonally back."""
+        drive = default_scenario(tx_velocity=_DRIVES[heading])
+        assert drive.tx_beams[tx_index].boresight_azimuth_deg == pytest.approx(heading)
+        times = np.arange(0, 19048, 4) * narrowband.samples_per_snapshot / narrowband.sample_rate
+        _assert_matches_reference(drive, narrowband, times, tx_index)
+
+    def test_parked_car_matches_reference_without_doppler(self, scenario, narrowband):
         parked = dataclasses.replace(scenario, tx_velocity=np.zeros(3))
         for tx_index in (0, 1):
             _assert_matches_reference(parked, narrowband, [0.0, 1.0, 3.2], tx_index)

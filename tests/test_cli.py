@@ -52,6 +52,7 @@ _BAD_ANALYZE_FLAGS = [
     ("--window-length", "4", "window_length"),
     ("--sbl-iters", "0", "iterations"),
     ("--peaks", "0", "active_set_size"),
+    ("--peaks", "7560", "--peaks 7560"),  # 21 tones x 360 snapshots
     ("--windows", "0", "--windows"),
     ("--windows", "-2", "--windows"),
 ]
@@ -568,6 +569,40 @@ class TestRunAll:
         assert rc == 0
         doppler, power = ddio.read_dsd_csv(os.path.join(out, "dsd_tx0_w000.csv"))
         assert doppler[np.argmax(power)] > 5000.0
+
+    def test_street_driven_the_other_way_runs(self, tmp_path, capsys):
+        """The standstill's horns point along the drive: at -14 m/s the CFO
+        is read from the standstill and the first DSD peak is the approaching
+        car's LOS Doppler."""
+        cfg_path, _ = _mini_configs(str(tmp_path))
+        scn_path = str(tmp_path / "scenario.ini")
+        scenario = default_scenario(duration=0.3, tx_velocity=(-14.0, 0.0, 0.0))
+        ddio.save_scenario(scn_path, scenario)
+        out = str(tmp_path / "run")
+        rc = main(["run-all", "--config", cfg_path, "--scenario", scn_path, "--seed", "42",
+                   "--out-dir", out, "--windows", "1"])
+        assert rc == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("carrier frequency offset:")
+        )
+        assert abs(float(line.split()[3]) - 120.0) < 0.1
+        doppler, power = ddio.read_dsd_csv(os.path.join(out, "dsd_tx0_w000.csv"))
+        assert doppler[np.argmax(power)] > 2500.0
+
+    @pytest.mark.parametrize("peaks,rc", [(126, 1), (125, 0)])
+    def test_peaks_must_fit_a_window(self, tmp_path, capsys, peaks, rc):
+        """SBL keeps fewer peaks than a window has samples: 21 tones x 6
+        snapshots hold 125 at most, and 126 exits 1 before any file is
+        written."""
+        cfg_path, scn_path = _mini_configs(str(tmp_path))
+        out = tmp_path / "x"
+        argv = ["run-all", "--config", cfg_path, "--scenario", scn_path, "--seed", "1",
+                "--out-dir", str(out), "--window-length", "6", "--windows", "2"]
+        assert main(argv + ["--peaks", str(peaks)]) == rc
+        if rc:
+            assert "--peaks 126 must be below the 126 samples" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("periods,admitted", [(19, False), (20, True)])
     def test_standstill_needs_twenty_periods(self, periods, admitted):

@@ -70,3 +70,24 @@ def test_scipy_serves_only_the_taper_solve():
     assert {name: mods for name, mods in scipy_imports.items() if mods} == {
         "tfanalysis.py": ["scipy.linalg"]
     }
+
+
+def test_io_loads_no_scipy():
+    """``import ddsounder.io`` (every benchmark set-up, every file reader)
+    loads no scipy module: the surface and peak types it builds come from
+    ``tfanalysis`` only when a surface or a peak list is read."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(ddsounder.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, ddsounder.io; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout.strip() == "[]"

@@ -38,7 +38,7 @@ from ddsounder.io import (
     write_surface,
 )
 from ddsounder.manifest import file_digest
-from ddsounder.params import ConfigError, SounderConfig
+from ddsounder.params import ConfigError, SounderConfig, narrowband_config
 from ddsounder.rxproc import TransferFunctionGrid
 from ddsounder.tfanalysis import DelayDopplerGrid, Peak, PeakList
 from ddsounder.waveform import SampledSignal
@@ -269,6 +269,27 @@ class TestGridFormat:
         open(path, "wb").write(blob[:-1])
         with pytest.raises(FileFormatError, match="size"):
             read_grid(path)
+
+    def test_times_it_cannot_store_rejected_before_writing(self, tmp_path):
+        """DDG1 keeps the start and the spacing only: [0, 1, 3] would read
+        back as [0, 1, 2]."""
+        path = tmp_path / "h.ddg1"
+        grid = dataclasses.replace(self._grid(), values=np.ones((3, 21)), snapshot_times=[0, 1, 3])
+        with pytest.raises(ValueError, match="h.ddg1"):
+            write_grid(str(path), grid, seed=5)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_long_axis_of_rounded_spacings_round_trips(self, tmp_path):
+        """The benchmark's windows grids: 5,760 snapshots from 2.2 s."""
+        cfg = narrowband_config()
+        times = 2.2 + np.arange(5760) * cfg.snapshot_time
+        grid = dataclasses.replace(
+            self._grid(), values=np.ones((times.size, 21)), snapshot_times=times
+        )
+        path = str(tmp_path / "h.ddg1")
+        write_grid(path, grid, seed=5)
+        back = read_grid(path)[0].snapshot_times
+        np.testing.assert_allclose(back, times, rtol=0, atol=1e-6 * cfg.snapshot_time)
 
 
 class TestSurfaceFormat:
@@ -556,6 +577,7 @@ class TestScenarioIni:
             {"truck": False, "ground": False},
             {"truck": False, "canyon_width": 6.0},
             {"tx_velocity": (10.0, 6.0, 0.0)},
+            {"tx_velocity": (-14.0, 0.0, 0.0)},  # the street driven the other way
             {"beam_elevation_deg": (0.0, 7.5, 15.0)},
             # neither float survives %.12g
             {
