@@ -39,7 +39,8 @@ __all__ = [
 
 _T_EPS = 1e-9
 
-# (period, ray) rows per kernel call; bounds the kernel's (rows, L) arrays
+# (period, ray) rows per kernel call, rounded down to whole snapshot blocks
+# (at least one)
 _KERNEL_ROWS = 256
 # snapshot blocks whose ray geometry is evaluated at once (rounded up to
 # whole kernel calls); bounds the (blocks, rays) arrays of a long record
@@ -199,11 +200,13 @@ def default_scenario(
     The arguments are exactly the ``[scenario]`` INI keys; ``load_scenario``
     builds its street here too.  The car starts where the slant range to the
     receiver is the trigger distance (the light barrier), driving along the
-    horizontal ``tx_velocity``.  One horn per elevation, all with the same
-    gain, width and floor, each pointing along ``tx_velocity`` in the street
-    frame.  The street reflection departs below the horizon, so the
-    up-tilted beam suppresses it far more than the horizontal beam; the
-    truck's canvas side (y = 4 m) is lossier than the building walls.
+    horizontal ``tx_velocity``; the receiver and both ends of the drive must
+    lie strictly between the walls, at y = +-canyon_width / 2.  One horn per
+    elevation, all with the same gain, width and floor, each pointing along
+    ``tx_velocity`` in the street frame.  The street reflection departs
+    below the horizon, so the up-tilted beam suppresses it far more than the
+    horizontal beam; the truck's canvas side (y = 4 m) is lossier than the
+    building walls.
     """
     # every argument but the two flags is numeric
     _require_finite(**{k: v for k, v in locals().items() if k not in ("truck", "ground")})
@@ -222,6 +225,17 @@ def default_scenario(
     start = rx - velocity / speed * math.sqrt(trigger_distance**2 - dz * dz)
     start[2] = tx_antenna_height
     half = canyon_width / 2
+    # the walls are unbounded planes: a LOS from behind one would pass through it
+    for name, y in (
+        ("rx_position", rx[1]),
+        ("the drive's start", start[1]),
+        ("the drive's end", start[1] + velocity[1] * duration),
+    ):
+        if not abs(y) < half:
+            raise ConfigError(
+                f"{name} at y = {y:.6g} m is not between the walls of "
+                f"canyon_width {canyon_width:g} (y = {-half:g} to {half:g} m)"
+            )
     reflectors = [
         PlanarReflector(kind="wall", y=+half, loss_db=wall_loss_db),
         PlanarReflector(kind="wall", y=-half, loss_db=wall_loss_db),
@@ -383,6 +397,12 @@ def _record_length(scenario: ScenarioConfig, cfg: SounderConfig) -> int:
     return round(scenario.duration * cfg.sample_rate)
 
 
+def _check_seed(seed: int) -> None:
+    """``ConfigError`` unless ``seed`` is a noise key, [0, 2**32)."""
+    if not 0 <= seed < 2**32:
+        raise ConfigError("seed must fit an unsigned 32-bit integer")
+
+
 class _RecordGroups:
     """The RX record of a drive-by capture as consecutive geometry groups of
     ``blocks_per_group`` snapshot blocks, each made on its own.
@@ -414,8 +434,7 @@ class _RecordGroups:
             )
         if len(scenario.tx_beams) != cfg.tx_count:
             raise ConfigError("scenario must configure one beam per TX")
-        if not 0 <= seed < 2**32:
-            raise ConfigError("seed must fit an unsigned 32-bit integer")
+        _check_seed(seed)
         for sig in tx_signals:
             if sig.samples.size != cfg.samples_per_period:
                 raise ConfigError(

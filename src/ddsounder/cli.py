@@ -34,10 +34,10 @@ in chunks of whole snapshots.
 Exit codes: 0 success, 1 validation failure, 2 I/O error (also a simulate
 or analyze worker that died, killed by a signal or the out-of-memory
 killer), 3 numerical failure.  ``simulate`` and ``run-all`` check that the
-scenario has one beam per TX, that the standstill holds 20 sequence periods
-and that the car drives no faster than the design's ``max_speed`` before
-they write anything; ``run-all`` also checks the analyze flags and that the
-record holds at least one window.  It rewrites ``manifest.json`` after each
+scenario has one beam per TX, that the standstill holds 20 sequence periods,
+that the car drives no faster than the design's ``max_speed`` and that the
+seed fits 32 bits before they write anything; ``run-all`` also checks the
+analyze flags and that the record holds at least one window.  It rewrites ``manifest.json`` after each
 stage, so a failed run's manifest lists the stages that finished.
 """
 
@@ -55,7 +55,7 @@ import numpy as np
 
 from . import __version__
 from . import io as ddio
-from .channel import _RecordGroups, _record_length, block_tracks, default_scenario
+from .channel import _RecordGroups, _check_seed, _record_length, block_tracks, default_scenario
 from .manifest import RunManifest
 from .params import LSF_TIME_BANDWIDTH, ConfigError, dpss_fits, narrowband_config, validate_config
 from .rxproc import (
@@ -452,6 +452,7 @@ def cmd_simulate(args) -> int:
         sys.stderr.write(report.to_text())
         return 1
     _check_scenario(cfg, scenario)
+    _check_seed(args.seed)
     _stage_simulate(cfg, scenario, args.seed, args.out_dir)
     return 0
 
@@ -468,9 +469,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg, scenario = _resolve_configs(args)
-    # a bad scenario, a bad analyze flag or a window longer than the record
-    # fails before anything is written
+    # a bad scenario or seed, a bad analyze flag or a window longer than the
+    # record fails before anything is written
     _check_scenario(cfg, scenario)
+    _check_seed(args.seed)
     _analysis_configs(args, cfg)
     snapshots = _record_length(scenario, cfg) // cfg.samples_per_snapshot
     if snapshots < args.window_length:

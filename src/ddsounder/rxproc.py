@@ -8,8 +8,9 @@ combs, before averaging, and the Doppler part of that correction is
 re-applied afterwards so that only the CFO is permanently removed.  Every
 TX's tone values are read from the one spectrum of each averaged snapshot.
 
-A drive record need never be whole in memory: ``demultiplex_record`` takes
-it from a reader one chunk of whole snapshots at a time and keeps only the
+``coherent_average`` and ``demultiplex_record`` average through one loop
+over chunks of whole snapshots, so a drive record need never be whole in
+memory: ``demultiplex_record`` reads it chunk by chunk and keeps only the
 per-tone values of each snapshot, bit for bit what ``coherent_average`` and
 a period DFT give on the whole record.  The CFO estimate needs no reference:
 a parked capture is periodic up to the CFO rotation, and the estimate is the
@@ -167,17 +168,10 @@ def estimate_cfo(rx: SampledSignal, cfg: SounderConfig) -> float:
     return float(f)
 
 
-# Samples per chunk of whole snapshots that coherent_average and
-# demultiplex_record work on at once: bounds their temporaries (a few
-# chunk-sized complex arrays) whatever the record length, while keeping the
-# numpy calls per chunk large.  The averaged values depend on where the chunks
-# start, at round-off, so both take the same chunks.
+# Samples per chunk of whole snapshots averaged at once: bounds the
+# temporaries of the averaging loop (a few chunk-sized complex arrays)
+# whatever the record length, while keeping the numpy calls per chunk large.
 _CHUNK_SAMPLES = 1 << 18
-
-
-def _chunk_snapshots(cfg: SounderConfig) -> int:
-    """Whole snapshots per chunk: as many as fit ``_CHUNK_SAMPLES``, at least one."""
-    return max(1, _CHUNK_SAMPLES // cfg.samples_per_snapshot)
 
 
 def _check_rate(rate: float, cfg: SounderConfig, name: str = "record") -> None:
@@ -189,37 +183,56 @@ def _check_rate(rate: float, cfg: SounderConfig, name: str = "record") -> None:
         )
 
 
-def _comb_bins(cfg: SounderConfig) -> np.ndarray:
-    """Period DFT bins of every TX comb of the design, TX by TX."""
-    return np.concatenate(
+def _averaged_chunks(
+    chunks, q_count: int, rate: float, t0: float, cfg: SounderConfig, cfo: float
+):
+    """Yield, for each chunk of whole snapshots of a record, the index of its
+    first snapshot and its (c, L) periods averaged as :func:`coherent_average`
+    describes.
+
+    The record holds ``q_count`` whole snapshots sampled at ``rate`` from
+    ``t0``, and ``chunks(size)`` yields its samples in order, ``size`` at a
+    time.  Every chunk but the last holds as many snapshots as fit
+    ``_CHUNK_SAMPLES``, at least one.  The averaged periods and the period
+    DFTs go into work arrays allocated once, so a yielded chunk is valid only
+    until the next.  The record's rate and length are checked at the first
+    ``next``.
+    """
+    _check_rate(rate, cfg)
+    if q_count < 1:
+        raise ValueError("record shorter than one snapshot")
+    # the period DFT bins of every TX comb of the design
+    bins = np.concatenate(
         [_tone_bins(cfg, tone_plan(cfg, tx).tone_frequencies) for tx in range(cfg.tx_count)]
     )
-
-
-def _average_chunk(blocks, bins, cfg, cfo, fs, t_snapshot, out, work=None) -> None:
-    """:func:`coherent_average` of the (c, N, L) ``blocks`` of ``c`` whole
-    snapshots taken at ``t_snapshot``, with the offsets read from the period
-    DFT ``bins`` of every comb, into the (c, L) ``out``; the period DFTs go
-    into the leading rows of ``work`` if given."""
-    count, n_avg, length = blocks.shape
-    if n_avg > 1:
-        spectra = np.fft.fft(blocks, axis=2, out=None if work is None else work[:count])
-        v = spectra[..., bins]
-        lag = np.sum(v[:, 1:] * np.conj(v[:, :-1]), axis=(1, 2))
-        offset = np.angle(lag) / (2.0 * math.pi * cfg.sequence_period)
-    else:
-        offset = np.full(count, cfo)
-    epoch = np.exp(-2j * math.pi * cfo * t_snapshot) / n_avg
-    period_phase = np.arange(n_avg) * length / fs
-    weights = np.exp(-2j * math.pi * offset[:, None] * period_phase) * epoch[:, None]
-    np.matmul(weights[:, None, :], blocks, out=out[:, None, :])
-    # the ramp exp(-j 2 pi nu_q n / fs) at n = a m + r: a coarse (c, a) table
-    # of the steps a m times a fine (c, r) table of the steps r
-    step = -2j * math.pi * offset[:, None] / fs
+    length, n_avg = cfg.samples_per_period, cfg.averaging_count
+    per_snapshot = cfg.samples_per_snapshot
+    chunk = min(max(1, _CHUNK_SAMPLES // per_snapshot), q_count)
+    period_spectra = np.empty((chunk, n_avg, length), dtype=np.complex128)
+    averaged = np.empty((chunk, length), dtype=np.complex128)
+    period_phase = np.arange(n_avg) * length / rate
     m = math.isqrt(length)
-    coarse = np.exp(step * np.arange(0, length, m))
-    fine = np.exp(step * np.arange(m))
-    out *= (coarse[:, :, None] * fine[:, None, :]).reshape(count, -1)[:, :length]
+    for first, samples in zip(range(0, q_count, chunk), chunks(chunk * per_snapshot)):
+        count = min(chunk, q_count - first)
+        blocks = samples[: count * per_snapshot].reshape(count, n_avg, length)
+        if n_avg > 1:
+            v = np.fft.fft(blocks, axis=2, out=period_spectra[:count])[..., bins]
+            lag = np.sum(v[:, 1:] * np.conj(v[:, :-1]), axis=(1, 2))
+            offset = np.angle(lag) / (2.0 * math.pi * cfg.sequence_period)
+        else:
+            offset = np.full(count, cfo)
+        t_snapshot = t0 + np.arange(first, first + count) * per_snapshot / rate
+        epoch = np.exp(-2j * math.pi * cfo * t_snapshot) / n_avg
+        weights = np.exp(-2j * math.pi * offset[:, None] * period_phase) * epoch[:, None]
+        out = averaged[:count]
+        np.matmul(weights[:, None, :], blocks, out=out[:, None, :])
+        # the ramp exp(-j 2 pi nu_q n / fs) at n = a m + r: a coarse (c, a) table
+        # of the steps a m times a fine (c, r) table of the steps r
+        step = -2j * math.pi * offset[:, None] / rate
+        coarse = np.exp(step * np.arange(0, length, m))
+        fine = np.exp(step * np.arange(m))
+        out *= (coarse[:, :, None] * fine[:, None, :]).reshape(count, -1)[:, :length]
+        yield first, out
 
 
 def coherent_average(rx: SampledSignal, cfg: SounderConfig, cfo: float) -> np.ndarray:
@@ -270,23 +283,14 @@ def coherent_average(rx: SampledSignal, cfg: SounderConfig, cfo: float) -> np.nd
     ValueError
         If the record is shorter than one snapshot.
     """
-    _check_rate(rx.sample_rate, cfg)
-    length = cfg.samples_per_period
-    per_snapshot = cfg.samples_per_snapshot
-    q_count = rx.samples.size // per_snapshot
-    if q_count < 1:
-        raise ValueError("record shorter than one snapshot")
-    bins = _comb_bins(cfg)
-    fs = rx.sample_rate
-    chunk = _chunk_snapshots(cfg)
-    out = np.empty((q_count, length), dtype=np.complex128)
-    for first in range(0, q_count, chunk):
-        stop = min(first + chunk, q_count)
-        blocks = rx.samples[first * per_snapshot : stop * per_snapshot].reshape(
-            stop - first, cfg.averaging_count, length
-        )
-        t_snapshot = rx.t0 + np.arange(first, stop) * per_snapshot / fs
-        _average_chunk(blocks, bins, cfg, cfo, fs, t_snapshot, out[first:stop])
+    q_count = rx.samples.size // cfg.samples_per_snapshot
+    out = np.empty((q_count, cfg.samples_per_period), dtype=np.complex128)
+
+    def chunks(size):
+        return (rx.samples[i : i + size] for i in range(0, rx.samples.size, size))
+
+    for first, averaged in _averaged_chunks(chunks, q_count, rx.sample_rate, rx.t0, cfg, cfo):
+        out[first : first + averaged.shape[0]] = averaged
     return out
 
 
@@ -307,11 +311,10 @@ def demultiplex_record(
     ``record`` carries the record's ``sample_rate``, ``length`` (samples)
     and ``t0``, and ``record.chunks(size)`` yields its samples in order,
     ``size`` at a time (:class:`ddsounder.io.SignalReader`).  Each chunk
-    holds the whole snapshots that :func:`coherent_average` takes at once and
-    is averaged once, as it averages them, on one offset per snapshot from
-    every comb of the design.  One DFT of each averaged period at tone scale,
-    ``fft / L``, gives every TX's tone values at its own comb's slice of the
-    design's bins, each coefficient over its transmit weight, so a
+    of whole snapshots is averaged by the loop of :func:`coherent_average`,
+    on one offset per snapshot from every comb of the design.  One DFT of
+    each averaged period at tone scale, ``fft / L``, gives every TX's tone
+    values at its own comb's slice of the design's bins, each coefficient over its transmit weight, so a
     distortion-free channel of gain ``g`` yields ``g`` everywhere.  The first
     tone-offset slot past the configured TXs is guaranteed free, and the mean
     power of its bins over the record is the noise power after averaging, at
@@ -327,44 +330,25 @@ def demultiplex_record(
     ValueError
         If the record is shorter than one snapshot.
     """
-    _check_rate(record.sample_rate, cfg)
-    fs = record.sample_rate
-    length = cfg.samples_per_period
-    per_snapshot = cfg.samples_per_snapshot
-    q_count = record.length // per_snapshot
-    if q_count < 1:
-        raise ValueError("record shorter than one snapshot")
+    q_count = record.length // cfg.samples_per_snapshot
     plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
-    comb_bins = _comb_bins(cfg)
-    bins = np.split(comb_bins, cfg.tx_count)
+    bins = [_tone_bins(cfg, plan.tone_frequencies) for plan in plans]
     free_bins = _free_slot_bins(cfg)
     # (Q, K) in the column-major layout of ``spectra[:, bins]``, so that
     # reductions over them add in the order they do over whole-record arrays
     values = [np.empty((b.size, q_count), dtype=np.complex128).T for b in bins]
     powers = np.empty((free_bins.size, q_count)).T
-    chunk = min(_chunk_snapshots(cfg), q_count)
-    # work arrays of the whole record, one chunk each
-    period_spectra = (
-        np.empty((chunk, cfg.averaging_count, length), dtype=np.complex128)
-        if cfg.averaging_count > 1 else None
+    averaged_chunks = _averaged_chunks(
+        record.chunks, q_count, record.sample_rate, record.t0, cfg, cfo
     )
-    averaged = np.empty((chunk, length), dtype=np.complex128)
-    spectra = np.empty_like(averaged)
-    for first, samples in zip(range(0, q_count, chunk), record.chunks(chunk * per_snapshot)):
-        stop = min(first + chunk, q_count)
-        blocks = samples[: (stop - first) * per_snapshot].reshape(
-            stop - first, cfg.averaging_count, length
-        )
-        t_snapshot = record.t0 + np.arange(first, stop) * per_snapshot / fs
-        chunk_averaged = averaged[: stop - first]
-        _average_chunk(
-            blocks, comb_bins, cfg, cfo, fs, t_snapshot, chunk_averaged, period_spectra
-        )
-        chunk_spectra = np.fft.fft(chunk_averaged, axis=1, out=spectra[: stop - first])
-        chunk_spectra /= length
+    for first, averaged in averaged_chunks:
+        stop = first + averaged.shape[0]
+        # the averaged periods are not needed again: transform them in place
+        spectra = np.fft.fft(averaged, axis=1, out=averaged)
+        spectra /= cfg.samples_per_period
         for plan, tx_bins, tx_values in zip(plans, bins, values):
-            np.divide(chunk_spectra[:, tx_bins], plan.tone_weights, out=tx_values[first:stop])
-        np.square(np.abs(chunk_spectra[:, free_bins]), out=powers[first:stop])
+            np.divide(spectra[:, tx_bins], plan.tone_weights, out=tx_values[first:stop])
+        np.square(np.abs(spectra[:, free_bins]), out=powers[first:stop])
     times = record.t0 + np.arange(q_count) * cfg.snapshot_time
     grids = [
         TransferFunctionGrid(

@@ -131,7 +131,8 @@ def _reference_paths(scenario, cfg, t, tx_index):
 
 
 # drives of 14 m/s along the street, back, across it and diagonally back,
-# by heading in degrees from +x toward +y
+# by heading in degrees from +x toward +y; the last two start outside the
+# default 20 m canyon, so their tests widen it to 100 m
 _DRIVES = {
     0: (14.0, 0.0, 0.0),
     180: (-14.0, 0.0, 0.0),
@@ -219,6 +220,23 @@ class TestGeometry:
     def test_vertical_velocity_rejected(self):
         with pytest.raises(ConfigError, match="tx_velocity must be horizontal"):
             default_scenario(tx_velocity=(14.0, 0.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "settings, name",
+        [
+            ({"tx_velocity": _DRIVES[90]}, "the drive's start"),  # 30.9 m behind a wall
+            ({"tx_velocity": (14.0, 1.0, 0.0), "duration": 20.0}, "the drive's end"),
+            ({"rx_position": (0.0, -10.0, 5.0)}, "rx_position"),  # on the wall
+        ],
+        ids=["start", "end", "rx"],
+    )
+    def test_outside_the_canyon_rejected(self, settings, name):
+        """The walls are unbounded planes, so a receiver or a drive outside
+        them would see the LOS through a building."""
+        with pytest.raises(ConfigError, match=f"{name} .*canyon_width 20"):
+            default_scenario(**settings)
+        wide = default_scenario(canyon_width=100.0, **settings)
+        assert abs(wide.tx_start_position[1]) < 50.0
 
     def test_reflector_census(self):
         kinds = [r.kind for r in default_scenario().reflectors]
@@ -337,7 +355,7 @@ class TestScenarioPaths:
         """The standstill keeps the drive's beams, so at the trigger position
         its rays have the drive's gains and delays, bit for bit, whichever
         way the car is about to drive."""
-        drive = default_scenario(tx_velocity=_DRIVES[heading])
+        drive = default_scenario(tx_velocity=_DRIVES[heading], canyon_width=100.0)
         for tx_index in (0, 1):
             moving = ray_tracks(drive, narrowband, 0.0, tx_index)
             parked = ray_tracks(_parked(drive), narrowband, 0.0, tx_index)
@@ -385,7 +403,7 @@ class TestScalarReference:
     def test_drives_in_other_directions(self, narrowband, heading, tx_index):
         """The horns point along the drive: every fourth snapshot of a drive
         back along the street, across it and diagonally back."""
-        drive = default_scenario(tx_velocity=_DRIVES[heading])
+        drive = default_scenario(tx_velocity=_DRIVES[heading], canyon_width=100.0)
         assert drive.tx_beams[tx_index].boresight_azimuth_deg == pytest.approx(heading)
         times = np.arange(0, 19048, 4) * narrowband.samples_per_snapshot / narrowband.sample_rate
         _assert_matches_reference(drive, narrowband, times, tx_index)

@@ -1144,6 +1144,31 @@ class TestExitCodes:
         assert "tx_velocity must be horizontal" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_drive_across_the_street_is_validation_error(self, tmp_path, capsys):
+        """Driven across the 20 m canyon the car would start 30.9 m behind a
+        wall; fails before simulate writes anything."""
+        cfg_path, scn_path = _mini_configs(str(tmp_path))
+        text = open(scn_path).read()
+        level = "tx_velocity = 14, 0, 0\n"
+        assert level in text and "canyon_width = 20\n" in text
+        open(scn_path, "w").write(text.replace(level, "tx_velocity = 0, 14, 0\n"))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", cfg_path, "--scenario", scn_path,
+                     "--seed", "1", "--out-dir", str(out)]) == 1
+        assert "canyon_width" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, seed", [("run-all", "-1"), ("simulate", "4294967296")])
+    def test_seed_out_of_range_fails_before_writing(self, tmp_path, capsys, command, seed):
+        """The seed keys 32-bit noise streams; one outside them fails before
+        the configs are saved."""
+        cfg_path, scn_path = _mini_configs(str(tmp_path))
+        out = tmp_path / "x"
+        assert main([command, "--config", cfg_path, "--scenario", scn_path,
+                     "--seed", seed, "--out-dir", str(out)]) == 1
+        assert "seed must fit an unsigned 32-bit integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBoundedMemory:
     """simulate and process hold chunks of the record, never all of it."""

@@ -576,7 +576,7 @@ class TestScenarioIni:
             {},
             {"truck": False, "ground": False},
             {"truck": False, "canyon_width": 6.0},
-            {"tx_velocity": (10.0, 6.0, 0.0)},
+            {"tx_velocity": (10.0, 6.0, 0.0), "canyon_width": 50.0},  # starts at y = -21 m
             {"tx_velocity": (-14.0, 0.0, 0.0)},  # the street driven the other way
             {"beam_elevation_deg": (0.0, 7.5, 15.0)},
             # neither float survives %.12g

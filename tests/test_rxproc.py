@@ -395,23 +395,24 @@ class _InMemoryRecord:
 
 class TestDemultiplexRecord:
     @pytest.mark.parametrize("t0", [0.0, 1.7])
-    def test_equals_whole_record_functions(self, narrowband, nb_plans, t0):
+    @pytest.mark.parametrize("n_avg", [1, 2, 4])
+    def test_equals_whole_record_functions(self, n_avg, t0):
         """2.6 chunks with a partial snapshot trailing: every grid and the
         noise power are bit for bit those of the whole-record functions, and
         the record is handed out in whole-snapshot chunks of coherent_average."""
-        rx = _chirped_record(narrowband, 2.6, t0)
+        cfg = narrowband_config(averaging_count=n_avg)
+        plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
+        rx = _chirped_record(cfg, 2.6, t0)
         record = _InMemoryRecord(rx)
-        grids, power = demultiplex_record(record, narrowband, 37.25)
-        chunk = (rxproc._CHUNK_SAMPLES // narrowband.samples_per_snapshot) * (
-            narrowband.samples_per_snapshot
-        )
+        grids, power = demultiplex_record(record, cfg, 37.25)
+        chunk = (rxproc._CHUNK_SAMPLES // cfg.samples_per_snapshot) * cfg.samples_per_snapshot
         assert record.sizes[:-1] == [chunk] * (len(record.sizes) - 1)
         assert len(record.sizes) == 3
-        averaged = coherent_average(rx, narrowband, 37.25)
-        assert power == _noise_power(averaged, narrowband)
-        assert len(grids) == len(nb_plans)
-        for plan, grid in zip(nb_plans, grids):
-            expected = _demultiplex(averaged, narrowband, plan, t0=t0)
+        averaged = coherent_average(rx, cfg, 37.25)
+        assert power == _noise_power(averaged, cfg)
+        assert len(grids) == len(plans)
+        for plan, grid in zip(plans, grids):
+            expected = _demultiplex(averaged, cfg, plan, t0=t0)
             assert grid.tx_index == plan.tx_index
             np.testing.assert_array_equal(grid.values, expected.values)
             np.testing.assert_array_equal(grid.snapshot_times, expected.snapshot_times)
