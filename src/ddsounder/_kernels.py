@@ -14,9 +14,10 @@ comb costs one term per (path, tone).
 
 Both power tables are built by doubling, about ``log2(count)`` vectorised
 products each.  A caller making many calls over one record owns a
-:class:`_RecordTables`: consecutive calls reuse its power-table work arrays,
-and its terms (the periods' spectrum, kept bins and frequencies), which
-depend only on the periods, the waveform of each path and the sample rate.
+:class:`_RecordTables`, made from the record's periods, the waveform of each
+path and the sample rate: its terms (the periods' spectrum, kept bins and
+frequencies) are made once, from these, and consecutive calls reuse them and
+its power-table work arrays.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ def synthesize_paths(
     block_length : int
         Samples per block.
     tables : _RecordTables, optional
-        Terms and power-table work arrays, reused across calls; the output
-        does not depend on what they held before.  Fresh ones by default.
+        Terms and power-table work arrays, reused across calls; made from
+        this call's periods, waveform indices and sample rate (fresh ones by
+        default).  The output does not depend on what the work arrays held.
 
     Returns
     -------
@@ -80,10 +82,11 @@ def synthesize_paths(
         raise ValueError("delay slopes must be finite")
     length = periods.shape[1]
     n_blocks = gains.shape[1]
-    tables = tables or _RecordTables()
+    if tables is None:
+        tables = _RecordTables(periods, wf_index, sample_rate)
 
     # one term per (path, kept bin): rows are blocks, columns are terms
-    path, bins, freq, coefficient = tables.terms(periods, wf_index, sample_rate)
+    path, bins, freq, coefficient = tables.terms
     tau, slope = tau0[path].T, dtau[path].T
     starts = (first_sample + np.arange(n_blocks) * block_length) % length
     # whole carrier cycles of the delay drop out before they cost precision
@@ -108,35 +111,22 @@ def synthesize_paths(
 
 class _RecordTables:
     """What consecutive :func:`synthesize_paths` calls over one record share:
-    the terms of its periods, and the work arrays of the two power tables,
-    grown to the largest call so far."""
+    ``terms``, the path, signed bin, frequency (Hz) and spectrum coefficient
+    of every term, path-major, of the periods, waveform indices and sample
+    rate it is made from; and the work arrays of the two power tables, grown
+    to the largest call so far."""
 
-    def __init__(self):
+    def __init__(self, periods, wf_index, sample_rate):
+        length = periods.shape[1]
+        spectrum = np.fft.fft(periods) / length
+        magnitude = np.abs(spectrum)
+        # bins below 1e-12 of a period's largest are FFT round-off
+        kept = magnitude > 1e-12 * magnitude.max(axis=1, keepdims=True)
+        path, bin_index = np.nonzero(kept[wf_index])
+        bins = np.fft.fftfreq(length, 1.0 / length).astype(np.int64)[bin_index]
+        freq = bins * (sample_rate / length)
+        self.terms = path, bins, freq, spectrum[wf_index[path], bin_index]
         self._flat = np.empty(0, dtype=np.complex128)
-        self._key = None
-        self._terms = None
-
-    def terms(self, periods, wf_index, sample_rate) -> tuple[np.ndarray, ...]:
-        """The path, signed bin, frequency (Hz) and spectrum coefficient of
-        every term, path-major; set up again only when the periods, the
-        waveform indices or the sample rate differ from the last call's."""
-        key = self._key
-        if key is None or not (
-            key[2] == sample_rate
-            and np.array_equal(key[1], wf_index)
-            and np.array_equal(key[0], periods)
-        ):
-            length = periods.shape[1]
-            spectrum = np.fft.fft(periods) / length
-            magnitude = np.abs(spectrum)
-            # bins below 1e-12 of a period's largest are FFT round-off
-            kept = magnitude > 1e-12 * magnitude.max(axis=1, keepdims=True)
-            path, bin_index = np.nonzero(kept[wf_index])
-            bins = np.fft.fftfreq(length, 1.0 / length).astype(np.int64)[bin_index]
-            freq = bins * (sample_rate / length)
-            self._terms = path, bins, freq, spectrum[wf_index[path], bin_index]
-            self._key = periods.copy(), np.array(wf_index), sample_rate
-        return self._terms
 
     def take(self, head_shape, tail_shape) -> tuple[np.ndarray, np.ndarray]:
         """Two disjoint C-contiguous arrays of the given shapes, contents undefined."""

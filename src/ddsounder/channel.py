@@ -474,7 +474,7 @@ class _RecordGroups:
 
         # work arrays of the group: the kernel's tables, the noise draws and
         # the CFO rotation of one kernel call's samples
-        tables = _kernels._RecordTables()
+        tables = _kernels._RecordTables(self.periods, self.wf_index, fs)
         draws = np.empty(2 * blocks_per_call * block)
         # Each block's noise is the start of its own Philox stream, keyed on
         # (seed, block index); one generator serves every block of the group,

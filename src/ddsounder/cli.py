@@ -35,10 +35,13 @@ Exit codes: 0 success, 1 validation failure, 2 I/O error (also a simulate
 or analyze worker that died, killed by a signal or the out-of-memory
 killer), 3 numerical failure.  ``simulate`` and ``run-all`` check that the
 scenario has one beam per TX, that the standstill holds 20 sequence periods,
-that the car drives no faster than the design's ``max_speed`` and that the
-seed fits 32 bits before they write anything; ``run-all`` also checks the
-analyze flags and that the record holds at least one window.  It rewrites ``manifest.json`` after each
-stage, so a failed run's manifest lists the stages that finished.
+that the drive holds at least one snapshot, that the car drives no faster
+than the design's ``max_speed``, that the parked car's beams see enough of
+the receiver for the CFO estimate to tell the standstill's signal from noise
+and that the seed fits 32 bits before they write anything; ``run-all`` also
+checks the analyze flags and that the record holds at least one window.  It
+rewrites ``manifest.json`` after each stage, so a failed run's manifest lists
+the stages that finished.
 """
 
 from __future__ import annotations
@@ -55,10 +58,18 @@ import numpy as np
 
 from . import __version__
 from . import io as ddio
-from .channel import _RecordGroups, _check_seed, _record_length, block_tracks, default_scenario
+from .channel import (
+    _RecordGroups,
+    _check_seed,
+    _record_length,
+    block_tracks,
+    default_scenario,
+    transfer_function,
+)
 from .manifest import RunManifest
 from .params import LSF_TIME_BANDWIDTH, ConfigError, dpss_fits, narrowband_config, validate_config
 from .rxproc import (
+    _MIN_PERIODIC_SHARE,
     NoSignalError,
     _check_rate,
     demultiplex_record,
@@ -134,12 +145,38 @@ def _parked(scenario):
 # by a CFO read from noise.
 _MIN_STANDSTILL_PERIODS = 20
 
+# How far the standstill's predicted periodic share must clear the share
+# estimate_cfo accepts.  The share it reads scatters about the prediction by
+# the noise draw: over 200 seeds (0-199) of a desk standstill with the noise
+# set for a predicted 0.03 it read 0.0261-0.0340, and for 0.036, the bound
+# with this margin, 0.0318-0.0403; a full-scale standstill, 100 times longer,
+# reads within 0.5 % of its prediction (seeds 0-4).
+_SHARE_MARGIN = 1.2
+
+
+def _standstill_share(cfg, scenario) -> float:
+    """The periodic share of the standstill's energy that ``estimate_cfo``
+    will read.  A static channel makes its lag sums ``(P - d) L S``, so the
+    share is ``S / (S + N)``: the tone weights have unit modulus, so the
+    periodic power per sample is ``S``, the sum of every TX's ``|H_k|^2`` at
+    the parked position, and the noise power per sample is
+    ``N = noise_psd * sample_rate``."""
+    parked, times = _parked(scenario), np.zeros(1)
+    signal = sum(
+        np.sum(np.abs(transfer_function(parked, cfg, tone_plan(cfg, tx), times)) ** 2)
+        for tx in range(cfg.tx_count)
+    )
+    noise = scenario.noise_psd * cfg.sample_rate
+    return float(signal / (signal + noise)) if noise else 1.0
+
 
 def _check_scenario(cfg, scenario) -> None:
     """``ConfigError`` unless the scenario has one beam per TX, a standstill
     of at least ``_MIN_STANDSTILL_PERIODS`` sequence periods (the CFO
-    estimate compares the standstill's periods with each other) and a speed
-    of at most ``cfg.max_speed``.  The speed is compared, not its Doppler:
+    estimate compares the standstill's periods with each other), a drive of
+    at least one snapshot, a speed of at most ``cfg.max_speed`` and a
+    standstill whose predicted periodic share clears the CFO estimate's
+    threshold by ``_SHARE_MARGIN``.  The speed is compared, not its Doppler:
     14 m/s at 60.15 GHz is 2,808.9 Hz, above the rounded 2,800 Hz that the
     desk and full designs store as ``max_doppler``."""
     if len(scenario.tx_beams) != cfg.tx_count:
@@ -155,11 +192,28 @@ def _check_scenario(cfg, scenario) -> None:
             f"{cfg.sequence_period:g} s; the CFO estimate needs at least "
             f"{_MIN_STANDSTILL_PERIODS} to tell the standstill's signal from noise"
         )
+    if _record_length(scenario, cfg) < cfg.samples_per_snapshot:
+        raise ConfigError(
+            f"duration {scenario.duration:g} s is shorter than one snapshot "
+            f"(snapshot_time {cfg.snapshot_time:g} s)"
+        )
     speed = float(np.linalg.norm(scenario.tx_velocity))
     if speed > cfg.max_speed:
         raise ConfigError(
             f"the scenario drives at {speed:g} m/s, faster than the design's "
             f"max_speed of {cfg.max_speed:g} m/s; its Doppler may alias"
+        )
+    share = _standstill_share(cfg, scenario)
+    if share < _MIN_PERIODIC_SHARE * _SHARE_MARGIN:
+        beams = ", ".join(
+            f"{beam.beamwidth_3db_deg:g} deg wide at {beam.boresight_elevation_deg:g} deg up"
+            for beam in scenario.tx_beams
+        )
+        raise ConfigError(
+            f"parked at trigger_distance {scenario.trigger_distance:g} m, the "
+            f"beams ({beams}) leave a predicted periodic share of the "
+            f"standstill's energy of {share:.3g}, below {_MIN_PERIODIC_SHARE:g} "
+            f"x {_SHARE_MARGIN:g}; the CFO estimate would take it for noise"
         )
 
 

@@ -200,7 +200,7 @@ def _averaged_chunks(
     """
     _check_rate(rate, cfg)
     if q_count < 1:
-        raise ValueError("record shorter than one snapshot")
+        raise ConfigError("record shorter than one snapshot")
     # the period DFT bins of every TX comb of the design
     bins = np.concatenate(
         [_tone_bins(cfg, tone_plan(cfg, tx).tone_frequencies) for tx in range(cfg.tx_count)]
@@ -278,10 +278,9 @@ def coherent_average(rx: SampledSignal, cfg: SounderConfig, cfo: float) -> np.nd
     Raises
     ------
     ConfigError
-        If the record's sample rate differs from ``cfg.sample_rate``, or a
-        TX comb is off the period DFT grid.
-    ValueError
-        If the record is shorter than one snapshot.
+        If the record's sample rate differs from ``cfg.sample_rate``, a TX
+        comb is off the period DFT grid, or the record is shorter than one
+        snapshot.
     """
     q_count = rx.samples.size // cfg.samples_per_snapshot
     out = np.empty((q_count, cfg.samples_per_period), dtype=np.complex128)
@@ -326,9 +325,8 @@ def demultiplex_record(
     ------
     ConfigError
         If the record's sample rate differs from ``cfg.sample_rate``, a TX
-        comb is off the period DFT grid, or no tone-offset slot is free.
-    ValueError
-        If the record is shorter than one snapshot.
+        comb is off the period DFT grid, no tone-offset slot is free, or the
+        record is shorter than one snapshot.
     """
     q_count = record.length // cfg.samples_per_snapshot
     plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]

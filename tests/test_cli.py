@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from ddsounder import channel, cli
 from ddsounder import io as ddio
 from ddsounder import manifest
-from ddsounder.channel import _record_length, default_scenario
+from ddsounder.channel import _record_length, apply_channel, default_scenario
 from ddsounder.cli import main
 from ddsounder.manifest import RunManifest
 from ddsounder.params import (
@@ -34,6 +34,7 @@ from ddsounder.params import (
     narrowband_config,
     validate_config,
 )
+from ddsounder.rxproc import NoSignalError, estimate_cfo
 from ddsounder.waveform import SampledSignal
 
 
@@ -614,6 +615,85 @@ class TestRunAll:
             with pytest.raises(ConfigError, match="19.0 periods"):
                 cli._check_scenario(cfg, scenario)
 
+    @pytest.mark.parametrize("command", ["simulate", "run-all"])
+    def test_standstill_blind_to_the_receiver_fails_before_writing(
+        self, tmp_path, capsys, command
+    ):
+        """Parked 3.2 m from the receiver, the full-scale car sees it about
+        70 deg up, outside both 15 deg beams: its standstill's periodic share
+        would be 0.02, which the CFO estimate takes for noise.  The command
+        exits 1 naming the trigger distance, the beams and the share, and
+        writes no file; nothing is synthesized."""
+        cfg_path = str(tmp_path / "config.ini")
+        scn_path = str(tmp_path / "scenario.ini")
+        ddio.save_sounder_config(cfg_path, default_config())
+        ddio.save_scenario(scn_path, default_scenario(trigger_distance=3.2, duration=0.1))
+        out = tmp_path / "x"
+        rc = main([command, "--config", cfg_path, "--scenario", scn_path,
+                   "--seed", "1", "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "trigger_distance 3.2 m" in err and "15 deg wide at 15 deg up" in err
+        assert "energy of 0.02," in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "make_config,trigger_distance,share",
+        [
+            (default_config, 6.0, 0.649),
+            (default_config, 41.0, 0.435),
+            (narrowband_config, 41.0, 0.987),
+            (narrowband_config, 3.2, 0.752),
+        ],
+    )
+    def test_standstill_that_sees_the_receiver_passes(
+        self, make_config, trigger_distance, share
+    ):
+        """The predicted shares of the full-scale standstill at 6 m and of
+        the default drive at both scales, which estimate_cfo reads as 0.649,
+        0.44 and 0.99; the desk design's noise is low enough for 3.2 m."""
+        cfg = make_config()
+        scenario = default_scenario(trigger_distance=trigger_distance, duration=0.1)
+        cli._check_scenario(cfg, scenario)
+        assert cli._standstill_share(cfg, scenario) == pytest.approx(share, abs=1e-3)
+        assert cli._standstill_share(cfg, dataclasses.replace(scenario, noise_psd=0.0)) == 1.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_standstill_at_the_share_bound_is_estimated(self, seed):
+        """A desk standstill whose noise puts its predicted share on the
+        bound that _check_scenario admits gives the CFO estimate a signal
+        whatever the noise draw; at half the bound it finds none."""
+        cfg = narrowband_config()
+        scenario = default_scenario(duration=0.1)
+        signal = 1 / (1 / cli._standstill_share(cfg, scenario) - 1)  # S / N
+        bound = cli._MIN_PERIODIC_SHARE * cli._SHARE_MARGIN
+        for share, detected in [(bound, True), (bound / 2, False)]:
+            psd = scenario.noise_psd * signal * (1 / share - 1)
+            noisy = dataclasses.replace(scenario, noise_psd=psd)
+            assert cli._standstill_share(cfg, noisy) == pytest.approx(share)
+            still = apply_channel(cli._waveforms(cfg), cli._parked(noisy), cfg, seed)
+            if detected:
+                cli._check_scenario(cfg, noisy)
+                assert abs(estimate_cfo(still, cfg) - scenario.cfo) < 1.0
+            else:
+                with pytest.raises(NoSignalError):
+                    estimate_cfo(still, cfg)
+
+    def test_drive_shorter_than_one_snapshot_fails_before_writing(self, tmp_path, capsys):
+        """A 0.1 ms desk drive holds 125 samples, fewer than one 210-sample
+        snapshot: simulate exits 1 naming both durations and writes no file."""
+        cfg_path = str(tmp_path / "config.ini")
+        scn_path = str(tmp_path / "scenario.ini")
+        ddio.save_sounder_config(cfg_path, narrowband_config())
+        ddio.save_scenario(scn_path, default_scenario(duration=1e-4))
+        out = tmp_path / "x"
+        rc = main(["simulate", "--config", cfg_path, "--scenario", scn_path,
+                   "--seed", "1", "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "duration 0.0001 s" in err and "snapshot_time 0.000168 s" in err
+        assert not out.exists()
+
     def test_beam_count_other_than_tx_count_fails_before_plan(self, tmp_path, capsys):
         """Three TXs on the default two-beam street pass plan, but run-all
         exits 1 before plan writes validation.txt or the manifest."""
@@ -1037,6 +1117,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "estimate_cfo", shrink_then_estimate)
         assert main(["process", "--out-dir", out]) == 2
         assert "shrank" in capsys.readouterr().err
+        assert not any(name.startswith("h_tx") for name in os.listdir(out))
+
+    def test_record_shorter_than_one_snapshot_is_config_error(
+        self, mini_run, tmp_path, capsys
+    ):
+        """A well-formed record of one sample less than a snapshot is a
+        configuration fault, not a numerical one."""
+        out = str(tmp_path / "snapshot")
+        record = self._copy_run(mini_run, out)
+        cfg = ddio.load_sounder_config(os.path.join(out, "config.ini"))
+        rx, seed = ddio.read_signal(record)
+        short = SampledSignal(rx.samples[: cfg.samples_per_snapshot - 1], rx.sample_rate)
+        ddio.write_signal(record, short, seed)
+        assert main(["process", "--out-dir", out]) == 1
+        assert "record shorter than one snapshot" in capsys.readouterr().err
         assert not any(name.startswith("h_tx") for name in os.listdir(out))
 
     def test_signal_free_standstill_is_numerical_error(self, mini_run, tmp_path, capsys):
