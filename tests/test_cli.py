@@ -658,26 +658,48 @@ class TestRunAll:
         assert cli._standstill_share(cfg, scenario) == pytest.approx(share, abs=1e-3)
         assert cli._standstill_share(cfg, dataclasses.replace(scenario, noise_psd=0.0)) == 1.0
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_standstill_at_the_share_bound_is_estimated(self, seed):
-        """A desk standstill whose noise puts its predicted share on the
-        bound that _check_scenario admits gives the CFO estimate a signal
-        whatever the noise draw; at half the bound it finds none."""
+    @staticmethod
+    def _desk_standstill(periods, share):
+        """The desk design and a default drive whose standstill holds
+        ``periods`` whole sequence periods, with the noise set for a
+        predicted periodic share of ``share``."""
         cfg = narrowband_config()
-        scenario = default_scenario(duration=0.1)
+        duration = (periods + 0.5) * cfg.samples_per_period / cfg.sample_rate
+        scenario = default_scenario(duration=0.1, standstill_duration=duration)
         signal = 1 / (1 / cli._standstill_share(cfg, scenario) - 1)  # S / N
-        bound = cli._MIN_PERIODIC_SHARE * cli._SHARE_MARGIN
-        for share, detected in [(bound, True), (bound / 2, False)]:
-            psd = scenario.noise_psd * signal * (1 / share - 1)
-            noisy = dataclasses.replace(scenario, noise_psd=psd)
-            assert cli._standstill_share(cfg, noisy) == pytest.approx(share)
-            still = apply_channel(cli._waveforms(cfg), cli._parked(noisy), cfg, seed)
-            if detected:
-                cli._check_scenario(cfg, noisy)
-                assert abs(estimate_cfo(still, cfg) - scenario.cfo) < 1.0
-            else:
-                with pytest.raises(NoSignalError):
-                    estimate_cfo(still, cfg)
+        psd = scenario.noise_psd * signal * (1 / share - 1)
+        noisy = dataclasses.replace(scenario, noise_psd=psd)
+        assert cli._standstill_share(cfg, noisy) == pytest.approx(share)
+        return cfg, noisy
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("periods,bound", [(20, 0.0712), (238, 0.0389)])
+    def test_standstill_at_the_share_bound_is_estimated(self, periods, bound, seed):
+        """The lowest predicted share _check_scenario admits grows as the
+        standstill shortens: at the fewest periods it admits, 20, and at the
+        default 20 ms desk standstill's 238, the share on the bound passes
+        and gives the CFO estimate a signal whatever the noise draw, and a
+        share 1 % lower is refused.  The estimate lands within one bin of its
+        periodogram's grid, 1 / (2 P T): 298 Hz at 20 periods, where 300 draws
+        erred by at most 68 Hz, and 25 Hz at 238, at most 1.9 Hz; a peak of
+        the noise would fall anywhere in +-5.95 kHz."""
+        cfg, scenario = self._desk_standstill(periods, bound)
+        cli._check_scenario(cfg, scenario)
+        still = apply_channel(cli._waveforms(cfg), cli._parked(scenario), cfg, seed)
+        grid_bin = 1 / (2 * periods * cfg.sequence_period)
+        assert abs(estimate_cfo(still, cfg) - scenario.cfo) < grid_bin
+        cfg, scenario = self._desk_standstill(periods, bound * 0.99)
+        with pytest.raises(ConfigError, match="could take it for noise"):
+            cli._check_scenario(cfg, scenario)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_standstill_below_the_share_bound_reads_as_noise(self, seed):
+        """At half the bound of the default desk standstill the CFO estimate
+        finds no signal: the predicted share is the one it reads."""
+        cfg, scenario = self._desk_standstill(238, 0.0389 / 2)
+        still = apply_channel(cli._waveforms(cfg), cli._parked(scenario), cfg, seed)
+        with pytest.raises(NoSignalError):
+            estimate_cfo(still, cfg)
 
     def test_drive_shorter_than_one_snapshot_fails_before_writing(self, tmp_path, capsys):
         """A 0.1 ms desk drive holds 125 samples, fewer than one 210-sample
