@@ -14,7 +14,7 @@ by several processes at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -113,7 +113,7 @@ class PlanarReflector:
 
 @dataclass
 class ScenarioConfig:
-    """Drive-by measurement geometry and impairments.
+    """Drive-by geometry and impairments, as :func:`default_scenario` builds them.
 
     Coordinates (the street frame): x along the street, y across it, z up;
     units are meters, seconds, Hz.  ``noise_psd`` is the one-sided complex
@@ -121,19 +121,19 @@ class ScenarioConfig:
     ``noise_psd * sample_rate``).
     """
 
-    rx_position: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 5.0]))
-    tx_start_position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    tx_velocity: np.ndarray = field(default_factory=lambda: np.array([14.0, 0.0, 0.0]))
-    tx_antenna_height: float = 2.0
-    canyon_width: float = 20.0
-    reflectors: list[PlanarReflector] = field(default_factory=list)
-    trigger_distance: float = 41.0
-    duration: float = 3.2
-    standstill_duration: float = 0.02
-    noise_psd: float = 1e-15
-    cfo: float = 120.0
-    tx_beams: list[BeamPattern] = field(default_factory=list)
-    rx_gain_dbi: float = -4.0
+    rx_position: np.ndarray
+    tx_start_position: np.ndarray
+    tx_velocity: np.ndarray
+    tx_antenna_height: float
+    canyon_width: float
+    reflectors: list[PlanarReflector]
+    trigger_distance: float
+    duration: float
+    standstill_duration: float
+    noise_psd: float
+    cfo: float
+    tx_beams: list[BeamPattern]
+    rx_gain_dbi: float
 
     def __post_init__(self):
         self.rx_position = np.asarray(self.rx_position, dtype=np.float64)

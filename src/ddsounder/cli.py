@@ -27,9 +27,10 @@ Every job writes its own bytes, a group's bytes depend only on its first
 block, and every process runs OpenBLAS on one thread, so the output bytes do
 not depend on the worker count at either design.
 
-Neither simulate nor process holds a whole record in memory: a simulate
-job makes its group chunk by chunk, and ``process`` reads the record back
-in chunks of whole snapshots.
+Neither simulate nor process holds the drive's record whole in memory: a
+simulate job makes its group chunk by chunk, and ``process`` reads the drive
+in chunks of whole snapshots and the standstill whole, 16 bytes per sample
+(0.4 MB for the default 20 ms at desk scale, 40 MB at full scale).
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error (also a simulate
 or analyze worker that died, killed by a signal or the out-of-memory
@@ -77,7 +78,7 @@ from .rxproc import (
     estimate_cfo,
     snr_per_tx,
 )
-from .sbl import SBLConfig, sbl_fit
+from .sbl import _check_settings, sbl_fit
 from .tfanalysis import dsd, lsf_estimate, top_peaks_2d
 from .waveform import multitone_waveform, tone_plan
 
@@ -312,27 +313,27 @@ def _stage_process(out_dir: str) -> list[str]:
     return outputs
 
 
-def _analyze_window(out_dir, cfg, m, sbl_cfg, grid, seed, tx, w):
-    """LSF, DSD and SBL fit of window ``w`` of ``m`` snapshots of TX ``tx``;
-    both peak lists keep ``sbl_cfg.active_set_size`` peaks."""
+def _analyze_window(out_dir, cfg, m, peaks, iterations, grid, seed, tx, w):
+    """LSF, DSD and ``iterations``-pass SBL fit of window ``w`` of ``m``
+    snapshots of TX ``tx``; both peak lists keep ``peaks`` peaks."""
     window = grid.values[w * m : (w + 1) * m].T.copy()
     start = float(grid.snapshot_times[w * m])
     tag = f"tx{tx}_w{w:03d}"
 
-    surface = lsf_estimate(window, cfg.tone_spacing, cfg.snapshot_time, start)
+    window_args = (window, cfg.tone_spacing, cfg.snapshot_time, start)
+    surface = lsf_estimate(*window_args)
     ddio.write_surface(os.path.join(out_dir, f"lsf_{tag}.ddg2"), surface, seed)
     ddio.write_dsd_csv(
         os.path.join(out_dir, f"dsd_{tag}.csv"), surface.doppler_axis, dsd(surface)
     )
-    peaks = top_peaks_2d(surface, sbl_cfg.active_set_size)
     ddio.write_peaks_json(
         os.path.join(out_dir, f"peaks_{tag}.json"),
-        peaks,
+        top_peaks_2d(surface, peaks),
         start,
         extra={"seed": seed, "source": "lsf"},
     )
 
-    fit = sbl_fit(window, cfg.tone_spacing, cfg.snapshot_time, sbl_cfg, start)
+    fit = sbl_fit(*window_args, active_set_size=peaks, iterations=iterations)
     ddio.write_surface(os.path.join(out_dir, f"gamma_{tag}.ddg2"), fit.gamma, seed)
     ddio.write_peaks_json(
         os.path.join(out_dir, f"sbl_peaks_{tag}.json"),
@@ -452,10 +453,10 @@ def _fork_map(stage: str, out_dir: str, jobs: list[tuple]):
         _JOBS.clear()
 
 
-def _analysis_configs(args, cfg) -> SBLConfig:
-    """SBL settings from the analyze flags, once ``--windows``,
-    ``--window-length`` and ``--peaks`` are checked against each other and
-    the design's ``tone_count``; ``ConfigError`` names a bad flag."""
+def _analysis_configs(args, cfg) -> None:
+    """``ConfigError`` naming a bad analyze flag: ``--windows``, ``--window-length``
+    and ``--peaks`` against each other and the design's ``tone_count``, and
+    ``--peaks`` and ``--sbl-iters`` as :func:`sbl_fit` checks them."""
     if args.windows is not None and args.windows < 1:
         raise ConfigError(f"--windows must be at least 1, got {args.windows}")
     if not dpss_fits(args.window_length, LSF_TIME_BANDWIDTH):
@@ -468,13 +469,14 @@ def _analysis_configs(args, cfg) -> SBLConfig:
             f"--peaks {args.peaks} must be below the {cfg.tone_count * args.window_length} "
             f"samples of a window ({cfg.tone_count} tones x {args.window_length} snapshots)"
         )
-    return SBLConfig(iterations=args.sbl_iters, active_set_size=args.peaks)
+    _check_settings(args.peaks, args.sbl_iters)
 
 
 def _stage_analyze(args) -> list[str]:
     out_dir, window_length, window_limit = args.out_dir, args.window_length, args.windows
     cfg = ddio.load_sounder_config(os.path.join(out_dir, _CONFIG))
-    common = (out_dir, cfg, window_length, _analysis_configs(args, cfg))
+    _analysis_configs(args, cfg)
+    common = (out_dir, cfg, window_length, args.peaks, args.sbl_iters)
     jobs = []
     for tx in range(cfg.tx_count):
         grid, seed = ddio.read_grid(os.path.join(out_dir, f"h_tx{tx}.ddg1"))

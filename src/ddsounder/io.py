@@ -27,6 +27,7 @@ import json
 import os
 import struct
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from .channel import RayTracks, ScenarioConfig, default_scenario
 from .params import ConfigError, SounderConfig
 from .rxproc import TransferFunctionGrid
 from .waveform import SampledSignal
+
+if TYPE_CHECKING:
+    from .tfanalysis import DelayDopplerGrid, PeakList
 
 __all__ = [
     "FileFormatError",

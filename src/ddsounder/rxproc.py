@@ -117,9 +117,8 @@ def estimate_cfo(rx: SampledSignal, cfg: SounderConfig) -> float:
     Raises
     ------
     ConfigError
-        If the capture's sample rate differs from ``cfg.sample_rate``.
-    ValueError
-        If the capture holds fewer than two periods.
+        If the capture's sample rate differs from ``cfg.sample_rate`` or it
+        holds fewer than two periods.
     NoSignalError
         If the periodic share of the energy, ``(F(f) / r[0] - 1) / (P - 1)``
         (1 on a noise-free capture, near 0 on noise), is below
@@ -129,7 +128,7 @@ def estimate_cfo(rx: SampledSignal, cfg: SounderConfig) -> float:
     length = cfg.samples_per_period
     count = rx.samples.size // length
     if count < 2:
-        raise ValueError("rx must span at least two sequence periods")
+        raise ConfigError(f"rx must span at least two sequence periods, spans {count}")
     period = length / rx.sample_rate
     folded = rx.samples[: count * length].reshape(count, length)
     n = _smooth_length(2 * count - 1)

@@ -36,7 +36,6 @@ from .tfanalysis import DelayDopplerGrid, PeakList, _grid, _peak_list, _ranked_m
 
 __all__ = [
     "SparseModel",
-    "SBLConfig",
     "SBLResult",
     "sbl_fit",
 ]
@@ -100,22 +99,12 @@ _GAMMA_INIT = 1.0
 _NOISE_VAR_INIT = 0.1
 
 
-@dataclass
-class SBLConfig:
-    """Fixed-point settings: sparsity and iteration count."""
-
-    active_set_size: int = 10
-    iterations: int = 10
-
-    def __post_init__(self):
-        for name in ("active_set_size", "iterations"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, np.integer))
-                or value < 1
-            ):
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+def _check_settings(active_set_size, iterations) -> None:
+    """``ConfigError`` unless the active set size and the pass count are
+    positive integers."""
+    for name, value in (("active_set_size", active_set_size), ("iterations", iterations)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass
@@ -277,27 +266,31 @@ def sbl_fit(
     window: np.ndarray,
     tone_spacing: float = 1.0,
     snapshot_time: float = 1.0,
-    cfg: SBLConfig | None = None,
     window_start_time: float = 0.0,
+    *,
+    active_set_size: int = 10,
+    iterations: int = 10,
 ) -> SBLResult:
     """Sparse Bayesian fit of one tone-time window.
 
-    Runs exactly ``cfg.iterations`` passes.  Each pass multiplies every
+    Takes the window as :func:`ddsounder.tfanalysis.lsf_estimate` does and
+    runs exactly ``iterations`` passes.  Each pass multiplies every
     variance weight by the ratio of its matched-filter response power to its
     self-response under the current covariance, re-selects the active set as
-    the ``cfg.active_set_size`` largest strict local maxima of the variance
+    the ``active_set_size`` largest strict local maxima of the variance
     surface, and re-estimates the noise variance from the residual of the
     active-atom least-squares projection.
 
     Raises
     ------
+    ConfigError
+        If ``active_set_size`` or ``iterations`` is not a positive integer.
     ValueError
         On non-finite input, an identically zero window, a window with
         fewer samples than the requested active set, or a non-positive
         spacing, each before the first pass.
     """
-    if cfg is None:
-        cfg = SBLConfig()
+    _check_settings(active_set_size, iterations)
     h = np.asarray(window, dtype=np.complex128)
     if h.ndim != 2:
         raise ValueError("window must be 2-D (tones x snapshots)")
@@ -308,10 +301,10 @@ def sbl_fit(
     energy = float(np.vdot(h, h).real)
     if energy == 0.0:
         raise ValueError("window is identically zero")
-    if total <= cfg.active_set_size:
+    if total <= active_set_size:
         raise ValueError(
             f"window of {total} samples cannot support an active set of "
-            f"{cfg.active_set_size}"
+            f"{active_set_size}"
         )
 
     model = SparseModel(tone_count=n_tones, window_length=n_snapshots)
@@ -339,12 +332,12 @@ def sbl_fit(
     selected: list[tuple[int, int]] = []
     amplitudes = np.zeros(0, dtype=np.complex128)
     residual_power = energy
-    noise_trace = np.empty(cfg.iterations)
-    residual_trace = np.empty(cfg.iterations)
-    churn_trace = np.empty(cfg.iterations, dtype=int)
+    noise_trace = np.empty(iterations)
+    residual_trace = np.empty(iterations)
+    churn_trace = np.empty(iterations, dtype=int)
     work = _PassBuffers(n_tones, model.delay_bins, n_snapshots)
     center = n_snapshots // 2
-    for it in range(cfg.iterations):
+    for it in range(iterations):
         filtered, self_response = _atom_responses(gamma, noise_var, spectrum, work)
         ratio = np.abs(filtered, out=work.ratio)
         np.square(ratio, out=ratio)
@@ -354,7 +347,7 @@ def sbl_fit(
         surface[:, center:] = gamma[:, : n_snapshots - center]
         surface[:, :center] = gamma[:, n_snapshots - center :]
         previous = set(selected)
-        selected = _ranked_maxima(grid, cfg.active_set_size)
+        selected = _ranked_maxima(grid, active_set_size)
         churn_trace[it] = len(set(selected) - previous)
         if selected:
             delays = [n for n, _ in selected]
@@ -387,7 +380,7 @@ def sbl_fit(
         amplitudes=np.asarray(amplitudes),
         noise_var=float(noise_var),
         residual_power=residual_power,
-        iterations=cfg.iterations,
+        iterations=iterations,
         noise_var_trace=noise_trace,
         residual_power_trace=residual_trace,
         churn_trace=churn_trace,

@@ -245,6 +245,12 @@ class TestGeometry:
         kinds = [r.kind for r in default_scenario(truck=False, ground=False).reflectors]
         assert kinds == ["wall", "wall"]
 
+    def test_scenario_has_no_default_street(self):
+        """The reference street is stated once, in ``default_scenario``: a bare
+        ``ScenarioConfig`` lacks every field."""
+        with pytest.raises(TypeError, match="missing 13 required"):
+            ScenarioConfig()
+
     @pytest.mark.parametrize(
         "kwargs", [{}, {"y": 1.0, "z": 1.0}], ids=["neither", "both"]
     )

@@ -1156,6 +1156,20 @@ class TestExitCodes:
         assert "record shorter than one snapshot" in capsys.readouterr().err
         assert not any(name.startswith("h_tx") for name in os.listdir(out))
 
+    def test_one_period_standstill_is_config_error(self, mini_run, tmp_path, capsys):
+        """A well-formed standstill cut to one sequence period cannot give a
+        CFO: exit 1, not 3, and no grid is written."""
+        out = str(tmp_path / "one_period")
+        self._copy_run(mini_run, out)
+        cfg = ddio.load_sounder_config(os.path.join(out, "config.ini"))
+        path = os.path.join(out, "standstill.dds1")
+        still, seed = ddio.read_signal(path)
+        one = SampledSignal(still.samples[: cfg.samples_per_period], still.sample_rate)
+        ddio.write_signal(path, one, seed)
+        assert main(["process", "--out-dir", out]) == 1
+        assert "at least two sequence periods, spans 1" in capsys.readouterr().err
+        assert not any(name.startswith("h_tx") for name in os.listdir(out))
+
     def test_signal_free_standstill_is_numerical_error(self, mini_run, tmp_path, capsys):
         out = str(tmp_path / "nosig")
         os.makedirs(out)

@@ -7,6 +7,7 @@ behind by a deletion breaks them before any stage runs.
 """
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import pathlib
@@ -70,6 +71,64 @@ def test_scipy_serves_only_the_taper_solve():
     assert {name: mods for name, mods in scipy_imports.items() if mods} == {
         "tfanalysis.py": ["scipy.linalg"]
     }
+
+
+def _module_bindings(tree):
+    """The names a module binds at its top level, its top-level ``if``, ``try``
+    and ``with`` blocks included (so the imports under ``if TYPE_CHECKING:``)."""
+    names, blocks = set(), [tree.body]
+    while blocks:
+        for node in blocks.pop():
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update((a.asname or a.name).partition(".")[0] for a in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(
+                    n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+                )
+            else:
+                blocks += [getattr(node, f, []) for f in ("body", "orelse", "finalbody")]
+                blocks += [handler.body for handler in getattr(node, "handlers", [])]
+    return names
+
+
+def _annotation_names(tree):
+    """Every name read in an annotation of the module, at any depth; a string
+    annotation is parsed for its names too."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            args = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            annotations += [arg.annotation for arg in args if arg is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                annotations.append(ast.parse(node.value, mode="eval"))
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+    return names
+
+
+def test_annotations_name_bound_names():
+    """Every name an annotation in the package reads is bound at module level
+    (an import, under ``if TYPE_CHECKING:`` too, a def, a class or an
+    assignment) or is a builtin: with postponed annotations nothing else
+    catches a name that no line binds."""
+    package = pathlib.Path(ddsounder.__file__).parent
+    unbound = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = _annotation_names(tree) - _module_bindings(tree) - set(dir(builtins))
+        if names:
+            unbound[path.name] = sorted(names)
+    assert unbound == {}
 
 
 def test_io_loads_no_scipy():

@@ -79,6 +79,15 @@ class TestEstimateCfo:
         with pytest.raises(ValueError, match="two sequence periods"):
             estimate_cfo(short, narrowband)
 
+    def test_one_period_capture_is_config_error(self, narrowband):
+        """A capture that cannot fit the estimator is a configuration fault,
+        and the message names the periods it holds."""
+        one = SampledSignal(
+            np.ones(narrowband.samples_per_period + 50, complex), narrowband.sample_rate
+        )
+        with pytest.raises(ConfigError, match="two sequence periods, spans 1$"):
+            estimate_cfo(one, narrowband)
+
     def test_rate_mismatch_rejected(self, narrowband):
         rx = SampledSignal(np.ones(420, complex), 2e6)
         with pytest.raises(ValueError, match="sample_rate"):

@@ -14,7 +14,6 @@ from ddsounder.sbl import (
     _GAMMA_INIT,
     _NOISE_VAR_INIT,
     _UPSAMPLING,
-    SBLConfig,
     SparseModel,
     _levinson,
     sbl_fit,
@@ -63,7 +62,7 @@ def _dense_gamma_update(atoms, gamma, noise_var, h_hat):
     return gamma * np.abs(filtered) ** 2 / np.clip(self_response, 1e-300, None)
 
 
-def _reference_fit(h, cfg):
+def _reference_fit(h, active_set_size=10, iterations=10):
     """``sbl_fit``'s loop with the dense update: (gamma surface, peaks, noise_var)."""
     n_tones, n_snapshots = h.shape
     total = n_tones * n_snapshots
@@ -75,10 +74,10 @@ def _reference_fit(h, cfg):
     gamma = np.full((n_snapshots, model.delay_bins), _GAMMA_INIT)
     noise_var = _NOISE_VAR_INIT
     noise_floor = 1e-9 * energy / total
-    for _ in range(cfg.iterations):
+    for _ in range(iterations):
         gamma = _dense_gamma_update(atoms, gamma, noise_var, h_hat)
         surface = np.fft.fftshift(gamma.T, axes=1)
-        selected = _ranked_maxima(_grid(surface, 1.0, 1.0, 0.0), cfg.active_set_size)
+        selected = _ranked_maxima(_grid(surface, 1.0, 1.0, 0.0), active_set_size)
         basis = np.stack(
             [
                 model.column(n, (j - n_snapshots // 2) % n_snapshots)
@@ -235,17 +234,17 @@ class TestSblFit:
             plan = tone_plan(narrowband, 0)
             h = transfer_function(default_scenario(), narrowband, plan, times).T
             h = h + 0.1 * np.sqrt(np.mean(np.abs(h) ** 2) / 2) * noise
-            cfg = SBLConfig()
+            iterations = 10
         else:
-            h, cfg = noise, SBLConfig(iterations=1)
+            h, iterations = noise, 1
         spacings = (narrowband.tone_spacing, narrowband.snapshot_time)
-        fit = sbl_fit(h, *spacings, cfg=cfg)
-        assert fit.peaks.count == cfg.active_set_size
-        assert fit.peaks.entries == top_peaks_2d(fit.gamma, cfg.active_set_size).entries
+        fit = sbl_fit(h, *spacings, active_set_size=10, iterations=iterations)
+        assert fit.peaks.count == 10
+        assert fit.peaks.entries == top_peaks_2d(fit.gamma, 10).entries
 
     def test_runs_configured_iterations(self):
         h = np.ones((K, M), complex)
-        result = sbl_fit(h, cfg=SBLConfig(iterations=3))
+        result = sbl_fit(h, iterations=3)
         assert result.iterations == 3
 
     @pytest.mark.parametrize(
@@ -274,7 +273,7 @@ class TestSblFit:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SBLConfig(iterations=0)
+            sbl_fit(np.ones((K, M), complex), iterations=0)
 
     @pytest.mark.parametrize(
         "kwargs,named",
@@ -287,14 +286,14 @@ class TestSblFit:
     )
     def test_config_rejects_non_finite_and_non_integer(self, kwargs, named):
         with pytest.raises(ConfigError, match=named):
-            SBLConfig(**kwargs)
+            sbl_fit(np.ones((K, M), complex), **kwargs)
 
     @pytest.mark.parametrize("iterations", [1, 6])
     def test_per_pass_trace(self, model, iterations):
         rng = np.random.default_rng(300)
         noise = 0.05 * (rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M)))
         h = _window_from_atoms(model, [(2.0, 12, 3), (1.0j, 50, 20)], noise)
-        result = sbl_fit(h, cfg=SBLConfig(iterations=iterations, active_set_size=4))
+        result = sbl_fit(h, iterations=iterations, active_set_size=4)
         for trace in (
             result.noise_var_trace,
             result.residual_power_trace,
@@ -314,10 +313,10 @@ class TestSblFit:
         rng = np.random.default_rng(301)
         noise = 0.05 * (rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M)))
         h = _window_from_atoms(model, [(2.0, 12, 3), (1.0j, 50, 20)], noise)
-        cfg = SBLConfig(iterations=4, active_set_size=4)
-        first = sbl_fit(h, cfg=cfg)
+        settings = {"iterations": 4, "active_set_size": 4}
+        first = sbl_fit(h, **settings)
         kept = first.gamma.values.copy()
-        second = sbl_fit(h, cfg=cfg)
+        second = sbl_fit(h, **settings)
         assert second.gamma.values is not first.gamma.values
         assert first.gamma.values.tobytes() == kept.tobytes()
         assert second.gamma.values.tobytes() == kept.tobytes()
@@ -364,9 +363,8 @@ class TestDenseOracle:
     @pytest.mark.parametrize("upsampling", [U])
     def test_matches_dense_reference(self, upsampling, n_snapshots):
         h = _planted_window(upsampling, n_snapshots, snr_db=25.0)
-        cfg = SBLConfig()
-        surface, selected, noise_var = _reference_fit(h, cfg)
-        result = sbl_fit(h, cfg=cfg)
+        surface, selected, noise_var = _reference_fit(h)
+        result = sbl_fit(h)
         # relative to the surface maximum: entries down at 1e-40 carry the
         # reference's own round-off
         np.testing.assert_allclose(
@@ -383,9 +381,8 @@ class TestDenseOracle:
     ):
         """Even K, and lag correlations of 15 (= 2K - 1) and 40 points."""
         h = _planted_window(upsampling, n_snapshots, snr_db=25.0, n_tones=n_tones)
-        cfg = SBLConfig()
-        surface, selected, noise_var = _reference_fit(h, cfg)
-        result = sbl_fit(h, cfg=cfg)
+        surface, selected, noise_var = _reference_fit(h)
+        result = sbl_fit(h)
         np.testing.assert_allclose(
             result.gamma.values, surface, rtol=0, atol=1e-9 * surface.max()
         )
@@ -397,9 +394,8 @@ class TestDenseOracle:
         """At the noise floor cond(Sigma) ~ 1e11: the fast path's inverse lag
         sums round at ~eps/floor, so gamma agrees to ~1e-4, not 1e-9."""
         h = _planted_window(upsampling, n_snapshots)
-        cfg = SBLConfig()
-        surface, selected, noise_var = _reference_fit(h, cfg)
-        result = sbl_fit(h, cfg=cfg)
+        surface, selected, noise_var = _reference_fit(h)
+        result = sbl_fit(h)
         floor = 1e-9 * np.vdot(h, h).real / h.size
         assert noise_var == pytest.approx(floor, rel=1e-12)
         assert result.noise_var == pytest.approx(floor, rel=1e-12)
