@@ -30,7 +30,10 @@ not depend on the worker count at either design.
 Neither simulate nor process holds the drive's record whole in memory: a
 simulate job makes its group chunk by chunk, and ``process`` reads the drive
 in chunks of whole snapshots and the standstill whole, 16 bytes per sample
-(0.4 MB for the default 20 ms at desk scale, 40 MB at full scale).
+(0.4 MB for the default 20 ms at desk scale, 40 MB at full scale).  Nor does
+process hold a tone grid whole: it writes each chunk's tone values to the
+grid files as they come, and of each snapshot keeps only its free-slot
+powers, for the noise power, and one signal power per TX, for the SNR.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error (also a simulate
 or analyze worker that died, killed by a signal or the out-of-memory
@@ -74,9 +77,10 @@ from .rxproc import (
     _MIN_PERIODIC_SHARE,
     NoSignalError,
     _check_rate,
-    demultiplex_record,
+    _snr_db,
+    _tone_chunks,
+    _tone_power,
     estimate_cfo,
-    snr_per_tx,
 )
 from .sbl import _check_settings, sbl_fit
 from .tfanalysis import dsd, lsf_estimate, top_peaks_2d
@@ -291,25 +295,36 @@ def _standstill_cfo(out_dir: str, cfg) -> float:
 
 def _stage_process(out_dir: str) -> list[str]:
     cfg = ddio.load_sounder_config(os.path.join(out_dir, _CONFIG))
-    # the record is read chunk by chunk; it is never whole in memory
+    # the record is read chunk by chunk and each chunk's tone values are
+    # written to the grid files as they come: neither is ever whole in memory
     with ddio.SignalReader(os.path.join(out_dir, _RECORD)) as record:
         _check_rate(record.sample_rate, cfg, _RECORD)
         cfo = _standstill_cfo(out_dir, cfg)
         print(f"carrier frequency offset: {cfo:+.3f} Hz")
-        grids, noise_power = demultiplex_record(record, cfg, cfo)
+        q_count = record.length // cfg.samples_per_snapshot
+        times = record.t0 + np.arange(q_count) * cfg.snapshot_time
+        signal = np.empty((cfg.tx_count, q_count))
+        plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
+        with contextlib.ExitStack() as files:
+            writers = [
+                files.enter_context(ddio._grid_rows(
+                    os.path.join(out_dir, f"h_tx{plan.tx_index}.ddg1"),
+                    plan.tx_index, times, plan.tone_frequencies, record.seed,
+                ))
+                for plan in plans
+            ]
+            for first, tones, powers in _tone_chunks(record, cfg, cfo):
+                for write, tx_signal, values in zip(writers, signal, tones):
+                    write(values)
+                    tx_signal[first : first + values.shape[0]] = _tone_power(values)
+            # a noise power that is not positive fails before any grid is kept
+            noise_power = float(np.mean(powers))
+            snrs = [_snr_db(tx_signal, noise_power) for tx_signal in signal]
     outputs = []
-    for grid in grids:
-        tx = grid.tx_index
-        snr = snr_per_tx(grid, noise_power)
-        ddio.write_grid(os.path.join(out_dir, f"h_tx{tx}.ddg1"), grid, record.seed)
-        ddio.write_snr_csv(
-            os.path.join(out_dir, f"snr_tx{tx}.csv"), grid.snapshot_times, snr
-        )
+    for tx, snr in enumerate(snrs):
+        ddio.write_snr_csv(os.path.join(out_dir, f"snr_tx{tx}.csv"), times, snr)
         outputs += [f"h_tx{tx}.ddg1", f"snr_tx{tx}.csv"]
-        print(
-            f"tx{tx}: {grid.values.shape[0]} snapshots, "
-            f"median SNR {np.median(snr):.1f} dB"
-        )
+        print(f"tx{tx}: {q_count} snapshots, median SNR {np.median(snr):.1f} dB")
     return outputs
 
 

@@ -9,6 +9,8 @@ A raw record need never be whole in memory: :func:`_signal_in_place` lets
 several processes write its parts at their offsets, and
 :class:`SignalReader` reads it back in chunks into one reused buffer.
 :func:`write_signal` and :func:`read_signal` store and read a whole record.
+Nor need a tone grid: :func:`_grid_rows` writes it a block of snapshots at
+a time, and :func:`write_grid` stores a whole one through it.
 
 ``FileFormatError`` means the bytes were read but do not form a valid file;
 plain ``OSError`` means the file could not be read at all.
@@ -298,21 +300,51 @@ def read_signal(path: str) -> tuple[SampledSignal, int]:
     return SampledSignal(samples=samples, sample_rate=sample_rate, t0=t0), int(seed)
 
 
-def write_grid(path: str, grid: TransferFunctionGrid, seed: int) -> None:
-    """Store a snapshot-by-tone transfer-function grid.
+@contextlib.contextmanager
+def _grid_rows(path: str, tx_index: int, snapshot_times, tone_frequencies, seed: int):
+    """A DDG1 grid written in blocks of rows: yields ``write(values)``, which
+    stores the (c, K) tone values of the next ``c`` snapshots.
 
-    Snapshot times are stored as start + spacing only, so they must be
-    uniform: ``ValueError`` naming ``path``, before anything is written,
-    unless each lies within 1e-6 of the spacing of ``t0 + spacing * q``.
+    The header and the tone frequencies go first, then the rows in snapshot
+    order, through the temp file of :func:`_atomic_file`; it replaces
+    ``path`` once the ``with`` body completes and every snapshot of
+    ``snapshot_times`` has its row (``ValueError`` otherwise).  Snapshot
+    times are stored as start + spacing only, so they must be uniform:
+    ``ValueError`` naming ``path``, before anything is written, unless each
+    lies within 1e-6 of the spacing of ``t0 + spacing * q``.
     """
-    times = grid.snapshot_times
+    times = np.asarray(snapshot_times, dtype=np.float64)
     spacing = float(times[1] - times[0]) if times.size > 1 else 0.0
-    if np.any(np.abs(times - (times[0] + spacing * np.arange(times.size))) > 1e-6 * abs(spacing)):
+    start = float(times[0]) if times.size else 0.0
+    if np.any(np.abs(times - (start + spacing * np.arange(times.size))) > 1e-6 * abs(spacing)):
         raise ValueError(f"{path}: snapshot times are not uniform; DDG1 stores start + spacing")
-    values = np.asarray(grid.values, dtype="<c16")
-    fields = (*values.shape, grid.tx_index, 0, float(times[0]), spacing)
-    freqs = np.asarray(grid.tone_frequencies, dtype="<f8")
-    _write_binary(path, b"DDG1", seed, fields, [freqs, values])
+    freqs = np.ascontiguousarray(tone_frequencies, dtype="<f8")
+    fields = (times.size, freqs.size, tx_index, 0, start, spacing)
+    rows = 0
+
+    def write(values) -> None:
+        nonlocal rows
+        values = np.ascontiguousarray(values, dtype="<c16")
+        if values.ndim != 2 or values.shape[1] != freqs.size:
+            raise ValueError(f"{path}: rows of {freqs.size} tones expected, got {values.shape}")
+        fh.write(values)
+        rows += values.shape[0]
+
+    with _atomic_file(path) as fh:
+        fh.write(_HEADERS[b"DDG1"].pack(b"DDG1", seed & 0xFFFFFFFF, *fields))
+        fh.write(freqs)
+        yield write
+        if rows != times.size:
+            raise ValueError(f"{path}: {rows} snapshots written, header promises {times.size}")
+
+
+def write_grid(path: str, grid: TransferFunctionGrid, seed: int) -> None:
+    """Store a snapshot-by-tone transfer-function grid, as :func:`_grid_rows`
+    writes one in a single block."""
+    with _grid_rows(
+        path, grid.tx_index, grid.snapshot_times, grid.tone_frequencies, seed
+    ) as write:
+        write(grid.values)
 
 
 def read_grid(path: str) -> tuple[TransferFunctionGrid, int]:

@@ -10,9 +10,11 @@ TX's tone values are read from the one spectrum of each averaged snapshot.
 
 ``coherent_average`` and ``demultiplex_record`` average through one loop
 over chunks of whole snapshots, so a drive record need never be whole in
-memory: ``demultiplex_record`` reads it chunk by chunk and keeps only the
-per-tone values of each snapshot, bit for bit what ``coherent_average`` and
-a period DFT give on the whole record.  The CFO estimate needs no reference:
+memory: ``demultiplex_record`` reads it chunk by chunk, and each chunk's tone
+values are bit for bit what ``coherent_average`` and a period DFT give on
+the whole record.  The loop's chunks of tone values can also be consumed
+as they come (``process`` writes them straight to its grid files), so no
+tone grid need be whole in memory either.  The CFO estimate needs no reference:
 a parked capture is periodic up to the CFO rotation, and the estimate is the
 maximum of the periodogram of its period-lag sums, reached by Newton steps
 from the maximum of its FFT grid; no temporary is the size of the standstill.
@@ -169,8 +171,12 @@ def estimate_cfo(rx: SampledSignal, cfg: SounderConfig) -> float:
 
 # Samples per chunk of whole snapshots averaged at once: bounds the
 # temporaries of the averaging loop (a few chunk-sized complex arrays)
-# whatever the record length, while keeping the numpy calls per chunk large.
-_CHUNK_SAMPLES = 1 << 18
+# whatever the record length.  That is 312 snapshots at desk scale and 2 at
+# full scale.  On the 3.2 s desk record (2-vCPU Xeon), process peaks at
+# 66 MB RSS with 3.9k minor page faults per run; with 2^18 it peaked at
+# 79 MB, with 7.5k-10.8k faults that varied with the heap state the imports
+# left.
+_CHUNK_SAMPLES = 1 << 16
 
 
 def _check_rate(rate: float, cfg: SounderConfig, name: str = "record") -> None:
@@ -300,6 +306,35 @@ def _free_slot_bins(cfg: SounderConfig) -> np.ndarray:
     return _tone_bins(cfg, free_slot)
 
 
+def _tone_chunks(record, cfg: SounderConfig, cfo: float):
+    """Yield, for each chunk of whole snapshots of ``record``, the index of
+    its first snapshot, the (c, K) tone values of every TX in TX order, and
+    the (Q, F) free-slot powers of the whole record, filled through the
+    chunk's last snapshot (:func:`demultiplex_record` describes all three).
+
+    The tone values are new arrays for each chunk; the powers are one array,
+    so that their mean over the record, once every chunk has been taken, adds
+    in the order it does over a whole-record array.
+    """
+    q_count = record.length // cfg.samples_per_snapshot
+    plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
+    bins = [_tone_bins(cfg, plan.tone_frequencies) for plan in plans]
+    free_bins = _free_slot_bins(cfg)
+    # column-major, the layout of ``spectra[:, free_bins]``
+    powers = np.empty((free_bins.size, q_count)).T
+    averaged_chunks = _averaged_chunks(
+        record.chunks, q_count, record.sample_rate, record.t0, cfg, cfo
+    )
+    for first, averaged in averaged_chunks:
+        stop = first + averaged.shape[0]
+        # the averaged periods are not needed again: transform them in place
+        spectra = np.fft.fft(averaged, axis=1, out=averaged)
+        spectra /= cfg.samples_per_period
+        tones = [spectra[:, b] / plan.tone_weights for plan, b in zip(plans, bins)]
+        np.square(np.abs(spectra[:, free_bins]), out=powers[first:stop])
+        yield first, tones, powers
+
+
 def demultiplex_record(
     record, cfg: SounderConfig, cfo: float
 ) -> tuple[list[TransferFunctionGrid], float]:
@@ -312,12 +347,14 @@ def demultiplex_record(
     of whole snapshots is averaged by the loop of :func:`coherent_average`,
     on one offset per snapshot from every comb of the design.  One DFT of
     each averaged period at tone scale, ``fft / L``, gives every TX's tone
-    values at its own comb's slice of the design's bins, each coefficient over its transmit weight, so a
-    distortion-free channel of gain ``g`` yields ``g`` everywhere.  The first
-    tone-offset slot past the configured TXs is guaranteed free, and the mean
-    power of its bins over the record is the noise power after averaging, at
-    tone scale.  Work arrays are allocated once per record; only the (Q, K)
-    tone values of each TX and the free-slot powers are kept.  A trailing
+    values at its own comb's slice of the design's bins, each coefficient
+    over its transmit weight, so a distortion-free channel of gain ``g``
+    yields ``g`` everywhere.  The first tone-offset slot past the configured
+    TXs is guaranteed free, and the mean power of its bins over the record
+    is the noise power after averaging, at tone scale.  Work arrays are
+    allocated once per record; beside them, only each chunk's (c, K) tone
+    values of each TX and the record's free-slot powers are held, and the
+    chunks are collected here into the returned (Q, K) grids.  A trailing
     partial snapshot is ignored.
 
     Raises
@@ -329,23 +366,10 @@ def demultiplex_record(
     """
     q_count = record.length // cfg.samples_per_snapshot
     plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
-    bins = [_tone_bins(cfg, plan.tone_frequencies) for plan in plans]
-    free_bins = _free_slot_bins(cfg)
-    # (Q, K) in the column-major layout of ``spectra[:, bins]``, so that
-    # reductions over them add in the order they do over whole-record arrays
-    values = [np.empty((b.size, q_count), dtype=np.complex128).T for b in bins]
-    powers = np.empty((free_bins.size, q_count)).T
-    averaged_chunks = _averaged_chunks(
-        record.chunks, q_count, record.sample_rate, record.t0, cfg, cfo
-    )
-    for first, averaged in averaged_chunks:
-        stop = first + averaged.shape[0]
-        # the averaged periods are not needed again: transform them in place
-        spectra = np.fft.fft(averaged, axis=1, out=averaged)
-        spectra /= cfg.samples_per_period
-        for plan, tx_bins, tx_values in zip(plans, bins, values):
-            np.divide(spectra[:, tx_bins], plan.tone_weights, out=tx_values[first:stop])
-        np.square(np.abs(spectra[:, free_bins]), out=powers[first:stop])
+    values = [np.empty((q_count, plan.tone_frequencies.size), complex) for plan in plans]
+    for first, tones, powers in _tone_chunks(record, cfg, cfo):
+        for tx_values, chunk in zip(values, tones):
+            tx_values[first : first + chunk.shape[0]] = chunk
     times = record.t0 + np.arange(q_count) * cfg.snapshot_time
     grids = [
         TransferFunctionGrid(
@@ -359,9 +383,20 @@ def demultiplex_record(
     return grids, float(np.mean(powers))
 
 
-def snr_per_tx(grid: TransferFunctionGrid, noise_power: float) -> np.ndarray:
-    """Per-snapshot SNR (dB): mean tone power over the noise-bin power."""
+def _tone_power(values: np.ndarray) -> np.ndarray:
+    """Mean power over the tones of each row of ``values``, accumulated tone
+    by tone, so that a row's power does not depend on the array's layout or
+    on how the rows are chunked (``np.sum`` adds a contiguous row pairwise)."""
+    return np.cumsum(np.abs(values) ** 2, axis=1)[:, -1] / values.shape[1]
+
+
+def _snr_db(signal: np.ndarray, noise_power: float) -> np.ndarray:
+    """``signal`` powers over the noise power, in dB."""
     if not noise_power > 0:
         raise ValueError("noise power estimate must be positive")
-    signal = np.mean(np.abs(grid.values) ** 2, axis=1)
     return 10.0 * np.log10(signal / noise_power)
+
+
+def snr_per_tx(grid: TransferFunctionGrid, noise_power: float) -> np.ndarray:
+    """Per-snapshot SNR (dB): mean tone power over the noise-bin power."""
+    return _snr_db(_tone_power(grid.values), noise_power)

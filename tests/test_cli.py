@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ddsounder import channel, cli
+from ddsounder import channel, cli, rxproc
 from ddsounder import io as ddio
 from ddsounder import manifest
 from ddsounder.channel import _record_length, apply_channel, default_scenario
@@ -1156,6 +1156,37 @@ class TestExitCodes:
         assert "record shorter than one snapshot" in capsys.readouterr().err
         assert not any(name.startswith("h_tx") for name in os.listdir(out))
 
+    def test_record_failing_mid_stream_keeps_no_grid(
+        self, mini_run, tmp_path, capsys, monkeypatch
+    ):
+        """The record fails to read at its second chunk, once the first
+        chunk's tone rows are in both grids' temp files: exit 2, the
+        h_tx0.ddg1 that was there before is kept byte for byte, and no other
+        grid nor any temp file is left."""
+        out = str(tmp_path / "mid")
+        self._copy_run(mini_run, out)
+        old = os.path.join(out, "h_tx0.ddg1")
+        shutil.copyfile(os.path.join(mini_run, "h_tx0.ddg1"), old)
+        before = open(old, "rb").read()
+        cfg = ddio.load_sounder_config(os.path.join(out, "config.ini"))
+        rows = rxproc._CHUNK_SAMPLES // cfg.samples_per_snapshot * cfg.tone_count * 16
+        chunks, temp_sizes = ddio.SignalReader.chunks, []
+
+        def fail_at_second_chunk(self, size):
+            yield next(chunks(self, size))
+            temps = [name for name in os.listdir(out) if ".tmp." in name]
+            temp_sizes.extend(os.path.getsize(os.path.join(out, name)) for name in temps)
+            raise ddio.FileFormatError(f"{self.path}: file shrank while being read")
+
+        monkeypatch.setattr(ddio.SignalReader, "chunks", fail_at_second_chunk)
+        assert main(["process", "--out-dir", out]) == 2
+        assert "shrank" in capsys.readouterr().err
+        assert len(temp_sizes) == 2 and min(temp_sizes) > rows
+        assert open(old, "rb").read() == before
+        names = os.listdir(out)
+        assert [name for name in names if name.startswith("h_tx")] == ["h_tx0.ddg1"]
+        assert not [name for name in names if ".tmp." in name]
+
     def test_one_period_standstill_is_config_error(self, mini_run, tmp_path, capsys):
         """A well-formed standstill cut to one sequence period cannot give a
         CFO: exit 1, not 3, and no grid is written."""
@@ -1305,18 +1336,18 @@ class TestBoundedMemory:
     """simulate and process hold chunks of the record, never all of it."""
 
     @staticmethod
-    def _traced_peaks(out, duration, stages=("simulate", "process")):
-        """Traced peak bytes of each of ``stages`` on a ``duration`` s drive.
-        The design averages eight periods per snapshot (the paper's averages
-        212), so the per-snapshot tone grids that process keeps are a small
-        share of the record; 0.25 s already spans more than one
-        262,144-sample chunk of coherent_average."""
-        cfg = SounderConfig(
+    def _traced_peaks(out, duration, stages=("simulate", "process"), cfg=None):
+        """Traced peak bytes of each of ``stages`` on a ``duration`` s drive
+        of ``cfg`` at its ``max_speed``.  The default design averages eight
+        periods per snapshot (the paper's averages 212), so the per-snapshot
+        tone grids are a small share of the record; 0.25 s already spans
+        more than one 65,536-sample chunk of coherent_average."""
+        cfg = cfg or SounderConfig(
             bandwidth=1e6, sample_rate=1.25e6, averaging_count=8,
             max_speed=3.5, max_doppler=700.0,
         )
         assert validate_config(cfg).passed
-        scenario = default_scenario(duration=duration, tx_velocity=(3.5, 0.0, 0.0))
+        scenario = default_scenario(duration=duration, tx_velocity=(cfg.max_speed, 0.0, 0.0))
         run = {
             "simulate": lambda: cli._stage_simulate(cfg, scenario, 7, out),
             "process": lambda: cli._stage_process(out),
@@ -1342,6 +1373,21 @@ class TestBoundedMemory:
         assert os.path.getsize(str(tmp_path / "long" / "rx_record.dds1")) == 32 + 16 * 1_250_000
         for stage, a, b in zip(("simulate", "process"), short, long):
             assert b <= 1.25 * a, f"{stage}: {b / 2**20:.2f} MB vs {a / 2**20:.2f} MB"
+
+    def test_process_keeps_no_tone_grid_whole(self, tmp_path, monkeypatch, capsys):
+        """At the default desk design, whose snapshots average two periods,
+        the two (Q, 21) tone grids are most of what process would keep of a
+        record: a 4x longer record (1 s) raises process's traced peak by
+        less than half of its two grids' bytes."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cfg = narrowband_config()
+        _, short = self._traced_peaks(str(tmp_path / "short"), 0.25, cfg=cfg)
+        _, long = self._traced_peaks(str(tmp_path / "long"), 1.0, cfg=cfg)
+        snapshots = _record_length(default_scenario(duration=1.0), cfg) // cfg.samples_per_snapshot
+        grids = 2 * snapshots * cfg.tone_count * 16
+        assert long - short < grids / 2, (
+            f"{(long - short) / 2**20:.2f} MB more for grids of {grids / 2**20:.2f} MB"
+        )
 
     def test_pooled_parent_peak_flat_in_record_length(self, tmp_path, monkeypatch, capsys):
         """On two workers, simulate's own process, which reads every group

@@ -270,6 +270,28 @@ class TestGridFormat:
         with pytest.raises(FileFormatError, match="size"):
             read_grid(path)
 
+    def test_rows_streamed_in_blocks_are_the_bytes_of_write_grid(self, tmp_path):
+        grid = self._grid()
+        whole, blocks = str(tmp_path / "whole.ddg1"), str(tmp_path / "blocks.ddg1")
+        write_grid(whole, grid, seed=5)
+        times, freqs = grid.snapshot_times, grid.tone_frequencies
+        with ddio._grid_rows(blocks, grid.tx_index, times, freqs, 5) as write:
+            for first in range(0, 6, 4):
+                write(grid.values[first : first + 4])
+        assert open(blocks, "rb").read() == open(whole, "rb").read()
+
+    def test_streamed_rows_short_of_the_times_leave_no_file(self, tmp_path):
+        grid = self._grid()
+        path = str(tmp_path / "h.ddg1")
+        times, freqs = grid.snapshot_times, grid.tone_frequencies
+        with pytest.raises(ValueError, match="5 snapshots written, header promises 6"):
+            with ddio._grid_rows(path, grid.tx_index, times, freqs, 5) as write:
+                write(grid.values[:5])
+        with pytest.raises(ValueError, match="rows of 21 tones"):
+            with ddio._grid_rows(path, grid.tx_index, times, freqs, 5) as write:
+                write(grid.values[:, :20])
+        assert list(tmp_path.iterdir()) == []
+
     def test_times_it_cannot_store_rejected_before_writing(self, tmp_path):
         """DDG1 keeps the start and the spacing only: [0, 1, 3] would read
         back as [0, 1, 2]."""
