@@ -43,7 +43,10 @@ that the drive holds at least one snapshot, that the car drives no faster
 than the design's ``max_speed``, that the parked car's beams see enough of
 the receiver for the CFO estimate to tell the standstill's signal from noise
 and that the seed fits 32 bits before they write anything; ``run-all`` also
-checks the analyze flags and that the record holds at least one window.  It
+checks the analyze flags and that the record holds at least one window.
+``analyze`` checks its flags, and that each TX's grid holds at least one
+window and is one that ``config.ini`` produces (its tx index, its tone
+frequencies and its snapshot spacing), before it writes anything.  It
 rewrites ``manifest.json`` after each stage, so a failed run's manifest lists
 the stages that finished.
 """
@@ -487,6 +490,23 @@ def _analysis_configs(args, cfg) -> None:
     _check_settings(args.peaks, args.sbl_iters)
 
 
+def _check_grid(name: str, grid, cfg, tx: int) -> None:
+    """``ConfigError`` naming ``name`` and the field unless TX ``tx``'s grid is
+    one that ``process`` makes under ``cfg``: its TX index, exactly its tone
+    frequencies, and its snapshot spacing within 1e-6 of ``snapshot_time``.
+    The grid holds at least one window, so at least two snapshots."""
+    if grid.tx_index != tx:
+        raise ConfigError(f"{name}: tx_index is {grid.tx_index}, expected {tx}")
+    if not np.array_equal(grid.tone_frequencies, tone_plan(cfg, tx).tone_frequencies):
+        raise ConfigError(f"{name}: tone_frequencies are not those {_CONFIG} plans for tx{tx}")
+    spacing = float(grid.snapshot_times[1] - grid.snapshot_times[0])
+    if abs(spacing - cfg.snapshot_time) > 1e-6 * cfg.snapshot_time:
+        raise ConfigError(
+            f"{name}: snapshot spacing is {spacing:g} s, {_CONFIG} has "
+            f"snapshot_time {cfg.snapshot_time:g} s"
+        )
+
+
 def _stage_analyze(args) -> list[str]:
     out_dir, window_length, window_limit = args.out_dir, args.window_length, args.windows
     cfg = ddio.load_sounder_config(os.path.join(out_dir, _CONFIG))
@@ -494,13 +514,15 @@ def _stage_analyze(args) -> list[str]:
     common = (out_dir, cfg, window_length, args.peaks, args.sbl_iters)
     jobs = []
     for tx in range(cfg.tx_count):
-        grid, seed = ddio.read_grid(os.path.join(out_dir, f"h_tx{tx}.ddg1"))
+        name = f"h_tx{tx}.ddg1"
+        grid, seed = ddio.read_grid(os.path.join(out_dir, name))
         count = grid.values.shape[0] // window_length
         if count == 0:
             raise ConfigError(
-                f"h_tx{tx}.ddg1 has {grid.values.shape[0]} snapshots, "
+                f"{name} has {grid.values.shape[0]} snapshots, "
                 f"shorter than one {window_length}-snapshot window"
             )
+        _check_grid(name, grid, cfg, tx)
         if window_limit is not None:
             count = min(count, window_limit)
         jobs += [(_analyze_window, *common, grid, seed, tx, w) for w in range(count)]

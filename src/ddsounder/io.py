@@ -2,7 +2,9 @@
 
 Binary layouts are little-endian with a four-byte magic whose trailing digit
 is the format version, and carry the generating seed so downstream stages
-can derive their own streams.  All writers go through an atomic
+can derive their own streams.  :func:`_binary_file` packs every header, and
+the arrays are streamed after it, never copied into one buffer;
+:func:`_read_header` checks every header.  All writers go through an atomic
 write-then-rename so a crashed run never leaves a truncated file behind.
 
 A raw record need never be whole in memory: :func:`_signal_in_place` lets
@@ -105,21 +107,14 @@ _HEADERS = {
 }
 
 
-def _write_binary(path: str, kind: bytes, seed: int, fields, arrays) -> None:
-    """Store the ``kind`` header, then each array's raw bytes, from one buffer.
-
-    ``fields`` are the header fields after the magic and the seed; each of
-    ``arrays`` is already in its on-disk dtype and is copied once, into the
-    buffer.
-    """
-    header = _HEADERS[kind]
-    buf = np.empty(header.size + sum(a.nbytes for a in arrays), dtype=np.uint8)
-    header.pack_into(buf, 0, kind, seed & 0xFFFFFFFF, *fields)
-    offset = header.size
-    for a in arrays:
-        buf[offset : offset + a.nbytes].view(a.dtype).reshape(a.shape)[...] = a
-        offset += a.nbytes
-    atomic_write(path, buf)
+@contextlib.contextmanager
+def _binary_file(path: str, kind: bytes, seed: int, *fields):
+    """An :func:`_atomic_file` handle that already holds the ``kind`` header
+    (the magic, the seed, then ``fields``), flushed so fd-level calls see it."""
+    with _atomic_file(path) as fh:
+        fh.write(_HEADERS[kind].pack(kind, seed & 0xFFFFFFFF, *fields))
+        fh.flush()
+        yield fh
 
 
 def _read_header(fh, path: str, kind: bytes, layout) -> tuple[tuple, list]:
@@ -165,12 +160,6 @@ def _signal_layout(seed, rate, length, t0):
     return [("<c16", (length,))]
 
 
-def _signal_header(length: int, sample_rate: float, seed: int, t0: float) -> bytes:
-    return _HEADERS[b"DDS1"].pack(
-        b"DDS1", seed & 0xFFFFFFFF, float(sample_rate), length, float(t0)
-    )
-
-
 # bytes read back at a time while a record written in place is hashed
 _READ_BACK = 1 << 20
 
@@ -178,9 +167,9 @@ _READ_BACK = 1 << 20
 class _SamplesInPlace:
     """The sample payload of a DDS1 temp file opened by :func:`_signal_in_place`."""
 
-    def __init__(self, fd: int, path: str, header: bytes):
+    def __init__(self, fd: int, path: str):
         self._fd, self._path = fd, path
-        self._digest = hashlib.sha256(header)
+        self._digest = hashlib.sha256(os.pread(fd, _HEADERS[b"DDS1"].size, 0))
         self.count = 0
 
     def write(self, first: int, samples: np.ndarray) -> None:
@@ -226,11 +215,9 @@ def _signal_in_place(path: str, length: int, sample_rate: float, seed: int, t0: 
     file's.  An exception leaves neither ``path`` nor the temp file behind,
     and a file already at ``path`` as it was.
     """
-    header = _signal_header(length, sample_rate, seed, t0)
-    with _atomic_file(path) as fh:
-        os.pwrite(fh.fileno(), header, 0)
-        os.ftruncate(fh.fileno(), len(header) + 16 * length)
-        samples = _SamplesInPlace(fh.fileno(), path, header)
+    with _binary_file(path, b"DDS1", seed, float(sample_rate), length, float(t0)) as fh:
+        os.ftruncate(fh.fileno(), _HEADERS[b"DDS1"].size + 16 * length)
+        samples = _SamplesInPlace(fh.fileno(), path)
         yield samples
         if samples.count != length:
             raise ValueError(
@@ -240,11 +227,10 @@ def _signal_in_place(path: str, length: int, sample_rate: float, seed: int, t0: 
 
 def write_signal(path: str, signal: SampledSignal, seed: int) -> None:
     """Store a whole complex baseband record: the 32-byte header, then the
-    complex128 I/Q samples, as in :func:`atomic_write` but with no copy of
-    the samples into one buffer."""
+    complex128 I/Q samples."""
     samples = np.ascontiguousarray(signal.samples, dtype="<c16")
-    with _atomic_file(path) as fh:
-        fh.write(_signal_header(samples.size, signal.sample_rate, seed, signal.t0))
+    rate, t0 = float(signal.sample_rate), float(signal.t0)
+    with _binary_file(path, b"DDS1", seed, rate, samples.size, t0) as fh:
         fh.write(samples)
 
 
@@ -330,8 +316,7 @@ def _grid_rows(path: str, tx_index: int, snapshot_times, tone_frequencies, seed:
         fh.write(values)
         rows += values.shape[0]
 
-    with _atomic_file(path) as fh:
-        fh.write(_HEADERS[b"DDG1"].pack(b"DDG1", seed & 0xFFFFFFFF, *fields))
+    with _binary_file(path, b"DDG1", seed, *fields) as fh:
         fh.write(freqs)
         yield write
         if rows != times.size:
@@ -363,17 +348,14 @@ def read_grid(path: str) -> tuple[TransferFunctionGrid, int]:
 
 
 def write_surface(path: str, grid: DelayDopplerGrid, seed: int) -> None:
-    """Store a real surface with its delay and Doppler axes."""
+    """Store a real surface: the 24-byte header, then the delay axis, the
+    Doppler axis and the values, each streamed in turn."""
     if np.iscomplexobj(grid.values):
         raise ValueError("surfaces are real-valued; store grids as DDG1 instead")
-    values = np.asarray(grid.values, dtype="<f8")
-    arrays = [
-        np.asarray(grid.delay_axis, dtype="<f8"),
-        np.asarray(grid.doppler_axis, dtype="<f8"),
-        values,
-    ]
-    fields = (*values.shape, float(grid.window_start_time))
-    _write_binary(path, b"DDG2", seed, fields, arrays)
+    fields = (*grid.values.shape, float(grid.window_start_time))
+    with _binary_file(path, b"DDG2", seed, *fields) as fh:
+        for a in (grid.delay_axis, grid.doppler_axis, grid.values):
+            fh.write(np.ascontiguousarray(a, "<f8"))
 
 
 def read_surface(path: str) -> tuple[DelayDopplerGrid, int]:

@@ -1230,6 +1230,45 @@ class TestExitCodes:
         assert "rx_record.dds1" in err and "sample_rate" in err
         assert not any(name.startswith("h_tx") for name in os.listdir(out))
 
+    def _copy_analyze_inputs(self, mini_run, out):
+        os.makedirs(out)
+        for name in ("config.ini", "h_tx0.ddg1", "h_tx1.ddg1"):
+            shutil.copyfile(os.path.join(mini_run, name), os.path.join(out, name))
+
+    @pytest.mark.parametrize(
+        "design, field",
+        [
+            ({"bandwidth": 2e6, "sample_rate": 2.5e6}, "tone_frequencies"),
+            ({"averaging_count": 1}, "snapshot_time"),  # the same tones
+        ],
+    )
+    def test_grid_of_another_design_is_config_error(
+        self, mini_run, tmp_path, capsys, design, field
+    ):
+        """Grids of the mini run under a config.ini of another valid design
+        would analyze on the wrong axes: exit 1 naming the grid, no surface."""
+        out = str(tmp_path / "design")
+        self._copy_analyze_inputs(mini_run, out)
+        cfg_path = os.path.join(out, "config.ini")
+        cfg = dataclasses.replace(ddio.load_sounder_config(cfg_path), **design)
+        assert validate_config(cfg).passed
+        ddio.save_sounder_config(cfg_path, cfg)
+        rc = main(["analyze", "--out-dir", out, "--windows", "1", "--window-length", "128"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "h_tx0.ddg1" in err and field in err
+        assert not any(name.startswith("lsf_") for name in os.listdir(out))
+
+    def test_grid_of_another_tx_is_config_error(self, mini_run, tmp_path, capsys):
+        out = str(tmp_path / "tx")
+        self._copy_analyze_inputs(mini_run, out)
+        shutil.copyfile(os.path.join(out, "h_tx1.ddg1"), os.path.join(out, "h_tx0.ddg1"))
+        rc = main(["analyze", "--out-dir", out, "--windows", "1", "--window-length", "128"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "h_tx0.ddg1" in err and "tx_index is 1, expected 0" in err
+        assert sorted(os.listdir(out)) == ["config.ini", "h_tx0.ddg1", "h_tx1.ddg1"]
+
     @pytest.mark.parametrize("name", ["rx_record.dds1", "standstill.dds1"])
     def test_input_header_rate_mismatch_is_config_error(
         self, mini_run, tmp_path, capsys, name

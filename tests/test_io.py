@@ -698,3 +698,53 @@ class TestHeaderLayouts:
             "<4sIIId", open(path, "rb").read()
         )
         assert (magic, seed, rows, cols, start) == (b"DDG2", 8, 2, 3, 0.5)
+
+
+class TestBinaryWriter:
+    """The one header writer, and the arrays streamed after the header."""
+
+    @pytest.mark.parametrize("kind", ["surface", "record", "grid rows"])
+    def test_non_contiguous_inputs_write_the_bytes_of_contiguous_copies(self, tmp_path, kind):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((12, 20)) + 1j * rng.standard_normal((12, 20))
+        if kind == "surface":
+            # Fortran-ordered values, strided axes
+            arrays = [np.asfortranarray(np.abs(data[::2])), np.arange(12.0)[::2],
+                      np.arange(40.0)[::2]]
+
+            def write(path, values, delay, doppler):
+                write_surface(path, DelayDopplerGrid(values, delay, doppler, 1.5), seed=3)
+        elif kind == "record":
+            arrays = [data.ravel()[::3]]
+
+            def write(path, samples):
+                write_signal(path, SampledSignal(samples, 1.25e6, t0=0.5), seed=3)
+        else:
+            arrays = [np.ascontiguousarray(data.T).T]  # blocks of a transposed array
+
+            def write(path, values):
+                with ddio._grid_rows(path, 1, np.arange(12) * 1e-3, np.arange(20.0), 3) as rows:
+                    for first in range(0, 12, 5):
+                        rows(values[first : first + 5])
+
+        assert not any(a.flags.c_contiguous for a in arrays)
+        strided, copied = str(tmp_path / "strided"), str(tmp_path / "copied")
+        write(strided, *arrays)
+        write(copied, *[np.ascontiguousarray(a) for a in arrays])
+        assert open(strided, "rb").read() == open(copied, "rb").read()
+
+    @pytest.mark.parametrize("previous", [False, True])
+    def test_surface_failing_after_its_header_leaves_nothing(self, tmp_path, previous):
+        """Object values fail to convert after the header and both axes are
+        written: no temp file is left, and no file or the previous one is."""
+        path = tmp_path / "s.ddg2"
+        grid = DelayDopplerGrid(np.ones((2, 3)), np.arange(2.0), np.arange(3.0), 0.5)
+        if previous:
+            write_surface(str(path), grid, seed=8)
+        before = sorted(tmp_path.iterdir())
+        blob = path.read_bytes() if previous else None
+        bad = dataclasses.replace(grid, values=np.full((2, 3), "x", dtype=object))
+        with pytest.raises(ValueError, match="could not convert"):
+            write_surface(str(path), bad, seed=8)
+        assert sorted(tmp_path.iterdir()) == before
+        assert (path.read_bytes() if previous else None) == blob

@@ -5,9 +5,9 @@ Each ```python block of ``README.md`` runs in a fresh namespace with a
 temporary directory as the working directory, so an example that names a
 function the package no longer has, or passes it the wrong arguments, fails
 here.  The ``[sounder]``, ``[scenario]`` and plan-check tables list, in
-order, the fields, keywords and checks that the code has, and each
+order, the fields, keywords and checks that the code has, each
 ``ddsounder <command>`` line of the CLI block names that command's flags and
-shows their defaults.
+shows their defaults, and each binary format's header is the codec's.
 """
 
 import argparse
@@ -19,6 +19,7 @@ import re
 import pytest
 
 from ddsounder import cli
+from ddsounder import io as ddio
 from ddsounder.channel import default_scenario
 from ddsounder.params import SounderConfig, default_config, validate_config
 
@@ -114,3 +115,14 @@ def test_cli_usage_shows_the_parser_defaults():
     ]
     for command, flag, value in shown:
         assert commands[command].get_default(flag[2:].replace("-", "_")) == value, flag
+
+
+def test_file_formats_give_the_codec_headers():
+    """Each ``struct <...>`` string and byte count under "File formats" is
+    the format and the size of the header that its magic's files carry."""
+    section = TEXT[TEXT.index("## File formats") :]
+    found = re.findall(r"header `struct (<\w+)` \((\d+) B\):\s+magic\s+`(\w+)`", section)
+    assert len(found) == len(ddio._HEADERS)
+    assert {magic.encode(): (fmt, int(size)) for fmt, size, magic in found} == {
+        kind: (header.format, header.size) for kind, header in ddio._HEADERS.items()
+    }
