@@ -31,9 +31,10 @@ Neither simulate nor process holds the drive's record whole in memory: a
 simulate job makes its group chunk by chunk, and ``process`` reads the drive
 in chunks of whole snapshots and the standstill whole, 16 bytes per sample
 (0.4 MB for the default 20 ms at desk scale, 40 MB at full scale).  Nor does
-process hold a tone grid whole: it writes each chunk's tone values to the
-grid files as they come, and of each snapshot keeps only its free-slot
-powers, for the noise power, and one signal power per TX, for the SNR.
+process hold a tone grid whole: ``rxproc.demultiplex_record`` hands each
+chunk's tone values to the grid files' writers as they come, and of each
+snapshot keeps only its free-slot powers, for the noise power, and one
+signal power per TX, for the SNR.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error (also a simulate
 or analyze worker that died, killed by a signal or the out-of-memory
@@ -80,9 +81,7 @@ from .rxproc import (
     _MIN_PERIODIC_SHARE,
     NoSignalError,
     _check_rate,
-    _snr_db,
-    _tone_chunks,
-    _tone_power,
+    demultiplex_record,
     estimate_cfo,
 )
 from .sbl import _check_settings, sbl_fit
@@ -306,7 +305,6 @@ def _stage_process(out_dir: str) -> list[str]:
         print(f"carrier frequency offset: {cfo:+.3f} Hz")
         q_count = record.length // cfg.samples_per_snapshot
         times = record.t0 + np.arange(q_count) * cfg.snapshot_time
-        signal = np.empty((cfg.tx_count, q_count))
         plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
         with contextlib.ExitStack() as files:
             writers = [
@@ -316,13 +314,8 @@ def _stage_process(out_dir: str) -> list[str]:
                 ))
                 for plan in plans
             ]
-            for first, tones, powers in _tone_chunks(record, cfg, cfo):
-                for write, tx_signal, values in zip(writers, signal, tones):
-                    write(values)
-                    tx_signal[first : first + values.shape[0]] = _tone_power(values)
-            # a noise power that is not positive fails before any grid is kept
-            noise_power = float(np.mean(powers))
-            snrs = [_snr_db(tx_signal, noise_power) for tx_signal in signal]
+            # a noise power that is not positive raises before any grid is kept
+            snrs, _ = demultiplex_record(record, cfg, cfo, writers)
     outputs = []
     for tx, snr in enumerate(snrs):
         ddio.write_snr_csv(os.path.join(out_dir, f"snr_tx{tx}.csv"), times, snr)

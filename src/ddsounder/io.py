@@ -9,10 +9,12 @@ write-then-rename so a crashed run never leaves a truncated file behind.
 
 A raw record need never be whole in memory: :func:`_signal_in_place` lets
 several processes write its parts at their offsets, and
-:class:`SignalReader` reads it back in chunks into one reused buffer.
+:class:`SignalReader` reads it back in chunks into one reused buffer, as
+:class:`~ddsounder.waveform.SampledSignal` reads an in-memory record.
 :func:`write_signal` and :func:`read_signal` store and read a whole record.
 Nor need a tone grid: :func:`_grid_rows` writes it a block of snapshots at
-a time, and :func:`write_grid` stores a whole one through it.
+a time, as :func:`ddsounder.rxproc.demultiplex_record` hands the blocks to
+its writers, and :func:`write_grid` stores a whole one through it.
 
 ``FileFormatError`` means the bytes were read but do not form a valid file;
 plain ``OSError`` means the file could not be read at all.
@@ -240,7 +242,10 @@ class SignalReader:
     Opening checks the magic and that the payload holds exactly the
     ``length`` samples the header promises, before any sample buffer is
     allocated; ``seed``, ``sample_rate``, ``length`` and ``t0`` are the
-    header's.  Use it as a context manager, or call :meth:`close`.
+    header's.  ``length`` and :meth:`chunks` are those of
+    :class:`~ddsounder.waveform.SampledSignal`, so the record's readers
+    (:func:`ddsounder.rxproc.demultiplex_record`) take either.  Use it as a
+    context manager, or call :meth:`close`.
     """
 
     def __init__(self, path: str):

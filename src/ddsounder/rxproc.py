@@ -12,7 +12,7 @@ TX's tone values are read from the one spectrum of each averaged snapshot.
 over chunks of whole snapshots, so a drive record need never be whole in
 memory: ``demultiplex_record`` reads it chunk by chunk, and each chunk's tone
 values are bit for bit what ``coherent_average`` and a period DFT give on
-the whole record.  The loop's chunks of tone values can also be consumed
+the whole record.  It hands each chunk's tone values of each TX to a writer
 as they come (``process`` writes them straight to its grid files), so no
 tone grid need be whole in memory either.  The CFO estimate needs no reference:
 a parked capture is periodic up to the CFO rotation, and the estimate is the
@@ -175,7 +175,10 @@ def estimate_cfo(rx: SampledSignal, cfg: SounderConfig) -> float:
 # full scale.  On the 3.2 s desk record (2-vCPU Xeon), process peaks at
 # 66 MB RSS with 3.9k minor page faults per run; with 2^18 it peaked at
 # 79 MB, with 7.5k-10.8k faults that varied with the heap state the imports
-# left.
+# left.  The chunk's shape also sets how numpy rounds the lag products and
+# sums of the offset estimate, so changing the constant moves the tone values
+# at round-off: going from 2^18 to 2^16 moved the desk run-all --seed 42
+# grids by up to 8.7e-16 of the peak, in 594 of 19,047 snapshots.
 _CHUNK_SAMPLES = 1 << 16
 
 
@@ -188,22 +191,24 @@ def _check_rate(rate: float, cfg: SounderConfig, name: str = "record") -> None:
         )
 
 
-def _averaged_chunks(
-    chunks, q_count: int, rate: float, t0: float, cfg: SounderConfig, cfo: float
-):
-    """Yield, for each chunk of whole snapshots of a record, the index of its
-    first snapshot and its (c, L) periods averaged as :func:`coherent_average`
-    describes.
+def _averaged_chunks(record, cfg: SounderConfig, cfo: float):
+    """Yield, for each chunk of whole snapshots of ``record``, the index of
+    its first snapshot and its (c, L) periods averaged as
+    :func:`coherent_average` describes.
 
-    The record holds ``q_count`` whole snapshots sampled at ``rate`` from
-    ``t0``, and ``chunks(size)`` yields its samples in order, ``size`` at a
-    time.  Every chunk but the last holds as many snapshots as fit
-    ``_CHUNK_SAMPLES``, at least one.  The averaged periods and the period
-    DFTs go into work arrays allocated once, so a yielded chunk is valid only
-    until the next.  The record's rate and length are checked at the first
+    ``record`` carries its ``sample_rate``, ``t0`` and ``length`` (samples),
+    and ``record.chunks(size)`` yields its samples in order, ``size`` at a
+    time (a :class:`~ddsounder.waveform.SampledSignal` or a
+    :class:`ddsounder.io.SignalReader`).  Every chunk but the last holds as
+    many snapshots as fit ``_CHUNK_SAMPLES``, at least one; a trailing
+    partial snapshot is ignored.  The averaged periods and the period DFTs go
+    into work arrays allocated once, so a yielded chunk is valid only until
+    the next.  The record's rate and length are checked at the first
     ``next``.
     """
+    rate, t0 = record.sample_rate, record.t0
     _check_rate(rate, cfg)
+    q_count = record.length // cfg.samples_per_snapshot
     if q_count < 1:
         raise ConfigError("record shorter than one snapshot")
     # the period DFT bins of every TX comb of the design
@@ -217,7 +222,7 @@ def _averaged_chunks(
     averaged = np.empty((chunk, length), dtype=np.complex128)
     period_phase = np.arange(n_avg) * length / rate
     m = math.isqrt(length)
-    for first, samples in zip(range(0, q_count, chunk), chunks(chunk * per_snapshot)):
+    for first, samples in zip(range(0, q_count, chunk), record.chunks(chunk * per_snapshot)):
         count = min(chunk, q_count - first)
         blocks = samples[: count * per_snapshot].reshape(count, n_avg, length)
         if n_avg > 1:
@@ -289,11 +294,7 @@ def coherent_average(rx: SampledSignal, cfg: SounderConfig, cfo: float) -> np.nd
     """
     q_count = rx.samples.size // cfg.samples_per_snapshot
     out = np.empty((q_count, cfg.samples_per_period), dtype=np.complex128)
-
-    def chunks(size):
-        return (rx.samples[i : i + size] for i in range(0, rx.samples.size, size))
-
-    for first, averaged in _averaged_chunks(chunks, q_count, rx.sample_rate, rx.t0, cfg, cfo):
+    for first, averaged in _averaged_chunks(rx, cfg, cfo):
         out[first : first + averaged.shape[0]] = averaged
     return out
 
@@ -306,81 +307,59 @@ def _free_slot_bins(cfg: SounderConfig) -> np.ndarray:
     return _tone_bins(cfg, free_slot)
 
 
-def _tone_chunks(record, cfg: SounderConfig, cfo: float):
-    """Yield, for each chunk of whole snapshots of ``record``, the index of
-    its first snapshot, the (c, K) tone values of every TX in TX order, and
-    the (Q, F) free-slot powers of the whole record, filled through the
-    chunk's last snapshot (:func:`demultiplex_record` describes all three).
+def demultiplex_record(
+    record, cfg: SounderConfig, cfo: float, writers
+) -> tuple[np.ndarray, float]:
+    """Every TX's tone values of a record read chunk by chunk, handed to
+    ``writers[tx]`` as they come; returns the (TX, Q) per-snapshot SNR in dB
+    and the receiver's noise power.
 
-    The tone values are new arrays for each chunk; the powers are one array,
-    so that their mean over the record, once every chunk has been taken, adds
-    in the order it does over a whole-record array.
+    ``record`` is a :class:`~ddsounder.waveform.SampledSignal` or a
+    :class:`ddsounder.io.SignalReader`; each chunk of its whole snapshots is
+    averaged by the loop of :func:`coherent_average`.  One DFT of each
+    averaged period at tone scale, ``fft / L``, gives every TX's tone values
+    at its own comb's bins, each over its transmit weight, so a
+    distortion-free channel of gain ``g`` yields ``g`` everywhere.
+    ``writers[tx]`` receives each chunk's (c, K) values of TX ``tx`` as a new
+    array, in snapshot order: the rows are its grid at times ``record.t0 + q
+    * cfg.snapshot_time``.  The mean power of the bins of the first
+    tone-offset slot past the configured TXs, over the record, is the noise
+    power after averaging, at tone scale; a snapshot's SNR is that of
+    :func:`snr_per_tx`.  Beside work arrays allocated once per record, only a
+    chunk's tone values, the free-slot powers and one signal power per
+    snapshot and TX are held.  A trailing partial snapshot is ignored.
+
+    Raises
+    ------
+    ConfigError
+        If a TX comb is off the period DFT grid, no tone-offset slot is free,
+        the record's sample rate differs from ``cfg.sample_rate`` or the
+        record is shorter than one snapshot, in that order, before any
+        writer is called.
+    ValueError
+        If the noise power is not positive, after every row is written and
+        before returning, so a caller writing files need not keep them.
     """
     q_count = record.length // cfg.samples_per_snapshot
     plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
     bins = [_tone_bins(cfg, plan.tone_frequencies) for plan in plans]
     free_bins = _free_slot_bins(cfg)
-    # column-major, the layout of ``spectra[:, free_bins]``
+    # column-major, the layout of ``spectra[:, free_bins]``, so that their
+    # mean adds in the order it does over a whole-record array
     powers = np.empty((free_bins.size, q_count)).T
-    averaged_chunks = _averaged_chunks(
-        record.chunks, q_count, record.sample_rate, record.t0, cfg, cfo
-    )
-    for first, averaged in averaged_chunks:
+    signal = np.empty((cfg.tx_count, q_count))
+    for first, averaged in _averaged_chunks(record, cfg, cfo):
         stop = first + averaged.shape[0]
         # the averaged periods are not needed again: transform them in place
         spectra = np.fft.fft(averaged, axis=1, out=averaged)
         spectra /= cfg.samples_per_period
-        tones = [spectra[:, b] / plan.tone_weights for plan, b in zip(plans, bins)]
+        for tx, (plan, b) in enumerate(zip(plans, bins)):
+            values = spectra[:, b] / plan.tone_weights
+            writers[tx](values)
+            signal[tx, first:stop] = _tone_power(values)
         np.square(np.abs(spectra[:, free_bins]), out=powers[first:stop])
-        yield first, tones, powers
-
-
-def demultiplex_record(
-    record, cfg: SounderConfig, cfo: float
-) -> tuple[list[TransferFunctionGrid], float]:
-    """Tone grids of every TX of ``cfg``, in TX order, and the receiver's
-    noise power, from a record read chunk by chunk.
-
-    ``record`` carries the record's ``sample_rate``, ``length`` (samples)
-    and ``t0``, and ``record.chunks(size)`` yields its samples in order,
-    ``size`` at a time (:class:`ddsounder.io.SignalReader`).  Each chunk
-    of whole snapshots is averaged by the loop of :func:`coherent_average`,
-    on one offset per snapshot from every comb of the design.  One DFT of
-    each averaged period at tone scale, ``fft / L``, gives every TX's tone
-    values at its own comb's slice of the design's bins, each coefficient
-    over its transmit weight, so a distortion-free channel of gain ``g``
-    yields ``g`` everywhere.  The first tone-offset slot past the configured
-    TXs is guaranteed free, and the mean power of its bins over the record
-    is the noise power after averaging, at tone scale.  Work arrays are
-    allocated once per record; beside them, only each chunk's (c, K) tone
-    values of each TX and the record's free-slot powers are held, and the
-    chunks are collected here into the returned (Q, K) grids.  A trailing
-    partial snapshot is ignored.
-
-    Raises
-    ------
-    ConfigError
-        If the record's sample rate differs from ``cfg.sample_rate``, a TX
-        comb is off the period DFT grid, no tone-offset slot is free, or the
-        record is shorter than one snapshot.
-    """
-    q_count = record.length // cfg.samples_per_snapshot
-    plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
-    values = [np.empty((q_count, plan.tone_frequencies.size), complex) for plan in plans]
-    for first, tones, powers in _tone_chunks(record, cfg, cfo):
-        for tx_values, chunk in zip(values, tones):
-            tx_values[first : first + chunk.shape[0]] = chunk
-    times = record.t0 + np.arange(q_count) * cfg.snapshot_time
-    grids = [
-        TransferFunctionGrid(
-            tx_index=plan.tx_index,
-            values=tx_values,
-            snapshot_times=times,
-            tone_frequencies=plan.tone_frequencies.copy(),
-        )
-        for plan, tx_values in zip(plans, values)
-    ]
-    return grids, float(np.mean(powers))
+    noise_power = float(np.mean(powers))
+    return _snr_db(signal, noise_power), noise_power
 
 
 def _tone_power(values: np.ndarray) -> np.ndarray:

@@ -29,6 +29,10 @@ __all__ = [
 class SampledSignal:
     """Complex baseband samples with their sampling context.
 
+    ``length`` and ``chunks(size)`` read it as
+    :class:`ddsounder.io.SignalReader` reads a record file, so an in-memory
+    signal can stand wherever a record is read chunk by chunk.
+
     Attributes
     ----------
     samples : numpy.ndarray
@@ -53,6 +57,16 @@ class SampledSignal:
     @property
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
+
+    @property
+    def length(self) -> int:
+        return self.samples.size
+
+    def chunks(self, size: int):
+        """Yield views of the samples in order, ``size`` at a time (the last
+        chunk may be shorter)."""
+        for start in range(0, self.samples.size, size):
+            yield self.samples[start : start + size]
 
 
 @dataclass

@@ -324,6 +324,28 @@ class TestStages:
         assert os.path.exists(os.path.join(out, "lsf_tx0_w000.ddg2"))
         assert not os.path.exists(os.path.join(out, "lsf_tx0_w001.ddg2"))
 
+    def test_process_writes_what_demultiplex_record_gives(self, mini_run, tmp_path):
+        """process's grid rows and SNR files are, bit for bit, the rows that
+        demultiplex_record hands its writers and the SNR it returns, at the
+        standstill's CFO."""
+        cfg = ddio.load_sounder_config(os.path.join(mini_run, "config.ini"))
+        still, _ = ddio.read_signal(os.path.join(mini_run, "standstill.dds1"))
+        rows = [[] for _ in range(cfg.tx_count)]
+        with ddio.SignalReader(os.path.join(mini_run, "rx_record.dds1")) as record:
+            snr, _ = rxproc.demultiplex_record(
+                record, cfg, estimate_cfo(still, cfg), [tx_rows.append for tx_rows in rows]
+            )
+            times = record.t0 + np.arange(snr.shape[1]) * cfg.snapshot_time
+        for tx, tx_rows in enumerate(rows):
+            grid, _ = ddio.read_grid(os.path.join(mini_run, f"h_tx{tx}.ddg1"))
+            np.testing.assert_array_equal(grid.values, np.concatenate(tx_rows))
+            expected = str(tmp_path / f"snr_tx{tx}.csv")
+            ddio.write_snr_csv(expected, times, snr[tx])
+            with open(expected, "rb") as want, open(
+                os.path.join(mini_run, f"snr_tx{tx}.csv"), "rb"
+            ) as got:
+                assert got.read() == want.read()
+
     def test_sbl_peaks_carry_per_pass_traces(self, mini_run, tmp_path):
         out = str(tmp_path / "traces")
         os.makedirs(out)
@@ -1182,6 +1204,27 @@ class TestExitCodes:
         assert main(["process", "--out-dir", out]) == 2
         assert "shrank" in capsys.readouterr().err
         assert len(temp_sizes) == 2 and min(temp_sizes) > rows
+        assert open(old, "rb").read() == before
+        names = os.listdir(out)
+        assert [name for name in names if name.startswith("h_tx")] == ["h_tx0.ddg1"]
+        assert not [name for name in names if ".tmp." in name]
+
+    def test_silent_record_is_numerical_error_and_keeps_no_grid(
+        self, mini_run, tmp_path, capsys
+    ):
+        """An all-zero record beside a valid standstill has no noise power:
+        exit 3, the h_tx0.ddg1 that was there before is kept byte for byte,
+        and no other grid nor any temp file is left."""
+        out = str(tmp_path / "silent")
+        record = self._copy_run(mini_run, out)
+        old = os.path.join(out, "h_tx0.ddg1")
+        shutil.copyfile(os.path.join(mini_run, "h_tx0.ddg1"), old)
+        before = open(old, "rb").read()
+        rx, seed = ddio.read_signal(record)
+        silent = SampledSignal(np.zeros_like(rx.samples), rx.sample_rate, rx.t0)
+        ddio.write_signal(record, silent, seed)
+        assert main(["process", "--out-dir", out]) == 3
+        assert "noise power estimate must be positive" in capsys.readouterr().err
         assert open(old, "rb").read() == before
         names = os.listdir(out)
         assert [name for name in names if name.startswith("h_tx")] == ["h_tx0.ddg1"]

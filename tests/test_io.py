@@ -159,6 +159,25 @@ class TestSignalStream:
         assert [c.size for c in chunks] == [256, 256, 256, 232]
         np.testing.assert_array_equal(np.concatenate(chunks), data)
 
+    @pytest.mark.parametrize(
+        "size,sizes",
+        [(1, [1] * 1000), (256, [256, 256, 256, 232]), (1000, [1000]), (4096, [1000])],
+    )
+    def test_in_memory_chunks_are_the_readers(self, tmp_path, size, sizes):
+        """``SampledSignal.chunks`` gives the sizes and samples that
+        ``SignalReader.chunks`` reads from the signal's ``write_signal``
+        file, and ``length`` the reader's."""
+        path = str(tmp_path / "a.dds1")
+        signal = SampledSignal(self._samples(), 1.25e6, t0=0.25)
+        write_signal(path, signal, seed=0)
+        with SignalReader(path) as reader:
+            assert reader.length == signal.length
+            read = [chunk.copy() for chunk in reader.chunks(size)]
+        in_memory = list(signal.chunks(size))
+        assert [c.size for c in read] == [c.size for c in in_memory] == sizes
+        for chunk, view in zip(read, in_memory):
+            np.testing.assert_array_equal(chunk, view)
+
     def test_reader_reuses_one_buffer(self, tmp_path):
         path = str(tmp_path / "a.dds1")
         write_signal(path, SampledSignal(self._samples(), 1.25e6), seed=0)

@@ -387,61 +387,70 @@ def _noise_power(averaged, cfg):
 
 
 class _InMemoryRecord:
-    """The reader interface of demultiplex_record over an in-memory record,
-    counting the samples it hands out."""
+    """An in-memory record that counts the sizes of the chunks it hands out."""
 
     def __init__(self, signal):
-        self.signal = signal
-        self.sample_rate, self.t0 = signal.sample_rate, signal.t0
-        self.length = signal.samples.size
-        self.sizes = []
+        self.signal, self.sizes = signal, []
+        self.sample_rate, self.t0, self.length = signal.sample_rate, signal.t0, signal.length
 
     def chunks(self, size):
-        for start in range(0, self.length, size):
-            self.sizes.append(min(size, self.length - start))
-            yield self.signal.samples[start : start + size].copy()
+        for chunk in self.signal.chunks(size):
+            self.sizes.append(chunk.size)
+            yield chunk
+
+
+def _demultiplexed(record, cfg, cfo):
+    """The rows demultiplex_record hands each TX's writer, collected into
+    that TX's grid, with the SNR and the noise power it returns."""
+    rows = [[] for _ in range(cfg.tx_count)]
+    snr, power = demultiplex_record(record, cfg, cfo, [tx_rows.append for tx_rows in rows])
+    times = record.t0 + np.arange(snr.shape[1]) * cfg.snapshot_time
+    grids = [
+        TransferFunctionGrid(tx, np.concatenate(tx_rows), times, tone_plan(cfg, tx).tone_frequencies)
+        for tx, tx_rows in enumerate(rows)
+    ]
+    return grids, snr, power
 
 
 class TestDemultiplexRecord:
     @pytest.mark.parametrize("t0", [0.0, 1.7])
     @pytest.mark.parametrize("n_avg", [1, 2, 4])
     def test_equals_whole_record_functions(self, n_avg, t0):
-        """2.6 chunks with a partial snapshot trailing: every grid and the
-        noise power are bit for bit those of the whole-record functions, and
-        the record is handed out in whole-snapshot chunks of coherent_average."""
+        """2.6 chunks with a partial snapshot trailing: every grid, the SNR
+        and the noise power are bit for bit those of the whole-record
+        functions, and the record is handed out in whole-snapshot chunks of
+        coherent_average."""
         cfg = narrowband_config(averaging_count=n_avg)
         plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
         rx = _chirped_record(cfg, 2.6, t0)
         record = _InMemoryRecord(rx)
-        grids, power = demultiplex_record(record, cfg, 37.25)
+        grids, snr, power = _demultiplexed(record, cfg, 37.25)
         chunk = (rxproc._CHUNK_SAMPLES // cfg.samples_per_snapshot) * cfg.samples_per_snapshot
         assert record.sizes[:-1] == [chunk] * (len(record.sizes) - 1)
         assert len(record.sizes) == 3
         averaged = coherent_average(rx, cfg, 37.25)
         assert power == _noise_power(averaged, cfg)
-        assert len(grids) == len(plans)
-        for plan, grid in zip(plans, grids):
+        assert len(grids) == len(plans) == snr.shape[0]
+        for plan, grid, tx_snr in zip(plans, grids, snr):
             expected = _demultiplex(averaged, cfg, plan, t0=t0)
             assert grid.tx_index == plan.tx_index
             np.testing.assert_array_equal(grid.values, expected.values)
             np.testing.assert_array_equal(grid.snapshot_times, expected.snapshot_times)
             np.testing.assert_array_equal(grid.tone_frequencies, expected.tone_frequencies)
-            np.testing.assert_array_equal(
-                snr_per_tx(grid, power), snr_per_tx(expected, power)
-            )
+            np.testing.assert_array_equal(tx_snr, snr_per_tx(expected, power))
 
     def test_record_shorter_than_snapshot_rejected(self, narrowband, nb_plans):
         short = SampledSignal(np.ones(narrowband.samples_per_snapshot - 1, complex),
                               narrowband.sample_rate)
         with pytest.raises(ValueError, match="shorter than one snapshot"):
-            demultiplex_record(_InMemoryRecord(short), narrowband, 0.0)
+            _demultiplexed(short, narrowband, 0.0)
 
 
 class TestDemultiplex:
     def test_static_channel_matches_transfer_function(self, narrowband, signals, nb_plans):
         scn = _parked(0.005)
         rx = apply_channel(signals, scn, narrowband, seed=1)
-        grids, _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0)
+        grids, _, _ = _demultiplexed(rx, narrowband, 0.0)
         for plan, grid in zip(nb_plans, grids):
             want = transfer_function(scn, narrowband, plan, grid.snapshot_times)
             err = np.max(np.abs(grid.values - want)) / np.max(np.abs(want))
@@ -451,7 +460,7 @@ class TestDemultiplex:
         """Moving TX: agreement is limited by intra-snapshot Doppler drift."""
         scn = default_scenario(duration=0.01, cfo=0.0, noise_psd=0.0)
         rx = apply_channel(signals, scn, narrowband, seed=1)
-        grids, _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0)
+        grids, _, _ = _demultiplexed(rx, narrowband, 0.0)
         for plan, grid in zip(nb_plans, grids):
             want = transfer_function(scn, narrowband, plan, grid.snapshot_times)
             err = np.linalg.norm(grid.values - want) / np.linalg.norm(want)
@@ -461,7 +470,7 @@ class TestDemultiplex:
         """Feeding the TX period straight through must give H = 1."""
         periods = 3 * narrowband.averaging_count
         rx = SampledSignal(np.tile(signals[0].samples, periods), narrowband.sample_rate)
-        grids, _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0)
+        grids, _, _ = _demultiplexed(rx, narrowband, 0.0)
         grid = grids[0]
         assert grid.values.shape == (3, narrowband.tone_count)
         np.testing.assert_allclose(grid.values, 1.0, atol=1e-12)
@@ -475,7 +484,7 @@ class TestDemultiplex:
         assert not check["tones_on_period_grid"].passed
         rx = SampledSignal(np.ones(bad.samples_per_snapshot, complex), bad.sample_rate)
         with pytest.raises(ConfigError, match="off the period DFT grid"):
-            demultiplex_record(_InMemoryRecord(rx), bad, 0.0)
+            _demultiplexed(rx, bad, 0.0)
 
 
 class TestCrosstalk:
@@ -485,7 +494,7 @@ class TestCrosstalk:
         wave0 = multitone_waveform(narrowband, nb_plans[0])
         silent = SampledSignal(np.zeros(105, complex), narrowband.sample_rate)
         rx = apply_channel([wave0, silent], scenario, narrowband, seed=seed)
-        (own, leak), _ = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0)
+        (own, leak), _, _ = _demultiplexed(rx, narrowband, 0.0)
         return 10 * np.log10(
             np.mean(np.abs(leak.values) ** 2) / np.mean(np.abs(own.values) ** 2)
         )
@@ -510,7 +519,7 @@ class TestNoisePath:
             rng.standard_normal(n) + 1j * rng.standard_normal(n)
         )
         rx = SampledSignal(noise, narrowband.sample_rate)
-        _, est = demultiplex_record(_InMemoryRecord(rx), narrowband, 0.0)
+        _, _, est = _demultiplexed(rx, narrowband, 0.0)
         expected = sigma2 / (narrowband.averaging_count * narrowband.samples_per_period)
         assert est == pytest.approx(expected, rel=0.1)
 
