@@ -34,7 +34,9 @@ in chunks of whole snapshots and the standstill whole, 16 bytes per sample
 process hold a tone grid whole: ``rxproc.demultiplex_record`` hands each
 chunk's tone values to the grid files' writers as they come, and of each
 snapshot keeps only its free-slot powers, for the noise power, and one
-signal power per TX, for the SNR.
+signal power per TX, for the SNR.  Nor does analyze: it opens each grid
+with ``io.GridReader``, which reads the header and the tone frequencies, and
+each window job reads its own rows from the reader it inherits.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error (also a simulate
 or analyze worker that died, killed by a signal or the out-of-memory
@@ -324,11 +326,13 @@ def _stage_process(out_dir: str) -> list[str]:
     return outputs
 
 
-def _analyze_window(out_dir, cfg, m, peaks, iterations, grid, seed, tx, w):
+def _analyze_window(out_dir, cfg, m, peaks, iterations, grid, tx, w):
     """LSF, DSD and ``iterations``-pass SBL fit of window ``w`` of ``m``
-    snapshots of TX ``tx``; both peak lists keep ``peaks`` peaks."""
-    window = grid.values[w * m : (w + 1) * m].T.copy()
-    start = float(grid.snapshot_times[w * m])
+    snapshots of TX ``tx``, read from its open ``io.GridReader``; both peak
+    lists keep ``peaks`` peaks."""
+    part, seed = grid.read(w * m, m), grid.seed
+    window = part.values.T.copy()
+    start = float(part.snapshot_times[0])
     tag = f"tx{tx}_w{w:03d}"
 
     window_args = (window, cfg.tone_spacing, cfg.snapshot_time, start)
@@ -484,18 +488,17 @@ def _analysis_configs(args, cfg) -> None:
 
 
 def _check_grid(name: str, grid, cfg, tx: int) -> None:
-    """``ConfigError`` naming ``name`` and the field unless TX ``tx``'s grid is
-    one that ``process`` makes under ``cfg``: its TX index, exactly its tone
-    frequencies, and its snapshot spacing within 1e-6 of ``snapshot_time``.
-    The grid holds at least one window, so at least two snapshots."""
+    """``ConfigError`` naming ``name`` and the field unless TX ``tx``'s grid,
+    an open ``io.GridReader``, is one that ``process`` makes under ``cfg``:
+    its TX index, exactly its tone frequencies, and its snapshot spacing
+    within 1e-6 of ``snapshot_time``."""
     if grid.tx_index != tx:
         raise ConfigError(f"{name}: tx_index is {grid.tx_index}, expected {tx}")
     if not np.array_equal(grid.tone_frequencies, tone_plan(cfg, tx).tone_frequencies):
         raise ConfigError(f"{name}: tone_frequencies are not those {_CONFIG} plans for tx{tx}")
-    spacing = float(grid.snapshot_times[1] - grid.snapshot_times[0])
-    if abs(spacing - cfg.snapshot_time) > 1e-6 * cfg.snapshot_time:
+    if abs(grid.spacing - cfg.snapshot_time) > 1e-6 * cfg.snapshot_time:
         raise ConfigError(
-            f"{name}: snapshot spacing is {spacing:g} s, {_CONFIG} has "
+            f"{name}: snapshot spacing is {grid.spacing:g} s, {_CONFIG} has "
             f"snapshot_time {cfg.snapshot_time:g} s"
         )
 
@@ -506,22 +509,25 @@ def _stage_analyze(args) -> list[str]:
     _analysis_configs(args, cfg)
     common = (out_dir, cfg, window_length, args.peaks, args.sbl_iters)
     jobs = []
-    for tx in range(cfg.tx_count):
-        name = f"h_tx{tx}.ddg1"
-        grid, seed = ddio.read_grid(os.path.join(out_dir, name))
-        count = grid.values.shape[0] // window_length
-        if count == 0:
-            raise ConfigError(
-                f"{name} has {grid.values.shape[0]} snapshots, "
-                f"shorter than one {window_length}-snapshot window"
-            )
-        _check_grid(name, grid, cfg, tx)
-        if window_limit is not None:
-            count = min(count, window_limit)
-        jobs += [(_analyze_window, *common, grid, seed, tx, w) for w in range(count)]
+    # only the grids' headers and tone frequencies are read here; each window
+    # job reads its own rows, so no process holds a whole grid
+    with contextlib.ExitStack() as grids:
+        for tx in range(cfg.tx_count):
+            name = f"h_tx{tx}.ddg1"
+            grid = grids.enter_context(ddio.GridReader(os.path.join(out_dir, name)))
+            count = grid.snapshot_count // window_length
+            if count == 0:
+                raise ConfigError(
+                    f"{name} has {grid.snapshot_count} snapshots, "
+                    f"shorter than one {window_length}-snapshot window"
+                )
+            _check_grid(name, grid, cfg, tx)
+            if window_limit is not None:
+                count = min(count, window_limit)
+            jobs += [(_analyze_window, *common, grid, tx, w) for w in range(count)]
 
-    with _fork_map("analyze", out_dir, jobs) as (results, workers):
-        names = list(results)
+        with _fork_map("analyze", out_dir, jobs) as (results, workers):
+            names = list(results)
     print(
         f"analyzed {len(jobs)} windows of {window_length} snapshots "
         f"on {workers} worker{'s' if workers > 1 else ''}"

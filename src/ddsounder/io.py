@@ -14,7 +14,9 @@ several processes write its parts at their offsets, and
 :func:`write_signal` and :func:`read_signal` store and read a whole record.
 Nor need a tone grid: :func:`_grid_rows` writes it a block of snapshots at
 a time, as :func:`ddsounder.rxproc.demultiplex_record` hands the blocks to
-its writers, and :func:`write_grid` stores a whole one through it.
+its writers, and :func:`write_grid` stores a whole one through it;
+:class:`GridReader` reads it back a block of snapshots at a time, and
+:func:`read_grid` reads a whole one through it.
 
 ``FileFormatError`` means the bytes were read but do not form a valid file;
 plain ``OSError`` means the file could not be read at all.
@@ -52,6 +54,7 @@ __all__ = [
     "SignalReader",
     "read_signal",
     "write_grid",
+    "GridReader",
     "read_grid",
     "write_surface",
     "read_surface",
@@ -337,19 +340,79 @@ def write_grid(path: str, grid: TransferFunctionGrid, seed: int) -> None:
         write(grid.values)
 
 
+def _grid_layout(seed, n_snap, n_tone, *_):
+    return [("<f8", (n_tone,)), ("<c16", (n_snap, n_tone))]
+
+
+class GridReader:
+    """A DDG1 grid opened for reading a block of snapshots at a time.
+
+    Opening checks the magic and that the payload holds exactly the tone
+    frequencies and the rows the header promises, before anything is
+    allocated, then reads the tone frequencies.  ``seed``, ``tx_index``,
+    ``snapshot_count``, ``t0`` and ``spacing`` are the header's.
+    :meth:`read` reads rows by offset (``pread``), so processes that inherit
+    the open reader read their own rows without sharing a file position.
+    Use it as a context manager, or call :meth:`close`.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            fields, _ = _read_header(self._fh, path, b"DDG1", _grid_layout)
+            seed, self.snapshot_count, tone_count, tx_index, _, self.t0, self.spacing = fields
+            self.tone_frequencies = np.empty(tone_count, dtype="<f8")
+            self._pread(self.tone_frequencies, _HEADERS[b"DDG1"].size)
+        except BaseException:
+            self._fh.close()
+            raise
+        self.seed, self.tx_index = int(seed), int(tx_index)
+
+    def _pread(self, array: np.ndarray, offset: int) -> None:
+        """Fill ``array`` with the bytes at ``offset``; ``FileFormatError``
+        if the file ends first."""
+        buf = memoryview(array.reshape(-1).view(np.uint8))
+        while buf:
+            got = os.preadv(self._fh.fileno(), [buf], offset)
+            if not got:
+                raise FileFormatError(f"{self.path}: file shrank while being read")
+            buf, offset = buf[got:], offset + got
+
+    def read(self, first: int, count: int) -> TransferFunctionGrid:
+        """Snapshots ``first`` to ``first + count`` as a grid of their own:
+        their rows, their times ``t0 + spacing * q`` and the tone
+        frequencies.  ``ValueError`` unless the range lies within the
+        grid."""
+        if not 0 <= first <= first + count <= self.snapshot_count:
+            raise ValueError(
+                f"{self.path}: snapshots {first} to {first + count} are outside "
+                f"its {self.snapshot_count}"
+            )
+        tones = self.tone_frequencies.size
+        values = np.empty((count, tones), dtype="<c16")
+        self._pread(values, _HEADERS[b"DDG1"].size + 8 * tones + 16 * tones * first)
+        return TransferFunctionGrid(
+            tx_index=self.tx_index,
+            values=values,
+            snapshot_times=self.t0 + self.spacing * np.arange(first, first + count),
+            tone_frequencies=self.tone_frequencies,
+        )
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
 def read_grid(path: str) -> tuple[TransferFunctionGrid, int]:
-    (seed, n_snap, _, tx_index, _, t0, spacing), (freqs, values) = _read_binary(
-        path,
-        b"DDG1",
-        lambda seed, n_snap, n_tone, *_: [("<f8", (n_tone,)), ("<c16", (n_snap, n_tone))],
-    )
-    grid = TransferFunctionGrid(
-        tx_index=int(tx_index),
-        values=values,
-        snapshot_times=t0 + spacing * np.arange(n_snap),
-        tone_frequencies=freqs,
-    )
-    return grid, int(seed)
+    """A whole grid, and the seed in its header."""
+    with GridReader(path) as reader:
+        return reader.read(0, reader.snapshot_count), reader.seed
 
 
 def write_surface(path: str, grid: DelayDopplerGrid, seed: int) -> None:

@@ -821,6 +821,37 @@ class TestWindowPool:
         assert files == self._files(single)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("limit, windows", [(None, 18), ("9", 9)])
+    def test_windows_are_the_whole_grids_rows_and_start_times(
+        self, mini_run, tmp_path, monkeypatch, capsys, limit, windows
+    ):
+        """Each window job reads its own rows from the grid file: for the
+        first, a middle and the last window of each TX, the rows it read and
+        the start time its peak list carries are those of the whole grid,
+        bit for bit."""
+        out = self._grids(mini_run, str(tmp_path / "run"))
+        grids = [ddio.read_grid(os.path.join(out, f"h_tx{tx}.ddg1"))[0] for tx in range(2)]
+        m, reads, read = int(self.WINDOW), {}, ddio.GridReader.read
+
+        def recording_read(reader, first, count):
+            part = read(reader, first, count)
+            reads[reader.tx_index, first // m] = (first, count, part.values.tobytes())
+            return part
+
+        monkeypatch.setattr(ddio.GridReader, "read", recording_read)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        argv = ["analyze", "--out-dir", out, "--window-length", self.WINDOW]
+        assert main(argv + (["--windows", limit] if limit else [])) == 0
+        assert sorted(reads) == [(tx, w) for tx in range(2) for w in range(windows)]
+        for tx, grid in enumerate(grids):
+            for w in (0, windows // 2, windows - 1):
+                assert reads[tx, w] == (w * m, m, grid.values[w * m : (w + 1) * m].tobytes())
+                for kind in ("peaks", "sbl_peaks"):
+                    _, meta = ddio.read_peaks_json(
+                        os.path.join(out, f"{kind}_tx{tx}_w{w:03d}.json")
+                    )
+                    assert meta["window_start_time"] == grid.snapshot_times[w * m]
+
     def test_nan_window_fails_fast_with_the_serial_message(
         self, mini_run, tmp_path, monkeypatch, capsys
     ):
@@ -1312,6 +1343,29 @@ class TestExitCodes:
         assert "h_tx0.ddg1" in err and "tx_index is 1, expected 0" in err
         assert sorted(os.listdir(out)) == ["config.ini", "h_tx0.ddg1", "h_tx1.ddg1"]
 
+    def test_grid_shrinking_while_analyzed_is_io_error(
+        self, mini_run, tmp_path, capsys, monkeypatch
+    ):
+        """h_tx1.ddg1 passes its size and design checks, then loses its
+        second half: the pooled window that reads past the end exits 2
+        naming the grid."""
+        out = str(tmp_path / "shrink")
+        self._copy_analyze_inputs(mini_run, out)
+        check = cli._check_grid
+
+        def check_then_shrink(name, grid, cfg, tx):
+            check(name, grid, cfg, tx)
+            if tx == 1:
+                path = os.path.join(out, name)
+                os.truncate(path, os.path.getsize(path) // 2)
+
+        monkeypatch.setattr(cli, "_check_grid", check_then_shrink)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(["analyze", "--out-dir", out, "--window-length", "128"]) == 2
+        assert "h_tx1.ddg1: file shrank while being read" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not [name for name in os.listdir(out) if ".tmp." in name]
+
     @pytest.mark.parametrize("name", ["rx_record.dds1", "standstill.dds1"])
     def test_input_header_rate_mismatch_is_config_error(
         self, mini_run, tmp_path, capsys, name
@@ -1415,7 +1469,8 @@ class TestExitCodes:
 
 
 class TestBoundedMemory:
-    """simulate and process hold chunks of the record, never all of it."""
+    """simulate and process hold chunks of the record, never all of it, and
+    analyze holds windows of the grids, never a whole one."""
 
     @staticmethod
     def _traced_peaks(out, duration, stages=("simulate", "process"), cfg=None):
@@ -1483,3 +1538,40 @@ class TestBoundedMemory:
         (long,) = self._traced_peaks(str(tmp_path / "long"), 1.0, ["simulate"])
         assert capsys.readouterr().out.count("on 2 workers\n") == 2
         assert long <= 1.25 * short, f"{long / 2**20:.2f} MB vs {short / 2**20:.2f} MB"
+
+    def test_analyze_keeps_no_grid_whole(self, mini_run, tmp_path, monkeypatch, capsys):
+        """On grids of 111 windows of 32 snapshots (the mini run's grids six
+        times over, 1.2 MB each), analyze never reads a grid whole, and its
+        traced peak over ten windows per TX stays below one grid's bytes."""
+        out = str(tmp_path / "long")
+        os.makedirs(out)
+        shutil.copyfile(os.path.join(mini_run, "config.ini"), os.path.join(out, "config.ini"))
+        for tx in range(2):
+            grid, seed = ddio.read_grid(os.path.join(mini_run, f"h_tx{tx}.ddg1"))
+            times = grid.snapshot_times
+            count = 6 * times.size
+            grid = dataclasses.replace(
+                grid,
+                values=np.tile(grid.values, (6, 1)),
+                snapshot_times=times[0] + (times[1] - times[0]) * np.arange(count),
+            )
+            ddio.write_grid(os.path.join(out, f"h_tx{tx}.ddg1"), grid, seed)
+        assert count // 32 >= 10
+
+        def whole(path):
+            raise AssertionError(f"{path} read whole")
+
+        monkeypatch.setattr(ddio, "read_grid", whole)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        argv = ["analyze", "--out-dir", out, "--window-length", "32", "--windows", "10"]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert "analyzed 20 windows of 32 snapshots on 1 worker" in capsys.readouterr().out
+        assert peak < grid.values.nbytes, (
+            f"{peak / 2**20:.2f} MB for grids of {grid.values.nbytes / 2**20:.2f} MB"
+        )

@@ -17,6 +17,7 @@ from ddsounder.channel import RayTracks, default_scenario
 from ddsounder.io import (
     _SCENARIO_KEYS,
     FileFormatError,
+    GridReader,
     SignalReader,
     atomic_write,
     load_scenario,
@@ -331,6 +332,77 @@ class TestGridFormat:
         write_grid(path, grid, seed=5)
         back = read_grid(path)[0].snapshot_times
         np.testing.assert_allclose(back, times, rtol=0, atol=1e-6 * cfg.snapshot_time)
+
+
+class TestGridReader:
+    """The DDG1 block reader, whose whole-file case is ``read_grid``."""
+
+    def _path(self, tmp_path):
+        path = str(tmp_path / "h.ddg1")
+        write_grid(path, TestGridFormat()._grid(), seed=5)
+        return path
+
+    @pytest.mark.parametrize("first,count", [(0, 6), (0, 1), (2, 3), (5, 1), (6, 0)])
+    def test_blocks_are_the_whole_grids_rows_and_times(self, tmp_path, first, count):
+        path = self._path(tmp_path)
+        times = TestGridFormat()._grid().snapshot_times
+        whole, _ = read_grid(path)
+        with GridReader(path) as reader:
+            assert (reader.seed, reader.tx_index, reader.snapshot_count) == (5, 1, 6)
+            assert (reader.t0, reader.spacing) == (times[0], times[1] - times[0])
+            part = reader.read(first, count)
+        assert part.tx_index == 1
+        assert part.values.tobytes() == whole.values[first : first + count].tobytes()
+        assert (
+            part.snapshot_times.tobytes()
+            == whole.snapshot_times[first : first + count].tobytes()
+        )
+        assert part.tone_frequencies.tobytes() == whole.tone_frequencies.tobytes()
+
+    def test_magic_checked(self, tmp_path):
+        path = self._path(tmp_path)
+        with open(path, "r+b") as fh:
+            fh.write(b"XXXX")
+        with pytest.raises(FileFormatError, match="bad magic"):
+            GridReader(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = self._path(tmp_path)
+        os.truncate(path, 20)
+        with pytest.raises(FileFormatError, match="truncated header"):
+            GridReader(path)
+
+    @pytest.mark.parametrize("change", ["one row short", "huge count"])
+    def test_payload_mismatch_rejected_before_allocation(self, tmp_path, monkeypatch, change):
+        path = self._path(tmp_path)
+        if change == "one row short":
+            os.truncate(path, os.path.getsize(path) - 16 * 21)
+        else:
+            with open(path, "r+b") as fh:
+                fh.seek(8)  # magic, seed, then the snapshot count
+                fh.write(struct.pack("<I", 1 << 31))
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("reader allocated before checking the size")
+
+        monkeypatch.setattr(np, "empty", no_allocation)
+        with pytest.raises(FileFormatError, match="header promises"):
+            GridReader(path)
+
+    @pytest.mark.parametrize("first,count", [(5, 2), (6, 1), (7, 0), (-1, 1), (3, -1)])
+    def test_rows_past_the_end_rejected(self, tmp_path, first, count):
+        with GridReader(self._path(tmp_path)) as reader:
+            with pytest.raises(ValueError, match="outside its 6"):
+                reader.read(first, count)
+
+    def test_file_shrinking_after_opening(self, tmp_path):
+        """The size check passed on opening; the file then loses its last row."""
+        path = self._path(tmp_path)
+        with GridReader(path) as reader:
+            os.truncate(path, os.path.getsize(path) - 16 * 21)
+            reader.read(0, 5)
+            with pytest.raises(FileFormatError, match="h.ddg1: file shrank"):
+                reader.read(4, 2)
 
 
 class TestSurfaceFormat:
