@@ -2,10 +2,12 @@
 
 Binary layouts are little-endian with a four-byte magic whose trailing digit
 is the format version, and carry the generating seed so downstream stages
-can derive their own streams.  :func:`_binary_file` packs every header, and
-the arrays are streamed after it, never copied into one buffer;
-:func:`_read_header` checks every header.  All writers go through an atomic
-write-then-rename so a crashed run never leaves a truncated file behind.
+can derive their own streams; ``_FORMATS`` holds each layout.  One writer,
+:func:`_binary_file`, packs every header, and the arrays are streamed after
+it, never copied into one buffer; one reader, :class:`_BinaryReader`, opens
+every file, checks its header (:func:`_read_header`) and reads it by offset.
+All writers go through an atomic write-then-rename so a crashed run never
+leaves a truncated file behind.
 
 A raw record need never be whole in memory: :func:`_signal_in_place` lets
 several processes write its parts at their offsets, and
@@ -32,10 +34,11 @@ import hashlib
 import inspect
 import io as _stdio
 import json
+import math
 import os
 import struct
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -103,12 +106,29 @@ def atomic_write(path: str, data: bytes) -> None:
 
 # -- binary codec -------------------------------------------------------------
 
-# Each header starts with the magic and the seed.
-_HEADERS = {
-    b"DDS1": struct.Struct("<4sIdQd"),  # raw I/Q: rate, length, t0
-    # tone-time grid: snapshots, tones, tx index, reserved, t0, snapshot spacing
-    b"DDG1": struct.Struct("<4sIIIIIdd"),
-    b"DDG2": struct.Struct("<4sIIId"),  # real surface: rows, cols, window start
+
+class _Format(NamedTuple):
+    header: struct.Struct  # the magic, then ``fields``
+    fields: tuple[str, ...]
+    arrays: tuple  # after the header: each array's dtype, and its shape in ``fields``
+
+
+_FORMATS = {
+    b"DDS1": _Format(  # raw I/Q record
+        struct.Struct("<4sIdQd"),
+        ("seed", "sample_rate", "length", "t0"),
+        (("<c16", ("length",)),),
+    ),
+    b"DDG1": _Format(  # tone-time grid
+        struct.Struct("<4sIIIIIdd"),
+        ("seed", "snapshot_count", "tone_count", "tx_index", "reserved", "t0", "spacing"),
+        (("<f8", ("tone_count",)), ("<c16", ("snapshot_count", "tone_count"))),
+    ),
+    b"DDG2": _Format(  # real surface
+        struct.Struct("<4sIIId"),
+        ("seed", "rows", "cols", "window_start_time"),
+        (("<f8", ("rows",)), ("<f8", ("cols",)), ("<f8", ("rows", "cols"))),
+    ),
 }
 
 
@@ -117,32 +137,34 @@ def _binary_file(path: str, kind: bytes, seed: int, *fields):
     """An :func:`_atomic_file` handle that already holds the ``kind`` header
     (the magic, the seed, then ``fields``), flushed so fd-level calls see it."""
     with _atomic_file(path) as fh:
-        fh.write(_HEADERS[kind].pack(kind, seed & 0xFFFFFFFF, *fields))
+        fh.write(_FORMATS[kind].header.pack(kind, seed & 0xFFFFFFFF, *fields))
         fh.flush()
         yield fh
 
 
-def _read_header(fh, path: str, kind: bytes, layout) -> tuple[tuple, list]:
+def _read_header(fh, path: str, kind: bytes) -> tuple[tuple, list]:
     """Check the header of an open ``kind`` file; its fields after the magic,
-    and the ``(dtype, shape)`` of each array, ``layout(*fields)``.
+    and the ``(dtype, shape)`` of each array after it.
 
-    The payload size is checked against the header before anything is
-    allocated, so a corrupt header cannot ask for more memory than the file
-    could fill.
+    Every float field must be finite, and the payload size must be the one
+    the header promises before anything is allocated, so a corrupt header
+    cannot ask for more memory than the file could fill.
     """
-    header = _HEADERS[kind]
-    blob = fh.read(header.size)
-    if len(blob) < header.size:
+    fmt = _FORMATS[kind]
+    blob = fh.read(fmt.header.size)
+    if len(blob) < fmt.header.size:
         raise FileFormatError(f"{path}: truncated header")
-    magic, *fields = header.unpack(blob)
+    magic, *fields = fmt.header.unpack(blob)
     if magic != kind:
         raise FileFormatError(f"{path}: bad magic {magic!r}, expected {kind!r}")
-    shapes = layout(*fields)
+    named = dict(zip(fmt.fields, fields))
+    for name, value in named.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise FileFormatError(f"{path}: header {name} is {value}, not a finite number")
+    shapes = [(dtype, tuple(named[n] for n in shape)) for dtype, shape in fmt.arrays]
     # object dtype keeps the products in exact Python integers
-    promised = sum(
-        np.dtype(dtype).itemsize * np.prod(shape, dtype=object) for dtype, shape in shapes
-    )
-    payload = os.fstat(fh.fileno()).st_size - header.size
+    promised = sum(np.dtype(d).itemsize * np.prod(s, dtype=object) for d, s in shapes)
+    payload = os.fstat(fh.fileno()).st_size - fmt.header.size
     if payload != promised:
         raise FileFormatError(
             f"{path}: payload size is {payload} bytes, header promises {promised}"
@@ -150,19 +172,58 @@ def _read_header(fh, path: str, kind: bytes, layout) -> tuple[tuple, list]:
     return tuple(fields), shapes
 
 
-def _read_binary(path: str, kind: bytes, layout) -> tuple[tuple, list[np.ndarray]]:
-    """Read a ``kind`` file: its header fields after the magic, then its arrays,
-    each read straight into place once :func:`_read_header` has passed."""
-    with open(path, "rb") as fh:
-        fields, shapes = _read_header(fh, path, kind, layout)
-        arrays = [np.empty(shape, dtype) for dtype, shape in shapes]
-        if sum(fh.readinto(a) for a in arrays) != sum(a.nbytes for a in arrays):
+def _read_at(fd: int, array: np.ndarray, offset: int, path: str) -> np.ndarray:
+    """The contiguous ``array``, filled with the bytes of ``fd`` from
+    ``offset`` on without moving its file position; ``FileFormatError``
+    naming ``path`` if the file ends first."""
+    buf = memoryview(array.reshape(-1).view(np.uint8))
+    while buf:
+        got = os.preadv(fd, [buf], offset)
+        if not got:
             raise FileFormatError(f"{path}: file shrank while being read")
-    return fields, arrays
+        buf, offset = buf[got:], offset + got
+    return array
 
 
-def _signal_layout(seed, rate, length, t0):
-    return [("<c16", (length,))]
+class _BinaryReader:
+    """A ``kind`` file opened for reading by offset.
+
+    Opening checks the header with :func:`_read_header`; ``fields`` are its
+    fields after the magic.  Every read is by offset, so the generators of
+    one reader, and the processes that inherit it, share no file position.
+    Use it as a context manager, or call :meth:`close`.
+    """
+
+    def __init__(self, path: str, kind: bytes):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            self.fields, self._shapes = _read_header(self._fh, path, kind)
+        except BaseException:
+            self._fh.close()
+            raise
+        self._payload_offset = _FORMATS[kind].header.size
+
+    def _read(self, array: np.ndarray, offset: int) -> np.ndarray:
+        """Fill ``array`` from payload byte ``offset`` on, by :func:`_read_at`."""
+        return _read_at(self._fh.fileno(), array, self._payload_offset + offset, self.path)
+
+    def arrays(self) -> list[np.ndarray]:
+        """Every array of the payload, each read straight into place."""
+        arrays, offset = [], 0
+        for dtype, shape in self._shapes:
+            arrays.append(self._read(np.empty(shape, dtype), offset))
+            offset += arrays[-1].nbytes
+        return arrays
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 # bytes read back at a time while a record written in place is hashed
@@ -174,14 +235,14 @@ class _SamplesInPlace:
 
     def __init__(self, fd: int, path: str):
         self._fd, self._path = fd, path
-        self._digest = hashlib.sha256(os.pread(fd, _HEADERS[b"DDS1"].size, 0))
+        self._digest = hashlib.sha256(os.pread(fd, _FORMATS[b"DDS1"].header.size, 0))
         self.count = 0
 
     def write(self, first: int, samples: np.ndarray) -> None:
         """Store ``samples`` as samples ``first`` on; from any process that
         inherited the file."""
         data = np.ascontiguousarray(samples, dtype="<c16").view(np.uint8)
-        offset = _HEADERS[b"DDS1"].size + 16 * first
+        offset = _FORMATS[b"DDS1"].header.size + 16 * first
         while data.size:
             done = os.pwrite(self._fd, data, offset)
             data, offset = data[done:], offset + done
@@ -191,15 +252,11 @@ class _SamplesInPlace:
         digest; in the opening process, in sample order."""
         if first != self.count:
             raise ValueError(f"{self._path}: sample {first} read back after {self.count}")
-        offset = _HEADERS[b"DDS1"].size + 16 * first
+        offset = _FORMATS[b"DDS1"].header.size + 16 * first
         end = offset + 16 * count
-        buf = memoryview(bytearray(min(_READ_BACK, end - offset)))
-        while offset < end:
-            got = os.preadv(self._fd, [buf[: end - offset]], offset)
-            if not got:
-                raise FileFormatError(f"{self._path}: file shrank while being written")
-            self._digest.update(buf[:got])
-            offset += got
+        buf = np.empty(min(_READ_BACK, end - offset), dtype=np.uint8)
+        for start in range(offset, end, _READ_BACK):
+            self._digest.update(_read_at(self._fd, buf[: end - start], start, self._path))
         self.count += count
 
     @property
@@ -221,7 +278,7 @@ def _signal_in_place(path: str, length: int, sample_rate: float, seed: int, t0: 
     and a file already at ``path`` as it was.
     """
     with _binary_file(path, b"DDS1", seed, float(sample_rate), length, float(t0)) as fh:
-        os.ftruncate(fh.fileno(), _HEADERS[b"DDS1"].size + 16 * length)
+        os.ftruncate(fh.fileno(), _FORMATS[b"DDS1"].header.size + 16 * length)
         samples = _SamplesInPlace(fh.fileno(), path)
         yield samples
         if samples.count != length:
@@ -239,59 +296,38 @@ def write_signal(path: str, signal: SampledSignal, seed: int) -> None:
         fh.write(samples)
 
 
-class SignalReader:
+class SignalReader(_BinaryReader):
     """A DDS1 record opened for reading in chunks.
 
-    Opening checks the magic and that the payload holds exactly the
-    ``length`` samples the header promises, before any sample buffer is
-    allocated; ``seed``, ``sample_rate``, ``length`` and ``t0`` are the
-    header's.  ``length`` and :meth:`chunks` are those of
-    :class:`~ddsounder.waveform.SampledSignal`, so the record's readers
-    (:func:`ddsounder.rxproc.demultiplex_record`) take either.  Use it as a
-    context manager, or call :meth:`close`.
+    Opening checks the header, as :class:`_BinaryReader` does; ``seed``,
+    ``sample_rate``, ``length`` and ``t0`` are the header's.  ``length`` and
+    :meth:`chunks` are those of :class:`~ddsounder.waveform.SampledSignal`,
+    so the record's readers (:func:`ddsounder.rxproc.demultiplex_record`)
+    take either.  Use it as a context manager, or call :meth:`close`.
     """
 
     def __init__(self, path: str):
-        self.path = path
-        self._fh = open(path, "rb")
-        try:
-            fields, _ = _read_header(self._fh, path, b"DDS1", _signal_layout)
-        except BaseException:
-            self._fh.close()
-            raise
-        seed, self.sample_rate, self.length, self.t0 = fields
-        self.seed = int(seed)
+        super().__init__(path, b"DDS1")
+        self.seed, self.sample_rate, self.length, self.t0 = self.fields
 
     def chunks(self, size: int):
         """Yield the samples in order, ``size`` at a time (the last chunk may
         be shorter).
 
-        Every chunk is read with ``readinto`` into one buffer, allocated
-        before the first, so a chunk is valid only until the next is read.
+        Every chunk is read by offset into one buffer, allocated before the
+        first, so a chunk is valid only until the next is read.
         ``FileFormatError`` if the file shrank since it was opened.
         """
-        self._fh.seek(_HEADERS[b"DDS1"].size)
         buf = np.empty(min(size, self.length), dtype="<c16")
         for start in range(0, self.length, size):
-            chunk = buf[: min(size, self.length - start)]
-            if self._fh.readinto(chunk) != chunk.nbytes:
-                raise FileFormatError(f"{self.path}: file shrank while being read")
-            yield chunk
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+            yield self._read(buf[: min(size, self.length - start)], 16 * start)
 
 
 def read_signal(path: str) -> tuple[SampledSignal, int]:
     """A whole record, and the seed in its header."""
-    (seed, sample_rate, _, t0), (samples,) = _read_binary(path, b"DDS1", _signal_layout)
-    return SampledSignal(samples=samples, sample_rate=sample_rate, t0=t0), int(seed)
+    with SignalReader(path) as reader:
+        (samples,) = reader.arrays()
+    return SampledSignal(samples, reader.sample_rate, reader.t0), reader.seed
 
 
 @contextlib.contextmanager
@@ -340,44 +376,26 @@ def write_grid(path: str, grid: TransferFunctionGrid, seed: int) -> None:
         write(grid.values)
 
 
-def _grid_layout(seed, n_snap, n_tone, *_):
-    return [("<f8", (n_tone,)), ("<c16", (n_snap, n_tone))]
-
-
-class GridReader:
+class GridReader(_BinaryReader):
     """A DDG1 grid opened for reading a block of snapshots at a time.
 
-    Opening checks the magic and that the payload holds exactly the tone
-    frequencies and the rows the header promises, before anything is
-    allocated, then reads the tone frequencies.  ``seed``, ``tx_index``,
-    ``snapshot_count``, ``t0`` and ``spacing`` are the header's.
-    :meth:`read` reads rows by offset (``pread``), so processes that inherit
-    the open reader read their own rows without sharing a file position.
-    Use it as a context manager, or call :meth:`close`.
+    Opening checks the header, as :class:`_BinaryReader` does, then reads
+    the tone frequencies.  ``seed``, ``tx_index``, ``snapshot_count``, ``t0``
+    and ``spacing`` are the header's.  :meth:`read` reads rows by offset, so
+    processes that inherit the open reader read their own rows without
+    sharing a file position.  Use it as a context manager, or call
+    :meth:`close`.
     """
 
     def __init__(self, path: str):
-        self.path = path
-        self._fh = open(path, "rb")
+        super().__init__(path, b"DDG1")
+        fields = self.fields
+        self.seed, self.snapshot_count, tones, self.tx_index, _, self.t0, self.spacing = fields
         try:
-            fields, _ = _read_header(self._fh, path, b"DDG1", _grid_layout)
-            seed, self.snapshot_count, tone_count, tx_index, _, self.t0, self.spacing = fields
-            self.tone_frequencies = np.empty(tone_count, dtype="<f8")
-            self._pread(self.tone_frequencies, _HEADERS[b"DDG1"].size)
+            self.tone_frequencies = self._read(np.empty(tones, dtype="<f8"), 0)
         except BaseException:
-            self._fh.close()
+            self.close()
             raise
-        self.seed, self.tx_index = int(seed), int(tx_index)
-
-    def _pread(self, array: np.ndarray, offset: int) -> None:
-        """Fill ``array`` with the bytes at ``offset``; ``FileFormatError``
-        if the file ends first."""
-        buf = memoryview(array.reshape(-1).view(np.uint8))
-        while buf:
-            got = os.preadv(self._fh.fileno(), [buf], offset)
-            if not got:
-                raise FileFormatError(f"{self.path}: file shrank while being read")
-            buf, offset = buf[got:], offset + got
 
     def read(self, first: int, count: int) -> TransferFunctionGrid:
         """Snapshots ``first`` to ``first + count`` as a grid of their own:
@@ -391,22 +409,12 @@ class GridReader:
             )
         tones = self.tone_frequencies.size
         values = np.empty((count, tones), dtype="<c16")
-        self._pread(values, _HEADERS[b"DDG1"].size + 8 * tones + 16 * tones * first)
         return TransferFunctionGrid(
             tx_index=self.tx_index,
-            values=values,
+            values=self._read(values, 8 * tones + 16 * tones * first),
             snapshot_times=self.t0 + self.spacing * np.arange(first, first + count),
             tone_frequencies=self.tone_frequencies,
         )
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 def read_grid(path: str) -> tuple[TransferFunctionGrid, int]:
@@ -429,19 +437,9 @@ def write_surface(path: str, grid: DelayDopplerGrid, seed: int) -> None:
 def read_surface(path: str) -> tuple[DelayDopplerGrid, int]:
     from .tfanalysis import DelayDopplerGrid  # loads scipy.linalg
 
-    (seed, _, _, start), (delay, doppler, values) = _read_binary(
-        path,
-        b"DDG2",
-        lambda seed, rows, cols, start: [
-            ("<f8", (rows,)),
-            ("<f8", (cols,)),
-            ("<f8", (rows, cols)),
-        ],
-    )
-    grid = DelayDopplerGrid(
-        values=values, delay_axis=delay, doppler_axis=doppler, window_start_time=start
-    )
-    return grid, int(seed)
+    with _BinaryReader(path, b"DDG2") as reader:
+        (seed, _, _, start), (delay, doppler, values) = reader.fields, reader.arrays()
+    return DelayDopplerGrid(values, delay, doppler, start), seed
 
 
 # -- text files ---------------------------------------------------------------

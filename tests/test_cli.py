@@ -1261,6 +1261,28 @@ class TestExitCodes:
         assert [name for name in names if name.startswith("h_tx")] == ["h_tx0.ddg1"]
         assert not [name for name in names if ".tmp." in name]
 
+    @pytest.mark.parametrize(
+        "name, offset, field",
+        [
+            ("rx_record.dds1", 8, "sample_rate"),
+            ("rx_record.dds1", 24, "t0"),
+            ("standstill.dds1", 24, "t0"),
+        ],
+    )
+    def test_non_finite_record_header_is_io_error_and_keeps_no_grid(
+        self, mini_run, tmp_path, capsys, name, offset, field
+    ):
+        """A NaN rate or start time in a record's header is a corrupt file:
+        exit 2 naming it, not a numerical failure, and no grid is written."""
+        out = str(tmp_path / "nan")
+        self._copy_run(mini_run, out)
+        with open(os.path.join(out, name), "r+b") as fh:
+            fh.seek(offset)
+            fh.write(struct.pack("<d", float("nan")))
+        assert main(["process", "--out-dir", out]) == 2
+        assert f"{name}: header {field} is nan" in capsys.readouterr().err
+        assert not any(f.startswith("h_tx") for f in os.listdir(out))
+
     def test_one_period_standstill_is_config_error(self, mini_run, tmp_path, capsys):
         """A well-formed standstill cut to one sequence period cannot give a
         CFO: exit 1, not 3, and no grid is written."""
@@ -1341,6 +1363,24 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "h_tx0.ddg1" in err and "tx_index is 1, expected 0" in err
+        assert sorted(os.listdir(out)) == ["config.ini", "h_tx0.ddg1", "h_tx1.ddg1"]
+
+    @pytest.mark.parametrize(
+        "name, offset, field", [("h_tx0.ddg1", 24, "t0"), ("h_tx1.ddg1", 32, "spacing")]
+    )
+    def test_non_finite_grid_header_is_io_error(
+        self, mini_run, tmp_path, capsys, name, offset, field
+    ):
+        """A NaN start time or snapshot spacing in a grid's header exits 2
+        naming the grid, and no window file is written."""
+        out = str(tmp_path / "nan")
+        self._copy_analyze_inputs(mini_run, out)
+        with open(os.path.join(out, name), "r+b") as fh:
+            fh.seek(offset)
+            fh.write(struct.pack("<d", float("nan")))
+        rc = main(["analyze", "--out-dir", out, "--windows", "1", "--window-length", "128"])
+        assert rc == 2
+        assert f"{name}: header {field} is nan" in capsys.readouterr().err
         assert sorted(os.listdir(out)) == ["config.ini", "h_tx0.ddg1", "h_tx1.ddg1"]
 
     def test_grid_shrinking_while_analyzed_is_io_error(

@@ -73,6 +73,18 @@ def test_scipy_serves_only_the_taper_solve():
     }
 
 
+def test_io_reads_binary_payloads_by_offset_in_one_place():
+    """``io`` reads every binary payload through one ``os.preadv`` loop, so a
+    second decoder cannot come back, and nothing in it reads at a shared
+    file position (``seek``, ``readinto``)."""
+    path = pathlib.Path(ddsounder.__file__).parent / "io.py"
+    tree = ast.parse(path.read_text(), str(path))
+    attributes = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert attributes.count("preadv") == calls.count("os.preadv") == 1
+    assert "readinto" not in attributes and "seek" not in attributes
+
+
 def _module_bindings(tree):
     """The names a module binds at its top level, its top-level ``if``, ``try``
     and ``with`` blocks included (so the imports under ``if TYPE_CHECKING:``)."""

@@ -7,6 +7,7 @@ line, for text formats) rather than propagating a numpy or parser error.
 import dataclasses
 import inspect
 import os
+import re
 import struct
 
 import numpy as np
@@ -185,6 +186,17 @@ class TestSignalStream:
         with SignalReader(path) as reader:
             bases = {id(np.asarray(c).base) for c in reader.chunks(100)}
         assert len(bases) == 1
+
+    def test_interleaved_generators_share_no_file_position(self, tmp_path):
+        """Two ``chunks(256)`` generators on one open reader, read in turn,
+        each yield the file's samples in order."""
+        path = str(tmp_path / "a.dds1")
+        data = self._samples()
+        write_signal(path, SampledSignal(data, 1.25e6), seed=0)
+        with SignalReader(path) as reader:
+            pairs = [(a.copy(), b.copy()) for a, b in zip(reader.chunks(256), reader.chunks(256))]
+        for chunks in zip(*pairs):
+            np.testing.assert_array_equal(np.concatenate(chunks), data)
 
     def test_payload_one_sample_short(self, tmp_path):
         path = str(tmp_path / "a.dds1")
@@ -441,6 +453,82 @@ class TestSurfaceFormat:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(FileFormatError, match="bad magic"):
             read_surface(path)
+
+
+@pytest.mark.parametrize("kind", ["DDS1", "DDG1", "DDG2"])
+class TestBinaryReader:
+    """Every binary format through its whole-file reader: each corruption
+    raises ``FileFormatError`` naming the file."""
+
+    # per format: its reader, the byte size of an element of its last array,
+    # the offset and struct code of a count field (samples, snapshots, rows)
+    # and the offset of a float field (t0, spacing, window start)
+    FORMATS = {
+        "DDS1": (read_signal, 16, 16, "<Q", 24),
+        "DDG1": (read_grid, 16, 8, "<I", 32),
+        "DDG2": (read_surface, 8, 8, "<I", 16),
+    }
+
+    def _path(self, tmp_path, kind):
+        """A small valid ``kind`` file."""
+        path = str(tmp_path / f"f.{kind.lower()}")
+        if kind == "DDS1":
+            write_signal(path, SampledSignal(np.arange(10) * (1 + 1j), 1.25e6, t0=0.5), seed=3)
+        elif kind == "DDG1":
+            write_grid(path, TestGridFormat()._grid(), seed=3)
+        else:
+            surface = DelayDopplerGrid(np.ones((2, 3)), np.arange(2.0), np.arange(3.0), 0.5)
+            write_surface(path, surface, seed=3)
+        return path
+
+    def _rejected(self, kind, path, message):
+        with pytest.raises(FileFormatError, match=re.escape(path) + ": " + message):
+            self.FORMATS[kind][0](path)
+
+    def test_truncated_header(self, tmp_path, kind):
+        path = self._path(tmp_path, kind)
+        os.truncate(path, ddio._FORMATS[kind.encode()].header.size - 1)
+        self._rejected(kind, path, "truncated header")
+
+    def test_payload_one_element_short(self, tmp_path, kind):
+        path = self._path(tmp_path, kind)
+        os.truncate(path, os.path.getsize(path) - self.FORMATS[kind][1])
+        self._rejected(kind, path, "payload size .* header promises")
+
+    def test_count_one_too_many_rejected_before_allocation(self, tmp_path, monkeypatch, kind):
+        _, _, offset, code, _ = self.FORMATS[kind]
+        path = self._path(tmp_path, kind)
+        with open(path, "r+b") as fh:
+            (count,) = struct.unpack_from(code, fh.read(), offset)
+            fh.seek(offset)
+            fh.write(struct.pack(code, count + 1))
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("reader allocated before checking the size")
+
+        monkeypatch.setattr(np, "empty", no_allocation)
+        self._rejected(kind, path, "payload size .* header promises")
+
+    def test_file_shrinking_after_opening(self, tmp_path, monkeypatch, kind):
+        """The header check passes, then the file loses its last element."""
+        path, size = self._path(tmp_path, kind), self.FORMATS[kind][1]
+        check = ddio._read_header
+
+        def check_then_shrink(fh, name, magic):
+            checked = check(fh, name, magic)
+            os.truncate(name, os.path.getsize(name) - size)
+            return checked
+
+        monkeypatch.setattr(ddio, "_read_header", check_then_shrink)
+        self._rejected(kind, path, "file shrank while being read")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, tmp_path, kind, value):
+        path = self._path(tmp_path, kind)
+        with open(path, "r+b") as fh:
+            fh.seek(self.FORMATS[kind][4])
+            fh.write(struct.pack("<d", value))
+        self._rejected(kind, path, "header .* is -?(nan|inf), not a finite number")
 
 
 class TestCsv:

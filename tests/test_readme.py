@@ -122,7 +122,7 @@ def test_file_formats_give_the_codec_headers():
     the format and the size of the header that its magic's files carry."""
     section = TEXT[TEXT.index("## File formats") :]
     found = re.findall(r"header `struct (<\w+)` \((\d+) B\):\s+magic\s+`(\w+)`", section)
-    assert len(found) == len(ddio._HEADERS)
+    assert len(found) == len(ddio._FORMATS)
     assert {magic.encode(): (fmt, int(size)) for fmt, size, magic in found} == {
-        kind: (header.format, header.size) for kind, header in ddio._HEADERS.items()
+        kind: (fmt.header.format, fmt.header.size) for kind, fmt in ddio._FORMATS.items()
     }
