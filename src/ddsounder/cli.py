@@ -40,13 +40,16 @@ each window job reads its own rows from the reader it inherits.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error (also a simulate
 or analyze worker that died, killed by a signal or the out-of-memory
-killer), 3 numerical failure.  ``simulate`` and ``run-all`` check that the
-scenario has one beam per TX, that the standstill holds 20 sequence periods,
-that the drive holds at least one snapshot, that the car drives no faster
-than the design's ``max_speed``, that the parked car's beams see enough of
-the receiver for the CFO estimate to tell the standstill's signal from noise
-and that the seed fits 32 bits before they write anything; ``run-all`` also
-checks the analyze flags and that the record holds at least one window.
+killer), 3 numerical failure.  ``simulate`` and ``run-all`` run one
+pre-flight before they write anything.  It checks, in this order, that the
+design passes plan's rules (if not, plan's report goes to stderr, then an
+``error:`` line naming the failed rules), that the scenario has one beam per
+TX, that the standstill holds 20 sequence periods, that the drive holds at
+least one snapshot, that the car drives no faster than the design's
+``max_speed``, that the parked car's beams see enough of the receiver for the
+CFO estimate to tell the standstill's signal from noise, and that the seed
+fits 32 bits; ``run-all`` then also checks the analyze flags and that the
+record holds at least one window.
 ``analyze`` checks its flags, and that each TX's grid holds at least one
 window and is one that ``config.ini`` produces (its tx index, its tone
 frequencies and its snapshot spacing), before it writes anything.  It
@@ -96,6 +99,7 @@ _REPORT = "validation.txt"
 _RECORD = "rx_record.dds1"
 _STILL = "standstill.dds1"
 _MANIFEST = "manifest.json"
+_GRID = "h_tx{}.ddg1"  # TX t's tone grid is _GRID.format(t)
 
 
 def _derived_seed(seed: int, label: str) -> int:
@@ -311,7 +315,7 @@ def _stage_process(out_dir: str) -> list[str]:
         with contextlib.ExitStack() as files:
             writers = [
                 files.enter_context(ddio._grid_rows(
-                    os.path.join(out_dir, f"h_tx{plan.tx_index}.ddg1"),
+                    os.path.join(out_dir, _GRID.format(plan.tx_index)),
                     plan.tx_index, times, plan.tone_frequencies, record.seed,
                 ))
                 for plan in plans
@@ -321,7 +325,7 @@ def _stage_process(out_dir: str) -> list[str]:
     outputs = []
     for tx, snr in enumerate(snrs):
         ddio.write_snr_csv(os.path.join(out_dir, f"snr_tx{tx}.csv"), times, snr)
-        outputs += [f"h_tx{tx}.ddg1", f"snr_tx{tx}.csv"]
+        outputs += [_GRID.format(tx), f"snr_tx{tx}.csv"]
         print(f"tx{tx}: {q_count} snapshots, median SNR {np.median(snr):.1f} dB")
     return outputs
 
@@ -457,9 +461,7 @@ def _fork_map(stage: str, out_dir: str, jobs: list[tuple]):
         # inside io.atomic_write; now none is alive, and this process writes
         # nothing in the run directory meanwhile, so every temp file there is
         # theirs or the one this process drops on failure (simulate's record)
-        for name in os.listdir(out_dir):
-            if name.rpartition(".tmp.")[2].isdigit():
-                os.unlink(os.path.join(out_dir, name))
+        ddio._remove_temp_files(out_dir)
         raise ChildProcessError(
             f"{stage}: a worker died (killed by a signal or the "
             f"out-of-memory killer?): {broken}"
@@ -513,7 +515,7 @@ def _stage_analyze(args) -> list[str]:
     # job reads its own rows, so no process holds a whole grid
     with contextlib.ExitStack() as grids:
         for tx in range(cfg.tx_count):
-            name = f"h_tx{tx}.ddg1"
+            name = _GRID.format(tx)
             grid = grids.enter_context(ddio.GridReader(os.path.join(out_dir, name)))
             count = grid.snapshot_count // window_length
             if count == 0:
@@ -544,14 +546,23 @@ def cmd_plan(args) -> int:
     return 0 if passed else 1
 
 
-def cmd_simulate(args) -> int:
-    cfg, scenario = _resolve_configs(args)
+def _preflight(cfg, scenario, seed: int) -> None:
+    """``ConfigError`` unless the design passes plan's rules, the scenario
+    :func:`_check_scenario` and the seed :func:`_check_seed`, checked in that
+    order; a failing design's report goes to stderr first, and the error
+    names the rules it fails."""
     report = validate_config(cfg)
     if not report.passed:
         sys.stderr.write(report.to_text())
-        return 1
+        failed = ", ".join(check.name for check in report.checks if not check.passed)
+        raise ConfigError(f"the design fails plan's rules: {failed}")
     _check_scenario(cfg, scenario)
-    _check_seed(args.seed)
+    _check_seed(seed)
+
+
+def cmd_simulate(args) -> int:
+    cfg, scenario = _resolve_configs(args)
+    _preflight(cfg, scenario, args.seed)
     _stage_simulate(cfg, scenario, args.seed, args.out_dir)
     return 0
 
@@ -568,10 +579,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg, scenario = _resolve_configs(args)
-    # a bad scenario or seed, a bad analyze flag or a window longer than the
-    # record fails before anything is written
-    _check_scenario(cfg, scenario)
-    _check_seed(args.seed)
+    # a bad design, scenario or seed, a bad analyze flag or a window longer
+    # than the record fails before anything is written
+    _preflight(cfg, scenario, args.seed)
     _analysis_configs(args, cfg)
     snapshots = _record_length(scenario, cfg) // cfg.samples_per_snapshot
     if snapshots < args.window_length:
@@ -585,30 +595,22 @@ def cmd_run_all(args) -> int:
         version=f"v{__version__}",
         config_paths=[_CONFIG, _SCENARIO],
     )
-
-    def finish(name, inputs, outputs, start, digests=None):
+    grids = [_GRID.format(tx) for tx in range(cfg.tx_count)]
+    # each stage's name, inputs, and a call that returns its outputs and the
+    # digests it took as it wrote them (plan's verdict is dropped: the design
+    # has passed); a call looks its stage function up only as it runs
+    stages = [
+        ("plan", [], lambda: (_stage_plan(cfg, out_dir)[1], None)),
+        ("simulate", [], lambda: _stage_simulate(cfg, scenario, args.seed, out_dir)),
+        ("process", [_CONFIG, _RECORD, _STILL], lambda: (_stage_process(out_dir), None)),
+        ("analyze", [_CONFIG, *grids], lambda: (_stage_analyze(args), None)),
+    ]
+    for name, inputs, stage in stages:
+        start = time.perf_counter()
+        outputs, digests = stage()
         wall = time.perf_counter() - start
         manifest.add_stage(name, inputs, outputs, wall, out_dir, digests)
         manifest.save(os.path.join(out_dir, _MANIFEST))
-
-    start = time.perf_counter()
-    passed, outputs = _stage_plan(cfg, out_dir)
-    finish("plan", [], outputs, start)
-    if not passed:
-        return 1
-
-    start = time.perf_counter()
-    outputs, digests = _stage_simulate(cfg, scenario, args.seed, out_dir)
-    finish("simulate", [], outputs, start, digests)
-
-    start = time.perf_counter()
-    outputs = _stage_process(out_dir)
-    finish("process", [_CONFIG, _RECORD, _STILL], outputs, start)
-
-    start = time.perf_counter()
-    grids = [f"h_tx{tx}.ddg1" for tx in range(cfg.tx_count)]
-    outputs = _stage_analyze(args)
-    finish("analyze", [_CONFIG] + grids, outputs, start)
     print(f"run complete: {out_dir}/{_MANIFEST}")
     return 0
 
@@ -686,10 +688,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ddio.FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ddio.FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, NoSignalError, np.linalg.LinAlgError) as exc:

@@ -5,9 +5,12 @@ is the format version, and carry the generating seed so downstream stages
 can derive their own streams; ``_FORMATS`` holds each layout.  One writer,
 :func:`_binary_file`, packs every header, and the arrays are streamed after
 it, never copied into one buffer; one reader, :class:`_BinaryReader`, opens
-every file, checks its header (:func:`_read_header`) and reads it by offset.
+every file, checks its header (:func:`_read_header`) and reads it by offset,
+and :func:`_hash_range` is the one loop that hashes a file's bytes, for
+:func:`ddsounder.manifest.file_digest` and for a record written in place.
 All writers go through an atomic write-then-rename so a crashed run never
-leaves a truncated file behind.
+leaves a truncated file behind; :func:`_remove_temp_files` removes the temp
+files of writers killed mid-write, so their names are known only here.
 
 A raw record need never be whole in memory: :func:`_signal_in_place` lets
 several processes write its parts at their offsets, and
@@ -79,13 +82,17 @@ class FileFormatError(ValueError):
     """Read bytes do not form a valid file of the expected format."""
 
 
+# an _atomic_file temp file is its path, this, and the writing process's id
+_TEMP = ".tmp."
+
+
 @contextlib.contextmanager
 def _atomic_file(path: str):
     """Binary file handle, open for reading too, on a same-directory temp
     file that replaces ``path`` (after an fsync) only if the ``with`` body
     completes; otherwise the temp file is removed and ``path`` is left as it
     was."""
-    tmp = f"{path}.tmp.{os.getpid()}"
+    tmp = f"{path}{_TEMP}{os.getpid()}"
     try:
         with open(tmp, "w+b") as fh:
             yield fh
@@ -96,6 +103,14 @@ def _atomic_file(path: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _remove_temp_files(directory: str) -> None:
+    """Remove every :func:`_atomic_file` temp file in ``directory``, of any
+    process; for when the processes writing them were killed mid-write."""
+    for name in os.listdir(directory):
+        if name.rpartition(_TEMP)[2].isdigit():
+            os.unlink(os.path.join(directory, name))
 
 
 def atomic_write(path: str, data: bytes) -> None:
@@ -185,6 +200,19 @@ def _read_at(fd: int, array: np.ndarray, offset: int, path: str) -> np.ndarray:
     return array
 
 
+# bytes read into a digest at a time
+_HASH_CHUNK = 1 << 20
+
+
+def _hash_range(digest, fd: int, start: int, stop: int, path: str):
+    """``digest``, updated with the bytes ``[start, stop)`` of ``fd``, read a
+    chunk at a time by :func:`_read_at` into one buffer."""
+    buf = np.empty(min(_HASH_CHUNK, stop - start), dtype=np.uint8)
+    for offset in range(start, stop, _HASH_CHUNK):
+        digest.update(_read_at(fd, buf[: stop - offset], offset, path))
+    return digest
+
+
 class _BinaryReader:
     """A ``kind`` file opened for reading by offset.
 
@@ -226,10 +254,6 @@ class _BinaryReader:
         self.close()
 
 
-# bytes read back at a time while a record written in place is hashed
-_READ_BACK = 1 << 20
-
-
 class _SamplesInPlace:
     """The sample payload of a DDS1 temp file opened by :func:`_signal_in_place`."""
 
@@ -252,11 +276,8 @@ class _SamplesInPlace:
         digest; in the opening process, in sample order."""
         if first != self.count:
             raise ValueError(f"{self._path}: sample {first} read back after {self.count}")
-        offset = _FORMATS[b"DDS1"].header.size + 16 * first
-        end = offset + 16 * count
-        buf = np.empty(min(_READ_BACK, end - offset), dtype=np.uint8)
-        for start in range(offset, end, _READ_BACK):
-            self._digest.update(_read_at(self._fd, buf[: end - start], start, self._path))
+        start = _FORMATS[b"DDS1"].header.size + 16 * first
+        _hash_range(self._digest, self._fd, start, start + 16 * count, self._path)
         self.count += count
 
     @property

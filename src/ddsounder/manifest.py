@@ -4,7 +4,9 @@ The manifest is the one output that is allowed to differ between otherwise
 identical runs (it records wall-clock times); everything it points at must
 be byte-identical for equal seeds.  A run hashes each of its files once: an
 input that an earlier stage wrote takes the digest recorded for it there, and
-an output whose writer hashed it as it wrote takes that digest.
+an output whose writer hashed it as it wrote takes that digest.  Files are
+hashed through ``io._hash_range``, the loop that also hashes a record as it
+is written in place.
 """
 
 from __future__ import annotations
@@ -16,19 +18,14 @@ from dataclasses import asdict, dataclass, field
 
 __all__ = ["StageRecord", "RunManifest", "file_digest"]
 
-_CHUNK = 1 << 20
-
 
 def file_digest(path: str) -> str:
     """Hex SHA-256 of a file's contents."""
-    digest = hashlib.sha256()
+    from .io import _hash_range
+
     with open(path, "rb") as fh:
-        while True:
-            block = fh.read(_CHUNK)
-            if not block:
-                break
-            digest.update(block)
-    return digest.hexdigest()
+        size = os.fstat(fh.fileno()).st_size
+        return _hash_range(hashlib.sha256(), fh.fileno(), 0, size, path).hexdigest()
 
 
 @dataclass

@@ -10,6 +10,7 @@ determinism.
 import dataclasses
 import glob
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,8 +339,8 @@ def test_acceptance_9_determinism(announce, tmp_path):
     for name in names:
         if name == "manifest.json":
             continue  # carries wall-clock timings by design
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = Path(outs[0], name).read_bytes()
+        b = Path(outs[1], name).read_bytes()
         if a != b:
             diffs.append(name)
     ok = same and not diffs

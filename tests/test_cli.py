@@ -13,6 +13,7 @@ import shutil
 import struct
 import tempfile
 import textwrap
+from pathlib import Path
 import time
 import tracemalloc
 
@@ -127,7 +128,7 @@ class TestPlan:
     def test_report_written_to_out_dir(self, tmp_path):
         out = str(tmp_path / "o")
         assert main(["plan", "--out-dir", out]) == 0
-        text = open(os.path.join(out, "validation.txt")).read()
+        text = Path(out, "validation.txt").read_text()
         assert "overall: PASS" in text
 
     def test_violating_config_fails(self, tmp_path, capsys):
@@ -152,9 +153,28 @@ class TestPlan:
         (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith(check)]
         assert " FAIL" in line
 
+    @pytest.mark.parametrize("command", ["simulate", "run-all"])
+    @pytest.mark.parametrize("design,check", _FAILING_DESIGNS)
+    def test_design_that_fails_plan_is_refused_before_writing(
+        self, tmp_path, capsys, design, check, command
+    ):
+        """simulate and run-all refuse a design that plan fails the same way:
+        exit 1, plan's report on stderr, then an error naming the rule, and
+        no run directory."""
+        cfg = SounderConfig(**{"bandwidth": 1e6, "averaging_count": 2, **design})
+        path = str(tmp_path / "bad.ini")
+        ddio.save_sounder_config(path, cfg)
+        out = tmp_path / "run"
+        assert main([command, "--config", path, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        (line,) = [x for x in err if x.startswith(f"{check}:")]
+        assert " FAIL" in line
+        assert err[-1].startswith("error: ") and check in err[-1]
+        assert not out.exists()
+
     def test_malformed_config_is_validation_error(self, tmp_path):
         path = str(tmp_path / "broken.ini")
-        open(path, "w").write("[sounder]\nbogus = 1\n")
+        Path(path).write_text("[sounder]\nbogus = 1\n")
         assert main(["plan", "--config", path]) == 1
 
     def test_version_flag(self, capsys):
@@ -430,8 +450,8 @@ class TestRunAll:
         names = sorted(os.listdir(mini_run))
         assert names == sorted(os.listdir(out2))
         for name in names:
-            a = open(os.path.join(mini_run, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(mini_run, name).read_bytes()
+            b = Path(out2, name).read_bytes()
             if name == "manifest.json":
                 continue  # wall-clock times differ
             assert a == b, f"{name} differs between identical runs"
@@ -798,7 +818,7 @@ class TestWindowPool:
 
     def _files(self, out):
         return {
-            name: open(os.path.join(out, name), "rb").read()
+            name: Path(out, name).read_bytes()
             for name in sorted(os.listdir(out))
         }
 
@@ -942,7 +962,7 @@ class TestSimulatePool:
     @staticmethod
     def _files(out):
         return {
-            name: open(os.path.join(out, name), "rb").read()
+            name: Path(out, name).read_bytes()
             for name in sorted(os.listdir(out))
         }
 
@@ -995,7 +1015,7 @@ class TestSimulatePool:
         expected = str(tmp_path / "expected.dds1")
         rx = channel.apply_channel(signals, parked, cfg, cli._derived_seed(11, "standstill"))
         ddio.write_signal(expected, rx, 11)
-        assert files[1]["standstill.dds1"] == open(expected, "rb").read()
+        assert files[1]["standstill.dds1"] == Path(expected).read_bytes()
         assert multiprocessing.active_children() == []
 
     def test_failing_job_fails_with_the_serial_message(
@@ -1144,19 +1164,19 @@ class TestExitCodes:
         out = str(tmp_path / "corrupt")
         os.makedirs(out)
         for name in ("config.ini", "scenario.ini", "standstill.dds1"):
-            data = open(os.path.join(mini_run, name), "rb").read()
-            open(os.path.join(out, name), "wb").write(data)
-        blob = bytearray(open(os.path.join(mini_run, "rx_record.dds1"), "rb").read())
+            data = Path(mini_run, name).read_bytes()
+            Path(out, name).write_bytes(data)
+        blob = bytearray(Path(mini_run, "rx_record.dds1").read_bytes())
         blob[:4] = b"ZZZZ"
-        open(os.path.join(out, "rx_record.dds1"), "wb").write(bytes(blob))
+        Path(out, "rx_record.dds1").write_bytes(bytes(blob))
         assert main(["process", "--out-dir", out]) == 2
         assert "bad magic" in capsys.readouterr().err
 
     def _copy_run(self, mini_run, out):
         os.makedirs(out)
         for name in ("config.ini", "scenario.ini", "standstill.dds1", "rx_record.dds1"):
-            data = open(os.path.join(mini_run, name), "rb").read()
-            open(os.path.join(out, name), "wb").write(data)
+            data = Path(mini_run, name).read_bytes()
+            Path(out, name).write_bytes(data)
         return os.path.join(out, "rx_record.dds1")
 
     def test_record_one_sample_short_is_io_error(self, mini_run, tmp_path, capsys):
@@ -1220,7 +1240,7 @@ class TestExitCodes:
         self._copy_run(mini_run, out)
         old = os.path.join(out, "h_tx0.ddg1")
         shutil.copyfile(os.path.join(mini_run, "h_tx0.ddg1"), old)
-        before = open(old, "rb").read()
+        before = Path(old).read_bytes()
         cfg = ddio.load_sounder_config(os.path.join(out, "config.ini"))
         rows = rxproc._CHUNK_SAMPLES // cfg.samples_per_snapshot * cfg.tone_count * 16
         chunks, temp_sizes = ddio.SignalReader.chunks, []
@@ -1235,7 +1255,7 @@ class TestExitCodes:
         assert main(["process", "--out-dir", out]) == 2
         assert "shrank" in capsys.readouterr().err
         assert len(temp_sizes) == 2 and min(temp_sizes) > rows
-        assert open(old, "rb").read() == before
+        assert Path(old).read_bytes() == before
         names = os.listdir(out)
         assert [name for name in names if name.startswith("h_tx")] == ["h_tx0.ddg1"]
         assert not [name for name in names if ".tmp." in name]
@@ -1250,13 +1270,13 @@ class TestExitCodes:
         record = self._copy_run(mini_run, out)
         old = os.path.join(out, "h_tx0.ddg1")
         shutil.copyfile(os.path.join(mini_run, "h_tx0.ddg1"), old)
-        before = open(old, "rb").read()
+        before = Path(old).read_bytes()
         rx, seed = ddio.read_signal(record)
         silent = SampledSignal(np.zeros_like(rx.samples), rx.sample_rate, rx.t0)
         ddio.write_signal(record, silent, seed)
         assert main(["process", "--out-dir", out]) == 3
         assert "noise power estimate must be positive" in capsys.readouterr().err
-        assert open(old, "rb").read() == before
+        assert Path(old).read_bytes() == before
         names = os.listdir(out)
         assert [name for name in names if name.startswith("h_tx")] == ["h_tx0.ddg1"]
         assert not [name for name in names if ".tmp." in name]
@@ -1301,8 +1321,8 @@ class TestExitCodes:
         out = str(tmp_path / "nosig")
         os.makedirs(out)
         for name in ("config.ini", "scenario.ini", "rx_record.dds1"):
-            data = open(os.path.join(mini_run, name), "rb").read()
-            open(os.path.join(out, name), "wb").write(data)
+            data = Path(mini_run, name).read_bytes()
+            Path(out, name).write_bytes(data)
         rng = np.random.default_rng(0)
         n = 25000
         noise = SampledSignal(
@@ -1317,8 +1337,8 @@ class TestExitCodes:
         out = str(tmp_path / "rate")
         os.makedirs(out)
         for name in ("scenario.ini", "rx_record.dds1", "standstill.dds1"):
-            data = open(os.path.join(mini_run, name), "rb").read()
-            open(os.path.join(out, name), "wb").write(data)
+            data = Path(mini_run, name).read_bytes()
+            Path(out, name).write_bytes(data)
         cfg = SounderConfig(bandwidth=1e6, sample_rate=2.5e6, averaging_count=2)
         ddio.save_sounder_config(os.path.join(out, "config.ini"), cfg)
         assert main(["process", "--out-dir", out]) == 1
@@ -1458,11 +1478,11 @@ class TestExitCodes:
     ):
         """A NaN or infinite entry in any numeric key fails before simulate."""
         cfg_path, scn_path = _mini_configs(str(tmp_path))
-        lines = open(scn_path).read().splitlines(keepends=True)
+        lines = Path(scn_path).read_text().splitlines(keepends=True)
         (index,) = [i for i, line in enumerate(lines) if line.startswith(f"{key} = ")]
         entries = lines[index].split(" = ")[1].strip().split(", ")
         lines[index] = f"{key} = {', '.join([value] + entries[1:])}\n"
-        open(scn_path, "w").writelines(lines)
+        Path(scn_path).write_text("".join(lines))
         out = tmp_path / "x"
         assert main(["run-all", "--config", cfg_path, "--scenario", scn_path,
                      "--seed", "1", "--out-dir", str(out)]) == 1
@@ -1472,10 +1492,10 @@ class TestExitCodes:
     def test_vertical_tx_velocity_is_validation_error(self, tmp_path, capsys):
         """A climbing car would start off the light barrier; fails before simulate."""
         cfg_path, scn_path = _mini_configs(str(tmp_path))
-        text = open(scn_path).read()
+        text = Path(scn_path).read_text()
         level = "tx_velocity = 14, 0, 0\n"
         assert level in text
-        open(scn_path, "w").write(text.replace(level, "tx_velocity = 14, 0, 2\n"))
+        Path(scn_path).write_text(text.replace(level, "tx_velocity = 14, 0, 2\n"))
         out = tmp_path / "x"
         assert main(["run-all", "--config", cfg_path, "--scenario", scn_path,
                      "--seed", "1", "--out-dir", str(out)]) == 1
@@ -1486,10 +1506,10 @@ class TestExitCodes:
         """Driven across the 20 m canyon the car would start 30.9 m behind a
         wall; fails before simulate writes anything."""
         cfg_path, scn_path = _mini_configs(str(tmp_path))
-        text = open(scn_path).read()
+        text = Path(scn_path).read_text()
         level = "tx_velocity = 14, 0, 0\n"
         assert level in text and "canyon_width = 20\n" in text
-        open(scn_path, "w").write(text.replace(level, "tx_velocity = 0, 14, 0\n"))
+        Path(scn_path).write_text(text.replace(level, "tx_velocity = 0, 14, 0\n"))
         out = tmp_path / "x"
         assert main(["simulate", "--config", cfg_path, "--scenario", scn_path,
                      "--seed", "1", "--out-dir", str(out)]) == 1

@@ -9,6 +9,7 @@ import inspect
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,17 +83,17 @@ class TestSignalFormat:
     def test_magic_checked(self, tmp_path):
         path = str(tmp_path / "a.dds1")
         write_signal(path, self._signal(), seed=0)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[:4] = b"XXXX"
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(FileFormatError, match="bad magic"):
             read_signal(path)
 
     def test_truncation_detected(self, tmp_path):
         path = str(tmp_path / "a.dds1")
         write_signal(path, self._signal(), seed=0)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-8])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-8])
         with pytest.raises(FileFormatError, match="header promises"):
             read_signal(path)
 
@@ -106,7 +107,7 @@ class TestSignalFormat:
 
     def test_short_file(self, tmp_path):
         path = str(tmp_path / "tiny.dds1")
-        open(path, "wb").write(b"DD")
+        Path(path).write_bytes(b"DD")
         with pytest.raises(FileFormatError, match="truncated"):
             read_signal(path)
 
@@ -127,7 +128,7 @@ class TestSignalFormat:
     ):
         """A header promising terabytes on a 64-byte file allocates nothing."""
         path = str(tmp_path / "huge.bin")
-        open(path, "wb").write(header + b"\x00" * (64 - len(header)))
+        Path(path).write_bytes(header + b"\x00" * (64 - len(header)))
 
         def no_allocation(*args, **kwargs):
             raise AssertionError("reader allocated before checking the size")
@@ -201,15 +202,15 @@ class TestSignalStream:
     def test_payload_one_sample_short(self, tmp_path):
         path = str(tmp_path / "a.dds1")
         write_signal(path, SampledSignal(self._samples(), 1.25e6), seed=0)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-16])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-16])
         with pytest.raises(FileFormatError, match="header promises"):
             SignalReader(path)
 
     def test_huge_length_rejected_before_allocation(self, tmp_path, monkeypatch):
         path = str(tmp_path / "huge.dds1")
         header = struct.pack("<4sIdQd", b"DDS1", 0, 1.25e6, 1 << 40, 0.0)
-        open(path, "wb").write(header + b"\x00" * 32)
+        Path(path).write_bytes(header + b"\x00" * 32)
 
         def no_allocation(*args, **kwargs):
             raise AssertionError("reader allocated before checking the size")
@@ -252,7 +253,7 @@ class TestSignalStream:
             for first in starts:
                 samples.read_back(first, data[first : first + 300].size)
         write_signal(whole, SampledSignal(data, 1.25e6, t0=0.25), seed=9)
-        assert open(path, "rb").read() == open(whole, "rb").read()
+        assert Path(path).read_bytes() == Path(whole).read_bytes()
         assert samples.digest == file_digest(path)
 
     @pytest.mark.parametrize("failure", ["raises", "short", "out of order"])
@@ -297,8 +298,8 @@ class TestGridFormat:
     def test_size_mismatch_detected(self, tmp_path):
         path = str(tmp_path / "h.ddg1")
         write_grid(path, self._grid(), seed=5)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-1])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-1])
         with pytest.raises(FileFormatError, match="size"):
             read_grid(path)
 
@@ -310,7 +311,7 @@ class TestGridFormat:
         with ddio._grid_rows(blocks, grid.tx_index, times, freqs, 5) as write:
             for first in range(0, 6, 4):
                 write(grid.values[first : first + 4])
-        assert open(blocks, "rb").read() == open(whole, "rb").read()
+        assert Path(blocks).read_bytes() == Path(whole).read_bytes()
 
     def test_streamed_rows_short_of_the_times_leave_no_file(self, tmp_path):
         grid = self._grid()
@@ -448,9 +449,9 @@ class TestSurfaceFormat:
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "s.ddg2")
         write_surface(path, self._surface(), seed=0)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[:4] = b"DDG9"
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(FileFormatError, match="bad magic"):
             read_surface(path)
 
@@ -540,7 +541,7 @@ class TestCsv:
         rt, rsnr = read_snr_csv(path)
         np.testing.assert_array_equal(rt, t)
         np.testing.assert_array_equal(rsnr, snr)
-        assert open(path).readline().strip() == "time_s,snr_db"
+        assert Path(path).read_text().splitlines()[0].strip() == "time_s,snr_db"
 
     def test_dsd_round_trip(self, tmp_path):
         path = str(tmp_path / "dsd.csv")
@@ -561,7 +562,7 @@ class TestCsv:
             np.testing.assert_array_equal(ra, axis)
             np.testing.assert_array_equal(rv, values)
             assert np.signbit(rv[3])
-            assert open(path).read().splitlines()[1:3] == ["-33.06,nan", "-16.53,-inf"]
+            assert Path(path).read_text().splitlines()[1:3] == ["-33.06,nan", "-16.53,-inf"]
 
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="equally long"):
@@ -617,7 +618,7 @@ class TestPathsCsv:
         )
         path = str(tmp_path / "truth.csv")
         write_paths_csv(path, [tracks])
-        assert open(path, "rb").read() == (
+        assert Path(path).read_bytes() == (
             b"time_s,kind,delay_s,doppler_hz,gain_real,gain_imag\n"
             b"0,los,1.4e-07,2801.4,1e-05,0\n"
             b"0,wall,1.6e-07,2500,2e-06,0\n"
@@ -633,7 +634,7 @@ class TestPathsCsv:
         )
         split = str(tmp_path / "split.csv")
         write_paths_csv(split, parts)
-        assert open(split, "rb").read() == open(path, "rb").read()
+        assert Path(split).read_bytes() == Path(path).read_bytes()
 
 
 class TestPeaksJson:
@@ -664,13 +665,13 @@ class TestPeaksJson:
 
     def test_invalid_json_rejected(self, tmp_path):
         path = str(tmp_path / "p.json")
-        open(path, "w").write("{not json")
+        Path(path).write_text("{not json")
         with pytest.raises(FileFormatError):
             read_peaks_json(path)
 
     def test_missing_fields_rejected(self, tmp_path):
         path = str(tmp_path / "p.json")
-        open(path, "w").write('{"peaks": [{"delay_s": 1.0}]}\n')
+        Path(path).write_text('{"peaks": [{"delay_s": 1.0}]}\n')
         with pytest.raises(FileFormatError, match="malformed"):
             read_peaks_json(path)
 
@@ -694,7 +695,7 @@ class TestPeaksJson:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         write_peaks_json(a, self._peaks(), extra={"z": 1, "a": 2})
         write_peaks_json(b, self._peaks(), extra={"a": 2, "z": 1})
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestSounderConfigIni:
@@ -726,16 +727,16 @@ class TestSounderConfigIni:
     def test_missing_key_named(self, tmp_path, narrowband):
         path = str(tmp_path / "config.ini")
         save_sounder_config(path, narrowband)
-        lines = [l for l in open(path) if not l.startswith("bandwidth")]
-        open(path, "w").writelines(lines)
+        lines = [l for l in Path(path).read_text().splitlines(keepends=True) if not l.startswith("bandwidth")]
+        Path(path).write_text("".join(lines))
         with pytest.raises(ConfigError, match="bandwidth"):
             load_sounder_config(path)
 
     def test_unparsable_value_named(self, tmp_path, narrowband):
         path = str(tmp_path / "config.ini")
         save_sounder_config(path, narrowband)
-        text = open(path).read().replace("tone_count = 21", "tone_count = lots")
-        open(path, "w").write(text)
+        text = Path(path).read_text().replace("tone_count = 21", "tone_count = lots")
+        Path(path).write_text(text)
         with pytest.raises(ConfigError, match="tone_count"):
             load_sounder_config(path)
 
@@ -755,7 +756,7 @@ class TestSounderConfigIni:
 
     def test_missing_section(self, tmp_path):
         path = str(tmp_path / "config.ini")
-        open(path, "w").write("[other]\nx = 1\n")
+        Path(path).write_text("[other]\nx = 1\n")
         with pytest.raises(ConfigError, match=r"\[sounder\]"):
             load_sounder_config(path)
 
@@ -802,9 +803,9 @@ class TestScenarioIni:
     def test_truck_outside_narrow_canyon_rejected(self, tmp_path):
         path = str(tmp_path / "scenario.ini")
         save_scenario(path, default_scenario())
-        text = open(path).read()
+        text = Path(path).read_text()
         assert "canyon_width = 20\n" in text
-        open(path, "w").write(text.replace("canyon_width = 20\n", "canyon_width = 6\n"))
+        Path(path).write_text(text.replace("canyon_width = 20\n", "canyon_width = 6\n"))
         with pytest.raises(ConfigError, match="canyon_width"):
             load_scenario(path)
         save_scenario(path, default_scenario(truck=False, canyon_width=6.0))
@@ -840,20 +841,20 @@ class TestScenarioIni:
     def test_zero_velocity_rejected(self, tmp_path):
         path = str(tmp_path / "scenario.ini")
         save_scenario(path, default_scenario())
-        text = open(path).read().replace(
+        text = Path(path).read_text().replace(
             "tx_velocity = 14, 0, 0", "tx_velocity = 0, 0, 0"
         )
-        open(path, "w").write(text)
+        Path(path).write_text(text)
         with pytest.raises(ConfigError, match="velocity"):
             load_scenario(path)
 
     def test_bad_vector_value_named(self, tmp_path):
         path = str(tmp_path / "scenario.ini")
         save_scenario(path, default_scenario())
-        text = open(path).read().replace(
+        text = Path(path).read_text().replace(
             "rx_position = 0, 0, 5", "rx_position = 0, 0"
         )
-        open(path, "w").write(text)
+        Path(path).write_text(text)
         with pytest.raises(ConfigError, match="rx_position"):
             load_scenario(path)
 
@@ -864,7 +865,7 @@ class TestHeaderLayouts:
     def test_signal_header(self, tmp_path):
         path = str(tmp_path / "a.dds1")
         write_signal(path, SampledSignal(np.zeros(3, complex), 2.0, t0=1.0), seed=7)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         magic, seed, rate, length, t0 = struct.unpack_from("<4sIdQd", blob)
         assert (magic, seed, rate, length, t0) == (b"DDS1", 7, 2.0, 3, 1.0)
         assert len(blob) == struct.calcsize("<4sIdQd") + 3 * 16
@@ -874,7 +875,7 @@ class TestHeaderLayouts:
         grid = DelayDopplerGrid(np.zeros((2, 3)), np.arange(2.0), np.arange(3.0), 0.5)
         write_surface(path, grid, seed=8)
         magic, seed, rows, cols, start = struct.unpack_from(
-            "<4sIIId", open(path, "rb").read()
+            "<4sIIId", Path(path).read_bytes()
         )
         assert (magic, seed, rows, cols, start) == (b"DDG2", 8, 2, 3, 0.5)
 
@@ -910,7 +911,7 @@ class TestBinaryWriter:
         strided, copied = str(tmp_path / "strided"), str(tmp_path / "copied")
         write(strided, *arrays)
         write(copied, *[np.ascontiguousarray(a) for a in arrays])
-        assert open(strided, "rb").read() == open(copied, "rb").read()
+        assert Path(strided).read_bytes() == Path(copied).read_bytes()
 
     @pytest.mark.parametrize("previous", [False, True])
     def test_surface_failing_after_its_header_leaves_nothing(self, tmp_path, previous):
