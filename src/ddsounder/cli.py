@@ -38,6 +38,12 @@ signal power per TX, for the SNR.  Nor does analyze: it opens each grid
 with ``io.GridReader``, which reads the header and the tone frequencies, and
 each window job reads its own rows from the reader it inherits.
 
+Every module a stage uses is imported with ``cli``: the process pool,
+``numpy.fft`` (which numpy loads on first use), ``numpy.ma`` (which
+``np.median`` loads) and ``locale`` (which argparse's gettext loads as
+``main`` parses), so a stage's wall time, in the manifest and the
+benchmark's, holds no import.
+
 Exit codes: 0 success, 1 validation failure, 2 I/O error (also a simulate
 or analyze worker that died, killed by a signal or the out-of-memory
 killer), 3 numerical failure.  ``simulate`` and ``run-all`` run one
@@ -63,12 +69,17 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import locale  # noqa: F401
 import math
+import multiprocessing
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
 import numpy as np
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
 
 from . import __version__
 from . import io as ddio
@@ -443,11 +454,6 @@ def _fork_map(stage: str, out_dir: str, jobs: list[tuple]):
         if workers == 1:
             yield map(_run_job, range(len(jobs))), 1
             return
-        # imported here, so that the commands without a pool do not load it
-        # (0.5 MB of peak RSS on process alone)
-        import multiprocessing
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
         fork = multiprocessing.get_context("fork")
         pool = ProcessPoolExecutor(workers, mp_context=fork)
         try:

@@ -456,7 +456,7 @@ def write_surface(path: str, grid: DelayDopplerGrid, seed: int) -> None:
 
 
 def read_surface(path: str) -> tuple[DelayDopplerGrid, int]:
-    from .tfanalysis import DelayDopplerGrid  # loads scipy.linalg
+    from .tfanalysis import DelayDopplerGrid  # loads the LAPACK module
 
     with _BinaryReader(path, b"DDG2") as reader:
         (seed, _, _, start), (delay, doppler, values) = reader.fields, reader.arrays()
@@ -606,7 +606,7 @@ def write_peaks_json(
 
 
 def read_peaks_json(path: str) -> tuple[PeakList, dict]:
-    from .tfanalysis import Peak, PeakList  # loads scipy.linalg
+    from .tfanalysis import Peak, PeakList  # loads the LAPACK module
 
     obj = _read_json(path)
     try:

@@ -12,14 +12,25 @@ LSF's and the SBL variance surface) from its values' shape and the two
 spacings, one ranking picks the largest local maxima of any such grid (the
 LSF's peaks and SBL's active set), and one turns the picked cells into a
 ``PeakList``.
+
+The Slepian tapers are the leading eigenvectors of a tridiagonal matrix,
+solved by LAPACK's bisection (``dstebz``) and inverse iteration (``dstein``),
+the two calls of ``scipy.linalg.eigh_tridiagonal(select="i")``.  They come
+from scipy's f2py LAPACK extension, ``scipy/linalg/_flapack*.so``, loaded
+here by file as ``ddsounder._flapack`` when this module is imported, so no
+process runs the ``scipy.linalg`` package's import (85 scipy modules, about
+17 MB and 0.2 s).  Each taper set is solved once per process.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .params import LSF_TIME_BANDWIDTH, ConfigError, dpss_fits
 
@@ -62,6 +73,40 @@ class DelayDopplerGrid:
 # Slepian tapers per dimension of the LSF window, each of time-bandwidth
 # product LSF_TIME_BANDWIDTH
 _TAPERS = 3
+
+
+def _load_lapack(directory: str):
+    """scipy's f2py LAPACK module from ``directory`` (scipy's ``linalg``),
+    found by the interpreter's extension suffixes and loaded under this
+    package's name, without importing scipy.  ``ImportError`` naming
+    ``directory`` and the installed scipy if it holds none."""
+    found = importlib.machinery.PathFinder.find_spec("_flapack", [directory])
+    if found is None:
+        from importlib.metadata import version
+
+        raise ImportError(
+            f"no LAPACK extension _flapack in {directory} (scipy {version('scipy')})"
+        )
+    # the name must end in _flapack: the extension's init is PyInit__flapack
+    spec = importlib.util.spec_from_file_location(f"{__package__}._flapack", found.origin)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# loaded at import, so that cli._one_blas_thread finds scipy's OpenBLAS
+_LAPACK = _load_lapack(
+    os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+)
+
+
+def _check_info(info: int, routine: str) -> None:
+    """What scipy raises for a LAPACK ``info``: ``ValueError`` for an illegal
+    argument, ``LinAlgError`` for no convergence."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} did not converge (LAPACK info={info})")
 
 
 @dataclass
@@ -160,6 +205,7 @@ def dpss_tapers(length: int, time_bandwidth: float, count: int) -> np.ndarray:
 
     Eigenvectors of the tridiagonal Slepian matrix, unit norm, ordered by
     decreasing spectral concentration in ``|f| <= time_bandwidth/length``.
+    Each call returns its own writable array.
 
     Raises
     ------
@@ -170,6 +216,14 @@ def dpss_tapers(length: int, time_bandwidth: float, count: int) -> np.ndarray:
         If ``length`` does not exceed ``2*time_bandwidth``
         (:func:`params.dpss_fits`).
     """
+    return _taper_set(length, time_bandwidth, count).copy()
+
+
+@functools.lru_cache(maxsize=8)
+def _taper_set(length: int, time_bandwidth: float, count: int) -> np.ndarray:
+    """:func:`dpss_tapers`, solved once per process and read-only.  An LSF
+    needs two sets; the bound keeps a caller of many lengths from growing
+    the cache without end."""
     if not dpss_fits(length, time_bandwidth):
         raise ConfigError(f"taper length {length} must exceed 2*NW = {2 * time_bandwidth:g}")
     if count < 1:
@@ -185,10 +239,17 @@ def dpss_tapers(length: int, time_bandwidth: float, count: int) -> np.ndarray:
     half_bandwidth = time_bandwidth / length
     diagonal = ((length - 1 - 2 * n) / 2.0) ** 2 * np.cos(2 * np.pi * half_bandwidth)
     off_diagonal = n[1:] * (length - n[1:]) / 2.0
-    _, vectors = eigh_tridiagonal(
-        diagonal, off_diagonal, select="i", select_range=(length - count, length - 1)
+    # as scipy's eigh_tridiagonal(select="i"): eigenvalues length-count+1 ..
+    # length (1-based) by bisection at LAPACK's default tolerance, in block
+    # order, then their eigenvectors; the tapers by decreasing eigenvalue
+    found, values, block, split, info = _LAPACK.dstebz(
+        diagonal, off_diagonal, 2, 0.0, 1.0, length - count + 1, length, 0.0, "B"
     )
-    tapers = vectors[:, ::-1].T
+    _check_info(info, "dstebz")
+    values = values[:found]
+    vectors, info = _LAPACK.dstein(diagonal, off_diagonal, values, block, split)
+    _check_info(info, "dstein")
+    tapers = vectors[:, np.argsort(values)[::-1]].T
     # sign convention of Percival & Walden (p. 379): even tapers sum
     # positive, odd tapers start with a positive lobe (the first sample
     # above the numerical noise)
@@ -197,6 +258,7 @@ def dpss_tapers(length: int, time_bandwidth: float, count: int) -> np.ndarray:
         lead = taper.sum() if i % 2 == 0 else taper[taper * taper > threshold][0]
         if lead < 0:
             taper *= -1
+    tapers.flags.writeable = False
     return tapers
 
 
@@ -225,8 +287,8 @@ def lsf_estimate(
     if h.ndim != 2:
         raise ValueError("lsf_estimate expects a 2-D tone-time window")
     n_tones, n_snapshots = h.shape
-    freq_tapers = dpss_tapers(n_tones, LSF_TIME_BANDWIDTH, _TAPERS)
-    time_tapers = dpss_tapers(n_snapshots, LSF_TIME_BANDWIDTH, _TAPERS)
+    freq_tapers = _taper_set(n_tones, LSF_TIME_BANDWIDTH, _TAPERS)
+    time_tapers = _taper_set(n_snapshots, LSF_TIME_BANDWIDTH, _TAPERS)
     accum = np.zeros(h.shape, dtype=np.float64)
     for u_freq in freq_tapers:
         for u_time in time_tapers:

@@ -101,6 +101,7 @@ _FAILING_DESIGNS = [
         "scipy.constants",  # params.SPEED_OF_LIGHT
         "scipy.fft",  # params._smooth_length gives the FFT lengths
         "scipy.special",  # loaded by scipy.fft
+        "scipy.linalg",  # the taper solve loads scipy's LAPACK extension alone
     ],
 )
 def test_cli_does_not_import(module):
@@ -118,6 +119,37 @@ def test_cli_does_not_import(module):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert done.stdout.strip() == "False"
+
+
+def test_stages_import_nothing(mini_run, tmp_path):
+    """In a fresh interpreter, ``plan`` and ``process`` add no module to
+    ``sys.modules``: the stages' wall times, in the manifest and the
+    benchmark's, measure work, not imports."""
+    import subprocess
+    import sys
+
+    import ddsounder
+
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("config.ini", "scenario.ini", "standstill.dds1", "rx_record.dds1"):
+        (out / name).write_bytes(Path(mini_run, name).read_bytes())
+    src = os.path.dirname(os.path.dirname(ddsounder.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = textwrap.dedent(f"""
+        import sys
+        from ddsounder.cli import main
+        for argv in (["plan"], ["process", "--out-dir", {str(out)!r}]):
+            before = set(sys.modules)
+            assert main(argv) == 0
+            print("added", argv[0], sorted(set(sys.modules) - before))
+    """)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    added = [line for line in done.stdout.splitlines() if line.startswith("added ")]
+    assert added == ["added plan []", "added process []"]
 
 
 class TestPlan:
@@ -1589,10 +1621,8 @@ class TestBoundedMemory:
     def test_pooled_parent_peak_flat_in_record_length(self, tmp_path, monkeypatch, capsys):
         """On two workers, simulate's own process, which reads every group
         back to hash it, stays within 1.25x of its 0.25 s peak on a 4x longer
-        record.  The pool's modules are loaded first, so that neither run
-        counts their import."""
-        import concurrent.futures.process  # noqa: F401
-
+        record.  The pool's modules load with ``cli``, so neither run counts
+        their import."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         (short,) = self._traced_peaks(str(tmp_path / "short"), 0.25, ["simulate"])
         (long,) = self._traced_peaks(str(tmp_path / "long"), 1.0, ["simulate"])

@@ -1,6 +1,6 @@
 """Every name in a ``ddsounder`` module's ``__all__`` resolves, and so does
-every package name the benchmark's timed step reads.  scipy is imported only
-for the Slepian taper solve.
+every package name the benchmark's timed step reads.  scipy is never
+imported: the Slepian taper solve loads its LAPACK extension by file.
 
 Tracing tools wrap each exported function by ``getattr``, so an entry left
 behind by a deletion breaks them before any stage runs.
@@ -56,20 +56,30 @@ def _imported_modules(path):
     return names
 
 
+def _scipy_names(path):
+    """The string constants of a source file that name scipy or a scipy module."""
+    return sorted({
+        node.value
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and (node.value == "scipy" or node.value.startswith("scipy."))
+    })
+
+
 def test_scipy_serves_only_the_taper_solve():
-    """Only ``tfanalysis`` imports scipy, and from it only ``scipy.linalg``
-    (``eigh_tridiagonal``): every other scipy module costs each CLI call its
-    import time and memory."""
+    """No module imports scipy: every scipy package costs each CLI call its
+    import time and memory.  ``tfanalysis`` alone names scipy, to find the
+    LAPACK extension that its taper solve loads by file."""
     package = pathlib.Path(ddsounder.__file__).parent
-    scipy_imports = {
-        path.name: sorted(
-            name for name in _imported_modules(path)
-            if name == "scipy" or name.startswith("scipy.")
-        )
-        for path in sorted(package.glob("*.py"))
-    }
-    assert {name: mods for name, mods in scipy_imports.items() if mods} == {
-        "tfanalysis.py": ["scipy.linalg"]
+    paths = sorted(package.glob("*.py"))
+    importers = [
+        path.name for path in paths
+        if any(name == "scipy" or name.startswith("scipy.") for name in _imported_modules(path))
+    ]
+    assert importers == []
+    named = {path.name: _scipy_names(path) for path in paths}
+    assert {name: names for name, names in named.items() if names} == {
+        "tfanalysis.py": ["scipy"]
     }
 
 

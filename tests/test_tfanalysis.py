@@ -5,9 +5,12 @@ whose (delay, Doppler) bin is known in closed form, and the Kronecker
 factorization of the vectorized transform matrix.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from ddsounder import tfanalysis
 from ddsounder.params import ConfigError
 from ddsounder.sbl import _UPSAMPLING, sbl_fit
 from ddsounder.tfanalysis import (
@@ -165,6 +168,63 @@ class TestDpss:
             dpss_tapers(length, time_bandwidth, count),
             dpss(length, time_bandwidth, Kmax=count),
         )
+
+    @staticmethod
+    def _lapack(monkeypatch, calls, dstebz_info=0, dstein_info=0):
+        """Route the taper solve through a LAPACK handle that records each
+        routine it calls and may override its ``info``; the cache starts
+        empty."""
+        real = tfanalysis._LAPACK
+
+        def routine(name, info):
+            def call(*args):
+                calls.append(name)
+                *out, real_info = getattr(real, name)(*args)
+                return (*out, info or real_info)
+            return call
+
+        monkeypatch.setattr(tfanalysis, "_LAPACK", SimpleNamespace(
+            dstebz=routine("dstebz", dstebz_info), dstein=routine("dstein", dstein_info),
+        ))
+        tfanalysis._taper_set.cache_clear()
+
+    def test_lsf_solves_each_taper_set_once(self, monkeypatch):
+        """Three windows of one shape solve one taper set per side."""
+        calls = []
+        self._lapack(monkeypatch, calls)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            lsf_estimate(_rand_h(rng, 21, 32))
+        assert calls == ["dstebz", "dstein"] * 2
+
+    def test_each_call_returns_a_fresh_copy(self):
+        """The cached set is read-only; each caller gets its own writable copy."""
+        first = dpss_tapers(21, 2.0, 3)
+        expected = first.copy()
+        first[:] = 0.0
+        second = dpss_tapers(21, 2.0, 3)
+        assert second.flags.writeable
+        np.testing.assert_array_equal(second, expected)
+        assert not tfanalysis._taper_set(21, 2.0, 3).flags.writeable
+
+    @pytest.mark.parametrize(
+        "info,error,match",
+        [({"dstebz_info": -3}, ValueError, "illegal value in argument 3 of internal dstebz"),
+         ({"dstein_info": 2}, np.linalg.LinAlgError, "dstein did not converge")],
+        ids=["illegal-argument", "no-convergence"],
+    )
+    def test_lapack_failure_raises_what_scipy_raises(self, monkeypatch, info, error, match):
+        self._lapack(monkeypatch, [], **info)
+        with pytest.raises(error, match=match):
+            dpss_tapers(37, 2.0, 3)
+
+    def test_missing_lapack_extension_names_the_directory(self, tmp_path):
+        from importlib.metadata import version
+
+        with pytest.raises(ImportError, match=r"_flapack") as caught:
+            tfanalysis._load_lapack(str(tmp_path))
+        assert str(tmp_path) in str(caught.value)
+        assert f"scipy {version('scipy')}" in str(caught.value)
 
 
 class TestLsf:
