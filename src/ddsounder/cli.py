@@ -38,6 +38,12 @@ signal power per TX, for the SNR.  Nor does analyze: it opens each grid
 with ``io.GridReader``, which reads the header and the tone frequencies, and
 each window job reads its own rows from the reader it inherits.
 
+``process`` also writes what it saw to ``process.json``: the standstill's
+CFO estimate and periodic share and the record's noise power, and no wall
+time, so the file is the same on every run of one seed.  ``analyze`` fits
+each window's SBL on the Doppler columns where the window's own LSF sees
+signal (``tfanalysis._signal_columns``), the rest of its variance surface 0.
+
 Every module a stage uses is imported with ``cli``: the process pool,
 ``numpy.fft`` (which numpy loads on first use), ``numpy.ma`` (which
 ``np.median`` loads) and ``locale`` (which argparse's gettext loads as
@@ -101,7 +107,7 @@ from .rxproc import (
     estimate_cfo,
 )
 from .sbl import _check_settings, sbl_fit
-from .tfanalysis import dsd, lsf_estimate, top_peaks_2d
+from .tfanalysis import _signal_columns, dsd, lsf_estimate, top_peaks_2d
 from .waveform import multitone_waveform, tone_plan
 
 _CONFIG = "config.ini"
@@ -110,6 +116,7 @@ _REPORT = "validation.txt"
 _RECORD = "rx_record.dds1"
 _STILL = "standstill.dds1"
 _MANIFEST = "manifest.json"
+_SEEN = "process.json"
 _GRID = "h_tx{}.ddg1"  # TX t's tone grid is _GRID.format(t)
 
 
@@ -305,8 +312,8 @@ def _stage_simulate(cfg, scenario, seed: int, out_dir: str) -> tuple[list[str], 
     return [_CONFIG, _SCENARIO, _RECORD, _STILL, *truth], digests
 
 
-def _standstill_cfo(out_dir: str, cfg) -> float:
-    """CFO of the standstill record."""
+def _standstill_cfo(out_dir: str, cfg) -> tuple[float, float]:
+    """CFO of the standstill record and the periodic share it read there."""
     still, _ = ddio.read_signal(os.path.join(out_dir, _STILL))
     _check_rate(still.sample_rate, cfg, _STILL)
     return estimate_cfo(still, cfg)
@@ -318,8 +325,7 @@ def _stage_process(out_dir: str) -> list[str]:
     # written to the grid files as they come: neither is ever whole in memory
     with ddio.SignalReader(os.path.join(out_dir, _RECORD)) as record:
         _check_rate(record.sample_rate, cfg, _RECORD)
-        cfo = _standstill_cfo(out_dir, cfg)
-        print(f"carrier frequency offset: {cfo:+.3f} Hz")
+        cfo, share = _standstill_cfo(out_dir, cfg)
         q_count = record.length // cfg.samples_per_snapshot
         times = record.t0 + np.arange(q_count) * cfg.snapshot_time
         plans = [tone_plan(cfg, tx) for tx in range(cfg.tx_count)]
@@ -332,19 +338,29 @@ def _stage_process(out_dir: str) -> list[str]:
                 for plan in plans
             ]
             # a noise power that is not positive raises before any grid is kept
-            snrs, _ = demultiplex_record(record, cfg, cfo, writers)
+            snrs, noise_power = demultiplex_record(record, cfg, cfo, writers)
+    # what process saw, printed from the file's own values; no wall time, so
+    # the file is the same on every run of one seed
+    seen = {"cfo_hz": cfo, "periodic_share": share, "noise_power": noise_power}
+    ddio._write_json(os.path.join(out_dir, _SEEN), seen)
+    print(
+        f"carrier frequency offset: {seen['cfo_hz']:+.3f} Hz "
+        f"(periodic share {seen['periodic_share']:.3f}), "
+        f"noise power {seen['noise_power']:.4g}"
+    )
     outputs = []
     for tx, snr in enumerate(snrs):
         ddio.write_snr_csv(os.path.join(out_dir, f"snr_tx{tx}.csv"), times, snr)
         outputs += [_GRID.format(tx), f"snr_tx{tx}.csv"]
         print(f"tx{tx}: {q_count} snapshots, median SNR {np.median(snr):.1f} dB")
-    return outputs
+    return [*outputs, _SEEN]
 
 
 def _analyze_window(out_dir, cfg, m, peaks, iterations, grid, tx, w):
     """LSF, DSD and ``iterations``-pass SBL fit of window ``w`` of ``m``
-    snapshots of TX ``tx``, read from its open ``io.GridReader``; both peak
-    lists keep ``peaks`` peaks."""
+    snapshots of TX ``tx``, read from its open ``io.GridReader``; the fit
+    runs on the LSF's signal columns, and both peak lists keep ``peaks``
+    peaks."""
     part, seed = grid.read(w * m, m), grid.seed
     window = part.values.T.copy()
     start = float(part.snapshot_times[0])
@@ -363,7 +379,12 @@ def _analyze_window(out_dir, cfg, m, peaks, iterations, grid, tx, w):
         extra={"seed": seed, "source": "lsf"},
     )
 
-    fit = sbl_fit(*window_args, active_set_size=peaks, iterations=iterations)
+    fit = sbl_fit(
+        *window_args,
+        active_set_size=peaks,
+        iterations=iterations,
+        columns=_signal_columns(surface),
+    )
     ddio.write_surface(os.path.join(out_dir, f"gamma_{tag}.ddg2"), fit.gamma, seed)
     ddio.write_peaks_json(
         os.path.join(out_dir, f"sbl_peaks_{tag}.json"),

@@ -486,6 +486,11 @@ def _read_json(path: str):
         raise FileFormatError(f"{path}: {exc}") from None
 
 
+def _write_json(path: str, obj) -> None:
+    """``obj`` as indented JSON with sorted keys, written atomically."""
+    atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+
+
 def _format_float(x: float) -> str:
     """``%.12g`` where that text reads back as ``x``, else the shortest exact text."""
     text = f"{x:.12g}"
@@ -602,7 +607,7 @@ def write_peaks_json(
             if key in obj:
                 raise ValueError(f"metadata key {key!r} collides with a standard key")
         obj.update(extra)
-    atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+    _write_json(path, obj)
 
 
 def read_peaks_json(path: str) -> tuple[PeakList, dict]:

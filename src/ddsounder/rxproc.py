@@ -91,7 +91,7 @@ _LAG_COLUMNS = 8
 _MIN_PERIODIC_SHARE = 0.03
 
 
-def estimate_cfo(rx: SampledSignal, cfg: SounderConfig) -> float:
+def estimate_cfo(rx: SampledSignal, cfg: SounderConfig) -> tuple[float, float]:
     """Carrier frequency offset of a static capture: the maximum of its
     period-lag periodogram.
 
@@ -113,8 +113,10 @@ def estimate_cfo(rx: SampledSignal, cfg: SounderConfig) -> float:
 
     Returns
     -------
-    float
+    cfo : float
         Estimated CFO in Hz, unambiguous within half the period rate.
+    share : float
+        The periodic share of the capture's energy at that CFO (below).
 
     Raises
     ------
@@ -166,7 +168,7 @@ def estimate_cfo(rx: SampledSignal, cfg: SounderConfig) -> float:
         raise NoSignalError(
             f"periodic share of the energy {share:.3g} below {_MIN_PERIODIC_SHARE}"
         )
-    return float(f)
+    return float(f), float(share)
 
 
 # Samples per chunk of whole snapshots averaged at once: bounds the

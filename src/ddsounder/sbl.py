@@ -23,6 +23,13 @@ data; FFTs turn these into the matched-filter and self-responses of all
 ``UK`` atoms.  The active-set least squares splits the same way: only the
 Doppler bins that hold an active atom enter it.  Each fit allocates its
 transform and response arrays once, and every pass writes into them.
+
+A fit may be given the Doppler columns to fit (``columns``; analyze passes
+the columns where the window's LSF sees signal).  Every pass then runs on
+those blocks alone and the others keep a variance of 0; the noise variance
+and the ranking still take in the whole window.  The recursion and the FFTs
+work block by block, so a kept block's bits are those of the full fit for as
+long as the active set stays within the kept columns.
 """
 
 from __future__ import annotations
@@ -111,7 +118,8 @@ def _check_settings(active_set_size, iterations) -> None:
 class SBLResult:
     """Outcome of one window fit.
 
-    ``gamma`` is the per-atom variance surface (delay by centered Doppler);
+    ``gamma`` is the per-atom variance surface (delay by centered Doppler),
+    0 in the Doppler columns the fit left out;
     ``peaks`` are its selected local maxima in physical units with the
     variance as power; ``amplitudes`` are least-squares coefficients of the
     active atoms, aligned with ``peaks.entries``.  The ``*_trace`` arrays
@@ -181,17 +189,17 @@ class _PassBuffers:
     inverse.  Nothing here is returned to the caller.
     """
 
-    def __init__(self, n_tones: int, delay_bins: int, n_snapshots: int):
+    def __init__(self, n_tones: int, delay_bins: int, n_blocks: int):
         n_corr = _smooth_length(2 * n_tones - 1, (2, 3, 5, 7, 11))
         self.weights = (n_tones - np.arange(n_tones))[:, None]
-        self.col = np.empty((n_tones, n_snapshots), dtype=np.complex128)
+        self.col = np.empty((n_tones, n_blocks), dtype=np.complex128)
         self.weighted = np.empty_like(self.col)
-        self.half = np.empty((delay_bins // 2 + 1, n_snapshots), dtype=np.complex128)
-        self.spectra = np.empty((2, n_corr, n_snapshots), dtype=np.complex128)
-        self.cross = np.empty((n_corr, n_snapshots), dtype=np.complex128)
+        self.half = np.empty((delay_bins // 2 + 1, n_blocks), dtype=np.complex128)
+        self.spectra = np.empty((2, n_corr, n_blocks), dtype=np.complex128)
+        self.cross = np.empty((n_corr, n_blocks), dtype=np.complex128)
         self.lags = np.empty_like(self.cross)
-        self.filtered = np.empty((delay_bins, n_snapshots), dtype=np.complex128)
-        self.self_response = np.empty((delay_bins, n_snapshots))
+        self.filtered = np.empty((delay_bins, n_blocks), dtype=np.complex128)
+        self.self_response = np.empty((delay_bins, n_blocks))
         self.ratio = np.empty_like(self.self_response)
 
 
@@ -200,14 +208,15 @@ def _atom_responses(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matched-filter and self-responses of every atom, Doppler block by block.
 
-    ``gamma`` is ``(U*K, M)`` and ``spectrum`` ``(K, M)``, column m holding
-    Doppler block m.  The block's covariance ``sigma^2 I + A diag(gamma_m) A^H``
-    is Hermitian Toeplitz with first column
-    ``c_m = fft(gamma_m)[:K] / K + sigma^2 e_0``.  One Levinson recursion
-    over all blocks gives the inverse's first column ``a`` and the whitened
-    data ``x = Sigma^-1 spectrum_m``; the Gohberg-Semencul form of the inverse
-    turns ``a`` into its diagonal sums by FFT.  Returns ``a_n^H Sigma^-1 h``
-    and the real ``a_n^H Sigma^-1 a_n``, each ``(U*K, M)``, in ``work``'s
+    ``gamma`` is ``(U*K, C)`` and ``spectrum`` ``(K, C)``, each column one
+    Doppler block m: all M of the window, or the ones a fit keeps.  The
+    block's covariance ``sigma^2 I + A diag(gamma_m) A^H`` is Hermitian
+    Toeplitz with first column ``c_m = fft(gamma_m)[:K] / K + sigma^2 e_0``.
+    One Levinson recursion over all blocks gives the inverse's first column
+    ``a`` and the whitened data ``x = Sigma^-1 spectrum_m``; the
+    Gohberg-Semencul form of the inverse turns ``a`` into its diagonal sums
+    by FFT.  Returns ``a_n^H Sigma^-1 h``
+    and the real ``a_n^H Sigma^-1 a_n``, each ``(U*K, C)``, in ``work``'s
     buffers.
     """
     delay_bins = gamma.shape[0]
@@ -270,6 +279,7 @@ def sbl_fit(
     *,
     active_set_size: int = 10,
     iterations: int = 10,
+    columns: np.ndarray | None = None,
 ) -> SBLResult:
     """Sparse Bayesian fit of one tone-time window.
 
@@ -281,14 +291,21 @@ def sbl_fit(
     surface, and re-estimates the noise variance from the residual of the
     active-atom least-squares projection.
 
+    ``columns``, if given, is a boolean over the returned surface's Doppler
+    columns, in its centered order: the passes update the variances of the
+    ``True`` columns alone, and the rest stay 0.  The noise variance still
+    comes from every column and the active set is ranked over the whole
+    surface.  ``None`` fits every column.
+
     Raises
     ------
     ConfigError
         If ``active_set_size`` or ``iterations`` is not a positive integer.
     ValueError
         On non-finite input, an identically zero window, a window with
-        fewer samples than the requested active set, or a non-positive
-        spacing, each before the first pass.
+        fewer samples than the requested active set, ``columns`` that are
+        not one boolean per snapshot with at least one ``True``, or a
+        non-positive spacing, each before the first pass.
     """
     _check_settings(active_set_size, iterations)
     h = np.asarray(window, dtype=np.complex128)
@@ -307,13 +324,28 @@ def sbl_fit(
             f"{active_set_size}"
         )
 
+    kept = np.ones(n_snapshots, dtype=bool) if columns is None else np.asarray(columns)
+    if kept.dtype != np.bool_ or kept.shape != (n_snapshots,) or not kept.any():
+        raise ValueError(
+            f"columns must be {n_snapshots} booleans, one per Doppler column, "
+            f"with at least one True"
+        )
+    center = n_snapshots // 2
+    # the fitted Doppler blocks in FFT order, and their surface columns
+    fitted = np.flatnonzero(np.fft.ifftshift(kept))
+    surface_columns = (fitted + center) % n_snapshots
+
     model = SparseModel(tone_count=n_tones, window_length=n_snapshots)
     atoms = model.delay_atoms()
 
-    gamma = np.full((model.delay_bins, n_snapshots), _GAMMA_INIT)
-    # the returned surface, fftshift(gamma, axes=1), which every pass writes
-    # in place
-    grid = _grid(np.empty_like(gamma), tone_spacing, snapshot_time, window_start_time)
+    # gamma of the fitted Doppler blocks, in FFT order; the rest stay 0
+    gamma = np.full((model.delay_bins, fitted.size), _GAMMA_INIT)
+    # the returned surface, fftshift of the full gamma along Doppler, whose
+    # fitted columns every pass writes in place
+    grid = _grid(
+        np.zeros((model.delay_bins, n_snapshots)),
+        tone_spacing, snapshot_time, window_start_time,
+    )
     surface = grid.values
     noise_var = _NOISE_VAR_INIT
     # floor keeps the covariance blocks invertible on noise-free windows:
@@ -327,6 +359,7 @@ def sbl_fit(
     # with lstsq's default cutoff for the full K*M-row basis.
     spectrum = np.fft.fft(h, axis=1) / np.sqrt(n_snapshots)
     column_energy = np.sum(np.abs(spectrum) ** 2, axis=0)
+    fitted_spectrum = spectrum[:, fitted]
     rcond = np.finfo(float).eps * total
 
     selected: list[tuple[int, int]] = []
@@ -335,34 +368,32 @@ def sbl_fit(
     noise_trace = np.empty(iterations)
     residual_trace = np.empty(iterations)
     churn_trace = np.empty(iterations, dtype=int)
-    work = _PassBuffers(n_tones, model.delay_bins, n_snapshots)
-    center = n_snapshots // 2
+    work = _PassBuffers(n_tones, model.delay_bins, fitted.size)
     for it in range(iterations):
-        filtered, self_response = _atom_responses(gamma, noise_var, spectrum, work)
+        filtered, self_response = _atom_responses(gamma, noise_var, fitted_spectrum, work)
         ratio = np.abs(filtered, out=work.ratio)
         np.square(ratio, out=ratio)
         ratio /= np.clip(self_response, 1e-300, None, out=self_response)
         gamma *= ratio
 
-        surface[:, center:] = gamma[:, : n_snapshots - center]
-        surface[:, :center] = gamma[:, n_snapshots - center :]
+        surface[:, surface_columns] = gamma
         previous = set(selected)
         selected = _ranked_maxima(grid, active_set_size)
         churn_trace[it] = len(set(selected) - previous)
         if selected:
             delays = [n for n, _ in selected]
-            dopplers = [(j - n_snapshots // 2) % n_snapshots for _, j in selected]
-            columns, column_of = np.unique(dopplers, return_inverse=True)
+            dopplers = [(j - center) % n_snapshots for _, j in selected]
+            blocks, block_of = np.unique(dopplers, return_inverse=True)
             basis = np.zeros(
-                (n_tones, len(columns), len(selected)), dtype=np.complex128
+                (n_tones, len(blocks), len(selected)), dtype=np.complex128
             )
-            basis[:, column_of, np.arange(len(selected))] = atoms[:, delays]
+            basis[:, block_of, np.arange(len(selected))] = atoms[:, delays]
             basis = basis.reshape(-1, len(selected))
-            target = spectrum[:, columns].ravel()
+            target = spectrum[:, blocks].ravel()
             amplitudes, *_ = np.linalg.lstsq(basis, target, rcond=rcond)
             residual = target - basis @ amplitudes
             residual_power = float(
-                np.delete(column_energy, columns).sum()
+                np.delete(column_energy, blocks).sum()
                 + np.vdot(residual, residual).real
             )
             noise_var = residual_power / (total - len(selected))

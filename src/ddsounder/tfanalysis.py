@@ -11,7 +11,9 @@ One private builder lays out every delay-Doppler grid (the transform's, the
 LSF's and the SBL variance surface) from its values' shape and the two
 spacings, one ranking picks the largest local maxima of any such grid (the
 LSF's peaks and SBL's active set), and one turns the picked cells into a
-``PeakList``.
+``PeakList``.  One private rule reads off an LSF the Doppler columns that
+hold signal (a bin above 4 times the surface's median, or its maximum, and
+one column either side); analyze fits SBL on those columns alone.
 
 The Slepian tapers are the leading eigenvectors of a tridiagonal matrix,
 solved by LAPACK's bisection (``dstebz``) and inverse iteration (``dstein``),
@@ -296,6 +298,25 @@ def lsf_estimate(
             accum += np.abs(sfft(tapered).values) ** 2
     accum /= _TAPERS**2
     return _grid(accum, tone_spacing, snapshot_time, window_start_time)
+
+
+# An LSF bin holds signal where it exceeds this multiple of the surface's
+# median.  The median stands in for the noise floor sigma^2/(K M), which
+# analyze does not know: on the desk drive it reads 0.98-1.2 times the floor
+# per window at M = 360.
+_SIGNAL_OVER_MEDIAN = 4.0
+
+
+def _signal_columns(surface: DelayDopplerGrid) -> np.ndarray:
+    """Boolean over ``surface``'s Doppler columns, in its centered order: the
+    columns that hold a bin above ``_SIGNAL_OVER_MEDIAN`` times the surface's
+    median, and the column of its maximum, each widened by one column on
+    either side, circularly (Doppler wraps).  Analyze fits SBL on these
+    columns alone (:func:`ddsounder.sbl.sbl_fit`'s ``columns``)."""
+    values = surface.values
+    keep = np.any(values > _SIGNAL_OVER_MEDIAN * np.median(values), axis=0)
+    keep[np.argmax(values) % values.shape[1]] = True
+    return keep | np.roll(keep, 1) | np.roll(keep, -1)
 
 
 def dsd(grid: DelayDopplerGrid) -> np.ndarray:

@@ -4,7 +4,8 @@ Each test prints one `ACCEPTANCE <n> (<label>): PASS|FAIL` line (shown even
 under captured output) and then asserts.  Criteria 1-3 are closed-form
 regressions, 4-7 are planted-truth recovery statistics, 8 drives the full
 pipeline through the CLI on the default drive-by, 9 checks bytewise
-determinism.
+determinism.  One more test, without a line of its own, scores analyze's SBL
+peak lists against the drive-by's rays.
 """
 
 import dataclasses
@@ -16,7 +17,12 @@ import numpy as np
 import pytest
 
 from ddsounder import io as ddio
-from ddsounder.channel import apply_channel, default_scenario, transfer_function
+from ddsounder.channel import (
+    apply_channel,
+    default_scenario,
+    ray_tracks,
+    transfer_function,
+)
 from ddsounder.cli import main
 from ddsounder.params import (
     SounderConfig,
@@ -317,6 +323,52 @@ def test_acceptance_8d_truck_fading_variance(announce, driveby):
     announce("8d", "street-level fading hits 0 deg harder", ok,
              f"variance ratio {ratio:.2f}")
     assert ok
+
+
+def _doppler_score(peaks, tracks, tolerance):
+    """(rays detected, rays counted, false alarms) of one window's peaks
+    against its ray tracks.  A ray counts when it is visible with nonzero
+    gain at every snapshot; it is detected when a peak's Doppler lies within
+    ``tolerance`` of its Doppler range over the window, and a peak within
+    no counted ray's range is a false alarm.  Delay is not scored: a desk
+    delay bin holds every ray."""
+    counted = np.all(tracks.visible & (tracks.gain != 0), axis=0)
+    low = tracks.doppler[:, counted].min(axis=0) - tolerance
+    high = tracks.doppler[:, counted].max(axis=0) + tolerance
+    doppler = np.array([p.doppler for p in peaks.entries])[:, None]
+    inside = (low <= doppler) & (doppler <= high)
+    return int(inside.any(axis=0).sum()), int(counted.sum()), int((~inside.any(axis=1)).sum())
+
+
+def test_sbl_signal_columns_lose_nothing_against_the_rays(driveby):
+    """Analyze fits SBL only on the Doppler columns where the window's LSF
+    sees signal.  Scored against the drive's rays, its peak lists detect no
+    fewer rays and raise no more false alarms than full fits of the same
+    windows."""
+    cfg = ddio.load_sounder_config(os.path.join(driveby, "config.ini"))
+    scenario = ddio.load_scenario(os.path.join(driveby, "scenario.ini"))
+    length = 360
+    tolerance = 1.0 / (length * cfg.snapshot_time)  # one native Doppler bin
+    pruned = np.zeros(3, dtype=int)
+    full = np.zeros(3, dtype=int)
+    for tx in range(cfg.tx_count):
+        grid, _ = ddio.read_grid(os.path.join(driveby, f"h_tx{tx}.ddg1"))
+        for w in range(grid.values.shape[0] // length):
+            rows = slice(w * length, (w + 1) * length)
+            times = grid.snapshot_times[rows]
+            tracks = ray_tracks(scenario, cfg, times, tx)
+            written, _ = ddio.read_peaks_json(
+                os.path.join(driveby, f"sbl_peaks_tx{tx}_w{w:03d}.json")
+            )
+            fit = sbl_fit(grid.values[rows].T.copy(), cfg.tone_spacing,
+                          cfg.snapshot_time, float(times[0]))
+            pruned += _doppler_score(written, tracks, tolerance)
+            full += _doppler_score(fit.peaks, tracks, tolerance)
+    print(f"\nsignal columns: {pruned[0]}/{pruned[1]} rays, {pruned[2]} false alarms; "
+          f"full fit: {full[0]}/{full[1]} rays, {full[2]} false alarms")
+    assert pruned[1] == full[1] > 0
+    assert pruned[0] >= full[0]
+    assert pruned[2] <= full[2]
 
 
 # -- 9: determinism -------------------------------------------------------------

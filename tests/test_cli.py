@@ -385,7 +385,7 @@ class TestStages:
         rows = [[] for _ in range(cfg.tx_count)]
         with ddio.SignalReader(os.path.join(mini_run, "rx_record.dds1")) as record:
             snr, _ = rxproc.demultiplex_record(
-                record, cfg, estimate_cfo(still, cfg), [tx_rows.append for tx_rows in rows]
+                record, cfg, estimate_cfo(still, cfg)[0], [tx_rows.append for tx_rows in rows]
             )
             times = record.t0 + np.arange(snr.shape[1]) * cfg.snapshot_time
         for tx, tx_rows in enumerate(rows):
@@ -397,6 +397,40 @@ class TestStages:
                 os.path.join(mini_run, f"snr_tx{tx}.csv"), "rb"
             ) as got:
                 assert got.read() == want.read()
+
+    def test_process_json_holds_what_process_saw(self, mini_run):
+        """process.json's CFO and periodic share are estimate_cfo's on the
+        standstill, and its noise power is demultiplex_record's return, bit
+        for bit."""
+        cfg = ddio.load_sounder_config(os.path.join(mini_run, "config.ini"))
+        still, _ = ddio.read_signal(os.path.join(mini_run, "standstill.dds1"))
+        cfo, share = estimate_cfo(still, cfg)
+        with ddio.SignalReader(os.path.join(mini_run, "rx_record.dds1")) as record:
+            _, noise_power = rxproc.demultiplex_record(
+                record, cfg, cfo, [lambda rows: None] * cfg.tx_count
+            )
+        with open(os.path.join(mini_run, "process.json")) as fh:
+            seen = json.load(fh)
+        assert seen == {"cfo_hz": cfo, "periodic_share": share, "noise_power": noise_power}
+
+    def test_process_json_share_is_one_on_a_noise_free_standstill(self, mini_run, tmp_path):
+        """A standstill without noise is periodic up to its CFO: the share
+        process.json holds is 1 to round-off."""
+        out = str(tmp_path / "clean")
+        os.makedirs(out)
+        for name in ("config.ini", "scenario.ini", "rx_record.dds1"):
+            shutil.copyfile(os.path.join(mini_run, name), os.path.join(out, name))
+        cfg = ddio.load_sounder_config(os.path.join(out, "config.ini"))
+        scenario = dataclasses.replace(
+            ddio.load_scenario(os.path.join(out, "scenario.ini")), noise_psd=0.0
+        )
+        still = apply_channel(cli._waveforms(cfg), cli._parked(scenario), cfg, 42)
+        ddio.write_signal(os.path.join(out, "standstill.dds1"), still, 42)
+        assert main(["process", "--out-dir", out]) == 0
+        with open(os.path.join(out, "process.json")) as fh:
+            seen = json.load(fh)
+        assert abs(seen["periodic_share"] - 1.0) <= 1e-12
+        assert abs(seen["cfo_hz"] - scenario.cfo) <= 1e-9
 
     def test_sbl_peaks_carry_per_pass_traces(self, mini_run, tmp_path):
         out = str(tmp_path / "traces")
@@ -462,6 +496,10 @@ class TestRunAll:
             elif rel.endswith(".ddg2"):
                 _, seed = ddio.read_surface(full)
                 assert seed == 42
+            elif rel == "process.json":
+                # what process saw; its inputs carry the seed
+                with open(full) as fh:
+                    assert sorted(json.load(fh)) == ["cfo_hz", "noise_power", "periodic_share"]
             elif rel.endswith(".json"):
                 _, meta = ddio.read_peaks_json(full)
                 assert meta["seed"] == 42
@@ -761,7 +799,7 @@ class TestRunAll:
         cli._check_scenario(cfg, scenario)
         still = apply_channel(cli._waveforms(cfg), cli._parked(scenario), cfg, seed)
         grid_bin = 1 / (2 * periods * cfg.sequence_period)
-        assert abs(estimate_cfo(still, cfg) - scenario.cfo) < grid_bin
+        assert abs(estimate_cfo(still, cfg)[0] - scenario.cfo) < grid_bin
         cfg, scenario = self._desk_standstill(periods, bound * 0.99)
         with pytest.raises(ConfigError, match="could take it for noise"):
             cli._check_scenario(cfg, scenario)
@@ -1098,7 +1136,7 @@ class TestSimulatePool:
             assert f"on {cpus} worker" in capsys.readouterr().out
             files[cpus] = self._files(out)
             del files[cpus]["manifest.json"]
-        assert len(files[1]) == 31
+        assert len(files[1]) == 32  # with process.json
         assert files[2] == files[1]
         assert multiprocessing.active_children() == []
 

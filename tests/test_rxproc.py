@@ -50,12 +50,12 @@ class TestEstimateCfo:
     def test_recovers_injected_cfo(self, narrowband, signals):
         scn = _parked(0.02, cfo=73.5, noise_psd=1e-15)
         rx = apply_channel(signals, scn, narrowband, seed=21)
-        assert estimate_cfo(rx, narrowband) == pytest.approx(73.5, abs=0.05)
+        assert estimate_cfo(rx, narrowband)[0] == pytest.approx(73.5, abs=0.05)
 
     def test_negative_cfo(self, narrowband, signals):
         scn = _parked(0.02, cfo=-412.0, noise_psd=1e-15)
         rx = apply_channel(signals, scn, narrowband, seed=22)
-        assert estimate_cfo(rx, narrowband) == pytest.approx(-412.0, abs=0.05)
+        assert estimate_cfo(rx, narrowband)[0] == pytest.approx(-412.0, abs=0.05)
 
     @pytest.mark.parametrize("periods", [20, 119])
     def test_noise_only_capture_rejected(self, narrowband, periods):
@@ -110,7 +110,7 @@ class TestEstimateCfo:
         duration = periods * narrowband.sequence_period
         rx = apply_channel(signals, _parked(duration, cfo=120.0), narrowband, seed=1)
         assert rx.samples.size == periods * narrowband.samples_per_period
-        assert abs(estimate_cfo(rx, narrowband) - 120.0) <= 1e-9
+        assert abs(estimate_cfo(rx, narrowband)[0] - 120.0) <= 1e-9
 
     @pytest.mark.parametrize(
         "cfo,seed,duration",
@@ -137,7 +137,7 @@ class TestEstimateCfo:
         dense = np.sum(np.abs(np.fft.fft(folded, padded, axis=0)) ** 2, axis=1)
         freqs = np.fft.fftfreq(padded, d=period)
 
-        estimate = estimate_cfo(rx, narrowband)
+        estimate, _ = estimate_cfo(rx, narrowband)
         rotation = np.exp(-2j * np.pi * estimate * period * np.arange(count))
         peak = np.sum(np.abs(rotation @ folded) ** 2)
         assert abs(estimate - freqs[np.argmax(dense)]) <= 0.5 / (padded * period)
@@ -146,7 +146,7 @@ class TestEstimateCfo:
         whole = folded.size
         assert estimate == estimate_cfo(
             SampledSignal(rx.samples[:whole], rx.sample_rate), narrowband
-        )
+        )[0]
         assert estimate == pytest.approx(cfo, abs=0.05)
 
     @pytest.mark.parametrize("size", [840, 3150, 4096])
@@ -169,7 +169,7 @@ class TestEstimateCfo:
         start = np.sum(np.abs(np.fft.fft(x.reshape(count, length), n, axis=0)) ** 2, axis=1)
         assert start[k] == pytest.approx(start[k + 1], rel=1e-12)
         assert start[k] == pytest.approx(start.max(), rel=1e-12)
-        assert estimate_cfo(SampledSignal(x, fs), cfg) == pytest.approx(
+        assert estimate_cfo(SampledSignal(x, fs), cfg)[0] == pytest.approx(
             tone, abs=1e-12 * fs / size
         )
 
@@ -184,7 +184,7 @@ class TestEstimateCfo:
         length = narrowband.samples_per_period
         count = rx.samples.size // length
         assert count == 20 and rx.samples.size == 20 * length
-        estimate = estimate_cfo(rx, narrowband)
+        estimate, _ = estimate_cfo(rx, narrowband)
 
         with mpmath.workdps(40):
             columns = [
@@ -217,14 +217,14 @@ class TestEstimateCfo:
         """Perturbing a 0.1 s desk standstill by 4e-15 of its peak moves the
         estimate by at most 1e-12 Hz: it is the periodogram maximum to
         round-off, not a search stopped at a tolerance."""
-        estimate = estimate_cfo(desk_standstill, narrowband)
+        estimate, _ = estimate_cfo(desk_standstill, narrowband)
         samples = desk_standstill.samples
         scale = 4e-15 * np.max(np.abs(samples))
         rng = np.random.default_rng(5)
         for _ in range(3):
             noise = rng.standard_normal(samples.size) + 1j * rng.standard_normal(samples.size)
             moved = SampledSignal(samples + scale * noise, desk_standstill.sample_rate)
-            assert abs(estimate_cfo(moved, narrowband) - estimate) <= 1e-12
+            assert abs(estimate_cfo(moved, narrowband)[0] - estimate) <= 1e-12
 
     def test_temporaries_small_beside_capture(self, narrowband, desk_standstill):
         """No temporary is the size of the capture: the traced peak on a 0.1 s

@@ -18,7 +18,13 @@ from ddsounder.sbl import (
     _levinson,
     sbl_fit,
 )
-from ddsounder.tfanalysis import _grid, _ranked_maxima, top_peaks_2d
+from ddsounder.tfanalysis import (
+    _grid,
+    _ranked_maxima,
+    _signal_columns,
+    lsf_estimate,
+    top_peaks_2d,
+)
 from ddsounder.waveform import tone_plan
 
 K, M, U = 21, 32, _UPSAMPLING
@@ -453,3 +459,84 @@ class TestLevinson:
         ):
             error = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
             assert np.all(error <= bound)
+
+
+def _three_column_window(n_snapshots=64):
+    """Three taps in Doppler columns 5, 6 and 40 (FFT order) at 20 dB SNR."""
+    model = SparseModel(K, n_snapshots)
+    taps = [(2.0, 12, 5), (1.0j, 50, 6), (0.8 - 0.4j, 30, 40)]
+    h = sum(c * model.column(n, j) for c, n, j in taps).reshape(n_snapshots, K).T.copy()
+    rng = np.random.default_rng(401)
+    nv = np.mean(np.abs(h) ** 2) / 10 ** (20 / 10)
+    h += np.sqrt(nv / 2) * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
+    return h, [j for _, _, j in taps]
+
+
+def _assert_same_fit(got, want, kept):
+    """``got`` is ``want`` bit for bit on the ``kept`` surface columns, and
+    its variance surface is 0 elsewhere."""
+    assert got.peaks.entries == want.peaks.entries
+    for name in ("amplitudes", "noise_var_trace", "residual_power_trace", "churn_trace"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.noise_var == want.noise_var
+    assert got.residual_power == want.residual_power
+    assert got.gamma.values[:, kept].tobytes() == want.gamma.values[:, kept].tobytes()
+    assert not got.gamma.values[:, ~kept].any()
+
+
+class TestFittedColumns:
+    """``sbl_fit(columns=...)`` fits only the given Doppler columns."""
+
+    def test_kept_columns_are_the_full_fit_where_the_active_set_stays(self):
+        """With the taps' columns and their neighbours kept, the active set
+        of the full fit never leaves them, so the fit is the full fit bit for
+        bit: peaks, amplitudes, traces and gamma on the kept columns."""
+        n_snapshots = 64
+        h, dopplers = _three_column_window(n_snapshots)
+        kept = np.zeros(n_snapshots, dtype=bool)
+        for j in dopplers:
+            kept[(j + np.arange(-1, 2) + n_snapshots // 2) % n_snapshots] = True
+        full = sbl_fit(h, active_set_size=3)
+        assert all(kept[round(p.doppler * n_snapshots) + n_snapshots // 2]
+                   for p in full.peaks.entries)
+        _assert_same_fit(sbl_fit(h, active_set_size=3, columns=kept), full, kept)
+
+    def test_every_column_is_the_default_fit(self):
+        h = _planted_window(U, 32, snr_db=25.0)
+        kept = np.ones(32, dtype=bool)
+        _assert_same_fit(sbl_fit(h, columns=kept), sbl_fit(h), kept)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [np.ones(31, dtype=bool), np.ones(32, dtype=int), np.zeros(32, dtype=bool),
+         np.ones((1, 32), dtype=bool)],
+        ids=["length", "dtype", "none-kept", "shape"],
+    )
+    def test_bad_columns_rejected(self, columns):
+        with pytest.raises(ValueError, match="columns"):
+            sbl_fit(_planted_window(U, 32, snr_db=25.0), columns=columns)
+
+    def test_signal_columns_keep_a_tap_lobe_and_its_neighbours(self):
+        """One tap at 0 dB SNR: its LSF lobe, the 2 NW + 1 = 5 columns
+        around it, is the only signal, and one column on either side of it
+        is kept too."""
+        n_snapshots = 64
+        model = SparseModel(K, n_snapshots)
+        h = model.column(40, 5).reshape(n_snapshots, K).T.copy()
+        rng = np.random.default_rng(402)
+        nv = np.mean(np.abs(h) ** 2)
+        h += np.sqrt(nv / 2) * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
+        surface = lsf_estimate(h)
+        kept = _signal_columns(surface)
+        lobe = np.any(surface.values > 4 * np.median(surface.values), axis=0)
+        tap = 5 + n_snapshots // 2
+        assert kept.dtype == np.bool_ and kept.shape == (n_snapshots,)
+        assert np.flatnonzero(lobe).tolist() == list(range(tap - 2, tap + 3))
+        assert np.flatnonzero(kept).tolist() == list(range(tap - 3, tap + 4))
+
+    def test_signal_columns_keep_the_maximum_and_wrap(self):
+        """A flat surface has no bin above 4x its median: the column of its
+        first maximum is kept, with its neighbours across the wrap."""
+        values = np.ones((U * K, 32))
+        kept = _signal_columns(_grid(values, 1.0, 1.0, 0.0))
+        assert np.flatnonzero(kept).tolist() == [0, 1, 31]
